@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import make_grid
 from .solver import FluidParams, ForcingSpec, preset_ic
-from .sweep import SweepPlan
+from .sweep import SweepPlan, plan_sweep
 
 __all__ = [
     "GridConfig",
@@ -321,14 +321,11 @@ class ExperimentConfig:
         )
 
     def sweep_plan(self) -> SweepPlan:
-        mus = tuple(
-            self.sweep.mu_max * self.sweep.ratio**i for i in range(self.sweep.count)
-        )
-        return SweepPlan(
-            mu_values=mus,
+        return plan_sweep(
+            self.sweep.mu_max, self.sweep.ratio, self.sweep.count,
             d=self.grid.d, n=self.grid.n, P=self.grid.box,
             gamma=self.fluid.gamma, kappa=self.fluid.kappa,
-            lam_ratio=self.sweep.lam_ratio,
+            lam_ratio=self.sweep.lam_ratio, rho_min=self.fluid.rho_min,
             ic=self.initial.preset, ic_seed=self.initial.seed,
             ic_amplitude=self.initial.amplitude,
             T=self.run.horizon, snapshots=self.run.snapshots, cfl=self.run.cfl,

@@ -730,8 +730,7 @@ def weak_residual_momentum(
     if phi.components != d:
         raise ValueError(f"momentum residual takes a {d}-component test function")
     dxd = grid.dx**grid.d
-    axes = grid.spatial_axes()
-    ik = grid.ik_deriv
+    ik = grid.ik_half
 
     g_euler, g_visc = [], []
     g_dt, g_flux, g_press, g_force = [], [], [], []
@@ -766,12 +765,11 @@ def weak_residual_momentum(
         g_force.append(t_force)
         g_euler.append(t_dt + t_flux + t_press + t_force)
 
-        u = m / rho_floor
-        u_h = np.fft.fftn(u, axes=axes)
-        grad_u = np.empty((d, d) + grid.shape)
-        for a in range(d):
-            for b in range(d):
-                grad_u[a, b] = np.real(np.fft.ifftn(ik[b] * u_h[a]))
+        u_h = grid.rfft(m / rho_floor)
+        grad_h = np.empty((d, d) + grid.half_shape, dtype=np.complex128)
+        for b in range(d):
+            np.multiply(ik[b], u_h, out=grad_h[:, b])
+        grad_u = grid.irfft(grad_h)
         div_u = np.einsum("aa...->...", grad_u)
         sym = 0.5 * (grad_u + np.swapaxes(grad_u, 0, 1))
         sigma_contract = 2.0 * params.mu * np.einsum("ab...,ab...->...", sym, gphi)

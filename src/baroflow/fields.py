@@ -5,6 +5,15 @@ n^d lattice.  Forward transforms carry the 1/|box| normalization, so a
 plain mode sum (no prefactor) reconstructs the field and Parseval reads
 
     (1/vol) * sum_x |w(x)|^2 * dx^d  ==  sum_k |w_hat(k)|^2 .
+
+Derivatives of real fields run on the half lattice of the real-to-complex
+transform (numpy's rfftn, unnormalized): shape (n, ..., n, n//2 + 1),
+keeping only the modes 0 .. n/2 of the last axis.  The dropped modes are
+complex conjugates of kept ones, so a sum over the full lattice equals the
+half-lattice sum with each mode counted by its Hermitian multiplicity:
+once on the last-axis 0 and n/2 planes (which are their own mirror
+images), twice everywhere else.  PeriodicGrid builds the half-lattice
+derivative, diffusion and dealias operators and that weight once.
 """
 
 from __future__ import annotations
@@ -58,8 +67,6 @@ class PeriodicGrid:
     ik_deriv : list of ndarray
         i*k per axis with the Nyquist mode zeroed, for odd-order
         spectral derivatives of real fields.
-    k2 : ndarray
-        |k|^2 on the full lattice (Nyquist included), for diffusion.
     mode_norm : ndarray
         Euclidean length of the integer mode vector, full lattice.
     shell : ndarray
@@ -68,6 +75,17 @@ class PeriodicGrid:
         Number of shells, max(shell) + 1.
     dealias : ndarray of bool
         Two-thirds-rule mask, True where |mode| <= n//3 on every axis.
+    half_shape : tuple of int
+        Half-lattice shape (n,) * (d - 1) + (n//2 + 1,) of rfft output.
+    ik_half : list of ndarray
+        ik_deriv restricted to the half lattice (Nyquist zeroed).
+    k2_half : ndarray
+        |k|^2 on the half lattice (Nyquist included), for diffusion.
+    dealias_half : ndarray of bool
+        The two-thirds-rule mask on the half lattice.
+    parseval_weight : ndarray
+        Hermitian multiplicity of each half-lattice mode along the last
+        axis, broadcastable: 1 at last-axis modes 0 and n/2, 2 elsewhere.
     """
 
     d: int
@@ -104,13 +122,10 @@ class PeriodicGrid:
         object.__setattr__(self, "wavevectors", wavevectors)
         object.__setattr__(self, "ik_deriv", ik_deriv)
 
-        k2 = np.zeros(self.shape)
         mode_sq = np.zeros(self.shape)
         for axis in range(d):
-            k2 = k2 + wavevectors[axis].astype(np.float64) ** 2
             mode_sq = mode_sq + modes[axis].astype(np.float64) ** 2
         mode_norm = np.sqrt(mode_sq)
-        object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "mode_norm", mode_norm)
         shell = np.rint(mode_norm).astype(np.int64)
         object.__setattr__(self, "shell", shell)
@@ -121,6 +136,20 @@ class PeriodicGrid:
         for axis in range(d):
             keep &= np.abs(modes[axis]) <= cut
         object.__setattr__(self, "dealias", keep)
+
+        # rfft keeps last-axis modes 0 .. n/2, the first n//2 + 1 entries
+        # of FFT storage order, so every half-lattice operator is a slice.
+        h = n // 2 + 1
+        object.__setattr__(self, "half_shape", self.shape[:-1] + (h,))
+        object.__setattr__(self, "ik_half", ik_deriv[:-1] + [ik_deriv[-1][..., :h].copy()])
+        k2 = np.zeros(self.half_shape)
+        for axis in range(d):
+            k2 = k2 + wavevectors[axis][..., :h].astype(np.float64) ** 2
+        object.__setattr__(self, "k2_half", k2)
+        object.__setattr__(self, "dealias_half", keep[..., :h].copy())
+        weight = np.full(h, 2.0)
+        weight[0] = weight[-1] = 1.0
+        object.__setattr__(self, "parseval_weight", weight)
 
         # Samples start at -P/2, so mode phases pick up e^{-ik*x0} = (-1)^mode
         # per axis relative to the raw FFT.  The factor is its own inverse.
@@ -141,6 +170,21 @@ class PeriodicGrid:
 
     def spatial_axes(self):
         return tuple(range(-self.d, 0))
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Unnormalized real-to-complex transform over the spatial axes;
+        leading axes are batched."""
+        return np.fft.rfftn(values, axes=self.spatial_axes())
+
+    def irfft(self, coef: np.ndarray) -> np.ndarray:
+        """Inverse of rfft, back to real samples of grid.shape."""
+        return np.fft.irfftn(coef, s=self.shape, axes=self.spatial_axes())
+
+    def parseval(self, power: np.ndarray) -> float:
+        """Box integral of sum |w|^2 from the half-lattice power |rfft(w)|^2
+        (any leading component axes are summed too)."""
+        total = float(np.sum(self.parseval_weight * power))
+        return total * self.dx**self.d / float(self.n**self.d)
 
 
 def make_grid(d: int, n: int, P: float) -> PeriodicGrid:

@@ -11,6 +11,12 @@ quadratic fluxes are two-thirds-rule dealiased, time stepping is
 classical RK4 with a fixed dt chosen from the initial CFL state.
 The cumulative dissipation D(t) and forcing work W(t) ride along as
 extra RK4 variables so the energy ledger closes at the scheme's order.
+
+Derivatives use real-to-complex transforms on the grid's half lattice.
+The pressure rides in the diagonal of the symmetric flux tensor
+Pi = m x u + p*I, so one batched transform covers advection and
+pressure.  The forcing's spatial factor is built once per run (once
+per step for `step`); each RK4 stage only scales it by the envelope.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "SnapshotSeries",
     "RunResult",
     "BlowUpError",
+    "MassDriftError",
     "pressure",
     "sonic_speed",
     "rhs",
@@ -49,6 +56,10 @@ class BlowUpError(RuntimeError):
     def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
+
+
+class MassDriftError(BlowUpError):
+    """Raised when a run ends with its total mass changed beyond round-off."""
 
 
 @dataclass(frozen=True)
@@ -91,6 +102,11 @@ class ForcingSpec:
 
     def evaluate(self, t: float, grid: PeriodicGrid) -> np.ndarray:
         """Sample f(t, .) on the grid, shape (d,) + grid.shape."""
+        return self.spatial(grid) * self.envelope_at(t)
+
+    def spatial(self, grid: PeriodicGrid) -> np.ndarray:
+        """The time-independent factor of f: the term sum without the
+        envelope, shape (d,) + grid.shape (zeros when inactive)."""
         out = np.zeros((grid.d,) + grid.shape)
         if not self.active:
             return out
@@ -104,7 +120,7 @@ class ForcingSpec:
             c = np.cos(arg)
             for axis in range(grid.d):
                 out[axis] += amps[axis] * c
-        return out * self.envelope_at(t)
+        return out
 
 
 @dataclass(frozen=True)
@@ -242,54 +258,54 @@ def sonic_speed(rho: np.ndarray, params: FluidParams) -> np.ndarray:
     return math.sqrt(params.kappa) * r ** (0.5 * (params.gamma - 1.0))
 
 
-def _spectral_tools(grid: PeriodicGrid):
-    axes = grid.spatial_axes()
-    return axes, grid.ik_deriv, grid.k2, grid.dealias
-
-
-def _rhs_core(rho, m, t, grid, params, extra_source=None, want_rates=False):
+def _rhs_core(rho, m, t, grid, params, force_xy, extra_source=None, want_rates=False):
     """Time derivative of (rho, m); optionally the instantaneous
-    dissipation and forcing-work rates for the energy ledger."""
-    axes, ik, k2, keep = _spectral_tools(grid)
+    dissipation and forcing-work rates for the energy ledger.
+
+    force_xy is the forcing's spatial factor, params.forcing.spatial(grid).
+    """
+    ik, k2 = grid.ik_half, grid.k2_half
     d = grid.d
-    rho_floor = np.maximum(rho, params.rho_min)
-    u = m / rho_floor
+    u = m / np.maximum(rho, params.rho_min)
     p = params.kappa * np.maximum(rho, 0.0) ** params.gamma
 
-    m_h = np.fft.fftn(m, axes=axes)
-    u_h = np.fft.fftn(u, axes=axes)
-    p_h = np.fft.fftn(p)
+    # Symmetric flux Pi_ab = m_a u_b + p delta_ab, upper triangle only.
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    flux = np.empty((len(pairs),) + grid.shape)
+    for i, (a, b) in enumerate(pairs):
+        np.multiply(m[a], u[b], out=flux[i])
+        if a == b:
+            flux[i] += p
+    slot = {pair: i for i, pair in enumerate(pairs)}
 
-    drho_h = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(d):
-        drho_h -= ik[a] * m_h[a]
+    m_h = grid.rfft(m)
+    u_h = grid.rfft(u)
+    flux_h = grid.rfft(flux)
 
-    div_u_h = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(d):
+    div_u_h = ik[0] * u_h[0]
+    for a in range(1, d):
         div_u_h += ik[a] * u_h[a]
 
-    dm_h = np.empty((d,) + grid.shape, dtype=np.complex128)
-    flux_cache = {}
+    out_h = np.empty((d + 1,) + grid.half_shape, dtype=np.complex128)
+    out_h[0] = -ik[0] * m_h[0]
+    for a in range(1, d):
+        out_h[0] -= ik[a] * m_h[a]
     for a in range(d):
-        for b in range(a, d):
-            flux_cache[(a, b)] = np.fft.fftn(m[a] * u[b])  # m_a u_b = m_b u_a
-    for a in range(d):
-        acc = -ik[a] * p_h - params.mu * k2 * u_h[a] + (params.mu + params.lam) * ik[a] * div_u_h
+        acc = (params.mu + params.lam) * ik[a] * div_u_h - params.mu * k2 * u_h[a]
         for b in range(d):
-            fl = flux_cache[(a, b)] if a <= b else flux_cache[(b, a)]
-            acc = acc - ik[b] * fl
-        dm_h[a] = acc
+            acc -= ik[b] * flux_h[slot[(min(a, b), max(a, b))]]
+        out_h[1 + a] = acc
 
     work_rate = 0.0
     if params.forcing.active:
-        f_phys = params.forcing.evaluate(t, grid)
-        g_h = np.fft.fftn(rho * f_phys, axes=axes)
-        dm_h += g_h
+        f_phys = force_xy * params.forcing.envelope_at(t)
+        out_h[1:] += grid.rfft(rho * f_phys)
         if want_rates:
             work_rate = float(np.sum(m * f_phys)) * grid.dx**d
 
-    drho = np.real(np.fft.ifftn(drho_h * keep))
-    dm = np.real(np.fft.ifftn(dm_h * keep, axes=axes))
+    out_h *= grid.dealias_half
+    out = grid.irfft(out_h)
+    drho, dm = out[0], out[1:]
 
     if extra_source is not None:
         s_rho, s_m = extra_source(t, rho, m)
@@ -299,21 +315,21 @@ def _rhs_core(rho, m, t, grid, params, extra_source=None, want_rates=False):
     if not want_rates:
         return drho, dm, 0.0, 0.0
 
-    # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx; the raw
-    # FFT normalization makes the weight dx^d / n^d.
-    par = grid.dx**d / float(grid.n**d)
-    grad_sq = float(np.sum(k2 * np.sum(np.abs(u_h) ** 2, axis=0))) * par
-    div_sq = float(np.sum(np.abs(div_u_h) ** 2)) * par
+    # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx.
+    grad_sq = grid.parseval(k2 * np.abs(u_h) ** 2)
+    div_sq = grid.parseval(np.abs(div_u_h) ** 2)
     diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
     return drho, dm, diss_rate, work_rate
 
 
 def rhs(state: State, params: FluidParams, extra_source=None):
     """Time derivative of (rho, m) as Fields (dealiased spectral form)."""
+    grid = state.grid
     drho, dm, _, _ = _rhs_core(
-        state.rho.values, state.m.values, state.t, state.grid, params, extra_source
+        state.rho.values, state.m.values, state.t, grid, params,
+        params.forcing.spatial(grid), extra_source,
     )
-    return Field(grid=state.grid, values=drho), Field(grid=state.grid, values=dm)
+    return Field(grid=grid, values=drho), Field(grid=grid, values=dm)
 
 
 def total_energy(state: State, params: FluidParams) -> float:
@@ -366,18 +382,17 @@ def _check_alive(rho, m, t):
         raise BlowUpError(f"density lost positivity (min rho = {low:.3e}) at t = {t:.6g}", t=t)
 
 
-def _advance(rho, m, t, dt, grid, params, extra_source=None, with_ledger=False):
+def _advance(rho, m, t, dt, grid, params, force_xy, extra_source=None, with_ledger=False):
     """One classical RK4 step; returns (rho', m', dD, dW)."""
-    k1r, k1m, d1, w1 = _rhs_core(rho, m, t, grid, params, extra_source, with_ledger)
+    extra = (force_xy, extra_source, with_ledger)
+    k1r, k1m, d1, w1 = _rhs_core(rho, m, t, grid, params, *extra)
     k2r, k2m, d2, w2 = _rhs_core(
-        rho + 0.5 * dt * k1r, m + 0.5 * dt * k1m, t + 0.5 * dt, grid, params, extra_source, with_ledger
+        rho + 0.5 * dt * k1r, m + 0.5 * dt * k1m, t + 0.5 * dt, grid, params, *extra
     )
     k3r, k3m, d3, w3 = _rhs_core(
-        rho + 0.5 * dt * k2r, m + 0.5 * dt * k2m, t + 0.5 * dt, grid, params, extra_source, with_ledger
+        rho + 0.5 * dt * k2r, m + 0.5 * dt * k2m, t + 0.5 * dt, grid, params, *extra
     )
-    k4r, k4m, d4, w4 = _rhs_core(
-        rho + dt * k3r, m + dt * k3m, t + dt, grid, params, extra_source, with_ledger
-    )
+    k4r, k4m, d4, w4 = _rhs_core(rho + dt * k3r, m + dt * k3m, t + dt, grid, params, *extra)
     sixth = dt / 6.0
     rho_new = rho + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
     m_new = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
@@ -392,7 +407,8 @@ def step(state: State, params: FluidParams, dt: float, extra_source=None) -> Sta
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     rho, m, _, _ = _advance(
-        state.rho.values, state.m.values, state.t, dt, state.grid, params, extra_source
+        state.rho.values, state.m.values, state.t, dt, state.grid, params,
+        params.forcing.spatial(state.grid), extra_source,
     )
     return State(
         t=state.t + dt,
@@ -443,6 +459,7 @@ def run(
     states = [initial]
     E0 = total_energy(initial, params)
     mass0 = float(np.mean(rho))
+    force_xy = params.forcing.spatial(grid)
 
     ts, Es, Ds, Ws = [t0], [E0], [0.0], [0.0]
     D_acc = W_acc = 0.0
@@ -451,7 +468,7 @@ def run(
         for _ in range(per):
             t_now = t0 + steps_done * dt
             rho, m, dD, dW = _advance(
-                rho, m, t_now, dt, grid, params, extra_source, with_ledger=True
+                rho, m, t_now, dt, grid, params, force_xy, extra_source, with_ledger=True
             )
             D_acc += dD
             W_acc += dW
@@ -467,7 +484,7 @@ def run(
     mass1 = float(np.mean(rho))
     scale = max(abs(mass0), 1e-300)
     if abs(mass1 - mass0) > 1e-10 * scale:
-        raise RuntimeError(f"mass drifted by {abs(mass1 - mass0) / scale:.3e} relative")
+        raise MassDriftError(f"mass drifted by {abs(mass1 - mass0) / scale:.3e} relative", t=t_now)
 
     t_arr = np.array(ts)
     E_arr = np.array(Es)

@@ -59,6 +59,7 @@ class SweepPlan:
 
     lam_ratio fixes the second viscosity as lam = lam_ratio * mu for
     every entry; it must exceed -2 so lam + 2 mu stays positive.
+    rho_min is the density floor every entry's FluidParams carries.
     """
 
     mu_values: tuple
@@ -68,6 +69,7 @@ class SweepPlan:
     gamma: float = 1.4
     kappa: float = 1.0
     lam_ratio: float = -2.0 / 3.0
+    rho_min: float = 1e-10
     ic: str = "taylor-green"
     ic_seed: int = None
     ic_amplitude: float = 1.0
@@ -93,7 +95,7 @@ class SweepPlan:
     def params_for(self, mu: float) -> FluidParams:
         return FluidParams(
             gamma=self.gamma, kappa=self.kappa, mu=mu,
-            lam=self.lam_ratio * mu, forcing=self.forcing,
+            lam=self.lam_ratio * mu, rho_min=self.rho_min, forcing=self.forcing,
         )
 
 
@@ -297,18 +299,11 @@ def viscous_smallness(sweep: SweepResult) -> SmallnessTable:
         series = e.result.series
         grid = series.grid
         times = series.times
-        axes = grid.spatial_axes()
-        ik = grid.ik_deriv
-        par = grid.dx**grid.d / float(grid.n**grid.d)
+        k2_deriv = sum(np.abs(ik) ** 2 for ik in grid.ik_half)  # Nyquist zeroed
         g = []
         for st in series:
             u = st.m.values / np.maximum(st.rho.values, e.params.rho_min)
-            u_h = np.fft.fftn(u, axes=axes)
-            total = 0.0
-            for a in range(grid.d):
-                for b in range(grid.d):
-                    total += float(np.sum(np.abs(ik[b] * u_h[a]) ** 2))
-            g.append(total * par)
+            g.append(grid.parseval(k2_deriv * np.abs(grid.rfft(u)) ** 2))
         grad_sq = float(np.trapezoid(np.array(g), x=times))
         grad_l2 = math.sqrt(max(grad_sq, 0.0))
         lam = e.params.lam

@@ -5,8 +5,10 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
+import baroflow.cli
 from baroflow.cli import cli_main
 
 SIM_CONFIG = """
@@ -233,6 +235,22 @@ class TestExitCodes:
         cfg.write_text(BLOWUP_CONFIG)
         code = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_mass_drift_exits_one(self, tmp_path, monkeypatch, capsys):
+        real_run = baroflow.cli.run
+
+        def leaky_run(*args, **kwargs):
+            def inject_mass(t, rho, m):
+                return np.full_like(rho, 1e-3), np.zeros_like(m)
+
+            return real_run(*args, extra_source=inject_mass, **kwargs)
+
+        monkeypatch.setattr(baroflow.cli, "run", leaky_run)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SIM_CONFIG)
+        code = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: mass drifted" in capsys.readouterr().err
 
     def test_bad_config_exits_two(self, tmp_path):
         cfg = tmp_path / "exp.ini"

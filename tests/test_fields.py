@@ -75,6 +75,44 @@ class TestMakeGrid:
         assert kept == [-4, -3, -2, -1, 0, 1, 2, 3, 4]
 
 
+class TestHalfLattice:
+    def test_weighted_parseval_matches_full_lattice(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3):
+            for n in (4, 6, 16):
+                g = make_grid(d, n, TWO_PI)
+                w = rng.standard_normal((2,) + g.shape)
+                full = float(np.sum(np.abs(np.fft.fftn(w, axes=g.spatial_axes())) ** 2))
+                half = float(np.sum(g.parseval_weight * np.abs(g.rfft(w)) ** 2))
+                assert abs(half - full) <= 1e-13 * full
+                quad = float(np.sum(w**2)) * g.dx**d
+                assert g.parseval(np.abs(g.rfft(w)) ** 2) == pytest.approx(quad, rel=1e-13)
+
+    def test_operators_match_full_lattice(self):
+        """Mask, ik and k2 act on a real field exactly as the full-lattice
+        operators do on its complex transform."""
+        rng = np.random.default_rng(9)
+        for d in (1, 2, 3):
+            for n in (4, 6, 16):
+                g = make_grid(d, n, TWO_PI)
+                h = n // 2 + 1
+                assert g.half_shape == g.shape[:-1] + (h,)
+                # rfft's last-axis modes 0 .. n/2 are the first h entries of FFT order.
+                assert np.array_equal(g.dealias_half, g.dealias[..., :h])
+                for full_op, half_op in zip(g.ik_deriv, g.ik_half):
+                    assert np.array_equal(np.broadcast_to(half_op, g.half_shape),
+                                          np.broadcast_to(full_op, g.shape)[..., :h])
+                f = rng.standard_normal(g.shape)
+                f_full, f_half = np.fft.fftn(f), g.rfft(f)
+                k2 = sum(kv**2 for kv in g.wavevectors)
+                ops = [(g.dealias, g.dealias_half), (k2, g.k2_half)]
+                ops += list(zip(g.ik_deriv, g.ik_half))
+                for full_op, half_op in ops:
+                    want = np.real(np.fft.ifftn(full_op * f_full))
+                    got = g.irfft(half_op * f_half)
+                    assert float(np.max(np.abs(got - want))) <= 1e-12 * max(float(np.max(np.abs(want))), 1.0)
+
+
 class TestTransforms:
     def test_single_cosine_amplitudes(self):
         """cos(2*pi x / P) carries coefficient 1/2 at modes +1 and -1."""

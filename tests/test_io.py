@@ -286,3 +286,8 @@ class TestConfigConstructors:
         plan = ExperimentConfig.parse(text).sweep_plan()
         assert plan.mu_values == (0.008, 0.004, 0.002)
         assert plan.T == 1.0
+
+    def test_sweep_plan_carries_rho_min(self):
+        text = "[fluid]\nrho_min = 1e-6\n\n[sweep]\nmu_max = 0.008\ncount = 3\n"
+        plan = ExperimentConfig.parse(text).sweep_plan()
+        assert [plan.params_for(mu).rho_min for mu in plan.mu_values] == [1e-6] * 3

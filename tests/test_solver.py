@@ -11,7 +11,9 @@ from baroflow.solver import (
     BlowUpError,
     FluidParams,
     ForcingSpec,
+    MassDriftError,
     State,
+    _rhs_core,
     cfl_dt,
     preset_ic,
     pressure,
@@ -31,6 +33,43 @@ def state_from(grid, rho, m, t=0.0):
 
 def l2_err(a, b):
     return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+def reference_rhs(rho, m, t, grid, params):
+    """Complex-FFT right-hand side on the full lattice, with the pressure
+    transformed on its own and the forcing sampled through evaluate:
+    the reference the real-transform core must reproduce."""
+    axes, ik, keep = grid.spatial_axes(), grid.ik_deriv, grid.dealias
+    d = grid.d
+    k2 = sum(kv**2 for kv in grid.wavevectors)  # Nyquist included
+    u = m / np.maximum(rho, params.rho_min)
+    p = params.kappa * np.maximum(rho, 0.0) ** params.gamma
+    m_h = np.fft.fftn(m, axes=axes)
+    u_h = np.fft.fftn(u, axes=axes)
+    p_h = np.fft.fftn(p)
+    drho_h = np.zeros(grid.shape, dtype=np.complex128)
+    div_u_h = np.zeros(grid.shape, dtype=np.complex128)
+    for a in range(d):
+        drho_h -= ik[a] * m_h[a]
+        div_u_h += ik[a] * u_h[a]
+    dm_h = np.empty((d,) + grid.shape, dtype=np.complex128)
+    for a in range(d):
+        acc = -ik[a] * p_h - params.mu * k2 * u_h[a] + (params.mu + params.lam) * ik[a] * div_u_h
+        for b in range(d):
+            acc = acc - ik[b] * np.fft.fftn(m[a] * u[b])
+        dm_h[a] = acc
+    work_rate = 0.0
+    if params.forcing.active:
+        f_phys = params.forcing.evaluate(t, grid)
+        dm_h += np.fft.fftn(rho * f_phys, axes=axes)
+        work_rate = float(np.sum(m * f_phys)) * grid.dx**d
+    drho = np.real(np.fft.ifftn(drho_h * keep))
+    dm = np.real(np.fft.ifftn(dm_h * keep, axes=axes))
+    par = grid.dx**d / float(grid.n**d)
+    grad_sq = float(np.sum(k2 * np.sum(np.abs(u_h) ** 2, axis=0))) * par
+    div_sq = float(np.sum(np.abs(div_u_h) ** 2)) * par
+    diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
+    return drho, dm, diss_rate, work_rate
 
 
 class TestParams:
@@ -63,6 +102,16 @@ class TestParams:
         p = FluidParams(gamma=2.0, kappa=1.0, mu=1e-3)
         assert pressure(np.array(4.0), p) == pytest.approx(16.0)
         assert sonic_speed(np.array(4.0), p) == pytest.approx(2.0)
+
+    def test_forcing_evaluate_is_spatial_times_envelope(self):
+        g = make_grid(2, 16, TWO_PI)
+        forcing = ForcingSpec(
+            mode="trig", terms=(((0.05, 0.0), (1, 0), 0.0), ((0.0, 0.03), (0, 2), 0.5)),
+            envelope="cos", rate=3.0,
+        )
+        for t in (0.0, 0.37, 1.9):
+            want = forcing.spatial(g) * forcing.envelope_at(t)
+            assert np.array_equal(forcing.evaluate(t, g), want)
 
     def test_forcing_validation(self):
         with pytest.raises(ValueError, match="mode"):
@@ -127,6 +176,32 @@ class TestRhs:
         _, dm0 = rhs(st, FluidParams(mu=0.0, kappa=1.0, gamma=1.4))
         visc = dm.values[0] - dm0.values[0]
         assert np.max(np.abs(visc + (2 * mu + lam) * np.sin(x))) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_matches_complex_fft_reference(self, d, forced):
+        """The half-lattice core agrees with the full-lattice complex-FFT
+        form to round-off, ledger rates included."""
+        n = 12 if d == 3 else 16
+        g = make_grid(d, n, TWO_PI)
+        forcing = ForcingSpec()
+        if forced:
+            terms = [((0.05,) + (0.0,) * (d - 1), (1,) + (0,) * (d - 1), 0.3)]
+            if d > 1:
+                terms.append(((0.0, 0.04) + (0.0,) * (d - 2), (0, 2) + (1,) * (d - 2), -0.5))
+            forcing = ForcingSpec(mode="trig", terms=tuple(terms), envelope="cos", rate=2.0)
+        params = FluidParams(mu=0.05, forcing=forcing)
+        st = preset_ic("random-band", g, params, seed=3 + d, amplitude=1.0)
+        rho, m, t = st.rho.values, st.m.values, 0.7
+        got = _rhs_core(rho, m, t, g, params, forcing.spatial(g), want_rates=True)
+        want = reference_rhs(rho, m, t, g, params)
+        for a, b in zip(got[:2], want[:2]):
+            assert float(np.max(np.abs(a - b))) <= 1e-12 * float(np.max(np.abs(b)))
+        assert want[2] > 0
+        for a, b in zip(got[2:], want[2:]):
+            assert abs(a - b) <= 1e-12 * abs(b)
+        if forced:
+            assert want[3] != 0.0
 
 
 class TestCfl:
@@ -204,6 +279,19 @@ class TestStep:
         with pytest.raises(BlowUpError, match="positivity"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run(st, params, T=0.5, snapshots=4)
+
+    def test_mass_drift_is_a_named_blow_up(self):
+        g = make_grid(1, 16, TWO_PI)
+        params = FluidParams(mu=1e-2)
+
+        def inject_mass(t, rho, m):
+            return np.full_like(rho, 1e-3), np.zeros_like(m)
+
+        st = preset_ic("acoustic-pulse", g, params)
+        with pytest.raises(MassDriftError, match="mass drifted") as info:
+            run(st, params, T=0.1, snapshots=2, extra_source=inject_mass)
+        assert isinstance(info.value, BlowUpError)
+        assert info.value.t == pytest.approx(0.1)
 
     def test_invalid_dt(self):
         g = make_grid(1, 8, 1.0)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import baroflow.sweep
 from baroflow.fields import Field, make_grid
 from baroflow.solver import FluidParams, SnapshotSeries, State, cfl_dt, preset_ic
 from baroflow.sweep import (
@@ -125,6 +126,23 @@ class TestRunSweep:
         assert len(sweep.completed) == 1
         with pytest.raises(ValueError, match="at least two completed"):
             cauchy_distances(sweep)
+
+    def test_mass_drift_marks_entry_and_spares_the_rest(self, monkeypatch):
+        real_run = baroflow.sweep.run
+
+        def leaky_second_rung(initial, params, *args, **kwargs):
+            if params.mu == 0.05:
+                kwargs["extra_source"] = lambda t, rho, m: (np.full_like(rho, 1e-3), np.zeros_like(m))
+            return real_run(initial, params, *args, **kwargs)
+
+        monkeypatch.setattr(baroflow.sweep, "run", leaky_second_rung)
+        plan = SweepPlan(
+            mu_values=(0.1, 0.05, 0.025), d=1, n=16, P=2.0 * np.pi,
+            ic="acoustic-pulse", T=0.1, snapshots=2,
+        )
+        sweep = run_sweep(plan)
+        assert [e.completed for e in sweep.entries] == [True, False, True]
+        assert "mass drifted" in sweep.entries[1].failure
 
 
 class TestDistances:
