@@ -172,8 +172,10 @@ def _cmd_diagnose(args) -> int:
         "fluid": {"gamma": params.gamma, "kappa": params.kappa, "mu": params.mu, "lam": params.lam},
     }
 
-    if do_all or args.spectrum:
+    if do_all or args.spectrum or args.ckhw or args.sobolev:
         spec = dg.time_integrated_spectrum(series, params)
+
+    if do_all or args.spectrum:
         k_phys = 2.0 * math.pi / spec.P
         shells = np.arange(len(spec.integrated_energy))
         _write_csv(
@@ -196,7 +198,7 @@ def _cmd_diagnose(args) -> int:
             }
 
     if do_all or args.ckhw:
-        det = dg.ckhw_detail(series, params, dcfg.ckhw_beta, dcfg.ckhw_k_star)
+        det = dg.ckhw_from_spectrum(spec, dcfg.ckhw_beta, dcfg.ckhw_k_star)
         report["ckhw"] = {
             "value": det.value,
             "per_mode_sup": det.per_mode_sup,
@@ -207,7 +209,7 @@ def _cmd_diagnose(args) -> int:
     if do_all or args.sobolev:
         report["sobolev"] = {
             "alpha": dcfg.sobolev_alpha,
-            "norm": dg.fractional_sobolev_norm(series, params, dcfg.sobolev_alpha),
+            "norm": dg.sobolev_norm_from_spectrum(spec, dcfg.sobolev_alpha),
         }
         integ = dg.high_integrability(series, params, dcfg.q1, dcfg.q2, dcfg.q)
         report["integrability"] = {
@@ -237,23 +239,13 @@ def _cmd_diagnose(args) -> int:
         T = float(series.times[-1])
         scalars = dg.default_test_functions(series.grid, T)
         vectors = dg.default_test_functions(series.grid, T, vector=True)
-        rows = []
-        mass_res, mass_gross = [], []
-        for i, phi in enumerate(scalars):
-            r, s, g = dg.weak_residual_mass(series, phi, series[0].rho, with_scale=True)
-            mass_res.append(r)
-            mass_gross.append(g)
-            rows.append(("mass", i, r, s, g, 0.0, 0.0, 0.0))
-        ns_res, ns_gross = [], []
-        for i, phi in enumerate(vectors):
-            mr = dg.weak_residual_momentum(series, params, phi, series[0].m)
-            ns_res.append(mr.ns_residual)
-            ns_gross.append(mr.roundoff_scale)
-            rows.append((
-                "momentum", i, mr.ns_residual, mr.quadrature_scale,
-                mr.roundoff_scale, mr.euler_residual, mr.viscous_term,
-                mr.viscous_bound,
-            ))
+        weak = dg.weak_residuals(series, params, scalars, vectors)
+        rows = [("mass", i, r, s, g, 0.0, 0.0, 0.0) for i, (r, s, g) in enumerate(weak.mass)]
+        rows.extend(
+            ("momentum", i, mr.ns_residual, mr.quadrature_scale, mr.roundoff_scale,
+             mr.euler_residual, mr.viscous_term, mr.viscous_bound)
+            for i, mr in enumerate(weak.momentum)
+        )
         _write_csv(
             out / "residuals.csv",
             ["equation", "index", "residual", "scale", "gross", "euler", "viscous", "bound"],
@@ -262,8 +254,8 @@ def _cmd_diagnose(args) -> int:
         adm = dg.energy_admissibility(series, params)
         rq = dg.reynolds_quotient(series[-1], dcfg.theta)
         report["residuals"] = {
-            "mass_max_rel": max(abs(r) for r in mass_res) / max(max(mass_gross), 1e-300),
-            "ns_max_rel": max(abs(r) for r in ns_res) / max(max(ns_gross), 1e-300),
+            "mass_max_rel": weak.mass_max_rel,
+            "ns_max_rel": weak.ns_max_rel,
             "csv": "residuals.csv",
         }
         report["admissibility"] = {
@@ -272,8 +264,12 @@ def _cmd_diagnose(args) -> int:
             "admissible": adm.admissible,
             "work_assumed_zero": True,
         }
+        np.save(out / "reynolds_trace.npy", rq.V)
         report["reynolds"] = {
-            "trace": rq.V,
+            "trace_file": "reynolds_trace.npy",
+            "trace_min": float(np.min(rq.V)),
+            "trace_mean": float(np.mean(rq.V)),
+            "trace_max": float(np.max(rq.V)),
             "vacuum_fraction": rq.vacuum_fraction,
             "theta": rq.theta,
         }

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import Field, PeriodicGrid, dft_forward, weighted_fields
+from .fields import Field, PeriodicGrid, weighted_fields
 from .solver import FluidParams, SnapshotSeries, State, total_energy
 
 __all__ = [
@@ -31,20 +31,25 @@ __all__ = [
     "IntegrabilityReport",
     "TestFunction",
     "MomentumResidual",
+    "WeakResiduals",
     "AdmissibilityResult",
     "ReynoldsQuotient",
     "shell_spectrum",
     "time_integrated_spectrum",
+    "trapezoid_weights",
     "ckh_fit",
     "ckhw_statistic",
     "ckhw_detail",
+    "ckhw_from_spectrum",
     "fractional_sobolev_norm",
+    "sobolev_norm_from_spectrum",
     "space_modulus",
     "time_modulus",
     "high_integrability",
     "default_test_functions",
     "weak_residual_mass",
     "weak_residual_momentum",
+    "weak_residuals",
     "energy_admissibility",
     "reynolds_quotient",
 ]
@@ -63,14 +68,25 @@ def _nominal_shell_measure(d: int, s: np.ndarray) -> np.ndarray:
     return np.where(s == 0, 1.0, out)
 
 
-def _weighted_spectral_power(state: State, params: FluidParams):
-    """Per-mode |w_hat|^2 split into velocity and sonic parts."""
+def _shell_sum(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Full-lattice shell sums of a half-lattice quantity that is even
+    under k -> -k, each mode counted by its Hermitian multiplicity."""
+    weighted = grid.parseval_weight * values
+    return np.bincount(grid.shell_half.ravel(), weights=weighted.ravel(), minlength=grid.n_shells)
+
+
+def _snapshot_spectrum(state: State, params: FluidParams):
+    """One rfftn of the weighted bundle: the snapshot's shell energy and
+    raw shell power, and its half-lattice |w_hat|^2 (amplitude-normalized
+    coefficients, as dft_forward)."""
+    grid = state.grid
     w = weighted_fields(state.rho, state.m, params.gamma, params.kappa, params.rho_min)
-    coef = dft_forward(w).coefficients
-    d = state.grid.d
-    power_u = np.sum(np.abs(coef[:d]) ** 2, axis=0)
-    power_c = np.abs(coef[d]) ** 2
-    return power_u, power_c
+    coef = grid.rfft(w.values)
+    power = (coef.real**2 + coef.imag**2) / float(grid.n**grid.d) ** 2
+    power_u, power_c = np.sum(power[: grid.d], axis=0), power[grid.d]
+    total = power_u + power_c
+    energy = _shell_sum(grid, 0.5 * power_u + power_c / (params.gamma - 1.0))
+    return energy, _shell_sum(grid, total), total
 
 
 @dataclass(frozen=True)
@@ -109,22 +125,18 @@ def shell_spectrum(state: State, params: FluidParams) -> Spectrum:
     (Parseval), which is the completeness check run by the tests.
     """
     grid = state.grid
-    power_u, power_c = _weighted_spectral_power(state, params)
-    dens = 0.5 * power_u + power_c / (params.gamma - 1.0)
-    raw = power_u + power_c
-    idx = grid.shell.ravel()
-    energy = np.bincount(idx, weights=dens.ravel(), minlength=grid.n_shells)
-    raw_b = np.bincount(idx, weights=raw.ravel(), minlength=grid.n_shells)
-    counts = np.bincount(idx, minlength=grid.n_shells)
-    return Spectrum(
-        t=state.t, energy=energy, raw=raw_b, counts=counts,
-        d=grid.d, n=grid.n, P=grid.P,
-    )
+    energy, raw, _ = _snapshot_spectrum(state, params)
+    counts = _shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64)
+    return Spectrum(t=state.t, energy=energy, raw=raw, counts=counts, d=grid.d, n=grid.n, P=grid.P)
 
 
 @dataclass(frozen=True)
 class SpectrumSeries:
-    """Per-snapshot shell spectra plus their trapezoid time integrals."""
+    """Per-snapshot shell spectra plus their trapezoid time integrals.
+
+    mode_power is the time integral of the per-mode |w_hat|^2 on grid's
+    half lattice; a series built from per-shell integrals has neither.
+    """
 
     times: np.ndarray
     energy: np.ndarray  # (n_times, n_shells)
@@ -135,6 +147,8 @@ class SpectrumSeries:
     d: int
     n: int
     P: float
+    grid: PeriodicGrid = None
+    mode_power: np.ndarray = None
 
     @classmethod
     def from_integrated(cls, integrated_energy, d, n, P, integrated_raw=None):
@@ -154,21 +168,34 @@ def _require_time_series(series: SnapshotSeries):
     return series.times
 
 
+def trapezoid_weights(times) -> np.ndarray:
+    """Weights w with sum_i w_i g(t_i) the trapezoid integral of g over
+    the (at least two) sample times."""
+    w = np.empty(len(times))
+    w[0] = 0.5 * (times[1] - times[0])
+    w[-1] = 0.5 * (times[-1] - times[-2])
+    if len(times) > 2:
+        w[1:-1] = 0.5 * (times[2:] - times[:-2])
+    return w
+
+
 def time_integrated_spectrum(series: SnapshotSeries, params: FluidParams) -> SpectrumSeries:
+    """The spectral pass: one rfftn of the weighted bundle per snapshot,
+    binned into shells and accumulated into the integrated mode power."""
     times = _require_time_series(series)
-    spectra = [shell_spectrum(st, params) for st in series]
-    energy = np.vstack([sp.energy for sp in spectra])
-    raw = np.vstack([sp.raw for sp in spectra])
+    grid = series.grid
+    energy = np.empty((len(times), grid.n_shells))
+    raw = np.empty_like(energy)
+    mode_power = np.zeros(grid.half_shape)
+    for i, (st, w) in enumerate(zip(series, trapezoid_weights(times))):
+        energy[i], raw[i], power = _snapshot_spectrum(st, params)
+        mode_power += w * power
     return SpectrumSeries(
-        times=times,
-        energy=energy,
-        raw=raw,
-        counts=spectra[0].counts,
+        times=times, energy=energy, raw=raw,
+        counts=_shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64),
         integrated_energy=np.trapezoid(energy, x=times, axis=0),
         integrated_raw=np.trapezoid(raw, x=times, axis=0),
-        d=spectra[0].d,
-        n=spectra[0].n,
-        P=spectra[0].P,
+        d=grid.d, n=grid.n, P=grid.P, grid=grid, mode_power=mode_power,
     )
 
 
@@ -228,21 +255,6 @@ def ckh_fit(spec: SpectrumSeries, k_lo: int = None, k_hi: int = None) -> CkhFit:
     )
 
 
-def _integrated_mode_power(series: SnapshotSeries, params: FluidParams) -> np.ndarray:
-    """Trapezoid-in-time integral of the per-mode |w_hat|^2 lattice."""
-    times = _require_time_series(series)
-    weights = np.empty(len(times))
-    weights[0] = 0.5 * (times[1] - times[0])
-    weights[-1] = 0.5 * (times[-1] - times[-2])
-    if len(times) > 2:
-        weights[1:-1] = 0.5 * (times[2:] - times[:-2])
-    out = np.zeros(series.grid.shape)
-    for st, w in zip(series, weights):
-        pu, pc = _weighted_spectral_power(st, params)
-        out += w * (pu + pc)
-    return out
-
-
 @dataclass(frozen=True)
 class CkhwDetail:
     """Weighted-mode decay statistic at every admissible shell.
@@ -263,8 +275,9 @@ class CkhwDetail:
     shell_values: np.ndarray
 
 
-def ckhw_detail(series: SnapshotSeries, params: FluidParams, beta: float, k_star: int = None) -> CkhwDetail:
-    grid = series.grid
+def ckhw_from_spectrum(spec: SpectrumSeries, beta: float, k_star: int = None) -> CkhwDetail:
+    """The weighted-mode decay statistic of a time-integrated spectrum."""
+    grid = spec.grid
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     cap = grid.n // 3
@@ -273,26 +286,37 @@ def ckhw_detail(series: SnapshotSeries, params: FluidParams, beta: float, k_star
     k_star = int(k_star)
     if not (1 <= k_star <= cap):
         raise ValueError(f"k_star {k_star} outside the resolved dealiased range [1, {cap}]")
-    itg = _integrated_mode_power(series, params)
-    idx = grid.shell.ravel()
-    shell_sum = np.bincount(idx, weights=itg.ravel(), minlength=grid.n_shells)
+    itg = spec.mode_power
+    shell_sum = _shell_sum(grid, itg)
     shells = np.arange(k_star, cap + 1)
     nominal = _nominal_shell_measure(grid.d, shells)
     vals = shells.astype(np.float64) ** (3.0 + beta) * shell_sum[k_star : cap + 1] / nominal
-    in_range = (grid.mode_norm >= k_star) & (grid.mode_norm <= cap)
-    if np.any(in_range):
-        per_mode = float(np.max(grid.mode_norm[in_range] ** (3.0 + beta) * itg[in_range]))
-    else:
-        per_mode = 0.0
+    norm = grid.mode_norm_half
+    in_range = (norm >= k_star) & (norm <= cap)
+    per_mode = float(np.max(norm[in_range] ** (3.0 + beta) * itg[in_range], initial=0.0))
     return CkhwDetail(
         value=float(np.max(vals)), per_mode_sup=per_mode,
         beta=float(beta), k_star=k_star, shells=shells, shell_values=vals,
     )
 
 
+def ckhw_detail(series: SnapshotSeries, params: FluidParams, beta: float, k_star: int = None) -> CkhwDetail:
+    return ckhw_from_spectrum(time_integrated_spectrum(series, params), beta, k_star)
+
+
 def ckhw_statistic(series: SnapshotSeries, params: FluidParams, beta: float, k_star: int = None) -> float:
     """Scalar form of the weighted-mode decay statistic (see ckhw_detail)."""
     return ckhw_detail(series, params, beta, k_star).value
+
+
+def sobolev_norm_from_spectrum(spec: SpectrumSeries, alpha: float) -> float:
+    """L^2-in-time H^alpha norm of the weighted bundle, sum of the symbol
+    times the integrated mode power (see fractional_sobolev_norm)."""
+    grid = spec.grid
+    if alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    symbol = (1.0 + grid.mode_norm_half**2) ** alpha
+    return float(np.sqrt(np.sum(grid.parseval_weight * symbol * spec.mode_power)))
 
 
 def fractional_sobolev_norm(series: SnapshotSeries, params: FluidParams, alpha: float) -> float:
@@ -301,16 +325,7 @@ def fractional_sobolev_norm(series: SnapshotSeries, params: FluidParams, alpha: 
     Uses the inhomogeneous symbol (1 + |k|^2)^alpha in shell units, so
     alpha = 0 degenerates exactly to the per-volume L^2(0,T; L^2) norm.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    times = _require_time_series(series)
-    grid = series.grid
-    symbol = (1.0 + grid.mode_norm**2) ** alpha
-    g = []
-    for st in series:
-        pu, pc = _weighted_spectral_power(st, params)
-        g.append(float(np.sum(symbol * (pu + pc))))
-    return float(np.sqrt(np.trapezoid(np.array(g), x=times)))
+    return sobolev_norm_from_spectrum(time_integrated_spectrum(series, params), alpha)
 
 
 @dataclass(frozen=True)
@@ -338,13 +353,24 @@ def _fit_loglog(lengths, values) -> float:
     return float(np.polyfit(np.log(lengths[sel]), np.log(values[sel]), 1)[0])
 
 
-def _trapezoid_weights(times):
-    w = np.empty(len(times))
-    w[0] = 0.5 * (times[1] - times[0])
-    w[-1] = 0.5 * (times[-1] - times[-2])
-    if len(times) > 2:
-        w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    return w
+def _difference_moduli(diffs, p_rho: float, dxd: float):
+    """sum_i w_i int |drho_i|^p_rho dx and sum_i w_i int |dm_i|^2 dx over
+    (w, drho, dm) triples."""
+    gr = gm = 0.0
+    for w, dr, dm in diffs:
+        gr += w * float(np.sum(np.abs(dr) ** p_rho)) * dxd
+        gm += w * float(np.sum(dm**2)) * dxd
+    return gr, gm
+
+
+def _modulus_table(kind, lengths, dens, mom, exponent) -> ModulusTable:
+    lengths, dens, mom = np.array(lengths), np.array(dens), np.array(mom)
+    return ModulusTable(
+        kind=kind, lengths=lengths, density=dens, momentum=mom,
+        density_slope=_fit_loglog(lengths, dens),
+        momentum_slope=_fit_loglog(lengths, mom),
+        exponent=exponent,
+    )
 
 
 def space_modulus(series: SnapshotSeries, params: FluidParams, shifts, exponent: float = None) -> ModulusTable:
@@ -370,31 +396,19 @@ def space_modulus(series: SnapshotSeries, params: FluidParams, shifts, exponent:
             if any(float(v) != int(v) for v in s) or len(off) != grid.d:
                 raise ValueError(f"shift {s} is not a valid lattice offset")
         offsets.append(off)
-    tw = _trapezoid_weights(times)
+    tw = trapezoid_weights(times)
     dxd = grid.dx**grid.d
     axes = grid.spatial_axes()
     lengths, dens, mom = [], [], []
     for off in offsets:
         lengths.append(grid.dx * math.sqrt(sum(o * o for o in off)))
-        gr = gm = 0.0
-        for st, w in zip(series, tw):
-            r = st.rho.values
-            mv = st.m.values
-            dr = np.roll(r, shift=tuple(-o for o in off), axis=axes) - r
-            dm = np.roll(mv, shift=tuple(-o for o in off), axis=axes) - mv
-            gr += w * float(np.sum(np.abs(dr) ** p_rho)) * dxd
-            gm += w * float(np.sum(dm**2)) * dxd
+        shift = tuple(-o for o in off)
+        diffs = ((w, np.roll(st.rho.values, shift, axes) - st.rho.values,
+                  np.roll(st.m.values, shift, axes) - st.m.values) for st, w in zip(series, tw))
+        gr, gm = _difference_moduli(diffs, p_rho, dxd)
         dens.append(gr)
         mom.append(gm)
-    lengths = np.array(lengths)
-    dens = np.array(dens)
-    mom = np.array(mom)
-    return ModulusTable(
-        kind="space", lengths=lengths, density=dens, momentum=mom,
-        density_slope=_fit_loglog(lengths, dens),
-        momentum_slope=_fit_loglog(lengths, mom),
-        exponent=p_rho,
-    )
+    return _modulus_table("space", lengths, dens, mom, p_rho)
 
 
 def time_modulus(series: SnapshotSeries, params: FluidParams, lags, exponent: float = None) -> ModulusTable:
@@ -423,26 +437,14 @@ def time_modulus(series: SnapshotSeries, params: FluidParams, lags, exponent: fl
                 "the horizon-sized lag is not integrable"
             )
         sub = times[: nt - j]
-        tw = _trapezoid_weights(sub)
-        gr = gm = 0.0
-        for i, w in enumerate(tw):
-            a, b = series[i], series[i + j]
-            dr = b.rho.values - a.rho.values
-            dm = b.m.values - a.m.values
-            gr += w * float(np.sum(np.abs(dr) ** p_rho)) * dxd
-            gm += w * float(np.sum(dm**2)) * dxd
+        tw = trapezoid_weights(sub)
+        diffs = ((w, series[i + j].rho.values - series[i].rho.values,
+                  series[i + j].m.values - series[i].m.values) for i, w in enumerate(tw))
+        gr, gm = _difference_moduli(diffs, p_rho, dxd)
         lengths.append(j * delta)
         dens.append(gr)
         mom.append(gm)
-    lengths = np.array(lengths)
-    dens = np.array(dens)
-    mom = np.array(mom)
-    return ModulusTable(
-        kind="time", lengths=lengths, density=dens, momentum=mom,
-        density_slope=_fit_loglog(lengths, dens),
-        momentum_slope=_fit_loglog(lengths, mom),
-        exponent=p_rho,
-    )
+    return _modulus_table("time", lengths, dens, mom, p_rho)
 
 
 @dataclass(frozen=True)
@@ -477,7 +479,7 @@ def high_integrability(
         raise ValueError(f"q1 must exceed gamma = {params.gamma}, got {q1}")
     if q2 <= 2 or q <= 2:
         raise ValueError(f"q2 and q must exceed 2, got q2 = {q2}, q = {q}")
-    tw = _trapezoid_weights(times)
+    tw = trapezoid_weights(times)
     dxd = series.grid.dx**series.grid.d
     acc_r = acc_m = acc_w = 0.0
     for st, w in zip(series, tw):
@@ -625,35 +627,8 @@ def weak_residual_mass(series: SnapshotSeries, phi: TestFunction, rho0: Field, w
     size of the numbers actually summed and is the honest yardstick
     for how deep the cancellation went.
     """
-    times = _require_time_series(series)
-    _check_support(times, phi)
-    if phi.components != 1:
-        raise ValueError("mass residual takes a scalar test function")
-    grid = series.grid
-    dxd = grid.dx**grid.d
-    g_dt, g_flux, g_gross = [], [], []
-    for st in series:
-        pt = phi.time_derivative(st.t)[0]
-        gr = phi.gradient(st.t)[0]
-        rho_dt = st.rho.values * pt
-        flux = np.sum(st.m.values * gr, axis=0)
-        g_dt.append(float(np.sum(rho_dt)) * dxd)
-        g_flux.append(float(np.sum(flux)) * dxd)
-        g_gross.append(
-            (float(np.sum(np.abs(rho_dt))) + float(np.sum(np.abs(flux)))) * dxd
-        )
-    data_values = rho0.values * phi.value(0.0)[0]
-    data = float(np.sum(data_values)) * dxd
-    residual = float(np.trapezoid(np.array(g_dt) + np.array(g_flux), x=times)) + data
-    if not with_scale:
-        return residual
-    scale = abs(data) + sum(
-        float(np.trapezoid(np.abs(np.array(g)), x=times)) for g in (g_dt, g_flux)
-    )
-    gross = float(np.sum(np.abs(data_values))) * dxd + float(
-        np.trapezoid(np.array(g_gross), x=times)
-    )
-    return residual, scale, gross
+    residual, scale, gross = weak_residuals(series, None, scalars=(phi,), rho0=rho0).mass[0]
+    return (residual, scale, gross) if with_scale else residual
 
 
 @dataclass(frozen=True)
@@ -716,99 +691,146 @@ def _trapezoid_refinement_gap(times, term_arrays, scale):
     return total + 5e-14 * scale
 
 
-def weak_residual_momentum(
-    series: SnapshotSeries,
-    params: FluidParams,
-    phi: TestFunction,
-    m0: Field,
-    include_viscous: bool = True,
-) -> MomentumResidual:
+def weak_residual_momentum(series: SnapshotSeries, params: FluidParams, phi: TestFunction, m0: Field,
+                           include_viscous: bool = True) -> MomentumResidual:
+    return weak_residuals(series, params, vectors=(phi,), m0=m0, include_viscous=include_viscous).momentum[0]
+
+
+def _max_rel(residuals, gross) -> float:
+    return max(abs(r) for r in residuals) / max(max(gross), 1e-300)
+
+
+@dataclass(frozen=True)
+class WeakResiduals:
+    """weak_residual_mass's (residual, scale, gross) for each scalar test
+    function and a MomentumResidual for each vector one.  The *_max_rel
+    ratios divide a family's largest |residual| by its largest gross
+    scale (see sweep.LimitCandidateReport)."""
+
+    mass: tuple
+    momentum: tuple
+
+    @property
+    def mass_max_rel(self) -> float:
+        return _max_rel([r for r, _, _ in self.mass], [g for _, _, g in self.mass])
+
+    @property
+    def ns_max_rel(self) -> float:
+        return _max_rel([r.ns_residual for r in self.momentum], [r.roundoff_scale for r in self.momentum])
+
+    @property
+    def euler_max_rel(self) -> float:
+        return _max_rel([r.euler_residual for r in self.momentum], [r.roundoff_scale for r in self.momentum])
+
+
+def _record(rows, i, terms):
+    """Snapshot i of one test function: each (factor, field) term's
+    factor * sum(field), then the terms' gross mass sum |factor * field|."""
+    for k, (factor, values) in enumerate(terms):
+        rows[k, i] = factor * float(np.sum(values))
+    rows[len(terms), i] = sum(abs(f) * float(np.sum(np.abs(v))) for f, v in terms)
+
+
+def _weak_totals(times, terms, gross, data_values, dxd):
+    """(residual, scale, gross) of one weak form from its per-snapshot term
+    and gross rows and its t = 0 data term (see weak_residual_mass)."""
+    data = float(np.sum(data_values)) * dxd
+    residual = float(np.trapezoid(sum(terms), x=times)) + data
+    scale = abs(data) + sum(float(np.trapezoid(np.abs(g), x=times)) for g in terms)
+    return residual, scale, float(np.sum(np.abs(data_values))) * dxd + float(np.trapezoid(gross, x=times))
+
+
+def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vectors=(),
+                   rho0: Field = None, m0: Field = None, include_viscous: bool = True) -> WeakResiduals:
+    """The weak-form pass: mass residuals of the scalar test functions and
+    momentum residuals of the vector ones, in one sweep of the series.
+
+    Per snapshot, u = m / max(rho, rho_min), grad u (one rfftn, one batched
+    irfftn), Sigma, p and rho f are built once and contracted with every
+    test function's spatial part, scaled by its bump b(t) or b'(t).  rho0
+    and m0 default to the first snapshot's; params may be None when there
+    are no vector test functions.
+    """
     times = _require_time_series(series)
-    _check_support(times, phi)
     grid = series.grid
     d = grid.d
-    if phi.components != d:
+    for phi in (*scalars, *vectors):
+        _check_support(times, phi)
+    if any(phi.components != 1 for phi in scalars):
+        raise ValueError("mass residual takes a scalar test function")
+    if any(phi.components != d for phi in vectors):
         raise ValueError(f"momentum residual takes a {d}-component test function")
-    dxd = grid.dx**grid.d
-    ik = grid.ik_half
-
-    g_euler, g_visc = [], []
-    g_dt, g_flux, g_press, g_force = [], [], [], []
-    g_gross = []
-    grad_u_sq, div_u_sq, grad_phi_sq, div_phi_sq = [], [], [], []
-    for st in series:
-        rho = st.rho.values
-        m = st.m.values
-        pt = phi.time_derivative(st.t)
-        gphi = phi.gradient(st.t)
-        dphi = phi.divergence(st.t)
+    div_grads = [np.einsum("aa...->...", phi._grad) for phi in vectors]
+    force = params.forcing.spatial(grid) if vectors and params.forcing.active else None
+    # per function and snapshot: mass (dt, flux, gross); momentum (dt, flux,
+    # press, force, visc, gross, b^2)
+    mass_rows = np.zeros((len(scalars), 3, len(times)))
+    mom_rows = np.zeros((len(vectors), 7, len(times)))
+    grad_u_sq, div_u_sq = np.zeros(len(times)), np.zeros(len(times))
+    for i, st in enumerate(series):
+        rho, m = st.rho.values, st.m.values
+        for phi, rows in zip(scalars, mass_rows):
+            _record(rows, i, [(phi.bump_dt(st.t), rho * phi._space[0]),
+                              (phi.bump(st.t), np.einsum("a...,a...->...", m, phi._grad[0]))])
+        if not vectors:
+            continue
         rho_floor = np.maximum(rho, params.rho_min)
-        t_dt = float(np.sum(m * pt)) * dxd
-        quot = np.einsum("a...,b...,ab...->...", m, m, gphi) / rho_floor
-        t_flux = float(np.sum(quot)) * dxd
+        u = m / rho_floor
+        quot = m[:, None] * u[None, :]  # m (x) m / rho
         p = params.kappa * np.maximum(rho, 0.0) ** params.gamma
-        t_press = float(np.sum(p * dphi)) * dxd
-        t_force = 0.0
-        gross = (
-            float(np.sum(np.abs(m * pt)))
-            + float(np.sum(np.abs(quot)))
-            + float(np.sum(np.abs(p * dphi)))
-        )
-        if params.forcing.active:
-            f = params.forcing.evaluate(st.t, grid)
-            force_density = rho * f * phi.value(st.t)
-            t_force = float(np.sum(force_density)) * dxd
-            gross += float(np.sum(np.abs(force_density)))
-        g_dt.append(t_dt)
-        g_flux.append(t_flux)
-        g_press.append(t_press)
-        g_force.append(t_force)
-        g_euler.append(t_dt + t_flux + t_press + t_force)
-
-        u_h = grid.rfft(m / rho_floor)
+        u_h = grid.rfft(u)
         grad_h = np.empty((d, d) + grid.half_shape, dtype=np.complex128)
-        for b in range(d):
-            np.multiply(ik[b], u_h, out=grad_h[:, b])
+        for axis in range(d):
+            np.multiply(grid.ik_half[axis], u_h, out=grad_h[:, axis])
         grad_u = grid.irfft(grad_h)
         div_u = np.einsum("aa...->...", grad_u)
-        sym = 0.5 * (grad_u + np.swapaxes(grad_u, 0, 1))
-        sigma_contract = 2.0 * params.mu * np.einsum("ab...,ab...->...", sym, gphi)
-        sigma_contract += params.lam * div_u * dphi
-        g_visc.append(float(np.sum(sigma_contract)) * dxd)
-        gross += float(np.sum(np.abs(sigma_contract)))
-        g_gross.append(gross * dxd)
-        grad_u_sq.append(float(np.sum(grad_u**2)) * dxd)
-        div_u_sq.append(float(np.sum(div_u**2)) * dxd)
-        grad_phi_sq.append(float(np.sum(gphi**2)) * dxd)
-        div_phi_sq.append(float(np.sum(dphi**2)) * dxd)
+        stress = params.mu * (grad_u + np.swapaxes(grad_u, 0, 1))
+        for axis in range(d):
+            stress[axis, axis] += params.lam * div_u
+        grad_u_sq[i], div_u_sq[i] = float(np.sum(grad_u**2)), float(np.sum(div_u**2))
+        rho_f = None if force is None else rho * force * params.forcing.envelope_at(st.t)
+        for phi, div_g, rows in zip(vectors, div_grads, mom_rows):
+            b = phi.bump(st.t)
+            _record(rows, i, [
+                (phi.bump_dt(st.t), m * phi._space),
+                (b, np.einsum("ab...,ab...->...", quot, phi._grad)),
+                (b, p * div_g),
+                (b, 0.0 if rho_f is None else rho_f * phi._space),
+                (b, np.einsum("ab...,ab...->...", stress, phi._grad)),
+            ])
+            rows[6, i] = b * b
 
-    data = float(np.sum(m0.values * phi.value(0.0))) * dxd
-    data_gross = float(np.sum(np.abs(m0.values * phi.value(0.0)))) * dxd
-    euler = float(np.trapezoid(np.array(g_euler), x=times)) + data
-    visc = float(np.trapezoid(np.array(g_visc), x=times))
-    scale = abs(data) + sum(
-        float(np.trapezoid(np.abs(np.array(g)), x=times))
-        for g in (g_dt, g_flux, g_press, g_force)
-    )
-    roundoff = data_gross + float(np.trapezoid(np.array(g_gross), x=times))
-    grad_u_l2 = math.sqrt(max(float(np.trapezoid(np.array(grad_u_sq), x=times)), 0.0))
-    div_u_l2 = math.sqrt(max(float(np.trapezoid(np.array(div_u_sq), x=times)), 0.0))
-    grad_phi_l2 = math.sqrt(max(float(np.trapezoid(np.array(grad_phi_sq), x=times)), 0.0))
-    div_phi_l2 = math.sqrt(max(float(np.trapezoid(np.array(div_phi_sq), x=times)), 0.0))
-    bound = 2.0 * params.mu * grad_u_l2 * grad_phi_l2 + abs(params.lam) * div_u_l2 * div_phi_l2
-    ns = euler - visc
-    uncertainty = _trapezoid_refinement_gap(times, (g_euler, g_visc), scale)
-    return MomentumResidual(
-        residual=ns if include_viscous else euler,
-        euler_residual=euler,
-        viscous_term=visc,
-        ns_residual=ns,
-        viscous_bound=bound,
-        quadrature_scale=scale,
-        quadrature_uncertainty=uncertainty,
-        roundoff_scale=roundoff,
-        include_viscous=include_viscous,
-    )
+    dxd = grid.dx**d
+    for arr in (mass_rows, mom_rows, grad_u_sq, div_u_sq):
+        arr *= dxd
+    rho0 = series[0].rho if rho0 is None else rho0
+    mass = [
+        _weak_totals(times, rows[:2], rows[2], rho0.values * phi.value(0.0)[0], dxd)
+        for phi, rows in zip(scalars, mass_rows)
+    ]
+
+    def l2(g):
+        return math.sqrt(max(float(np.trapezoid(g, x=times)), 0.0))
+
+    m0 = series[0].m if m0 is None else m0
+    momentum = []
+    for phi, div_g, rows in zip(vectors, div_grads, mom_rows):
+        euler, scale, roundoff = _weak_totals(times, rows[:4], rows[5], m0.values * phi.value(0.0), dxd)
+        visc = float(np.trapezoid(rows[4], x=times))
+        bound = (2.0 * params.mu * l2(grad_u_sq) * l2(float(np.sum(phi._grad**2)) * rows[6])
+                 + abs(params.lam) * l2(div_u_sq) * l2(float(np.sum(div_g**2)) * rows[6]))
+        momentum.append(MomentumResidual(
+            residual=euler - visc if include_viscous else euler,
+            euler_residual=euler,
+            viscous_term=visc,
+            ns_residual=euler - visc,
+            viscous_bound=bound,
+            quadrature_scale=scale,
+            quadrature_uncertainty=_trapezoid_refinement_gap(times, (sum(rows[:4]), rows[4]), scale),
+            roundoff_scale=roundoff,
+            include_viscous=include_viscous,
+        ))
+    return WeakResiduals(mass=tuple(mass), momentum=tuple(momentum))
 
 
 @dataclass(frozen=True)
@@ -865,10 +887,7 @@ def reynolds_quotient(state: State, theta: float) -> ReynoldsQuotient:
     m = state.m.values
     mask = rho < theta
     safe = np.where(mask, 1.0, rho)
-    M = np.empty((d, d) + grid.shape)
-    for a in range(d):
-        for b in range(d):
-            M[a, b] = np.where(mask, 0.0, m[a] * m[b] / safe)
+    M = np.where(mask, 0.0, m[:, None] * m[None, :] / safe)
     V = np.einsum("aa...->...", M)
     return ReynoldsQuotient(
         M=M, mask=mask, V=V, theta=float(theta),

@@ -13,7 +13,8 @@ complex conjugates of kept ones, so a sum over the full lattice equals the
 half-lattice sum with each mode counted by its Hermitian multiplicity:
 once on the last-axis 0 and n/2 planes (which are their own mirror
 images), twice everywhere else.  PeriodicGrid builds the half-lattice
-derivative, diffusion and dealias operators and that weight once.
+derivative, diffusion and dealias operators, the shell index and that
+weight once.
 """
 
 from __future__ import annotations
@@ -69,10 +70,8 @@ class PeriodicGrid:
         spectral derivatives of real fields.
     mode_norm : ndarray
         Euclidean length of the integer mode vector, full lattice.
-    shell : ndarray
-        Integer shell index round(|mode|), full lattice.
     n_shells : int
-        Number of shells, max(shell) + 1.
+        Number of integer shells round(|mode|), max over the lattice + 1.
     dealias : ndarray of bool
         Two-thirds-rule mask, True where |mode| <= n//3 on every axis.
     half_shape : tuple of int
@@ -81,6 +80,10 @@ class PeriodicGrid:
         ik_deriv restricted to the half lattice (Nyquist zeroed).
     k2_half : ndarray
         |k|^2 on the half lattice (Nyquist included), for diffusion.
+    mode_norm_half : ndarray
+        mode_norm on the half lattice.
+    shell_half : ndarray
+        Integer shell index round(|mode|) on the half lattice.
     dealias_half : ndarray of bool
         The two-thirds-rule mask on the half lattice.
     parseval_weight : ndarray
@@ -127,9 +130,6 @@ class PeriodicGrid:
             mode_sq = mode_sq + modes[axis].astype(np.float64) ** 2
         mode_norm = np.sqrt(mode_sq)
         object.__setattr__(self, "mode_norm", mode_norm)
-        shell = np.rint(mode_norm).astype(np.int64)
-        object.__setattr__(self, "shell", shell)
-        object.__setattr__(self, "n_shells", int(shell.max()) + 1)
 
         cut = n // 3
         keep = np.ones(self.shape, dtype=bool)
@@ -146,6 +146,10 @@ class PeriodicGrid:
         for axis in range(d):
             k2 = k2 + wavevectors[axis][..., :h].astype(np.float64) ** 2
         object.__setattr__(self, "k2_half", k2)
+        object.__setattr__(self, "mode_norm_half", mode_norm[..., :h].copy())
+        shell = np.rint(self.mode_norm_half).astype(np.int64)
+        object.__setattr__(self, "shell_half", shell)
+        object.__setattr__(self, "n_shells", int(shell.max()) + 1)  # |(n/2, ..., n/2)| is kept
         object.__setattr__(self, "dealias_half", keep[..., :h].copy())
         weight = np.full(h, 2.0)
         weight[0] = weight[-1] = 1.0

@@ -87,8 +87,13 @@ def write_snapshot(path, state: State, params) -> SnapshotMeta:
     return meta
 
 
-def read_snapshot(path):
-    """Parse one snapshot file into (State, SnapshotMeta)."""
+def read_snapshot(path, first=None):
+    """Parse one snapshot file into (State, SnapshotMeta).
+
+    first, the (State, SnapshotMeta) of a series' first snapshot, lends
+    the state its grid; the header must then agree with that meta on
+    the grid and the fluid constants.
+    """
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise SnapshotFormatError(f"file holds {len(data)} bytes, shorter than the header")
@@ -107,19 +112,27 @@ def read_snapshot(path):
         raise SnapshotFormatError(f"payload holds {len(payload)} bytes, expected {expected}")
     if zlib.crc32(payload) & 0xFFFFFFFF != checksum:
         raise SnapshotFormatError("payload checksum mismatch (file is corrupted)")
-    grid = make_grid(d, n, P)
+    meta = SnapshotMeta(
+        version=version, d=d, n=n, P=P, gamma=gamma, kappa=kappa,
+        mu=mu, lam=lam, t=t, field_count=field_count,
+    )
+    if first is None:
+        grid = make_grid(d, n, P)
+    else:
+        grid = first[0].grid
+        for name in ("d", "n", "P", "gamma", "kappa", "mu", "lam"):
+            got, want = getattr(meta, name), getattr(first[1], name)
+            if got != want:
+                raise SnapshotFormatError(
+                    f"{Path(path).name}: header {name} = {got} disagrees with the first snapshot ({want})"
+                )
     flat = np.frombuffer(payload, dtype="<f8")
     rho = flat[:count].reshape(grid.shape, order="F")
     m = np.stack([
         flat[(1 + a) * count : (2 + a) * count].reshape(grid.shape, order="F")
         for a in range(d)
     ])
-    state = State(t=t, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=m))
-    meta = SnapshotMeta(
-        version=version, d=d, n=n, P=P, gamma=gamma, kappa=kappa,
-        mu=mu, lam=lam, t=t, field_count=field_count,
-    )
-    return state, meta
+    return State(t=t, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=m)), meta
 
 
 def _series_path(directory: Path, prefix: str, index: int) -> Path:
@@ -139,7 +152,8 @@ def write_series(directory, prefix: str, series: SnapshotSeries, params):
 
 
 def read_series(directory, prefix: str):
-    """Load prefix_NNNN.ckhs files back into (SnapshotSeries, metas)."""
+    """Load prefix_NNNN.ckhs files back into (SnapshotSeries, metas),
+    every state on the first snapshot's grid (see read_snapshot)."""
     directory = Path(directory)
     pattern = re.compile(rf"^{re.escape(prefix)}_(\d{{4}})\.ckhs$")
     found = sorted(
@@ -154,7 +168,7 @@ def read_series(directory, prefix: str):
         raise SnapshotFormatError(f"snapshot indices are not contiguous: {indices}")
     states, metas = [], []
     for _, path in found:
-        st, meta = read_snapshot(path)
+        st, meta = read_snapshot(path, (states[0], metas[0]) if states else None)
         states.append(st)
         metas.append(meta)
     return SnapshotSeries(states=tuple(states)), metas

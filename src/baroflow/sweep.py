@@ -19,8 +19,8 @@ from .diagnostics import (
     energy_admissibility,
     reynolds_quotient,
     time_integrated_spectrum,
-    weak_residual_mass,
-    weak_residual_momentum,
+    trapezoid_weights,
+    weak_residuals,
 )
 from .solver import (
     BlowUpError,
@@ -177,13 +177,8 @@ def series_distance(a: SnapshotSeries, b: SnapshotSeries, p1: float, p2: float):
         raise ValueError("series must share one grid")
     grid = a.grid
     dxd = grid.dx**grid.d
-    w = np.empty(len(ta))
-    w[0] = 0.5 * (ta[1] - ta[0])
-    w[-1] = 0.5 * (ta[-1] - ta[-2])
-    if len(ta) > 2:
-        w[1:-1] = 0.5 * (ta[2:] - ta[:-2])
     acc_r = acc_m = 0.0
-    for sa, sb, wi in zip(a, b, w):
+    for sa, sb, wi in zip(a, b, trapezoid_weights(ta)):
         dr = sa.rho.values - sb.rho.values
         dm = sa.m.values - sb.m.values
         acc_r += wi * float(np.sum(np.abs(dr) ** p1)) * dxd
@@ -211,42 +206,28 @@ def _distance_exponents(plan: SweepPlan, p1, p2):
     return p1, p2
 
 
-def cauchy_distances(sweep: SweepResult, p1: float = None, p2: float = None) -> CauchyTable:
-    """Distances between consecutive completed entries, largest mu first."""
+def _distance_table(sweep: SweepResult, p1, p2, pairs_of) -> CauchyTable:
     p1, p2 = _distance_exponents(sweep.plan, p1, p2)
     done = sweep.completed
     if len(done) < 2:
         raise ValueError(f"need at least two completed runs, have {len(done)}")
-    pairs, dr, dm = [], [], []
-    for a, b in zip(done, done[1:]):
-        r, m = series_distance(a.result.series, b.result.series, p1, p2)
-        pairs.append((a.mu, b.mu))
-        dr.append(r)
-        dm.append(m)
+    pairs = pairs_of(done)
+    dists = np.array([series_distance(a.result.series, b.result.series, p1, p2) for a, b in pairs])
     return CauchyTable(
-        mu_pairs=tuple(pairs), rho_distances=np.array(dr), m_distances=np.array(dm),
-        p1=p1, p2=p2,
+        mu_pairs=tuple((a.mu, b.mu) for a, b in pairs), rho_distances=dists[:, 0],
+        m_distances=dists[:, 1], p1=p1, p2=p2,
     )
+
+
+def cauchy_distances(sweep: SweepResult, p1: float = None, p2: float = None) -> CauchyTable:
+    """Distances between consecutive completed entries, largest mu first."""
+    return _distance_table(sweep, p1, p2, lambda done: list(zip(done, done[1:])))
 
 
 def distances_to(sweep: SweepResult, reference: int = -1, p1: float = None, p2: float = None) -> CauchyTable:
     """Distance of every other completed run to one reference entry."""
-    p1, p2 = _distance_exponents(sweep.plan, p1, p2)
-    done = sweep.completed
-    if len(done) < 2:
-        raise ValueError(f"need at least two completed runs, have {len(done)}")
-    ref = done[reference]
-    pairs, dr, dm = [], [], []
-    for e in done:
-        if e is ref:
-            continue
-        r, m = series_distance(e.result.series, ref.result.series, p1, p2)
-        pairs.append((e.mu, ref.mu))
-        dr.append(r)
-        dm.append(m)
-    return CauchyTable(
-        mu_pairs=tuple(pairs), rho_distances=np.array(dr), m_distances=np.array(dm),
-        p1=p1, p2=p2,
+    return _distance_table(
+        sweep, p1, p2, lambda done: [(e, done[reference]) for e in done if e is not done[reference]]
     )
 
 
@@ -382,46 +363,30 @@ def limit_candidate_check(
     if vector_test_functions is None:
         vector_test_functions = default_test_functions(grid, T, vector=True)
 
-    mass_res, mass_gross = [], []
-    for phi in test_functions:
-        res, _, gross = weak_residual_mass(series, phi, series[0].rho, with_scale=True)
-        mass_res.append(res)
-        mass_gross.append(gross)
-    euler_res, ns_res, visc_terms, scales, grosses = [], [], [], [], []
-    for phi in vector_test_functions:
-        r = weak_residual_momentum(series, entry.params, phi, series[0].m)
-        euler_res.append(r.euler_residual)
-        ns_res.append(r.ns_residual)
-        visc_terms.append(r.viscous_term)
-        scales.append(r.quadrature_scale)
-        grosses.append(r.roundoff_scale)
-
+    weak = weak_residuals(series, entry.params, test_functions, vector_test_functions)
     adm = energy_admissibility(series, entry.params, work=entry.result.report.W)
     quo = reynolds_quotient(series[-1], theta)
     ss = time_integrated_spectrum(series, entry.params)
     shells = np.arange(1, grid.n // 3 + 1, dtype=np.float64)
     m_t = float(np.max(shells ** (5.0 / 3.0) * ss.integrated_energy[1 : grid.n // 3 + 1]))
 
-    mass_max = max(abs(r) for r in mass_res) / max(max(mass_gross), 1e-300)
-    ns_max = max(abs(r) for r in ns_res) / max(max(grosses), 1e-300)
-    euler_max = max(abs(r) for r in euler_res) / max(max(grosses), 1e-300)
     plausible = bool(
-        mass_max <= rel_tol
-        and ns_max <= rel_tol
+        weak.mass_max_rel <= rel_tol
+        and weak.ns_max_rel <= rel_tol
         and adm.admissible
         and math.isfinite(m_t)
     )
     return LimitCandidateReport(
         mu=entry.mu,
-        mass_residuals=tuple(mass_res),
-        euler_residuals=tuple(euler_res),
-        ns_residuals=tuple(ns_res),
-        viscous_terms=tuple(visc_terms),
-        quadrature_scales=tuple(scales),
-        gross_scales=tuple(grosses),
-        mass_max=mass_max,
-        ns_max=ns_max,
-        euler_max=euler_max,
+        mass_residuals=tuple(r for r, _, _ in weak.mass),
+        euler_residuals=tuple(r.euler_residual for r in weak.momentum),
+        ns_residuals=tuple(r.ns_residual for r in weak.momentum),
+        viscous_terms=tuple(r.viscous_term for r in weak.momentum),
+        quadrature_scales=tuple(r.quadrature_scale for r in weak.momentum),
+        gross_scales=tuple(r.roundoff_scale for r in weak.momentum),
+        mass_max=weak.mass_max_rel,
+        ns_max=weak.ns_max_rel,
+        euler_max=weak.euler_max_rel,
         admissibility=adm,
         vacuum_fraction=quo.vacuum_fraction,
         m_t=m_t,

@@ -173,6 +173,35 @@ class TestDiagnose:
         assert "nonempty shells" in data["spectrum"]["fit_error"]
         assert "exponent" not in data["spectrum"]
 
+    def test_reynolds_trace_is_a_sidecar(self, sim_dir, tmp_path):
+        assert cli_main(["diagnose", "--dir", str(sim_dir), "--prefix", "demo",
+                         "--out", str(tmp_path), "--residuals"]) == 0
+        rey = json.loads((tmp_path / "diagnostics.json").read_text())["reynolds"]
+        assert "trace" not in rey
+        trace = np.load(tmp_path / rey["trace_file"])
+        assert trace.shape == (32,)
+        assert rey["trace_min"] == float(np.min(trace)) > 0.0
+        assert rey["trace_max"] == float(np.max(trace))
+        assert rey["trace_mean"] == float(np.mean(trace))
+
+    @pytest.mark.parametrize("key,n,mu", [("n", 16, 0.005), ("mu", 32, 0.004)])
+    def test_inconsistent_headers_exit_one(self, sim_dir, tmp_path, capsys, key, n, mu):
+        # one later snapshot from a run on another grid or viscosity
+        cfg = tmp_path / "odd.ini"
+        cfg.write_text(
+            f"[grid]\nd = 1\nn = {n}\n[fluid]\nmu = {mu}\n"
+            "[initial]\npreset = acoustic-pulse\namplitude = 0.2\n"
+            "[run]\nhorizon = 0.6\nsnapshots = 2\n[output]\nprefix = demo\n"
+        )
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "odd")]) == 0
+        series = tmp_path / "series"
+        shutil.copytree(sim_dir, series)
+        shutil.copy(tmp_path / "odd" / "demo_0002.ckhs", series / "demo_0025.ckhs")
+        code = cli_main(["diagnose", "--dir", str(series), "--prefix", "demo",
+                         "--out", str(tmp_path / "report")])
+        assert code == 1
+        assert f"demo_0025.ckhs: header {key} = " in capsys.readouterr().err
+
     def test_mismatched_config_rejected(self, sim_dir, tmp_path):
         cfg = tmp_path / "wrong.ini"
         cfg.write_text("[fluid]\nmu = 0.25\n")

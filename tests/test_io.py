@@ -152,6 +152,34 @@ class TestSeries:
         back, _ = read_series(tmp_path, "other")
         assert len(back) == 2
 
+    def test_states_share_one_grid(self, tmp_path, short_run):
+        result, params = short_run
+        write_series(tmp_path, "demo", result.series, params)
+        back, _ = read_series(tmp_path, "demo")
+        grid = back.grid
+        assert all(st.rho.grid is grid and st.m.grid is grid for st in back)
+
+    def test_mixed_grid_sizes_rejected(self, tmp_path, short_run):
+        result, params = short_run
+        write_series(tmp_path, "demo", result.series, params)
+        grid = make_grid(1, 16, 2.0 * np.pi)
+        odd = State(t=1.0, rho=Field(grid=grid, values=np.ones(16)),
+                    m=Field(grid=grid, values=np.zeros((1, 16))))
+        write_snapshot(tmp_path / "demo_0006.ckhs", odd, params)
+        with pytest.raises(SnapshotFormatError, match="demo_0006.ckhs: header n = 16"):
+            read_series(tmp_path, "demo")
+
+    @pytest.mark.parametrize("name", ["gamma", "kappa", "mu", "lam"])
+    def test_mixed_fluid_constants_rejected(self, tmp_path, short_run, name):
+        result, params = short_run
+        write_series(tmp_path, "demo", result.series, params)
+        changed = {"gamma": 1.5, "kappa": 2.0, "mu": 1e-2, "lam": 0.0}
+        fields = {k: getattr(params, k) for k in ("gamma", "kappa", "mu", "lam")}
+        fields[name] = changed[name]
+        write_snapshot(tmp_path / "demo_0003.ckhs", result.series[3], FluidParams(**fields))
+        with pytest.raises(SnapshotFormatError, match=f"demo_0003.ckhs: header {name} = "):
+            read_series(tmp_path, "demo")
+
 
 class TestConfigRoundTrip:
     def test_defaults_round_trip(self):
