@@ -82,6 +82,16 @@ def _ledger_rows(report):
 _LEDGER_HEADER = ["t", "total_energy", "dissipated", "work", "ledger_residual"]
 
 
+def _energy_summary(report) -> dict:
+    return {
+        "initial": report.E0,
+        "final": float(report.E[-1]),
+        "dissipated": float(report.D[-1]),
+        "work": float(report.W[-1]),
+        "ledger_residual": float(report.R[-1]),
+    }
+
+
 def _load_config(path) -> ExperimentConfig:
     """Read an experiment file, treating a missing path as a usage
     error (exit 2) rather than a runtime failure like missing data."""
@@ -114,14 +124,7 @@ def _cmd_simulate(args) -> int:
         "snapshot_count": len(result.series),
         "snapshot_files": written,
         "times": rep.t,
-        "energy": {
-            "initial": rep.E0,
-            "final": float(rep.E[-1]),
-            "dissipated": float(rep.D[-1]),
-            "work": float(rep.W[-1]),
-            "ledger_residual": float(rep.R[-1]),
-            "estimate_constant": rep.M_T,
-        },
+        "energy": {**_energy_summary(rep), "estimate_constant": rep.M_T},
         "admissibility": {
             "max_residual": adm.max_residual,
             "tol": adm.tol,
@@ -293,13 +296,7 @@ def _cmd_sweep(args) -> int:
         info = {"index": i, "mu": entry.mu, "completed": entry.completed, "failure": entry.failure}
         if entry.completed:
             rep = entry.result.report
-            info["energy"] = {
-                "initial": rep.E0,
-                "final": float(rep.E[-1]),
-                "dissipated": float(rep.D[-1]),
-                "work": float(rep.W[-1]),
-                "ledger_residual": float(rep.R[-1]),
-            }
+            info["energy"] = _energy_summary(rep)
             _write_csv(out / f"ledger_{i:02d}.csv", _LEDGER_HEADER, _ledger_rows(rep))
             if cfg.output.write_snapshots:
                 write_series(out / f"entry_{i:02d}", cfg.output.prefix, entry.result.series, entry.params)
@@ -575,13 +572,7 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SnapshotFormatError as exc:
+    except (BlowUpError, FileNotFoundError, SnapshotFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

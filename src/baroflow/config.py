@@ -61,14 +61,6 @@ def _parse_int(raw: str, where: str) -> int:
         raise ValueError(f"{where}: not an integer: {raw!r}") from None
 
 
-def _parse_opt_float(raw: str, where: str):
-    return None if raw.strip() == "" else _parse_float(raw, where)
-
-
-def _parse_opt_int(raw: str, where: str):
-    return None if raw.strip() == "" else _parse_int(raw, where)
-
-
 def _parse_bool(raw: str, where: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -153,40 +145,26 @@ class OutputConfig:
     write_snapshots: bool = True
 
 
-# section name -> (config attribute, dataclass, {key: parser})
-_SCHEMA = {
-    "grid": ("grid", GridConfig, {
-        "d": _parse_int, "n": _parse_int, "box": _parse_float,
-    }),
-    "fluid": ("fluid", FluidConfig, {
-        "gamma": _parse_float, "kappa": _parse_float, "mu": _parse_float,
-        "lam": _parse_opt_float, "rho_min": _parse_float,
-    }),
-    "forcing": ("forcing", ForcingConfig, {
-        "mode": None, "envelope": None, "rate": _parse_float,
-    }),
-    "initial": ("initial", InitialConfig, {
-        "preset": None, "seed": _parse_opt_int, "amplitude": _parse_float,
-    }),
-    "run": ("run", RunConfig, {
-        "horizon": _parse_float, "snapshots": _parse_int, "cfl": _parse_float,
-    }),
-    "diagnostics": ("diagnostics", DiagnosticsConfig, {
-        "window_lo": _parse_opt_int, "window_hi": _parse_opt_int,
-        "ckhw_beta": _parse_float, "ckhw_k_star": _parse_opt_int,
-        "sobolev_alpha": _parse_float,
-        "moduli_shifts": _parse_int_tuple, "moduli_lags": _parse_int_tuple,
-        "q1": _parse_opt_float, "q2": _parse_opt_float, "q": _parse_opt_float,
-        "theta": _parse_float,
-    }),
-    "sweep": ("sweep", SweepConfig, {
-        "mu_max": _parse_float, "ratio": _parse_float, "count": _parse_int,
-        "lam_ratio": _parse_float,
-    }),
-    "output": ("output", OutputConfig, {
-        "directory": None, "prefix": None, "write_snapshots": _parse_bool,
-    }),
+# parsers by field type; None keeps the raw string
+_PARSERS = {
+    "int": _parse_int, "float": _parse_float, "bool": _parse_bool, "tuple": _parse_int_tuple, "str": None,
 }
+
+
+def _optional(parser):
+    return lambda raw, where: None if raw.strip() == "" else parser(raw, where)
+
+
+def _section_keys(klass) -> dict:
+    """{key: parser} of a section dataclass, in field order.  A field
+    defaulting to None is optional (a blank value means None); the
+    forcing terms are read from the term1, term2, ... keys instead."""
+    keys = {}
+    for f in dc_fields(klass):
+        if f.name != "terms":
+            parser = _PARSERS[f.type]
+            keys[f.name] = _optional(parser) if f.default is None else parser
+    return keys
 
 
 def _parse_forcing_term(raw: str, d: int, where: str):
@@ -223,9 +201,9 @@ class ExperimentConfig:
             raise ValueError(f"config syntax error: {exc}") from None
         sections = {}
         for name in cp.sections():
-            if name not in _SCHEMA:
+            if name not in _SECTIONS:
                 raise ValueError(f"unknown config section [{name}]")
-            attr, klass, keys = _SCHEMA[name]
+            klass, keys = _SECTIONS[name]
             kwargs = {}
             extra_terms = []
             for key, raw in cp.items(name):
@@ -244,7 +222,7 @@ class ExperimentConfig:
                     return int(suffix)
                 extra_terms.sort(key=term_index)
                 kwargs["terms"] = tuple(raw for _, raw in extra_terms)
-            sections[attr] = klass(**kwargs)
+            sections[name] = klass(**kwargs)
         cfg = cls(**sections)
         cfg.validate()
         return cfg
@@ -254,27 +232,18 @@ class ExperimentConfig:
         return cls.parse(Path(path).read_text())
 
     def validate(self):
-        if not (self.fluid.gamma > 1.0):
-            raise ValueError(f"gamma must exceed 1, got {self.fluid.gamma}")
-        if not (self.fluid.kappa > 0.0):
-            raise ValueError(f"kappa must be positive, got {self.fluid.kappa}")
-        if self.fluid.mu < 0.0:
-            raise ValueError(f"mu must be nonnegative, got {self.fluid.mu}")
+        """The fluid and forcing rules are FluidParams' and ForcingSpec's."""
+        self.fluid_params()
         if not (self.run.horizon > 0.0 and math.isfinite(self.run.horizon)):
             raise ValueError(f"run horizon must be positive, got {self.run.horizon}")
         if self.run.snapshots < 1:
             raise ValueError(f"snapshots must be at least 1, got {self.run.snapshots}")
-        if self.forcing.mode not in ("none", "trig"):
-            raise ValueError(f"forcing mode must be none or trig, got {self.forcing.mode!r}")
-        if self.forcing.mode == "trig":
-            for i, raw in enumerate(self.forcing.terms, start=1):
-                _parse_forcing_term(raw, self.grid.d, f"[forcing] term{i}")
 
     def emit(self) -> str:
         cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
         cp.optionxform = str
-        for name, (attr, klass, keys) in _SCHEMA.items():
-            obj = getattr(self, attr)
+        for name, (_, keys) in _SECTIONS.items():
+            obj = getattr(self, name)
             cp.add_section(name)
             for key in keys:
                 cp.set(name, key, _fmt(getattr(obj, key)))
@@ -294,14 +263,12 @@ class ExperimentConfig:
         return make_grid(self.grid.d, self.grid.n, self.grid.box)
 
     def forcing_spec(self) -> ForcingSpec:
-        if self.forcing.mode == "none":
-            return ForcingSpec()
         terms = tuple(
             _parse_forcing_term(raw, self.grid.d, f"[forcing] term{i}")
             for i, raw in enumerate(self.forcing.terms, start=1)
         )
         return ForcingSpec(
-            mode="trig", terms=terms,
+            mode=self.forcing.mode, terms=terms,
             envelope=self.forcing.envelope, rate=self.forcing.rate,
         )
 
@@ -331,3 +298,9 @@ class ExperimentConfig:
             T=self.run.horizon, snapshots=self.run.snapshots, cfl=self.run.cfl,
             forcing=self.forcing_spec(),
         )
+
+
+# section name -> (dataclass, {key: parser}), in ExperimentConfig field order
+_SECTIONS = {
+    f.name: (f.default_factory, _section_keys(f.default_factory)) for f in dc_fields(ExperimentConfig)
+}

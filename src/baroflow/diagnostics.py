@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import Field, PeriodicGrid, weighted_fields
+from .fields import Field, PeriodicGrid, trig_terms, weighted_fields
 from .solver import FluidParams, SnapshotSeries, State, total_energy
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "sobolev_norm_from_spectrum",
     "space_modulus",
     "time_modulus",
+    "spacetime_lp",
     "high_integrability",
     "default_test_functions",
     "weak_residual_mass",
@@ -353,14 +354,18 @@ def _fit_loglog(lengths, values) -> float:
     return float(np.polyfit(np.log(lengths[sel]), np.log(values[sel]), 1)[0])
 
 
-def _difference_moduli(diffs, p_rho: float, dxd: float):
-    """sum_i w_i int |drho_i|^p_rho dx and sum_i w_i int |dm_i|^2 dx over
-    (w, drho, dm) triples."""
-    gr = gm = 0.0
-    for w, dr, dm in diffs:
-        gr += w * float(np.sum(np.abs(dr) ** p_rho)) * dxd
-        gm += w * float(np.sum(dm**2)) * dxd
-    return gr, gm
+def spacetime_lp(grid: PeriodicGrid, rows, exponents) -> list:
+    """Space-time integrals sum_i w_i int |f_i|^p dx, one per exponent p,
+    over rows (w_i, f_i, g_i, ...) of a time weight and one sample per
+    exponent.  A sample with a leading component axis enters by its
+    pointwise Euclidean magnitude."""
+    dxd = grid.dx**grid.d
+    acc = [0.0] * len(exponents)
+    for w, *samples in rows:
+        for j, (f, p) in enumerate(zip(samples, exponents)):
+            mag = np.sqrt(np.sum(f**2, axis=0)) if f.ndim > grid.d else np.abs(f)
+            acc[j] += w * float(np.sum(mag**p)) * dxd
+    return acc
 
 
 def _modulus_table(kind, lengths, dens, mom, exponent) -> ModulusTable:
@@ -397,7 +402,6 @@ def space_modulus(series: SnapshotSeries, params: FluidParams, shifts, exponent:
                 raise ValueError(f"shift {s} is not a valid lattice offset")
         offsets.append(off)
     tw = trapezoid_weights(times)
-    dxd = grid.dx**grid.d
     axes = grid.spatial_axes()
     lengths, dens, mom = [], [], []
     for off in offsets:
@@ -405,7 +409,7 @@ def space_modulus(series: SnapshotSeries, params: FluidParams, shifts, exponent:
         shift = tuple(-o for o in off)
         diffs = ((w, np.roll(st.rho.values, shift, axes) - st.rho.values,
                   np.roll(st.m.values, shift, axes) - st.m.values) for st, w in zip(series, tw))
-        gr, gm = _difference_moduli(diffs, p_rho, dxd)
+        gr, gm = spacetime_lp(grid, diffs, (p_rho, 2.0))
         dens.append(gr)
         mom.append(gm)
     return _modulus_table("space", lengths, dens, mom, p_rho)
@@ -425,7 +429,6 @@ def time_modulus(series: SnapshotSeries, params: FluidParams, lags, exponent: fl
     if np.max(np.abs(spacing - delta)) > 1e-9 * delta:
         raise ValueError("time moduli need uniform snapshot cadence")
     nt = len(times)
-    dxd = grid.dx**grid.d
     lengths, dens, mom = [], [], []
     for lag in lags:
         j = int(lag)
@@ -440,7 +443,7 @@ def time_modulus(series: SnapshotSeries, params: FluidParams, lags, exponent: fl
         tw = trapezoid_weights(sub)
         diffs = ((w, series[i + j].rho.values - series[i].rho.values,
                   series[i + j].m.values - series[i].m.values) for i, w in enumerate(tw))
-        gr, gm = _difference_moduli(diffs, p_rho, dxd)
+        gr, gm = spacetime_lp(grid, diffs, (p_rho, 2.0))
         lengths.append(j * delta)
         dens.append(gr)
         mom.append(gm)
@@ -479,16 +482,15 @@ def high_integrability(
         raise ValueError(f"q1 must exceed gamma = {params.gamma}, got {q1}")
     if q2 <= 2 or q <= 2:
         raise ValueError(f"q2 and q must exceed 2, got q2 = {q2}, q = {q}")
-    tw = trapezoid_weights(times)
-    dxd = series.grid.dx**series.grid.d
-    acc_r = acc_m = acc_w = 0.0
-    for st, w in zip(series, tw):
-        acc_r += w * float(np.sum(np.abs(st.rho.values) ** q1)) * dxd
-        mmag = np.sqrt(np.sum(st.m.values**2, axis=0))
-        acc_m += w * float(np.sum(mmag**q2)) * dxd
-        wf = weighted_fields(st.rho, st.m, params.gamma, params.kappa, params.rho_min)
-        wmag = np.sqrt(np.sum(wf.values**2, axis=0))
-        acc_w += w * float(np.sum(wmag**q)) * dxd
+
+    def bundle_norm(rho, m):
+        """|w| with |w|^2 = max(rho, 0) |u|^2 + p (see weighted_fields)."""
+        u = params.velocity(rho, m)
+        return np.sqrt(np.maximum(rho, 0.0) * np.sum(u**2, axis=0) + params.pressure(rho))
+
+    rows = ((w, st.rho.values, st.m.values, bundle_norm(st.rho.values, st.m.values))
+            for st, w in zip(series, trapezoid_weights(times)))
+    acc_r, acc_m, acc_w = spacetime_lp(series.grid, rows, (q1, q2, q))
     return IntegrabilityReport(
         rho_norm=acc_r ** (1.0 / q1), m_norm=acc_m ** (1.0 / q2), w_norm=acc_w ** (1.0 / q),
         q1=q1, q2=q2, q=q,
@@ -525,30 +527,8 @@ class TestFunction:
             raise ValueError(f"support end T0 must be positive, got {self.T0}")
         if self.components < 1:
             raise ValueError("components must be at least 1")
-        norm = []
-        for amps, mode_vec, phase in self.terms:
-            amps = tuple(float(a) for a in amps)
-            mode_vec = tuple(int(v) for v in mode_vec)
-            if len(amps) != self.components or len(mode_vec) != self.grid.d:
-                raise ValueError("term shape does not match components/grid")
-            norm.append((amps, mode_vec, float(phase)))
-        object.__setattr__(self, "terms", tuple(norm))
-        # precompute spatial factors and their gradients
-        coords = self.grid.axes_coordinates()
-        d = self.grid.d
-        shape = (self.components,) + self.grid.shape
-        space = np.zeros(shape)
-        grad = np.zeros((self.components, d) + self.grid.shape)
-        for amps, mode_vec, phase in self.terms:
-            arg = np.full(self.grid.shape, phase)
-            kvec = [2.0 * np.pi / self.grid.P * v for v in mode_vec]
-            for axis in range(d):
-                arg = arg + kvec[axis] * coords[axis]
-            c, s = np.cos(arg), np.sin(arg)
-            for comp in range(self.components):
-                space[comp] += amps[comp] * c
-                for axis in range(d):
-                    grad[comp, axis] += -amps[comp] * kvec[axis] * s
+        object.__setattr__(self, "terms", trig_terms(self.terms))
+        space, grad = self.grid.trig_sum(self.terms, self.components, gradient=True)
         space.setflags(write=False)
         grad.setflags(write=False)
         object.__setattr__(self, "_space", space)
@@ -774,10 +754,9 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
                               (phi.bump(st.t), np.einsum("a...,a...->...", m, phi._grad[0]))])
         if not vectors:
             continue
-        rho_floor = np.maximum(rho, params.rho_min)
-        u = m / rho_floor
+        u = params.velocity(rho, m)
         quot = m[:, None] * u[None, :]  # m (x) m / rho
-        p = params.kappa * np.maximum(rho, 0.0) ** params.gamma
+        p = params.pressure(rho)
         u_h = grid.rfft(u)
         grad_h = np.empty((d, d) + grid.half_shape, dtype=np.complex128)
         for axis in range(d):

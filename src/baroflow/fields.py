@@ -29,6 +29,7 @@ __all__ = [
     "Field",
     "SpectralField",
     "make_grid",
+    "trig_terms",
     "dft_forward",
     "dft_inverse",
     "shift_field",
@@ -175,6 +176,31 @@ class PeriodicGrid:
     def spatial_axes(self):
         return tuple(range(-self.d, 0))
 
+    def trig_sum(self, terms, components: int, gradient: bool = False):
+        """Samples of sum_terms amps * cos(k.x + phase), k = (2 pi / P) * mode,
+        over (amps, mode, phase) terms with one amplitude per component:
+        shape (components,) + shape, and with gradient=True its spatial
+        derivatives, shape (components, d) + shape (else None)."""
+        coords = self.axes_coordinates()
+        space = np.zeros((components,) + self.shape)
+        grad = np.zeros((components, self.d) + self.shape) if gradient else None
+        for amps, mode_vec, phase in terms:
+            if len(amps) != components or len(mode_vec) != self.d:
+                raise ValueError(f"term shape does not match {components} components on a {self.d}-D grid")
+            kvec = [2.0 * np.pi / self.P * v for v in mode_vec]
+            arg = np.full(self.shape, phase)
+            for axis in range(self.d):
+                arg = arg + kvec[axis] * coords[axis]
+            c = np.cos(arg)
+            for comp in range(components):
+                space[comp] += amps[comp] * c
+            if gradient:
+                s = np.sin(arg)
+                for comp in range(components):
+                    for axis in range(self.d):
+                        grad[comp, axis] += -amps[comp] * kvec[axis] * s
+        return space, grad
+
     def rfft(self, values: np.ndarray) -> np.ndarray:
         """Unnormalized real-to-complex transform over the spatial axes;
         leading axes are batched."""
@@ -189,6 +215,15 @@ class PeriodicGrid:
         (any leading component axes are summed too)."""
         total = float(np.sum(self.parseval_weight * power))
         return total * self.dx**self.d / float(self.n**self.d)
+
+
+def trig_terms(terms) -> tuple:
+    """(amps, mode, phase) terms as (float tuple, int tuple, float), the
+    form PeriodicGrid.trig_sum samples."""
+    return tuple(
+        (tuple(float(a) for a in amps), tuple(int(v) for v in mode_vec), float(phase))
+        for amps, mode_vec, phase in terms
+    )
 
 
 def make_grid(d: int, n: int, P: float) -> PeriodicGrid:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Field, PeriodicGrid
+from .fields import Field, PeriodicGrid, trig_terms
 
 __all__ = [
     "ForcingSpec",
@@ -43,6 +43,7 @@ __all__ = [
     "rhs",
     "cfl_dt",
     "step",
+    "snapshot_step",
     "run",
     "preset_ic",
 ]
@@ -84,10 +85,9 @@ class ForcingSpec:
             raise ValueError(f"unknown envelope {self.envelope!r}")
         if self.mode == "trig" and not self.terms:
             raise ValueError("trig forcing requires at least one term")
-        norm = []
-        for amps, mode_vec, phase in self.terms:
-            norm.append((tuple(float(a) for a in amps), tuple(int(v) for v in mode_vec), float(phase)))
-        object.__setattr__(self, "terms", tuple(norm))
+        if self.mode != "trig" and (self.terms or self.envelope != "const" or self.rate != 0.0):
+            raise ValueError("forcing terms, envelope and rate need mode 'trig'")
+        object.__setattr__(self, "terms", trig_terms(self.terms))
 
     @property
     def active(self) -> bool:
@@ -107,20 +107,7 @@ class ForcingSpec:
     def spatial(self, grid: PeriodicGrid) -> np.ndarray:
         """The time-independent factor of f: the term sum without the
         envelope, shape (d,) + grid.shape (zeros when inactive)."""
-        out = np.zeros((grid.d,) + grid.shape)
-        if not self.active:
-            return out
-        coords = grid.axes_coordinates()
-        for amps, mode_vec, phase in self.terms:
-            if len(amps) != grid.d or len(mode_vec) != grid.d:
-                raise ValueError("forcing term dimension does not match grid")
-            arg = np.full(grid.shape, phase)
-            for axis in range(grid.d):
-                arg = arg + (2.0 * np.pi / grid.P) * mode_vec[axis] * coords[axis]
-            c = np.cos(arg)
-            for axis in range(grid.d):
-                out[axis] += amps[axis] * c
-        return out
+        return grid.trig_sum(self.terms, grid.d)[0]
 
 
 @dataclass(frozen=True)
@@ -156,6 +143,14 @@ class FluidParams:
                 raise ValueError(f"lam + 2*mu must be positive, got {lam + 2.0 * self.mu}")
         elif lam != 0.0:
             raise ValueError("mu = 0 requires lam = 0 (inviscid reference mode)")
+
+    def velocity(self, rho: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """u = m / max(rho, rho_min), the floored velocity."""
+        return m / np.maximum(rho, self.rho_min)
+
+    def pressure(self, rho: np.ndarray) -> np.ndarray:
+        """kappa * max(rho, 0)^gamma, unchecked (see the module's pressure)."""
+        return self.kappa * np.maximum(rho, 0.0) ** self.gamma
 
 
 @dataclass(frozen=True)
@@ -245,7 +240,7 @@ def pressure(rho: np.ndarray, params: FluidParams) -> np.ndarray:
     r = np.asarray(rho, dtype=np.float64)
     if float(np.min(r)) < -1e-12:
         raise ValueError(f"density below tolerance: min {np.min(r):.3e}")
-    return params.kappa * np.maximum(r, 0.0) ** params.gamma
+    return params.pressure(r)
 
 
 def sonic_speed(rho: np.ndarray, params: FluidParams) -> np.ndarray:
@@ -266,8 +261,8 @@ def _rhs_core(rho, m, t, grid, params, force_xy, extra_source=None, want_rates=F
     """
     ik, k2 = grid.ik_half, grid.k2_half
     d = grid.d
-    u = m / np.maximum(rho, params.rho_min)
-    p = params.kappa * np.maximum(rho, 0.0) ** params.gamma
+    u = params.velocity(rho, m)
+    p = params.pressure(rho)
 
     # Symmetric flux Pi_ab = m_a u_b + p delta_ab, upper triangle only.
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
@@ -336,7 +331,7 @@ def total_energy(state: State, params: FluidParams) -> float:
     """Box integral of 0.5|m|^2/rho + kappa*rho^gamma/(gamma-1)."""
     r = np.maximum(state.rho.values, params.rho_min)
     kinetic = 0.5 * np.sum(state.m.values**2, axis=0) / r
-    internal = params.kappa * np.maximum(state.rho.values, 0.0) ** params.gamma / (params.gamma - 1.0)
+    internal = params.pressure(state.rho.values) / (params.gamma - 1.0)
     return float(np.sum(kinetic + internal)) * state.grid.dx**state.grid.d
 
 
@@ -353,7 +348,7 @@ def cfl_dt(state: State, params: FluidParams, cfl: float = 0.4) -> float:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     grid = state.grid
     rho = state.rho.values
-    u = state.m.values / np.maximum(rho, params.rho_min)
+    u = params.velocity(rho, state.m.values)
     speed = np.sqrt(np.sum(u**2, axis=0)) + math.sqrt(params.gamma) * sonic_speed(rho, params)
     fastest = float(np.max(speed))
     if fastest <= 0:
@@ -417,6 +412,13 @@ def step(state: State, params: FluidParams, dt: float, extra_source=None) -> Sta
     )
 
 
+def snapshot_step(spacing: float, dt_stable: float):
+    """(steps per snapshot, dt): the largest dt <= dt_stable that divides
+    the snapshot spacing into a whole number of steps."""
+    per = max(1, math.ceil(spacing / dt_stable - 1e-12))
+    return per, spacing / per
+
+
 def run(
     initial: State,
     params: FluidParams,
@@ -446,12 +448,10 @@ def run(
             stacklevel=2,
         )
     grid = initial.grid
-    spacing = T / snapshots
     dt_stable = cfl_dt(initial, params, cfl)
     if dt_cap is not None:
         dt_stable = min(dt_stable, dt_cap)
-    per = max(1, math.ceil(spacing / dt_stable - 1e-12))
-    dt = spacing / per
+    per, dt = snapshot_step(T / snapshots, dt_stable)
 
     rho = initial.rho.values.copy()
     m = initial.m.values.copy()

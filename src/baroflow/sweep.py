@@ -18,6 +18,7 @@ from .diagnostics import (
     default_test_functions,
     energy_admissibility,
     reynolds_quotient,
+    spacetime_lp,
     time_integrated_spectrum,
     trapezoid_weights,
     weak_residuals,
@@ -31,6 +32,7 @@ from .solver import (
     cfl_dt,
     preset_ic,
     run,
+    snapshot_step,
 )
 from .fields import make_grid
 
@@ -146,9 +148,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     shared_stable = min(
         cfl_dt(initial, plan.params_for(mu), plan.cfl) for mu in plan.mu_values
     )
-    spacing = plan.T / plan.snapshots
-    per = max(1, math.ceil(spacing / shared_stable - 1e-12))
-    shared_dt = spacing / per
+    _, shared_dt = snapshot_step(plan.T / plan.snapshots, shared_stable)
 
     entries = []
     for mu in plan.mu_values:
@@ -175,15 +175,9 @@ def series_distance(a: SnapshotSeries, b: SnapshotSeries, p1: float, p2: float):
         raise ValueError("series must share their snapshot times")
     if a.grid != b.grid:
         raise ValueError("series must share one grid")
-    grid = a.grid
-    dxd = grid.dx**grid.d
-    acc_r = acc_m = 0.0
-    for sa, sb, wi in zip(a, b, trapezoid_weights(ta)):
-        dr = sa.rho.values - sb.rho.values
-        dm = sa.m.values - sb.m.values
-        acc_r += wi * float(np.sum(np.abs(dr) ** p1)) * dxd
-        mmag = np.sqrt(np.sum(dm**2, axis=0))
-        acc_m += wi * float(np.sum(mmag**p2)) * dxd
+    rows = ((w, sa.rho.values - sb.rho.values, sa.m.values - sb.m.values)
+            for sa, sb, w in zip(a, b, trapezoid_weights(ta)))
+    acc_r, acc_m = spacetime_lp(a.grid, rows, (p1, p2))
     return acc_r ** (1.0 / p1), acc_m ** (1.0 / p2)
 
 
@@ -283,7 +277,7 @@ def viscous_smallness(sweep: SweepResult) -> SmallnessTable:
         k2_deriv = sum(np.abs(ik) ** 2 for ik in grid.ik_half)  # Nyquist zeroed
         g = []
         for st in series:
-            u = st.m.values / np.maximum(st.rho.values, e.params.rho_min)
+            u = e.params.velocity(st.rho.values, st.m.values)
             g.append(grid.parseval(k2_deriv * np.abs(grid.rfft(u)) ** 2))
         grad_sq = float(np.trapezoid(np.array(g), x=times))
         grad_l2 = math.sqrt(max(grad_sq, 0.0))

@@ -286,6 +286,13 @@ class TestExitCodes:
         cfg.write_text("[grid]\nsize = 32\n")
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_forcing_terms_without_trig_mode_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[grid]\nd = 2\nn = 16\n\n[forcing]\nterm1 = 0.05,0.0@1,0@0.0\n")
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "need mode 'trig'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_two(self, tmp_path):
         # a wrong --config path is a usage error, unlike missing data
         code = cli_main(["simulate", "--config", str(tmp_path / "none.ini"),

@@ -181,19 +181,7 @@ class TestSeries:
             read_series(tmp_path, "demo")
 
 
-class TestConfigRoundTrip:
-    def test_defaults_round_trip(self):
-        cfg = ExperimentConfig()
-        again = ExperimentConfig.parse(cfg.emit())
-        assert again == cfg
-
-    def test_emit_is_deterministic(self):
-        cfg = ExperimentConfig()
-        assert cfg.emit() == cfg.emit()
-        assert len(cfg.sha256()) == 64
-
-    def test_full_round_trip_with_overrides(self):
-        text = """
+OVERRIDE_INI = """
 [grid]
 d = 3
 n = 48
@@ -234,6 +222,139 @@ count = 5
 directory = results/a
 write_snapshots = false
 """
+
+# The parser's key table is derived from the section dataclasses, so these
+# frozen emissions pin its key order and value formatting.
+DEFAULT_EMISSION = (
+    "[grid]\n"
+    "d = 2\n"
+    "n = 64\n"
+    "box = 6.283185307179586\n"
+    "\n"
+    "[fluid]\n"
+    "gamma = 1.4\n"
+    "kappa = 1.0\n"
+    "mu = 0.001\n"
+    "lam = \n"
+    "rho_min = 1e-10\n"
+    "\n"
+    "[forcing]\n"
+    "mode = none\n"
+    "envelope = const\n"
+    "rate = 0.0\n"
+    "\n"
+    "[initial]\n"
+    "preset = taylor-green\n"
+    "seed = \n"
+    "amplitude = 1.0\n"
+    "\n"
+    "[run]\n"
+    "horizon = 1.0\n"
+    "snapshots = 16\n"
+    "cfl = 0.4\n"
+    "\n"
+    "[diagnostics]\n"
+    "window_lo = \n"
+    "window_hi = \n"
+    "ckhw_beta = 0.6666666666666666\n"
+    "ckhw_k_star = \n"
+    "sobolev_alpha = 0.2\n"
+    "moduli_shifts = 1,2,4\n"
+    "moduli_lags = 1,2,4\n"
+    "q1 = \n"
+    "q2 = \n"
+    "q = \n"
+    "theta = 1e-06\n"
+    "\n"
+    "[sweep]\n"
+    "mu_max = 0.01\n"
+    "ratio = 0.5\n"
+    "count = 4\n"
+    "lam_ratio = -0.6666666666666666\n"
+    "\n"
+    "[output]\n"
+    "directory = out\n"
+    "prefix = run\n"
+    "write_snapshots = true\n"
+    "\n"
+)
+
+OVERRIDE_EMISSION = (
+    "[grid]\n"
+    "d = 3\n"
+    "n = 48\n"
+    "box = 6.283185307179586\n"
+    "\n"
+    "[fluid]\n"
+    "gamma = 1.6667\n"
+    "kappa = 1.0\n"
+    "mu = 0.0025\n"
+    "lam = -0.001\n"
+    "rho_min = 1e-10\n"
+    "\n"
+    "[forcing]\n"
+    "mode = trig\n"
+    "envelope = cos\n"
+    "rate = 2.0\n"
+    "term1 = 0.05,0.0,0.0@1,0,0@0.0\n"
+    "term2 = 0.0,0.03,0.0@0,1,1@0.5235987755982988\n"
+    "\n"
+    "[initial]\n"
+    "preset = random-band\n"
+    "seed = 42\n"
+    "amplitude = 0.3\n"
+    "\n"
+    "[run]\n"
+    "horizon = 0.75\n"
+    "snapshots = 24\n"
+    "cfl = 0.4\n"
+    "\n"
+    "[diagnostics]\n"
+    "window_lo = \n"
+    "window_hi = \n"
+    "ckhw_beta = 0.3333333333333333\n"
+    "ckhw_k_star = 4\n"
+    "sobolev_alpha = 0.2\n"
+    "moduli_shifts = 1,3,9\n"
+    "moduli_lags = 1,2,4\n"
+    "q1 = \n"
+    "q2 = \n"
+    "q = \n"
+    "theta = 1e-06\n"
+    "\n"
+    "[sweep]\n"
+    "mu_max = 0.004\n"
+    "ratio = 0.5\n"
+    "count = 5\n"
+    "lam_ratio = -0.6666666666666666\n"
+    "\n"
+    "[output]\n"
+    "directory = results/a\n"
+    "prefix = run\n"
+    "write_snapshots = false\n"
+    "\n"
+)
+
+
+class TestConfigRoundTrip:
+    def test_defaults_round_trip(self):
+        cfg = ExperimentConfig()
+        again = ExperimentConfig.parse(cfg.emit())
+        assert again == cfg
+
+    def test_default_emission_is_frozen(self):
+        assert ExperimentConfig().emit() == DEFAULT_EMISSION
+
+    def test_override_emission_is_frozen(self):
+        assert ExperimentConfig.parse(OVERRIDE_INI).emit() == OVERRIDE_EMISSION
+
+    def test_emit_is_deterministic(self):
+        cfg = ExperimentConfig()
+        assert cfg.emit() == cfg.emit()
+        assert len(cfg.sha256()) == 64
+
+    def test_full_round_trip_with_overrides(self):
+        text = OVERRIDE_INI
         cfg = ExperimentConfig.parse(text)
         assert cfg.grid.d == 3
         assert cfg.fluid.lam == -0.001
@@ -287,6 +408,29 @@ class TestConfigValidation:
     def test_bad_forcing_mode(self):
         with pytest.raises(ValueError, match="forcing mode"):
             ExperimentConfig.parse("[forcing]\nmode = stochastic\n")
+
+    @pytest.mark.parametrize("body", [
+        "term1 = 0.05,0.0@1,0@0.0",
+        "envelope = cos",
+        "rate = 2.0",
+        "mode = none\nterm1 = 0.05,0.0@1,0@0.0",
+    ])
+    def test_forcing_keys_without_trig_mode_rejected(self, body):
+        with pytest.raises(ValueError, match="need mode 'trig'"):
+            ExperimentConfig.parse(f"[grid]\nd = 2\n\n[forcing]\n{body}\n")
+
+    def test_bad_envelope_rejected(self):
+        text = "[forcing]\nmode = trig\nenvelope = sine\nterm1 = 0.05,0.0@1,0@0.0\n"
+        with pytest.raises(ValueError, match="unknown envelope 'sine'"):
+            ExperimentConfig.parse(text)
+
+    @pytest.mark.parametrize("body, message", [
+        ("rho_min = 0.0", "rho_min must be positive"),
+        ("mu = 0.01\nlam = -0.05", "lam \\+ 2\\*mu must be positive"),
+    ])
+    def test_fluid_rules_apply_when_read(self, body, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.parse(f"[fluid]\n{body}\n")
 
 
 class TestConfigConstructors:
