@@ -19,8 +19,8 @@ from baroflow.diagnostics import (
     time_modulus,
     trapezoid_weights,
 )
-from baroflow.fields import make_grid, weighted_fields
-from baroflow.solver import FluidParams, ForcingSpec, pressure, total_energy
+from baroflow.fields import Field, make_grid, weighted_fields
+from baroflow.solver import FluidParams, ForcingSpec, State, pressure, total_energy
 from baroflow.sweep import plan_sweep, run_sweep, series_distance
 
 KERNEL_REL = 1e-14
@@ -215,7 +215,7 @@ def test_closure_methods_match_inline_forms():
     assert np.array_equal(params.velocity(rho, m), m / np.maximum(rho, params.rho_min))
     assert np.array_equal(params.pressure(rho), params.kappa * np.maximum(rho, 0.0) ** params.gamma)
     assert np.array_equal(pressure(rho, params), params.pressure(rho))
-    state = solver.State(t=0.0, rho=solver.Field(grid=grid, values=rho), m=solver.Field(grid=grid, values=m))
+    state = State(t=0.0, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=m))
     r = np.maximum(rho, params.rho_min)
     internal = params.kappa * np.maximum(rho, 0.0) ** params.gamma / (params.gamma - 1.0)
     want = 0.5 * np.sum(m**2, axis=0) / r + internal
