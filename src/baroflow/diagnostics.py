@@ -483,12 +483,8 @@ def high_integrability(
     if q2 <= 2 or q <= 2:
         raise ValueError(f"q2 and q must exceed 2, got q2 = {q2}, q = {q}")
 
-    def bundle_norm(rho, m):
-        """|w| with |w|^2 = max(rho, 0) |u|^2 + p (see weighted_fields)."""
-        u = params.velocity(rho, m)
-        return np.sqrt(np.maximum(rho, 0.0) * np.sum(u**2, axis=0) + params.pressure(rho))
-
-    rows = ((w, st.rho.values, st.m.values, bundle_norm(st.rho.values, st.m.values))
+    rows = ((w, st.rho.values, st.m.values,
+             weighted_fields(st.rho, st.m, params.gamma, params.kappa, params.rho_min).values)
             for st, w in zip(series, trapezoid_weights(times)))
     acc_r, acc_m, acc_w = spacetime_lp(series.grid, rows, (q1, q2, q))
     return IntegrabilityReport(
@@ -528,7 +524,7 @@ class TestFunction:
         if self.components < 1:
             raise ValueError("components must be at least 1")
         object.__setattr__(self, "terms", trig_terms(self.terms))
-        space, grad = self.grid.trig_sum(self.terms, self.components, gradient=True)
+        space, grad = self.grid.trig_sum(self.terms, self.components)
         space.setflags(write=False)
         grad.setflags(write=False)
         object.__setattr__(self, "_space", space)

@@ -176,14 +176,14 @@ class PeriodicGrid:
     def spatial_axes(self):
         return tuple(range(-self.d, 0))
 
-    def trig_sum(self, terms, components: int, gradient: bool = False):
+    def trig_sum(self, terms, components: int):
         """Samples of sum_terms amps * cos(k.x + phase), k = (2 pi / P) * mode,
-        over (amps, mode, phase) terms with one amplitude per component:
-        shape (components,) + shape, and with gradient=True its spatial
-        derivatives, shape (components, d) + shape (else None)."""
+        over (amps, mode, phase) terms with one amplitude per component,
+        shape (components,) + shape, and their spatial derivatives, shape
+        (components, d) + shape."""
         coords = self.axes_coordinates()
         space = np.zeros((components,) + self.shape)
-        grad = np.zeros((components, self.d) + self.shape) if gradient else None
+        grad = np.zeros((components, self.d) + self.shape)
         for amps, mode_vec, phase in terms:
             if len(amps) != components or len(mode_vec) != self.d:
                 raise ValueError(f"term shape does not match {components} components on a {self.d}-D grid")
@@ -194,11 +194,10 @@ class PeriodicGrid:
             c = np.cos(arg)
             for comp in range(components):
                 space[comp] += amps[comp] * c
-            if gradient:
-                s = np.sin(arg)
-                for comp in range(components):
-                    for axis in range(self.d):
-                        grad[comp, axis] += -amps[comp] * kvec[axis] * s
+            s = np.sin(arg)
+            for comp in range(components):
+                for axis in range(self.d):
+                    grad[comp, axis] += -amps[comp] * kvec[axis] * s
         return space, grad
 
     def rfft(self, values: np.ndarray) -> np.ndarray:

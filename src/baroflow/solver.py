@@ -128,18 +128,18 @@ class FluidParams:
     forcing: ForcingSpec = field(default_factory=ForcingSpec)
 
     def __post_init__(self):
-        if self.gamma <= 1:
+        if not (self.gamma > 1):
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if self.kappa <= 0:
+        if not (self.kappa > 0):
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.mu < 0:
+        if not (self.mu >= 0):
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if self.rho_min <= 0:
+        if not (self.rho_min > 0):
             raise ValueError(f"rho_min must be positive, got {self.rho_min}")
         lam = -(2.0 / 3.0) * self.mu if self.lam is None else float(self.lam)
         object.__setattr__(self, "lam", lam)
         if self.mu > 0:
-            if lam + 2.0 * self.mu <= 0:
+            if not (lam + 2.0 * self.mu > 0):
                 raise ValueError(f"lam + 2*mu must be positive, got {lam + 2.0 * self.mu}")
         elif lam != 0.0:
             raise ValueError("mu = 0 requires lam = 0 (inviscid reference mode)")

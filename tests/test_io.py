@@ -426,6 +426,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("body, message", [
         ("rho_min = 0.0", "rho_min must be positive"),
+        ("gamma = nan", "gamma must exceed 1"),
+        ("kappa = nan", "kappa must be positive"),
+        ("mu = nan", "mu must be nonnegative"),
+        ("rho_min = nan", "rho_min must be positive"),
+        ("mu = 0.01\nlam = nan", "lam \\+ 2\\*mu must be positive"),
         ("mu = 0.01\nlam = -0.05", "lam \\+ 2\\*mu must be positive"),
     ])
     def test_fluid_rules_apply_when_read(self, body, message):

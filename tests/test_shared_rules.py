@@ -170,8 +170,7 @@ def test_integrability_matches_weighted_bundle(sweep):
     q1, q2, q = 1.9, 2.5, 3.0
     rep = high_integrability(series, params, q1, q2, q)
     want_r, want_m, want_w = reference_integrability(series, params, q1, q2, q)
-    assert (rep.rho_norm, rep.m_norm) == (want_r, want_m)
-    assert _rel(rep.w_norm, want_w) <= KERNEL_REL
+    assert (rep.rho_norm, rep.m_norm, rep.w_norm) == (want_r, want_m, want_w)
 
 
 # ---------------------------------------------------------------- trig sampler
