@@ -349,9 +349,9 @@ def _cmd_sweep(args) -> int:
         }
         summary["limit_candidate"] = {
             "mu": limit.mu,
-            "mass_max_rel": limit.mass_max,
-            "ns_max_rel": limit.ns_max,
-            "euler_deficit_rel": limit.euler_max,
+            "mass_max_rel": limit.weak.mass_max_rel,
+            "ns_max_rel": limit.weak.ns_max_rel,
+            "euler_deficit_rel": limit.weak.euler_max_rel,
             "admissible": limit.admissibility.admissible,
             "vacuum_fraction": limit.vacuum_fraction,
             "m_t": limit.m_t,

@@ -232,12 +232,15 @@ class ExperimentConfig:
         return cls.parse(Path(path).read_text())
 
     def validate(self):
-        """The fluid and forcing rules are FluidParams' and ForcingSpec's."""
+        """The grid, fluid, forcing and sweep rules are those of
+        PeriodicGrid, FluidParams, ForcingSpec and plan_sweep/SweepPlan."""
+        self.make_grid()
         self.fluid_params()
         if not (self.run.horizon > 0.0 and math.isfinite(self.run.horizon)):
             raise ValueError(f"run horizon must be positive, got {self.run.horizon}")
         if self.run.snapshots < 1:
             raise ValueError(f"snapshots must be at least 1, got {self.run.snapshots}")
+        self.sweep_plan()
 
     def emit(self) -> str:
         cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))

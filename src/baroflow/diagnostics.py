@@ -39,7 +39,6 @@ __all__ = [
     "trapezoid_weights",
     "ckh_fit",
     "ckhw_statistic",
-    "ckhw_detail",
     "ckhw_from_spectrum",
     "fractional_sobolev_norm",
     "sobolev_norm_from_spectrum",
@@ -48,7 +47,6 @@ __all__ = [
     "spacetime_lp",
     "high_integrability",
     "default_test_functions",
-    "weak_residual_mass",
     "weak_residual_momentum",
     "weak_residuals",
     "energy_admissibility",
@@ -152,10 +150,10 @@ class SpectrumSeries:
     mode_power: np.ndarray = None
 
     @classmethod
-    def from_integrated(cls, integrated_energy, d, n, P, integrated_raw=None):
+    def from_integrated(cls, integrated_energy, d, n, P):
         """Build a fit-ready series directly from per-shell integrals."""
         ie = np.asarray(integrated_energy, dtype=np.float64)
-        ir = ie.copy() if integrated_raw is None else np.asarray(integrated_raw, dtype=np.float64)
+        ir = ie.copy()
         return cls(
             times=np.array([0.0, 1.0]), energy=np.vstack([ie, ie]), raw=np.vstack([ir, ir]),
             counts=np.zeros(len(ie), dtype=np.int64),
@@ -301,13 +299,9 @@ def ckhw_from_spectrum(spec: SpectrumSeries, beta: float, k_star: int = None) ->
     )
 
 
-def ckhw_detail(series: SnapshotSeries, params: FluidParams, beta: float, k_star: int = None) -> CkhwDetail:
-    return ckhw_from_spectrum(time_integrated_spectrum(series, params), beta, k_star)
-
-
 def ckhw_statistic(series: SnapshotSeries, params: FluidParams, beta: float, k_star: int = None) -> float:
-    """Scalar form of the weighted-mode decay statistic (see ckhw_detail)."""
-    return ckhw_detail(series, params, beta, k_star).value
+    """Scalar form of the weighted-mode decay statistic (see CkhwDetail)."""
+    return ckhw_from_spectrum(time_integrated_spectrum(series, params), beta, k_star).value
 
 
 def sobolev_norm_from_spectrum(spec: SpectrumSeries, alpha: float) -> float:
@@ -333,9 +327,9 @@ def fractional_sobolev_norm(series: SnapshotSeries, params: FluidParams, alpha: 
 class ModulusTable:
     """Equicontinuity moduli against shift length, with log-log slopes.
 
-    density[i] = integral over time and space of |rho(.+shift) - rho|^exponent,
-    momentum[i] the same with the squared momentum magnitude.  kind is
-    "space" (lattice shifts) or "time" (snapshot lags).
+    density[i] = integral over time and space of |rho(.+shift) - rho|^exponent
+    with exponent = gamma, momentum[i] the same with the squared momentum
+    magnitude.  kind is "space" (lattice shifts) or "time" (snapshot lags).
     """
 
     kind: str
@@ -378,18 +372,16 @@ def _modulus_table(kind, lengths, dens, mom, exponent) -> ModulusTable:
     )
 
 
-def space_modulus(series: SnapshotSeries, params: FluidParams, shifts, exponent: float = None) -> ModulusTable:
+def space_modulus(series: SnapshotSeries, params: FluidParams, shifts) -> ModulusTable:
     """Shift moduli int_0^T int |f(x + dx*shift) - f(x)|^p dx dt.
 
     shifts are integer lattice offsets (scalars act along axis 0); the
-    density channel uses p = exponent (default gamma), momentum p = 2
-    with the pointwise vector magnitude.  Shifts are exact rolls.
+    density channel uses p = gamma, momentum p = 2 with the pointwise
+    vector magnitude.  Shifts are exact rolls.
     """
     times = _require_time_series(series)
     grid = series.grid
-    p_rho = params.gamma if exponent is None else float(exponent)
-    if p_rho < 1:
-        raise ValueError(f"density exponent must be >= 1, got {p_rho}")
+    p_rho = params.gamma
     offsets = []
     for s in shifts:
         if np.isscalar(s):
@@ -415,7 +407,7 @@ def space_modulus(series: SnapshotSeries, params: FluidParams, shifts, exponent:
     return _modulus_table("space", lengths, dens, mom, p_rho)
 
 
-def time_modulus(series: SnapshotSeries, params: FluidParams, lags, exponent: float = None) -> ModulusTable:
+def time_modulus(series: SnapshotSeries, params: FluidParams, lags) -> ModulusTable:
     """Lag moduli int_0^{T - lag} int |f(t + lag) - f(t)|^p dx dt.
 
     lags count snapshot intervals (cadence must be uniform).  A lag
@@ -423,7 +415,7 @@ def time_modulus(series: SnapshotSeries, params: FluidParams, lags, exponent: fl
     """
     times = _require_time_series(series)
     grid = series.grid
-    p_rho = params.gamma if exponent is None else float(exponent)
+    p_rho = params.gamma
     spacing = np.diff(times)
     delta = spacing[0]
     if np.max(np.abs(spacing - delta)) > 1e-9 * delta:
@@ -507,7 +499,9 @@ class TestFunction:
     degree-9 smoothstep in (1 - t/T0): b(0) = 1, b and four derivatives
     vanish at t = T0, identically zero beyond.  Terms carry one
     amplitude per component, so components > 1 gives a vector function.
-    Spatial derivatives are evaluated analytically.
+    space holds the trig sum, shape (components,) + grid.shape, and grad
+    its analytic spatial derivatives, shape (components, d) + grid.shape;
+    phi(t) = bump(t) * space.
     """
 
     # not a test case, despite the name pytest sees on import
@@ -527,8 +521,8 @@ class TestFunction:
         space, grad = self.grid.trig_sum(self.terms, self.components)
         space.setflags(write=False)
         grad.setflags(write=False)
-        object.__setattr__(self, "_space", space)
-        object.__setattr__(self, "_grad", grad)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "grad", grad)
 
     def bump(self, t: float) -> float:
         y = 1.0 - t / self.T0
@@ -544,29 +538,12 @@ class TestFunction:
             return 0.0
         return float(np.polyval(_SMOOTH_D, y)) * (-1.0 / self.T0)
 
-    def value(self, t: float) -> np.ndarray:
-        return self.bump(t) * self._space
 
-    def time_derivative(self, t: float) -> np.ndarray:
-        return self.bump_dt(t) * self._space
-
-    def gradient(self, t: float) -> np.ndarray:
-        """(components, d) + shape array of spatial derivatives."""
-        return self.bump(t) * self._grad
-
-    def divergence(self, t: float) -> np.ndarray:
-        if self.components != self.grid.d:
-            raise ValueError("divergence needs a d-component test function")
-        return self.bump(t) * np.einsum("aa...->...", self._grad)
-
-
-def default_test_functions(grid: PeriodicGrid, T: float, vector: bool = False, margin: float = None):
-    """Deterministic low-mode test set with support ending at T - margin."""
-    if margin is None:
-        margin = T / 8.0
-    T0 = T - margin
+def default_test_functions(grid: PeriodicGrid, T: float, vector: bool = False):
+    """Deterministic low-mode test set with support ending at T - T/8."""
+    T0 = T - T / 8.0
     if T0 <= 0:
-        raise ValueError("margin leaves no support")
+        raise ValueError(f"horizon T must be positive, got {T}")
     if grid.d == 1:
         modes = [(1,), (2,), (3,)]
     elif grid.d == 2:
@@ -589,24 +566,6 @@ def _check_support(series_times, fn: TestFunction):
         )
 
 
-def weak_residual_mass(series: SnapshotSeries, phi: TestFunction, rho0: Field, with_scale: bool = False):
-    """Weak mass-equation residual
-
-        int int (rho * d_t phi + m . grad phi) dx dt + int rho0 phi(0) dx,
-
-    zero for exact solutions up to time-quadrature and scheme error.
-    with_scale=True returns (residual, scale, gross).  scale is |data|
-    plus the time integrals of each term's magnitude; gross takes the
-    magnitudes inside the space integral as well.  A test function
-    orthogonal to the flow drives residual and scale together to
-    round-off, so their ratio means nothing there; gross stays at the
-    size of the numbers actually summed and is the honest yardstick
-    for how deep the cancellation went.
-    """
-    residual, scale, gross = weak_residuals(series, None, scalars=(phi,), rho0=rho0).mass[0]
-    return (residual, scale, gross) if with_scale else residual
-
-
 @dataclass(frozen=True)
 class MomentumResidual:
     """Weak momentum-equation residuals in inviscid and viscous form.
@@ -627,10 +586,8 @@ class MomentumResidual:
     gross mass of numbers summed, whose last few digits are noise, and
     a few ulps of it floor every meaningful comparison (a test function
     with no overlap drives all terms to that floor, not to zero).
-    residual repeats whichever form the caller asked for.
     """
 
-    residual: float
     euler_residual: float
     viscous_term: float
     ns_residual: float
@@ -638,7 +595,6 @@ class MomentumResidual:
     quadrature_scale: float
     quadrature_uncertainty: float
     roundoff_scale: float
-    include_viscous: bool
 
 
 def _trapezoid_refinement_gap(times, term_arrays, scale):
@@ -667,9 +623,9 @@ def _trapezoid_refinement_gap(times, term_arrays, scale):
     return total + 5e-14 * scale
 
 
-def weak_residual_momentum(series: SnapshotSeries, params: FluidParams, phi: TestFunction, m0: Field,
-                           include_viscous: bool = True) -> MomentumResidual:
-    return weak_residuals(series, params, vectors=(phi,), m0=m0, include_viscous=include_viscous).momentum[0]
+def weak_residual_momentum(series: SnapshotSeries, params: FluidParams, phi: TestFunction,
+                           m0: Field) -> MomentumResidual:
+    return weak_residuals(series, params, vectors=(phi,), m0=m0).momentum[0]
 
 
 def _max_rel(residuals, gross) -> float:
@@ -678,10 +634,22 @@ def _max_rel(residuals, gross) -> float:
 
 @dataclass(frozen=True)
 class WeakResiduals:
-    """weak_residual_mass's (residual, scale, gross) for each scalar test
-    function and a MomentumResidual for each vector one.  The *_max_rel
-    ratios divide a family's largest |residual| by its largest gross
-    scale (see sweep.LimitCandidateReport)."""
+    """Weak residuals of one series: (residual, scale, gross) for each
+    scalar test function and a MomentumResidual for each vector one.
+
+    The mass residual is
+
+        int int (rho * d_t phi + m . grad phi) dx dt + int rho0 phi(0) dx,
+
+    zero for exact solutions up to time-quadrature and scheme error.
+    scale is |data| plus the time integrals of each term's magnitude;
+    gross takes the magnitudes inside the space integral as well.  A
+    test function orthogonal to the flow drives residual and scale
+    together to round-off, so their ratio means nothing there; gross
+    stays at the size of the numbers actually summed and is the honest
+    yardstick for how deep the cancellation went.  The *_max_rel ratios
+    divide a family's largest |residual| by its largest gross scale
+    (see sweep.LimitCandidateReport)."""
 
     mass: tuple
     momentum: tuple
@@ -709,7 +677,7 @@ def _record(rows, i, terms):
 
 def _weak_totals(times, terms, gross, data_values, dxd):
     """(residual, scale, gross) of one weak form from its per-snapshot term
-    and gross rows and its t = 0 data term (see weak_residual_mass)."""
+    and gross rows and its t = 0 data term (see WeakResiduals)."""
     data = float(np.sum(data_values)) * dxd
     residual = float(np.trapezoid(sum(terms), x=times)) + data
     scale = abs(data) + sum(float(np.trapezoid(np.abs(g), x=times)) for g in terms)
@@ -717,15 +685,16 @@ def _weak_totals(times, terms, gross, data_values, dxd):
 
 
 def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vectors=(),
-                   rho0: Field = None, m0: Field = None, include_viscous: bool = True) -> WeakResiduals:
+                   m0: Field = None) -> WeakResiduals:
     """The weak-form pass: mass residuals of the scalar test functions and
     momentum residuals of the vector ones, in one sweep of the series.
 
     Per snapshot, u = m / max(rho, rho_min), grad u (one rfftn, one batched
     irfftn), Sigma, p and rho f are built once and contracted with every
-    test function's spatial part, scaled by its bump b(t) or b'(t).  rho0
-    and m0 default to the first snapshot's; params may be None when there
-    are no vector test functions.
+    test function's spatial part, scaled by its bump b(t) or b'(t).  The
+    mass data term uses the first snapshot's rho, the momentum one m0
+    (default the first snapshot's m); params may be None when there are
+    no vector test functions.
     """
     times = _require_time_series(series)
     grid = series.grid
@@ -736,7 +705,7 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
         raise ValueError("mass residual takes a scalar test function")
     if any(phi.components != d for phi in vectors):
         raise ValueError(f"momentum residual takes a {d}-component test function")
-    div_grads = [np.einsum("aa...->...", phi._grad) for phi in vectors]
+    div_grads = [np.einsum("aa...->...", phi.grad) for phi in vectors]
     force = params.forcing.spatial(grid) if vectors and params.forcing.active else None
     # per function and snapshot: mass (dt, flux, gross); momentum (dt, flux,
     # press, force, visc, gross, b^2)
@@ -746,8 +715,8 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     for i, st in enumerate(series):
         rho, m = st.rho.values, st.m.values
         for phi, rows in zip(scalars, mass_rows):
-            _record(rows, i, [(phi.bump_dt(st.t), rho * phi._space[0]),
-                              (phi.bump(st.t), np.einsum("a...,a...->...", m, phi._grad[0]))])
+            _record(rows, i, [(phi.bump_dt(st.t), rho * phi.space[0]),
+                              (phi.bump(st.t), np.einsum("a...,a...->...", m, phi.grad[0]))])
         if not vectors:
             continue
         u = params.velocity(rho, m)
@@ -767,20 +736,20 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
         for phi, div_g, rows in zip(vectors, div_grads, mom_rows):
             b = phi.bump(st.t)
             _record(rows, i, [
-                (phi.bump_dt(st.t), m * phi._space),
-                (b, np.einsum("ab...,ab...->...", quot, phi._grad)),
+                (phi.bump_dt(st.t), m * phi.space),
+                (b, np.einsum("ab...,ab...->...", quot, phi.grad)),
                 (b, p * div_g),
-                (b, 0.0 if rho_f is None else rho_f * phi._space),
-                (b, np.einsum("ab...,ab...->...", stress, phi._grad)),
+                (b, 0.0 if rho_f is None else rho_f * phi.space),
+                (b, np.einsum("ab...,ab...->...", stress, phi.grad)),
             ])
             rows[6, i] = b * b
 
     dxd = grid.dx**d
     for arr in (mass_rows, mom_rows, grad_u_sq, div_u_sq):
         arr *= dxd
-    rho0 = series[0].rho if rho0 is None else rho0
+    rho0 = series[0].rho.values
     mass = [
-        _weak_totals(times, rows[:2], rows[2], rho0.values * phi.value(0.0)[0], dxd)
+        _weak_totals(times, rows[:2], rows[2], rho0 * (phi.bump(0.0) * phi.space)[0], dxd)
         for phi, rows in zip(scalars, mass_rows)
     ]
 
@@ -790,12 +759,12 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     m0 = series[0].m if m0 is None else m0
     momentum = []
     for phi, div_g, rows in zip(vectors, div_grads, mom_rows):
-        euler, scale, roundoff = _weak_totals(times, rows[:4], rows[5], m0.values * phi.value(0.0), dxd)
+        data_values = m0.values * (phi.bump(0.0) * phi.space)
+        euler, scale, roundoff = _weak_totals(times, rows[:4], rows[5], data_values, dxd)
         visc = float(np.trapezoid(rows[4], x=times))
-        bound = (2.0 * params.mu * l2(grad_u_sq) * l2(float(np.sum(phi._grad**2)) * rows[6])
+        bound = (2.0 * params.mu * l2(grad_u_sq) * l2(float(np.sum(phi.grad**2)) * rows[6])
                  + abs(params.lam) * l2(div_u_sq) * l2(float(np.sum(div_g**2)) * rows[6]))
         momentum.append(MomentumResidual(
-            residual=euler - visc if include_viscous else euler,
             euler_residual=euler,
             viscous_term=visc,
             ns_residual=euler - visc,
@@ -803,7 +772,6 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
             quadrature_scale=scale,
             quadrature_uncertainty=_trapezoid_refinement_gap(times, (sum(rows[:4]), rows[4]), scale),
             roundoff_scale=roundoff,
-            include_viscous=include_viscous,
         ))
     return WeakResiduals(mass=tuple(mass), momentum=tuple(momentum))
 
@@ -819,21 +787,16 @@ class AdmissibilityResult:
     admissible: bool
 
 
-def energy_admissibility(
-    series: SnapshotSeries,
-    params: FluidParams,
-    work: np.ndarray = None,
-    tol: float = None,
-) -> AdmissibilityResult:
-    """Check that no snapshot holds more energy than data plus work."""
+def energy_admissibility(series: SnapshotSeries, params: FluidParams, work: np.ndarray = None) -> AdmissibilityResult:
+    """Check that no snapshot holds more energy than data plus work, to
+    tol = 1e-8 * max(E(0), 1)."""
     times = series.times
     E = np.array([total_energy(st, params) for st in series])
     W = np.zeros(len(times)) if work is None else np.asarray(work, dtype=np.float64)
     if len(W) != len(times):
         raise ValueError("work array must align with the snapshot times")
     res = E - E[0] - W
-    if tol is None:
-        tol = 1e-8 * max(E[0], 1.0)
+    tol = 1e-8 * max(E[0], 1.0)
     mx = float(np.max(res))
     return AdmissibilityResult(times=times, residuals=res, max_residual=mx, tol=tol, admissible=mx <= tol)
 

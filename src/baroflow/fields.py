@@ -32,9 +32,6 @@ __all__ = [
     "trig_terms",
     "dft_forward",
     "dft_inverse",
-    "shift_field",
-    "lp_norm",
-    "box_integral",
     "weighted_fields",
 ]
 
@@ -298,69 +295,20 @@ def dft_forward(f: Field) -> SpectralField:
     return SpectralField(grid=f.grid, coefficients=coef * f.grid.origin_phase)
 
 
-def dft_inverse(s: SpectralField, imag_tol: float = 1e-10) -> Field:
+def dft_inverse(s: SpectralField) -> Field:
     """Mode sum back to samples; rejects coefficients that are not the
-    transform of a real field (relative imaginary residual > imag_tol)."""
+    transform of a real field (relative imaginary residual > 1e-10)."""
     axes = s.grid.spatial_axes()
     w = np.fft.ifftn(s.coefficients * s.grid.origin_phase, axes=axes) * float(s.grid.n**s.grid.d)
     re, im = np.real(w), np.imag(w)
     scale = max(float(np.max(np.abs(re))), 1e-300)
     worst = float(np.max(np.abs(im)))
-    if worst > imag_tol * scale:
+    if worst > 1e-10 * scale:
         raise ValueError(
             f"inverse transform is not real: imaginary residual {worst:.3e} "
-            f"exceeds {imag_tol:.1e} of field scale {scale:.3e}"
+            f"exceeds 1.0e-10 of field scale {scale:.3e}"
         )
     return Field(grid=s.grid, values=re)
-
-
-def shift_field(f: Field, offsets) -> Field:
-    """Circularly shift samples: result(x) = f(x + offsets*dx).
-
-    offsets is an integer, or one integer per axis, in lattice units.
-    The shift is an exact index roll, no interpolation.
-    """
-    d = f.grid.d
-    if np.isscalar(offsets):
-        offsets = (int(offsets),) * d
-    offsets = tuple(int(o) for o in offsets)
-    if len(offsets) != d:
-        raise ValueError(f"expected {d} offsets, got {len(offsets)}")
-    axes = f.grid.spatial_axes()
-    rolled = np.roll(f.values, shift=tuple(-o for o in offsets), axis=axes)
-    return Field(grid=f.grid, values=rolled)
-
-
-def _pointwise_magnitude(f: Field) -> np.ndarray:
-    if f.is_scalar:
-        return np.abs(f.values)
-    return np.sqrt(np.sum(f.values**2, axis=0))
-
-
-def lp_norm(f: Field, p: float, mode: str = "full") -> float:
-    """L^p norm over the box, exact lattice quadrature.
-
-    mode "full" returns (sum |f|^p dx^d)^(1/p); mode "volume" divides
-    the integral by the box volume first.  Multi-component fields use
-    the pointwise Euclidean magnitude.  Summation is exactly rounded
-    (math.fsum), so any relabeling of samples gives the identical float.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if mode not in ("full", "volume"):
-        raise ValueError(f"mode must be 'full' or 'volume', got {mode!r}")
-    mag = _pointwise_magnitude(f)
-    total = math.fsum((mag**p).ravel().tolist())
-    if mode == "full":
-        total *= f.grid.dx**f.grid.d
-    else:
-        total /= float(f.grid.n**f.grid.d)
-    return total ** (1.0 / p)
-
-
-def box_integral(values: np.ndarray, grid: PeriodicGrid) -> float:
-    """Integral of a sampled scalar over the box, dx^d-weighted fsum."""
-    return math.fsum(np.asarray(values, dtype=np.float64).ravel().tolist()) * grid.dx**grid.d
 
 
 def weighted_fields(
@@ -375,13 +323,13 @@ def weighted_fields(
     Velocity is m / max(rho, rho_min) and the sonic weight uses
     c^2 = p/rho = kappa*rho^(gamma-1), so componentwise
 
-        w_u = m / sqrt(max(rho, rho_min)) * (rho / max(rho, rho_min)) ** 0
-            = sqrt(rho) * m / max(rho, rho_min),
-        w_c = sqrt(kappa) * rho^(gamma/2),
+        w_u = sqrt(rho) * m / max(rho, rho_min),
+        w_c = sqrt(kappa) * rho^(gamma/2).
 
-    and 0.5*|w_u|^2 + |w_c|^2/(gamma-1) equals the pointwise total
-    energy density wherever rho >= rho_min.  Returns a Field with
-    d + 1 components, w_u first.
+    Where rho >= rho_min, w_u = m / sqrt(rho) = sqrt(rho) * u, and
+    0.5*|w_u|^2 + |w_c|^2/(gamma-1) equals the pointwise total energy
+    density.  Below the floor w_u = sqrt(rho) * m / rho_min instead.
+    Returns a Field with d + 1 components, w_u first.
     """
     if gamma <= 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")

@@ -70,7 +70,7 @@ class ForcingSpec:
     Each term is (amplitudes, mode, phase): a length-d amplitude vector,
     an integer mode vector, and a scalar phase, contributing
     amplitudes * cos(k.x + phase).  The shared time envelope is
-    "const" (1), "cos" (cos(rate*t)) or "exp" (exp(-rate*t)).
+    "const" (1, with rate 0), "cos" (cos(rate*t)) or "exp" (exp(-rate*t)).
     """
 
     mode: str = "none"
@@ -87,6 +87,8 @@ class ForcingSpec:
             raise ValueError("trig forcing requires at least one term")
         if self.mode != "trig" and (self.terms or self.envelope != "const" or self.rate != 0.0):
             raise ValueError("forcing terms, envelope and rate need mode 'trig'")
+        if self.envelope == "const" and self.rate != 0.0:
+            raise ValueError(f"the const envelope takes no rate, got {self.rate}")
         object.__setattr__(self, "terms", trig_terms(self.terms))
 
     @property

@@ -15,6 +15,7 @@ import numpy as np
 
 from .diagnostics import (
     AdmissibilityResult,
+    WeakResiduals,
     default_test_functions,
     energy_admissibility,
     reynolds_quotient,
@@ -183,7 +184,8 @@ def series_distance(a: SnapshotSeries, b: SnapshotSeries, p1: float, p2: float):
 
 @dataclass(frozen=True)
 class CauchyTable:
-    """Distances between runs at adjacent (or reference) viscosities."""
+    """Distances between runs at adjacent (or reference) viscosities:
+    density in L^p1 with p1 = gamma, momentum in L^p2 with p2 = 2."""
 
     mu_pairs: tuple
     rho_distances: np.ndarray
@@ -192,16 +194,8 @@ class CauchyTable:
     p2: float
 
 
-def _distance_exponents(plan: SweepPlan, p1, p2):
-    p1 = plan.gamma if p1 is None else float(p1)
-    p2 = 2.0 if p2 is None else float(p2)
-    if p1 < 1 or p2 < 1:
-        raise ValueError(f"distance exponents must be >= 1, got ({p1}, {p2})")
-    return p1, p2
-
-
-def _distance_table(sweep: SweepResult, p1, p2, pairs_of) -> CauchyTable:
-    p1, p2 = _distance_exponents(sweep.plan, p1, p2)
+def _distance_table(sweep: SweepResult, pairs_of) -> CauchyTable:
+    p1, p2 = sweep.plan.gamma, 2.0
     done = sweep.completed
     if len(done) < 2:
         raise ValueError(f"need at least two completed runs, have {len(done)}")
@@ -213,15 +207,15 @@ def _distance_table(sweep: SweepResult, p1, p2, pairs_of) -> CauchyTable:
     )
 
 
-def cauchy_distances(sweep: SweepResult, p1: float = None, p2: float = None) -> CauchyTable:
+def cauchy_distances(sweep: SweepResult) -> CauchyTable:
     """Distances between consecutive completed entries, largest mu first."""
-    return _distance_table(sweep, p1, p2, lambda done: list(zip(done, done[1:])))
+    return _distance_table(sweep, lambda done: list(zip(done, done[1:])))
 
 
-def distances_to(sweep: SweepResult, reference: int = -1, p1: float = None, p2: float = None) -> CauchyTable:
+def distances_to(sweep: SweepResult, reference: int = -1) -> CauchyTable:
     """Distance of every other completed run to one reference entry."""
     return _distance_table(
-        sweep, p1, p2, lambda done: [(e, done[reference]) for e in done if e is not done[reference]]
+        sweep, lambda done: [(e, done[reference]) for e in done if e is not done[reference]]
     )
 
 
@@ -296,34 +290,32 @@ def viscous_smallness(sweep: SweepResult) -> SmallnessTable:
     return SmallnessTable(rows=tuple(rows), mu_grad_decreasing=decreasing, energy_bounded=bounded)
 
 
+# largest weak residual, relative to its family's gross scale, of a
+# plausible limit
+REL_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class LimitCandidateReport:
     """Weak-solution scorecard for the least viscous completed run.
 
-    Residuals are listed per test function; mass_max / ns_max /
-    euler_max normalize the largest residual of each family by the
-    family's largest gross scale, the size of the numbers summed
-    before any cancellation.  Normalizing by the post-cancellation
-    quadrature scale instead turns into noise over noise whenever the
-    flow is orthogonal to the whole test set (a symmetric flow on the
-    default low-mode set does exactly that), and would veto a run
-    whose residuals sit at machine round-off.  The verdict requires
-    small mass and full-equation residuals plus admissible energy;
-    euler_max is reported as the vanishing-viscosity deficit (it
-    equals the measured viscous term, shrinking with mu) rather than
-    gated, since it only vanishes in the limit.
+    weak holds the residuals per test function of the default low-mode
+    sets; its mass_max_rel / ns_max_rel / euler_max_rel normalize the
+    largest residual of each family by the family's largest gross
+    scale, the size of the numbers summed before any cancellation.
+    Normalizing by the post-cancellation quadrature scale instead turns
+    into noise over noise whenever the flow is orthogonal to the whole
+    test set (a symmetric flow on the default low-mode set does exactly
+    that), and would veto a run whose residuals sit at machine
+    round-off.  The verdict requires mass and full-equation ratios
+    within rel_tol plus admissible energy; euler_max_rel is reported as
+    the vanishing-viscosity deficit (it equals the measured viscous
+    term, shrinking with mu) rather than gated, since it only vanishes
+    in the limit.
     """
 
     mu: float
-    mass_residuals: tuple
-    euler_residuals: tuple
-    ns_residuals: tuple
-    viscous_terms: tuple
-    quadrature_scales: tuple
-    gross_scales: tuple
-    mass_max: float
-    ns_max: float
-    euler_max: float
+    weak: WeakResiduals
     admissibility: AdmissibilityResult
     vacuum_fraction: float
     m_t: float
@@ -331,13 +323,7 @@ class LimitCandidateReport:
     plausible_limit: bool
 
 
-def limit_candidate_check(
-    sweep: SweepResult,
-    test_functions=None,
-    vector_test_functions=None,
-    theta: float = 1e-6,
-    rel_tol: float = 1e-4,
-) -> LimitCandidateReport:
+def limit_candidate_check(sweep: SweepResult, theta: float = 1e-6) -> LimitCandidateReport:
     """Judge whether the smallest-mu run looks like a weak limit point.
 
     Checks weak mass and momentum residuals against a deterministic
@@ -352,12 +338,8 @@ def limit_candidate_check(
     series = entry.result.series
     grid = series.grid
     T = series.times[-1] - series.times[0]
-    if test_functions is None:
-        test_functions = default_test_functions(grid, T)
-    if vector_test_functions is None:
-        vector_test_functions = default_test_functions(grid, T, vector=True)
-
-    weak = weak_residuals(series, entry.params, test_functions, vector_test_functions)
+    weak = weak_residuals(series, entry.params, default_test_functions(grid, T),
+                          default_test_functions(grid, T, vector=True))
     adm = energy_admissibility(series, entry.params, work=entry.result.report.W)
     quo = reynolds_quotient(series[-1], theta)
     ss = time_integrated_spectrum(series, entry.params)
@@ -365,25 +347,17 @@ def limit_candidate_check(
     m_t = float(np.max(shells ** (5.0 / 3.0) * ss.integrated_energy[1 : grid.n // 3 + 1]))
 
     plausible = bool(
-        weak.mass_max_rel <= rel_tol
-        and weak.ns_max_rel <= rel_tol
+        weak.mass_max_rel <= REL_TOL
+        and weak.ns_max_rel <= REL_TOL
         and adm.admissible
         and math.isfinite(m_t)
     )
     return LimitCandidateReport(
         mu=entry.mu,
-        mass_residuals=tuple(r for r, _, _ in weak.mass),
-        euler_residuals=tuple(r.euler_residual for r in weak.momentum),
-        ns_residuals=tuple(r.ns_residual for r in weak.momentum),
-        viscous_terms=tuple(r.viscous_term for r in weak.momentum),
-        quadrature_scales=tuple(r.quadrature_scale for r in weak.momentum),
-        gross_scales=tuple(r.roundoff_scale for r in weak.momentum),
-        mass_max=weak.mass_max_rel,
-        ns_max=weak.ns_max_rel,
-        euler_max=weak.euler_max_rel,
+        weak=weak,
         admissibility=adm,
         vacuum_fraction=quo.vacuum_fraction,
         m_t=m_t,
-        rel_tol=rel_tol,
+        rel_tol=REL_TOL,
         plausible_limit=plausible,
     )

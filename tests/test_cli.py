@@ -139,6 +139,28 @@ class TestDiagnose:
         assert data["residuals"]["ns_max_rel"] < 0.05
         assert data["reynolds"]["vacuum_fraction"] == 0.0
 
+    def test_section_key_sets(self, sim_dir, tmp_path):
+        assert cli_main(["diagnose", "--dir", str(sim_dir), "--prefix", "demo",
+                         "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert set(data) == {
+            "command", "prefix", "snapshot_count", "horizon", "fluid", "spectrum", "ckhw",
+            "sobolev", "integrability", "moduli", "residuals", "admissibility", "reynolds",
+        }
+        assert set(data["fluid"]) == {"gamma", "kappa", "mu", "lam"}
+        assert set(data["spectrum"]) == {"exponent", "prefactor", "fit_residual", "m_t", "window", "csv"}
+        assert set(data["ckhw"]) == {"value", "per_mode_sup", "beta", "k_star"}
+        assert set(data["sobolev"]) == {"alpha", "norm"}
+        assert set(data["integrability"]) == {"rho_norm", "q1", "m_norm", "q2", "w_norm", "q"}
+        assert set(data["moduli"]) == {"exponent", "space", "time", "csv"}
+        for kind in ("space", "time"):
+            assert set(data["moduli"][kind]) == {"density_slope", "momentum_slope"}
+        assert set(data["residuals"]) == {"mass_max_rel", "ns_max_rel", "csv"}
+        assert set(data["admissibility"]) == {"max_residual", "tol", "admissible", "work_assumed_zero"}
+        assert set(data["reynolds"]) == {
+            "trace_file", "trace_min", "trace_mean", "trace_max", "vacuum_fraction", "theta",
+        }
+
     def test_selected_section_only(self, sim_dir, tmp_path):
         code = cli_main([
             "diagnose", "--dir", str(sim_dir), "--prefix", "demo",
@@ -224,6 +246,22 @@ class TestSweep:
         assert (sweep_dir / "smallness.csv").exists()
         assert (sweep_dir / "ledger_02.csv").exists()
 
+    def test_section_key_sets(self, sweep_dir):
+        data = json.loads((sweep_dir / "summary.json").read_text())
+        assert set(data) == {
+            "command", "config_sha256", "config_text", "mu_values", "shared_dt", "entries",
+            "cauchy", "reference", "smallness", "limit_candidate",
+        }
+        assert set(data["cauchy"]) == {"mu_pairs", "rho_distances", "m_distances", "p1", "p2"}
+        assert set(data["reference"]) == {"mu_pairs", "rho_distances", "m_distances", "rho_rate", "m_rate"}
+        assert set(data["smallness"]) == {"rows", "mu_grad_decreasing", "energy_bounded"}
+        for row in data["smallness"]["rows"]:
+            assert set(row) == {"mu", "grad_u_l2", "mu_grad", "sqrt_mu_grad", "dissipation"}
+        assert set(data["limit_candidate"]) == {
+            "mu", "mass_max_rel", "ns_max_rel", "euler_deficit_rel", "admissible",
+            "vacuum_fraction", "m_t", "rel_tol", "plausible_limit",
+        }
+
     def test_snapshots_respect_config_flag(self, sweep_dir):
         assert not (sweep_dir / "entry_00").exists()
 
@@ -291,6 +329,21 @@ class TestExitCodes:
         cfg.write_text("[grid]\nd = 2\nn = 16\n\n[forcing]\nterm1 = 0.05,0.0@1,0@0.0\n")
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "need mode 'trig'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[fluid]", "[forcing]\nmode = trig\nrate = 2.0\nterm1 = 0.05@1@0.0\n\n[fluid]",
+         "const envelope takes no rate"),
+        # simulate never runs the ladder, but the file must still be valid
+        ("[output]", "[sweep]\nratio = 1.5\n\n[output]", "ratio must lie in (0, 1)"),
+        ("[run]", "[run]\ncfl = -0.5", "cfl"),
+        ("preset = acoustic-pulse", "preset = vortex-sheet", "vortex-sheet"),
+    ])
+    def test_invalid_config_exits_two_before_output(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SIM_CONFIG.replace(old, new))
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_two(self, tmp_path):

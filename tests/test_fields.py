@@ -1,21 +1,21 @@
-"""Grid construction, transforms, shifts, norms and the weighted bundle."""
+"""Grid construction, transforms, the lattice-shift and L^p rules of the
+moduli and distances, and the weighted bundle."""
 
 import math
 
 import numpy as np
 import pytest
 
+from baroflow.diagnostics import space_modulus, spacetime_lp
 from baroflow.fields import (
     Field,
     SpectralField,
-    box_integral,
     dft_forward,
     dft_inverse,
-    lp_norm,
     make_grid,
-    shift_field,
     weighted_fields,
 )
+from baroflow.solver import FluidParams, SnapshotSeries, State
 
 TWO_PI = 2.0 * np.pi
 
@@ -38,6 +38,15 @@ def dft_direct(values, grid):
 def random_field(grid, rng, components=1):
     shape = grid.shape if components == 1 else (components,) + grid.shape
     return Field(grid=grid, values=rng.standard_normal(shape))
+
+
+def shift_modulus(grid, m, shift):
+    """space_modulus's momentum channel, int |m(x + dx*shift) - m(x)|^2 dx,
+    of a static unit-density momentum m held over t in [0, 1]."""
+    rho = Field(grid=grid, values=np.ones(grid.shape))
+    mf = Field(grid=grid, values=m)
+    series = SnapshotSeries(states=(State(t=0.0, rho=rho, m=mf), State(t=1.0, rho=rho, m=mf)))
+    return space_modulus(series, FluidParams(), [shift]).momentum[0]
 
 
 class TestMakeGrid:
@@ -158,7 +167,7 @@ class TestTransforms:
         for d, n, P in ((1, 64, 1.0), (2, 24, 5.0), (3, 12, TWO_PI)):
             g = make_grid(d, n, P)
             f = random_field(g, rng)
-            physical = lp_norm(f, 2, mode="volume") ** 2
+            physical = spacetime_lp(g, [(1.0 / g.vol, f.values)], (2.0,))[0]
             spectral = float(np.sum(np.abs(dft_forward(f).coefficients) ** 2))
             assert physical == pytest.approx(spectral, rel=1e-12)
 
@@ -186,77 +195,63 @@ class TestTransforms:
 
 
 class TestShift:
+    """Lattice shifts are exact index rolls inside space_modulus."""
+
     def test_zero_offset_identity(self):
         g = make_grid(2, 8, 1.0)
-        f = random_field(g, np.random.default_rng(5))
-        assert np.array_equal(shift_field(f, 0).values, f.values)
+        f = random_field(g, np.random.default_rng(5), components=2)
+        assert shift_modulus(g, f.values, (0, 0)) == 0.0
 
     def test_full_period_identity(self):
         g = make_grid(2, 8, 1.0)
-        f = random_field(g, np.random.default_rng(6))
-        assert np.array_equal(shift_field(f, (8, 8)).values, f.values)
+        f = random_field(g, np.random.default_rng(6), components=2)
+        assert shift_modulus(g, f.values, (8, 8)) == 0.0
 
     def test_half_period_negates_fundamental_cosine(self):
         g = make_grid(1, 16, TWO_PI)
         (x,) = g.axes_coordinates()
-        f = Field(grid=g, values=np.cos(x))
-        assert np.max(np.abs(shift_field(f, 8).values + f.values)) < 1e-15
+        f = np.cos(x)[None]
+        want = float(np.sum((2.0 * f) ** 2)) * g.dx
+        assert abs(shift_modulus(g, f, 8) - want) < 1e-15 * want
 
     def test_shift_matches_sampled_translation(self):
         g = make_grid(1, 16, 4.0)
         (x,) = g.axes_coordinates()
-        f = Field(grid=g, values=np.sin(TWO_PI * x / g.P))
-        got = shift_field(f, 3).values
-        want = np.sin(TWO_PI * (x + 3 * g.dx) / g.P)
-        assert np.max(np.abs(got - want)) < 1e-14
-
-    def test_norms_preserved_bit_for_bit(self):
-        """A circular roll permutes samples, so fsum-based norms are exact."""
-        g = make_grid(2, 12, 2.0)
-        f = random_field(g, np.random.default_rng(8))
-        for p in (1.0, 2.0, 3.5):
-            a = lp_norm(f, p)
-            b = lp_norm(shift_field(f, (5, 9)), p)
-            assert a == b
+        f = np.sin(TWO_PI * x / g.P)[None]
+        translated = np.sin(TWO_PI * (x + 3 * g.dx) / g.P)[None]
+        want = float(np.sum((translated - f) ** 2)) * g.dx
+        assert abs(shift_modulus(g, f, 3) - want) < 1e-14 * want
 
     def test_wrong_offset_count(self):
         g = make_grid(2, 8, 1.0)
-        f = random_field(g, np.random.default_rng(9))
-        with pytest.raises(ValueError, match="offsets"):
-            shift_field(f, (1, 2, 3))
+        f = random_field(g, np.random.default_rng(9), components=2)
+        with pytest.raises(ValueError, match="offset"):
+            shift_modulus(g, f.values, (1, 2, 3))
 
 
 class TestLpNorm:
+    """spacetime_lp on one time row of weight w: w * int |f|^p dx."""
+
     def test_constant_unit_field(self):
         """|1|_p is vol^(1/p) over the box and exactly 1 per unit volume."""
         g = make_grid(3, 6, 1.3)
-        f = Field(grid=g, values=np.ones(g.shape))
-        assert lp_norm(f, 3, mode="volume") == pytest.approx(1.0, rel=1e-15)
-        assert lp_norm(f, 2, mode="full") == pytest.approx(g.vol**0.5, rel=1e-14)
+        ones = np.ones(g.shape)
+        per_volume = spacetime_lp(g, [(1.0 / g.vol, ones)], (3.0,))[0] ** (1.0 / 3.0)
+        assert per_volume == pytest.approx(1.0, rel=1e-15)
+        assert spacetime_lp(g, [(1.0, ones)], (2.0,))[0] ** 0.5 == pytest.approx(g.vol**0.5, rel=1e-14)
 
     def test_cosine_l2_closed_form(self):
         """On P = 2*pi the L2 norm of cos(x) is sqrt(pi)."""
         g = make_grid(1, 64, TWO_PI)
         (x,) = g.axes_coordinates()
-        f = Field(grid=g, values=np.cos(x))
-        assert lp_norm(f, 2) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        l2 = spacetime_lp(g, [(1.0, np.cos(x))], (2.0,))[0] ** 0.5
+        assert l2 == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
     def test_vector_magnitude_convention(self):
         g = make_grid(2, 8, 1.0)
         v = np.zeros((2,) + g.shape)
         v[0], v[1] = 3.0, 4.0
-        f = Field(grid=g, values=v)
-        assert lp_norm(f, 2, mode="volume") == pytest.approx(5.0, rel=1e-15)
-
-    def test_p_below_one_rejected(self):
-        g = make_grid(1, 8, 1.0)
-        f = Field(grid=g, values=np.ones(8))
-        with pytest.raises(ValueError, match="p must be"):
-            lp_norm(f, 0.5)
-
-    def test_box_integral_constant(self):
-        g = make_grid(2, 16, 2.0)
-        assert box_integral(np.full(g.shape, 1.5), g) == pytest.approx(1.5 * g.vol, rel=1e-15)
+        assert spacetime_lp(g, [(1.0 / g.vol, v)], (2.0,))[0] ** 0.5 == pytest.approx(5.0, rel=1e-15)
 
 
 class TestWeightedFields:

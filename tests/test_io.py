@@ -419,6 +419,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="need mode 'trig'"):
             ExperimentConfig.parse(f"[grid]\nd = 2\n\n[forcing]\n{body}\n")
 
+    @pytest.mark.parametrize("section, body, message", [
+        ("forcing", "mode = trig\nrate = 2.0\nterm1 = 0.05,0.0@1,0@0.0", "const envelope takes no rate"),
+        ("grid", "n = 7", "even and >= 4"),
+        ("grid", "d = 4", "dimension must be 1, 2 or 3"),
+        ("grid", "box = 0.0", "box length must be positive"),
+        ("sweep", "ratio = 1.5", "ratio must lie in \\(0, 1\\)"),
+        ("sweep", "count = 1", "count must be at least 2"),
+        ("sweep", "mu_max = 0.0", "mu_max must be positive"),
+        ("sweep", "lam_ratio = -2.0", "lam_ratio must exceed -2"),
+    ])
+    def test_grid_forcing_and_sweep_rules_apply_when_read(self, section, body, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.parse(f"[{section}]\n{body}\n")
+
     def test_bad_envelope_rejected(self):
         text = "[forcing]\nmode = trig\nenvelope = sine\nterm1 = 0.05,0.0@1,0@0.0\n"
         with pytest.raises(ValueError, match="unknown envelope 'sine'"):

@@ -191,8 +191,8 @@ def test_test_function_parts_are_bit_identical(d, components):
     grid = make_grid(d, 8, 1.7)
     phi = TestFunction(grid=grid, T0=1.0, terms=_terms(d, components), components=components)
     space, grad = reference_test_function_parts(grid, phi.terms, components)
-    assert np.array_equal(phi._space, space)
-    assert np.array_equal(phi._grad, grad)
+    assert np.array_equal(phi.space, space)
+    assert np.array_equal(phi.grad, grad)
 
 
 def test_sampler_rejects_mismatched_terms():
