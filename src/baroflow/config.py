@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import diagnostics as dg
 from .fields import make_grid
 from .solver import FluidParams, ForcingSpec, preset_ic
 from .sweep import SweepPlan, plan_sweep
@@ -232,15 +233,23 @@ class ExperimentConfig:
         return cls.parse(Path(path).read_text())
 
     def validate(self):
-        """The grid, fluid, forcing and sweep rules are those of
-        PeriodicGrid, FluidParams, ForcingSpec and plan_sweep/SweepPlan."""
-        self.make_grid()
-        self.fluid_params()
+        """The grid, fluid, forcing, sweep and [diagnostics] rules are those
+        of PeriodicGrid, FluidParams, ForcingSpec, plan_sweep/SweepPlan and
+        the diagnostics that take each value."""
+        grid = self.make_grid()
+        gamma = self.fluid_params().gamma
         if not (self.run.horizon > 0.0 and math.isfinite(self.run.horizon)):
             raise ValueError(f"run horizon must be positive, got {self.run.horizon}")
         if self.run.snapshots < 1:
             raise ValueError(f"snapshots must be at least 1, got {self.run.snapshots}")
         self.sweep_plan()
+        dc = self.diagnostics
+        dg.fit_window(grid.n, dc.window_lo, dc.window_hi)
+        dg.ckhw_k_star(grid.n, dc.ckhw_beta, dc.ckhw_k_star)
+        dg.sobolev_order(dc.sobolev_alpha)
+        dg.integrability_exponents(gamma, dc.q1, dc.q2, dc.q)
+        dg.snapshot_lags(dc.moduli_lags)
+        dg.vacuum_threshold(dc.theta)
 
     def emit(self) -> str:
         cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))

@@ -224,17 +224,19 @@ class CkhFit:
     k_hi: int
 
 
-def ckh_fit(spec: SpectrumSeries, k_lo: int = None, k_hi: int = None) -> CkhFit:
-    n = spec.n
-    if k_lo is None:
-        k_lo = max(1, n // 16)
-    if k_hi is None:
-        k_hi = n // 3
-    k_lo, k_hi = int(k_lo), int(k_hi)
+def fit_window(n: int, k_lo, k_hi) -> tuple:
+    """Fit window on an n-point grid: 1 <= k_lo < k_hi <= n/2, default [n//16, n//3] (at least [1, 2])."""
+    k_lo = max(1, n // 16) if k_lo is None else int(k_lo)
+    k_hi = max(2, n // 3) if k_hi is None else int(k_hi)
     if not (1 <= k_lo < k_hi):
         raise ValueError(f"bad fit window [{k_lo}, {k_hi}]")
     if k_hi > n // 2:
         raise ValueError(f"window end {k_hi} is beyond the resolved shells (n/2 = {n // 2})")
+    return k_lo, k_hi
+
+
+def ckh_fit(spec: SpectrumSeries, k_lo: int = None, k_hi: int = None) -> CkhFit:
+    k_lo, k_hi = fit_window(spec.n, k_lo, k_hi)
     shells = np.arange(len(spec.integrated_energy))
     sel = (shells >= k_lo) & (shells <= k_hi) & (spec.integrated_energy > 0)
     ks = shells[sel].astype(np.float64)
@@ -274,17 +276,20 @@ class CkhwDetail:
     shell_values: np.ndarray
 
 
+def ckhw_k_star(n: int, beta: float, k_star) -> int:
+    """First shell in [1, n//3] (default max(1, n//16)) of the decay statistic; beta > 0."""
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    k_star = max(1, n // 16) if k_star is None else int(k_star)
+    if not (1 <= k_star <= n // 3):
+        raise ValueError(f"k_star {k_star} outside the resolved dealiased range [1, {n // 3}]")
+    return k_star
+
+
 def ckhw_from_spectrum(spec: SpectrumSeries, beta: float, k_star: int = None) -> CkhwDetail:
     """The weighted-mode decay statistic of a time-integrated spectrum."""
     grid = spec.grid
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    cap = grid.n // 3
-    if k_star is None:
-        k_star = max(1, grid.n // 16)
-    k_star = int(k_star)
-    if not (1 <= k_star <= cap):
-        raise ValueError(f"k_star {k_star} outside the resolved dealiased range [1, {cap}]")
+    k_star, cap = ckhw_k_star(grid.n, beta, k_star), grid.n // 3
     itg = spec.mode_power
     shell_sum = _shell_sum(grid, itg)
     shells = np.arange(k_star, cap + 1)
@@ -304,13 +309,17 @@ def ckhw_statistic(series: SnapshotSeries, params: FluidParams, beta: float, k_s
     return ckhw_from_spectrum(time_integrated_spectrum(series, params), beta, k_star).value
 
 
+def sobolev_order(alpha: float) -> float:
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    return alpha
+
+
 def sobolev_norm_from_spectrum(spec: SpectrumSeries, alpha: float) -> float:
     """L^2-in-time H^alpha norm of the weighted bundle, sum of the symbol
     times the integrated mode power (see fractional_sobolev_norm)."""
     grid = spec.grid
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    symbol = (1.0 + grid.mode_norm_half**2) ** alpha
+    symbol = (1.0 + grid.mode_norm_half**2) ** sobolev_order(alpha)
     return float(np.sqrt(np.sum(grid.parseval_weight * symbol * spec.mode_power)))
 
 
@@ -407,6 +416,14 @@ def space_modulus(series: SnapshotSeries, params: FluidParams, shifts) -> Modulu
     return _modulus_table("space", lengths, dens, mom, p_rho)
 
 
+def snapshot_lags(lags) -> list:
+    """Lags as positive whole numbers of snapshot intervals."""
+    for lag in lags:
+        if float(lag) != int(lag) or lag < 1:
+            raise ValueError(f"lag {lag} is not a positive whole number of cadence steps")
+    return [int(lag) for lag in lags]
+
+
 def time_modulus(series: SnapshotSeries, params: FluidParams, lags) -> ModulusTable:
     """Lag moduli int_0^{T - lag} int |f(t + lag) - f(t)|^p dx dt.
 
@@ -422,10 +439,7 @@ def time_modulus(series: SnapshotSeries, params: FluidParams, lags) -> ModulusTa
         raise ValueError("time moduli need uniform snapshot cadence")
     nt = len(times)
     lengths, dens, mom = [], [], []
-    for lag in lags:
-        j = int(lag)
-        if float(lag) != j or j < 1:
-            raise ValueError(f"lag {lag} is not a positive whole number of cadence steps")
+    for j in snapshot_lags(lags):
         if j > nt - 2:
             raise ValueError(
                 f"lag {j} leaves an empty integration window ({nt} snapshots); "
@@ -454,6 +468,18 @@ class IntegrabilityReport:
     q: float
 
 
+def integrability_exponents(gamma: float, q1, q2, q) -> tuple:
+    """(q1, q2, q), default (1.2*gamma, 2.5, q2), strictly above (gamma, 2, 2)."""
+    q1 = 1.2 * gamma if q1 is None else float(q1)
+    q2 = 2.5 if q2 is None else float(q2)
+    q = q2 if q is None else float(q)
+    if not q1 > gamma:
+        raise ValueError(f"q1 must exceed gamma = {gamma}, got {q1}")
+    if not (q2 > 2 and q > 2):
+        raise ValueError(f"q2 and q must exceed 2, got q2 = {q2}, q = {q}")
+    return q1, q2, q
+
+
 def high_integrability(
     series: SnapshotSeries,
     params: FluidParams,
@@ -467,13 +493,7 @@ def high_integrability(
     sit strictly above the energy-level ones (gamma, 2, 2).
     """
     times = _require_time_series(series)
-    q1 = 1.2 * params.gamma if q1 is None else float(q1)
-    q2 = 2.5 if q2 is None else float(q2)
-    q = q2 if q is None else float(q)
-    if q1 <= params.gamma:
-        raise ValueError(f"q1 must exceed gamma = {params.gamma}, got {q1}")
-    if q2 <= 2 or q <= 2:
-        raise ValueError(f"q2 and q must exceed 2, got q2 = {q2}, q = {q}")
+    q1, q2, q = integrability_exponents(params.gamma, q1, q2, q)
 
     rows = ((w, st.rho.values, st.m.values,
              weighted_fields(st.rho, st.m, params.gamma, params.kappa, params.rho_min).values)
@@ -816,9 +836,14 @@ class ReynoldsQuotient:
     vacuum_fraction: float
 
 
-def reynolds_quotient(state: State, theta: float) -> ReynoldsQuotient:
-    if theta <= 0:
+def vacuum_threshold(theta: float) -> float:
+    if not theta > 0:
         raise ValueError(f"vacuum threshold theta must be positive, got {theta}")
+    return float(theta)
+
+
+def reynolds_quotient(state: State, theta: float) -> ReynoldsQuotient:
+    theta = vacuum_threshold(theta)
     grid = state.grid
     d = grid.d
     rho = state.rho.values
@@ -828,6 +853,6 @@ def reynolds_quotient(state: State, theta: float) -> ReynoldsQuotient:
     M = np.where(mask, 0.0, m[:, None] * m[None, :] / safe)
     V = np.einsum("aa...->...", M)
     return ReynoldsQuotient(
-        M=M, mask=mask, V=V, theta=float(theta),
+        M=M, mask=mask, V=V, theta=theta,
         vacuum_fraction=float(np.mean(mask)),
     )

@@ -197,6 +197,37 @@ class PeriodicGrid:
                     grad[comp, axis] += -amps[comp] * kvec[axis] * s
         return space, grad
 
+    def trig_shift(self, terms, components: int):
+        """rfft(w) -> rfft(w * trig_sum(terms, components)[0]) on the dealiased
+        modes, exact for the grid product, aliasing included.  Returns
+        (targets, shift): the modes' flat indices in a (components,) +
+        half_shape array, and the map.  On x_j = -P/2 + j*dx a term is
+        amps * cos(2 pi mode.j/n + phase - pi*sum(mode)): it moves rfft(w) by
+        -+mode with weights amps * (-1)^sum(mode) * e^{+-i phase} / 2.  Sources
+        past the last axis's n/2 are conjugates of their Hermitian mirrors.
+        """
+        modes = np.flatnonzero(self.dealias_half)
+        lattice = np.unravel_index(modes, self.half_shape)
+        index, mirrored, weight = [], [], []
+        for amps, mode_vec, phase in terms:
+            parity = -1.0 if sum(mode_vec) % 2 else 1.0
+            for sign in (1, -1):
+                src = [(q - sign * v) % self.n for q, v in zip(lattice, mode_vec)]
+                mirror = src[-1] > self.n // 2
+                index.append(np.ravel_multi_index([np.where(mirror, -q % self.n, q) for q in src], self.half_shape))
+                mirrored.append(mirror)
+                weight.append(np.multiply(amps, 0.5 * parity * np.exp(sign * 1j * phase)))
+        index = np.array(index, dtype=np.intp).reshape(-1, modes.size)
+        mirrored = np.array(mirrored, dtype=bool).reshape(index.shape)
+        weight = np.array(weight, dtype=np.complex128).reshape(-1, components).T
+
+        def shift(coef):
+            values = coef.ravel()[index]
+            np.conjugate(values, out=values, where=mirrored)
+            return (weight @ values).ravel()
+
+        return (self.dealias_half.size * np.arange(components)[:, None] + modes).ravel(), shift
+
     def rfft(self, values: np.ndarray) -> np.ndarray:
         """Unnormalized real-to-complex transform over the spatial axes;
         leading axes are batched."""

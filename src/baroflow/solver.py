@@ -12,11 +12,13 @@ classical RK4 with a fixed dt chosen from the initial CFL state.
 The cumulative dissipation D(t) and forcing work W(t) ride along as
 extra RK4 variables so the energy ledger closes at the scheme's order.
 
-Derivatives use real-to-complex transforms on the grid's half lattice.
-The pressure rides in the diagonal of the symmetric flux tensor
-Pi = m x u + p*I, so one batched transform covers advection and
-pressure.  The forcing's spatial factor is built once per run (once
-per step for `step`); each RK4 stage only scales it by the envelope.
+The RK4 state is kept as the coefficients (rho^, m^) on the grid's half
+lattice.  Each RHS makes one batched inverse of the d + 1 stage fields and
+forward transforms of u (d fields) and of the symmetric flux
+Pi = m x u + p*I (d(d+1)/2): 8 real-field transforms in 2D, 13 in 3D.
+The forcing product rho*f is rho^ shifted by the forcing modes
+(PeriodicGrid.trig_shift), exact for the grid product.  Each step's
+inverse is checked for blow-up and feeds the next first stage.
 """
 
 from __future__ import annotations
@@ -255,14 +257,36 @@ def sonic_speed(rho: np.ndarray, params: FluidParams) -> np.ndarray:
     return math.sqrt(params.kappa) * r ** (0.5 * (params.gamma - 1.0))
 
 
-def _rhs_core(rho, m, t, grid, params, force_xy, extra_source=None, want_rates=False):
-    """Time derivative of (rho, m); optionally the instantaneous
-    dissipation and forcing-work rates for the energy ledger.
+def _fields(state: State) -> np.ndarray:
+    """(rho, m) stacked as d + 1 real fields."""
+    return np.concatenate((state.rho.values[None], state.m.values))
 
-    force_xy is the forcing's spatial factor, params.forcing.spatial(grid).
+
+def _state(t: float, grid: PeriodicGrid, fields: np.ndarray) -> State:
+    return State(t=t, rho=Field(grid=grid, values=fields[0]), m=Field(grid=grid, values=fields[1:]))
+
+
+def _forcing(params: FluidParams, grid: PeriodicGrid, with_ledger: bool):
+    """(spatial factor for the work rate, or None without the ledger;
+    targets; mode shift) of an active forcing, else None."""
+    if not params.forcing.active:
+        return None
+    force_xy = params.forcing.spatial(grid) if with_ledger else None
+    return (force_xy,) + grid.trig_shift(params.forcing.terms, grid.d)
+
+
+def _rhs_core(state_h, state, t, grid, params, force, extra_source=None, want_rates=False):
+    """Spectral time derivative of the half-lattice state (rho^, m^),
+    shape (d + 1,) + grid.half_shape, whose samples are state; optionally
+    the instantaneous dissipation and forcing-work rates for the ledger.
+
+    force is _forcing(params, grid, want_rates).  The increments are
+    dealiased except for extra_source, whose physical source is
+    transformed as it is.
     """
     ik, k2 = grid.ik_half, grid.k2_half
     d = grid.d
+    rho, m = state[0], state[1:]
     u = params.velocity(rho, m)
     p = params.pressure(rho)
 
@@ -275,7 +299,6 @@ def _rhs_core(rho, m, t, grid, params, force_xy, extra_source=None, want_rates=F
             flux[i] += p
     slot = {pair: i for i, pair in enumerate(pairs)}
 
-    m_h = grid.rfft(m)
     u_h = grid.rfft(u)
     flux_h = grid.rfft(flux)
 
@@ -284,49 +307,48 @@ def _rhs_core(rho, m, t, grid, params, force_xy, extra_source=None, want_rates=F
         div_u_h += ik[a] * u_h[a]
 
     out_h = np.empty((d + 1,) + grid.half_shape, dtype=np.complex128)
-    out_h[0] = -ik[0] * m_h[0]
+    out_h[0] = -ik[0] * state_h[1]
     for a in range(1, d):
-        out_h[0] -= ik[a] * m_h[a]
+        out_h[0] -= ik[a] * state_h[1 + a]
+    mu_k2 = params.mu * k2
     for a in range(d):
-        acc = (params.mu + params.lam) * ik[a] * div_u_h - params.mu * k2 * u_h[a]
+        acc = out_h[1 + a]
+        np.multiply((params.mu + params.lam) * ik[a], div_u_h, out=acc)
+        acc -= mu_k2 * u_h[a]
         for b in range(d):
             acc -= ik[b] * flux_h[slot[(min(a, b), max(a, b))]]
-        out_h[1 + a] = acc
+    out_h *= grid.dealias_half
 
     work_rate = 0.0
-    if params.forcing.active:
-        f_phys = force_xy * params.forcing.envelope_at(t)
-        out_h[1:] += grid.rfft(rho * f_phys)
+    if force is not None:
+        force_xy, targets, shift = force
+        envelope = params.forcing.envelope_at(t)
+        out_h[1:].reshape(-1)[targets] += envelope * shift(state_h[0])
         if want_rates:
-            work_rate = float(np.sum(m * f_phys)) * grid.dx**d
-
-    out_h *= grid.dealias_half
-    out = grid.irfft(out_h)
-    drho, dm = out[0], out[1:]
+            work_rate = float(np.sum(m * (force_xy * envelope))) * grid.dx**d
 
     if extra_source is not None:
-        s_rho, s_m = extra_source(t, rho, m)
-        drho = drho + s_rho
-        dm = dm + s_m
+        source = np.empty_like(state)
+        source[0], source[1:] = extra_source(t, rho, m)
+        out_h += grid.rfft(source)
 
     if not want_rates:
-        return drho, dm, 0.0, 0.0
+        return out_h, 0.0, 0.0
 
     # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx.
-    grad_sq = grid.parseval(k2 * np.abs(u_h) ** 2)
-    div_sq = grid.parseval(np.abs(div_u_h) ** 2)
+    grad_sq = grid.parseval(k2 * (u_h.real**2 + u_h.imag**2))
+    div_sq = grid.parseval(div_u_h.real**2 + div_u_h.imag**2)
     diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
-    return drho, dm, diss_rate, work_rate
+    return out_h, diss_rate, work_rate
 
 
 def rhs(state: State, params: FluidParams, extra_source=None):
     """Time derivative of (rho, m) as Fields (dealiased spectral form)."""
-    grid = state.grid
-    drho, dm, _, _ = _rhs_core(
-        state.rho.values, state.m.values, state.t, grid, params,
-        params.forcing.spatial(grid), extra_source,
-    )
-    return Field(grid=grid, values=drho), Field(grid=grid, values=dm)
+    grid, fields = state.grid, _fields(state)
+    force = _forcing(params, grid, False)
+    out_h, _, _ = _rhs_core(grid.rfft(fields), fields, state.t, grid, params, force, extra_source)
+    out = grid.irfft(out_h)
+    return Field(grid=grid, values=out[0]), Field(grid=grid, values=out[1:])
 
 
 def total_energy(state: State, params: FluidParams) -> float:
@@ -379,39 +401,35 @@ def _check_alive(rho, m, t):
         raise BlowUpError(f"density lost positivity (min rho = {low:.3e}) at t = {t:.6g}", t=t)
 
 
-def _advance(rho, m, t, dt, grid, params, force_xy, extra_source=None, with_ledger=False):
-    """One classical RK4 step; returns (rho', m', dD, dW)."""
-    extra = (force_xy, extra_source, with_ledger)
-    k1r, k1m, d1, w1 = _rhs_core(rho, m, t, grid, params, *extra)
-    k2r, k2m, d2, w2 = _rhs_core(
-        rho + 0.5 * dt * k1r, m + 0.5 * dt * k1m, t + 0.5 * dt, grid, params, *extra
-    )
-    k3r, k3m, d3, w3 = _rhs_core(
-        rho + 0.5 * dt * k2r, m + 0.5 * dt * k2m, t + 0.5 * dt, grid, params, *extra
-    )
-    k4r, k4m, d4, w4 = _rhs_core(rho + dt * k3r, m + dt * k3m, t + dt, grid, params, *extra)
+def _advance(state_h, state, t, dt, grid, params, force, extra_source=None, with_ledger=False):
+    """One classical RK4 step of the half-lattice state (rho^, m^) whose
+    samples are state; returns the new coefficients, their samples, dD
+    and dW.  The samples feed the next step's first stage."""
+    extra = (grid, params, force, extra_source, with_ledger)
+    k1, d1, w1 = _rhs_core(state_h, state, t, *extra)
+    stage = state_h + 0.5 * dt * k1
+    k2, d2, w2 = _rhs_core(stage, grid.irfft(stage), t + 0.5 * dt, *extra)
+    stage = state_h + 0.5 * dt * k2
+    k3, d3, w3 = _rhs_core(stage, grid.irfft(stage), t + 0.5 * dt, *extra)
+    stage = state_h + dt * k3
+    k4, d4, w4 = _rhs_core(stage, grid.irfft(stage), t + dt, *extra)
     sixth = dt / 6.0
-    rho_new = rho + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    m_new = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+    new_h = state_h + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    new = grid.irfft(new_h)
     dD = sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     dW = sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-    _check_alive(rho_new, m_new, t + dt)
-    return rho_new, m_new, dD, dW
+    _check_alive(new[0], new[1:], t + dt)
+    return new_h, new, dD, dW
 
 
 def step(state: State, params: FluidParams, dt: float, extra_source=None) -> State:
     """Advance one RK4 step of size dt; mass is conserved to round-off."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    rho, m, _, _ = _advance(
-        state.rho.values, state.m.values, state.t, dt, state.grid, params,
-        params.forcing.spatial(state.grid), extra_source,
-    )
-    return State(
-        t=state.t + dt,
-        rho=Field(grid=state.grid, values=rho),
-        m=Field(grid=state.grid, values=m),
-    )
+    grid, fields = state.grid, _fields(state)
+    force = _forcing(params, grid, False)
+    _, new, _, _ = _advance(grid.rfft(fields), fields, state.t, dt, grid, params, force, extra_source)
+    return _state(state.t + dt, grid, new)
 
 
 def snapshot_step(spacing: float, dt_stable: float):
@@ -455,13 +473,13 @@ def run(
         dt_stable = min(dt_stable, dt_cap)
     per, dt = snapshot_step(T / snapshots, dt_stable)
 
-    rho = initial.rho.values.copy()
-    m = initial.m.values.copy()
+    fields = _fields(initial)
+    fields_h = grid.rfft(fields)
     t0 = initial.t
     states = [initial]
     E0 = total_energy(initial, params)
-    mass0 = float(np.mean(rho))
-    force_xy = params.forcing.spatial(grid)
+    mass0 = float(np.mean(fields[0]))
+    force = _forcing(params, grid, True)
 
     ts, Es, Ds, Ws = [t0], [E0], [0.0], [0.0]
     D_acc = W_acc = 0.0
@@ -469,21 +487,21 @@ def run(
     for _snap in range(snapshots):
         for _ in range(per):
             t_now = t0 + steps_done * dt
-            rho, m, dD, dW = _advance(
-                rho, m, t_now, dt, grid, params, force_xy, extra_source, with_ledger=True
+            fields_h, fields, dD, dW = _advance(
+                fields_h, fields, t_now, dt, grid, params, force, extra_source, with_ledger=True
             )
             D_acc += dD
             W_acc += dW
             steps_done += 1
         t_now = t0 + steps_done * dt
-        st = State(t=t_now, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=m))
+        st = _state(t_now, grid, fields)
         states.append(st)
         ts.append(t_now)
         Es.append(total_energy(st, params))
         Ds.append(D_acc)
         Ws.append(W_acc)
 
-    mass1 = float(np.mean(rho))
+    mass1 = float(np.mean(fields[0]))
     scale = max(abs(mass0), 1e-300)
     if abs(mass1 - mass0) > 1e-10 * scale:
         raise MassDriftError(f"mass drifted by {abs(mass1 - mass0) / scale:.3e} relative", t=t_now)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import baroflow.cli
+import baroflow.sweep
 from baroflow.cli import cli_main
 
 SIM_CONFIG = """
@@ -233,6 +234,16 @@ class TestDiagnose:
         assert code == 2
 
 
+    def test_bad_diagnostics_config_exits_two_before_output(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SIM_CONFIG + "\n[diagnostics]\nq1 = 1.0\n")
+        code = cli_main(["diagnose", "--dir", str(sim_dir), "--prefix", "demo",
+                         "--config", str(cfg), "--out", str(tmp_path / "report")])
+        assert code == 2
+        assert "q1 must exceed gamma" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+
 class TestSweep:
     def test_summary_tables(self, sweep_dir):
         data = json.loads((sweep_dir / "summary.json").read_text())
@@ -271,6 +282,17 @@ class TestSweep:
         out = tmp_path / "again"
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "summary.json").read_bytes() == (sweep_dir / "summary.json").read_bytes()
+
+
+    def test_bad_theta_exits_two_before_a_rung(self, tmp_path, monkeypatch, capsys):
+        rungs = []
+        real_run = baroflow.sweep.run
+        monkeypatch.setattr(baroflow.sweep, "run", lambda *a, **k: rungs.append(1) or real_run(*a, **k))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SWEEP_CONFIG + "\n[diagnostics]\ntheta = 0.0\n")
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "theta must be positive" in capsys.readouterr().err
+        assert rungs == [] and not (tmp_path / "out").exists()
 
 
 class TestReport:

@@ -433,6 +433,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.parse(f"[{section}]\n{body}\n")
 
+    @pytest.mark.parametrize("body, message", [
+        ("q1 = 1.0", "q1 must exceed gamma = 1.4"),
+        ("q2 = 2.0", "q2 and q must exceed 2"),
+        ("q = 1.5", "q2 and q must exceed 2"),
+        ("theta = 0.0", "vacuum threshold theta must be positive"),
+        ("theta = nan", "vacuum threshold theta must be positive"),
+        ("ckhw_beta = 0.0", "beta must be positive"),
+        ("ckhw_k_star = 22", "k_star 22 outside the resolved dealiased range \\[1, 21\\]"),
+        ("ckhw_k_star = 0", "k_star 0 outside"),
+        ("window_lo = 9\nwindow_hi = 9", "bad fit window \\[9, 9\\]"),
+        ("window_hi = 33", "window end 33 is beyond the resolved shells"),
+        ("sobolev_alpha = -0.5", "alpha must be nonnegative"),
+        ("moduli_lags = 2,0", "lag 0 is not a positive whole number"),
+    ])
+    def test_diagnostics_rules_apply_when_read(self, body, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.parse(f"[diagnostics]\n{body}\n")
+
+    def test_diagnostics_defaults_hold_on_the_smallest_grid(self):
+        """n = 4 resolves the default fit window to [1, 2], not the empty [1, 1]."""
+        cfg = ExperimentConfig.parse("[grid]\nd = 1\nn = 4\n")
+        assert cfg.grid.n == 4
+
     def test_bad_envelope_rejected(self):
         text = "[forcing]\nmode = trig\nenvelope = sine\nterm1 = 0.05,0.0@1,0@0.0\n"
         with pytest.raises(ValueError, match="unknown envelope 'sine'"):

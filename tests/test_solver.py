@@ -13,6 +13,9 @@ from baroflow.solver import (
     ForcingSpec,
     MassDriftError,
     State,
+    _advance,
+    _fields,
+    _forcing,
     _rhs_core,
     cfl_dt,
     preset_ic,
@@ -70,6 +73,86 @@ def reference_rhs(rho, m, t, grid, params):
     div_sq = float(np.sum(np.abs(div_u_h) ** 2)) * par
     diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
     return drho, dm, diss_rate, work_rate
+
+
+def physical_rhs_core(rho, m, t, grid, params, force_xy, extra_source=None, want_rates=False):
+    """The physical-state RHS the coefficient-space stepper replaced: it
+    transforms m and rho*f forward and the dealiased increments back."""
+    ik, k2 = grid.ik_half, grid.k2_half
+    d = grid.d
+    u = params.velocity(rho, m)
+    p = params.pressure(rho)
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    flux = np.empty((len(pairs),) + grid.shape)
+    for i, (a, b) in enumerate(pairs):
+        np.multiply(m[a], u[b], out=flux[i])
+        if a == b:
+            flux[i] += p
+    slot = {pair: i for i, pair in enumerate(pairs)}
+    m_h = grid.rfft(m)
+    u_h = grid.rfft(u)
+    flux_h = grid.rfft(flux)
+    div_u_h = ik[0] * u_h[0]
+    for a in range(1, d):
+        div_u_h += ik[a] * u_h[a]
+    out_h = np.empty((d + 1,) + grid.half_shape, dtype=np.complex128)
+    out_h[0] = -ik[0] * m_h[0]
+    for a in range(1, d):
+        out_h[0] -= ik[a] * m_h[a]
+    for a in range(d):
+        acc = (params.mu + params.lam) * ik[a] * div_u_h - params.mu * k2 * u_h[a]
+        for b in range(d):
+            acc -= ik[b] * flux_h[slot[(min(a, b), max(a, b))]]
+        out_h[1 + a] = acc
+    work_rate = 0.0
+    if params.forcing.active:
+        f_phys = force_xy * params.forcing.envelope_at(t)
+        out_h[1:] += grid.rfft(rho * f_phys)
+        if want_rates:
+            work_rate = float(np.sum(m * f_phys)) * grid.dx**d
+    out_h *= grid.dealias_half
+    out = grid.irfft(out_h)
+    drho, dm = out[0], out[1:]
+    if extra_source is not None:
+        s_rho, s_m = extra_source(t, rho, m)
+        drho = drho + s_rho
+        dm = dm + s_m
+    if not want_rates:
+        return drho, dm, 0.0, 0.0
+    grad_sq = grid.parseval(k2 * np.abs(u_h) ** 2)
+    div_sq = grid.parseval(np.abs(div_u_h) ** 2)
+    diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
+    return drho, dm, diss_rate, work_rate
+
+
+def physical_advance(rho, m, t, dt, grid, params, force_xy, extra_source=None, with_ledger=False):
+    """The physical-state RK4 step: (rho', m', dD, dW)."""
+    extra = (force_xy, extra_source, with_ledger)
+    k1r, k1m, d1, w1 = physical_rhs_core(rho, m, t, grid, params, *extra)
+    k2r, k2m, d2, w2 = physical_rhs_core(
+        rho + 0.5 * dt * k1r, m + 0.5 * dt * k1m, t + 0.5 * dt, grid, params, *extra
+    )
+    k3r, k3m, d3, w3 = physical_rhs_core(
+        rho + 0.5 * dt * k2r, m + 0.5 * dt * k2m, t + 0.5 * dt, grid, params, *extra
+    )
+    k4r, k4m, d4, w4 = physical_rhs_core(rho + dt * k3r, m + dt * k3m, t + dt, grid, params, *extra)
+    sixth = dt / 6.0
+    rho_new = rho + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    m_new = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+    dD = sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+    dW = sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+    return rho_new, m_new, dD, dW
+
+
+def two_term_forcing(d, envelope="cos", rate=2.0):
+    terms = [((0.05,) + (0.0,) * (d - 1), (1,) + (0,) * (d - 1), 0.3)]
+    if d > 1:
+        terms.append(((0.0, 0.04) + (0.0,) * (d - 2), (0, 2) + (1,) * (d - 2), -0.5))
+    return ForcingSpec(mode="trig", terms=tuple(terms), envelope=envelope, rate=rate)
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
 
 
 class TestParams:
@@ -184,17 +267,15 @@ class TestRhs:
         form to round-off, ledger rates included."""
         n = 12 if d == 3 else 16
         g = make_grid(d, n, TWO_PI)
-        forcing = ForcingSpec()
-        if forced:
-            terms = [((0.05,) + (0.0,) * (d - 1), (1,) + (0,) * (d - 1), 0.3)]
-            if d > 1:
-                terms.append(((0.0, 0.04) + (0.0,) * (d - 2), (0, 2) + (1,) * (d - 2), -0.5))
-            forcing = ForcingSpec(mode="trig", terms=tuple(terms), envelope="cos", rate=2.0)
-        params = FluidParams(mu=0.05, forcing=forcing)
+        params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
         st = preset_ic("random-band", g, params, seed=3 + d, amplitude=1.0)
-        rho, m, t = st.rho.values, st.m.values, 0.7
-        got = _rhs_core(rho, m, t, g, params, forcing.spatial(g), want_rates=True)
-        want = reference_rhs(rho, m, t, g, params)
+        fields, t = _fields(st), 0.7
+        out_h, diss, work = _rhs_core(
+            g.rfft(fields), fields, t, g, params, _forcing(params, g, True), want_rates=True
+        )
+        out = g.irfft(out_h)
+        got = (out[0], out[1:], diss, work)
+        want = reference_rhs(st.rho.values, st.m.values, t, g, params)
         for a, b in zip(got[:2], want[:2]):
             assert float(np.max(np.abs(a - b))) <= 1e-12 * float(np.max(np.abs(b)))
         assert want[2] > 0
@@ -481,3 +562,96 @@ class TestPresets:
         st = preset_ic("equilibrium", g, FluidParams())
         params = FluidParams(gamma=1.4, kappa=2.0)
         assert total_energy(st, params) == pytest.approx(2.0 / 0.4 * g.vol, rel=1e-12)
+
+
+class TestForcingShift:
+    """The forcing product rho*f as a shift of rho's half-lattice
+    coefficients, against the transform of the sampled product."""
+
+    @pytest.mark.parametrize("d, n, terms", [
+        # negative mode; mode across 0 and n/2 of the last axis; mode >= n/2 (aliased)
+        (1, 16, [((0.3,), (-3,), 0.4), ((0.2,), (7,), 1.1), ((0.1,), (21,), -0.3)]),
+        (2, 12, [((0.3, 0.1), (1, -2), 0.4), ((0.2, 0.5), (0, 5), 1.1), ((0.1, 0.7), (9, 7), -0.3)]),
+        (3, 8, [((0.3, 0.1, 0.2), (1, 0, -1), 0.4), ((0.2, 0.5, 0.1), (2, -1, 4), 1.1),
+                ((0.1, 0.7, 0.3), (5, 9, 3), -0.3)]),
+    ])
+    def test_matches_transform_of_sampled_product(self, d, n, terms):
+        g = make_grid(d, n, 2.5)
+        forcing = ForcingSpec(mode="trig", terms=tuple(terms), envelope="exp", rate=0.7)
+        rho = 1.0 + 0.3 * np.random.default_rng(d).standard_normal(g.shape)
+        t = 0.4
+        targets, shift = g.trig_shift(forcing.terms, d)
+        assert len(targets) == d * int(np.sum(g.dealias_half))
+        want = (g.rfft(rho * forcing.spatial(g)) * forcing.envelope_at(t)).ravel()[targets]
+        got = forcing.envelope_at(t) * shift(g.rfft(rho))
+        assert rel_err(got, want) <= 1e-14
+
+
+class TestCoefficientState:
+    """run and step keep (rho^, m^) on the half lattice between stages."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_run_and_step_match_the_physical_state_reference(self, d, forced):
+        g = make_grid(d, 12 if d == 3 else 16, TWO_PI)
+        params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
+        st = preset_ic("random-band", g, params, seed=3 + d, amplitude=1.0)
+        dt_cap = 0.5 * cfl_dt(st, params)
+        result = run(st, params, T=10 * dt_cap, snapshots=2, dt_cap=dt_cap)
+        dt = result.dt
+        assert result.steps_per_snapshot == 5 and result.series[0] is st
+        rho, m, D, W = st.rho.values, st.m.values, 0.0, 0.0
+        stepped = st
+        for i in range(10):
+            rho, m, dD, dW = physical_advance(
+                rho, m, i * dt, dt, g, params, params.forcing.spatial(g), with_ledger=True
+            )
+            D, W = D + dD, W + dW
+            stepped = step(stepped, params, dt)
+            if i % 5 == 4:
+                snap = result.series[(i + 1) // 5]
+                assert snap.t == (i + 1) * dt
+                assert rel_err(snap.rho.values, rho) <= 1e-12
+                assert rel_err(snap.m.values, m) <= 1e-12
+                assert abs(result.report.D[(i + 1) // 5] - D) <= 1e-12 * D
+                assert abs(result.report.W[(i + 1) // 5] - W) <= 1e-12 * abs(W)
+        assert rel_err(stepped.rho.values, rho) <= 1e-12
+        assert rel_err(stepped.m.values, m) <= 1e-12
+        assert (W != 0.0) == forced
+
+    @pytest.mark.parametrize("d, forced, per_rhs", [(2, True, 8), (3, True, 13), (3, False, 13)])
+    def test_real_fields_transformed_per_rhs(self, monkeypatch, d, forced, per_rhs):
+        """Each RK4 stage inverts the d + 1 state fields and transforms u
+        (d fields) and the symmetric flux (d(d+1)/2) forward."""
+        g = make_grid(d, 8, TWO_PI)
+        params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
+        st = preset_ic("random-band", g, params, seed=1, amplitude=0.5)
+        fields = _fields(st)
+        fields_h, force = g.rfft(fields), _forcing(params, g, True)
+        counted = []
+
+        def counting(fn, lattice):
+            def wrapper(a, *args, **kwargs):
+                counted.append(a.size // math.prod(lattice))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, g.shape))
+        monkeypatch.setattr(np.fft, "irfftn", counting(np.fft.irfftn, g.half_shape))
+        _advance(fields_h, fields, 0.0, 1e-3, g, params, force, with_ledger=True)
+        assert sum(counted) == 4 * per_rhs
+
+    def test_blow_up_is_reported_at_the_end_of_its_step(self):
+        """A state made non-finite inside the third of five steps per
+        snapshot is reported at that step's end, not at the snapshot."""
+        g = make_grid(1, 16, TWO_PI)
+        params = FluidParams(mu=1e-2)
+
+        def poison(t, rho, m):
+            return np.full_like(rho, np.nan if t > 0.027 else 0.0), np.zeros_like(m)
+
+        st = preset_ic("acoustic-pulse", g, params)
+        with pytest.raises(BlowUpError, match="t = 0.03 ") as info:
+            run(st, params, T=0.1, snapshots=2, dt_cap=0.01, extra_source=poison)
+        assert type(info.value) is BlowUpError
+        assert info.value.t == pytest.approx(0.03, rel=1e-12)
