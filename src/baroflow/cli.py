@@ -166,6 +166,8 @@ def _cmd_diagnose(args) -> int:
     cfg, params = _diagnose_params(metas, args.config)
     dcfg = cfg.diagnostics
     do_all = not (args.spectrum or args.ckhw or args.sobolev or args.moduli or args.residuals)
+    if do_all or args.moduli:
+        dg.integrable_lags(dcfg.moduli_lags, len(series))
     out.mkdir(parents=True, exist_ok=True)
     report = {
         "command": "diagnose",
@@ -176,7 +178,9 @@ def _cmd_diagnose(args) -> int:
     }
 
     if do_all or args.spectrum or args.ckhw or args.sobolev:
-        spec = dg.time_integrated_spectrum(series, params)
+        # the integrability norm of w reuses the spectral pass's bundle samples
+        q1, q2, q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)
+        spec = dg.time_integrated_spectrum(series, params, q if do_all or args.sobolev else None)
 
     if do_all or args.spectrum:
         k_phys = 2.0 * math.pi / spec.P
@@ -214,7 +218,7 @@ def _cmd_diagnose(args) -> int:
             "alpha": dcfg.sobolev_alpha,
             "norm": dg.sobolev_norm_from_spectrum(spec, dcfg.sobolev_alpha),
         }
-        integ = dg.high_integrability(series, params, dcfg.q1, dcfg.q2, dcfg.q)
+        integ = dg.integrability_from_spectrum(spec, series, params, q1, q2)
         report["integrability"] = {
             "rho_norm": integ.rho_norm, "q1": integ.q1,
             "m_norm": integ.m_norm, "q2": integ.q2,

@@ -46,6 +46,7 @@ __all__ = [
     "time_modulus",
     "spacetime_lp",
     "high_integrability",
+    "integrability_from_spectrum",
     "default_test_functions",
     "weak_residual_momentum",
     "weak_residuals",
@@ -74,13 +75,15 @@ def _shell_sum(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     return np.bincount(grid.shell_half.ravel(), weights=weighted.ravel(), minlength=grid.n_shells)
 
 
-def _snapshot_spectrum(state: State, params: FluidParams):
-    """One rfftn of the weighted bundle: the snapshot's shell energy and
+def _bundle(state: State, params: FluidParams) -> np.ndarray:
+    return weighted_fields(state.rho, state.m, params.gamma, params.kappa, params.rho_min).values
+
+
+def _snapshot_spectrum(grid: PeriodicGrid, w: np.ndarray, params: FluidParams):
+    """One rfftn of a snapshot's weighted bundle w: its shell energy and
     raw shell power, and its half-lattice |w_hat|^2 (amplitude-normalized
     coefficients, as dft_forward)."""
-    grid = state.grid
-    w = weighted_fields(state.rho, state.m, params.gamma, params.kappa, params.rho_min)
-    coef = grid.rfft(w.values)
+    coef = grid.rfft(w)
     power = (coef.real**2 + coef.imag**2) / float(grid.n**grid.d) ** 2
     power_u, power_c = np.sum(power[: grid.d], axis=0), power[grid.d]
     total = power_u + power_c
@@ -124,7 +127,7 @@ def shell_spectrum(state: State, params: FluidParams) -> Spectrum:
     (Parseval), which is the completeness check run by the tests.
     """
     grid = state.grid
-    energy, raw, _ = _snapshot_spectrum(state, params)
+    energy, raw, _ = _snapshot_spectrum(grid, _bundle(state, params), params)
     counts = _shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64)
     return Spectrum(t=state.t, energy=energy, raw=raw, counts=counts, d=grid.d, n=grid.n, P=grid.P)
 
@@ -135,6 +138,8 @@ class SpectrumSeries:
 
     mode_power is the time integral of the per-mode |w_hat|^2 on grid's
     half lattice; a series built from per-shell integrals has neither.
+    bundle_lq is the space-time integral of |w|^bundle_q when the pass
+    was run with an exponent q (see integrability_from_spectrum).
     """
 
     times: np.ndarray
@@ -148,6 +153,8 @@ class SpectrumSeries:
     P: float
     grid: PeriodicGrid = None
     mode_power: np.ndarray = None
+    bundle_q: float = None
+    bundle_lq: float = None
 
     @classmethod
     def from_integrated(cls, integrated_energy, d, n, P):
@@ -178,23 +185,30 @@ def trapezoid_weights(times) -> np.ndarray:
     return w
 
 
-def time_integrated_spectrum(series: SnapshotSeries, params: FluidParams) -> SpectrumSeries:
+def time_integrated_spectrum(series: SnapshotSeries, params: FluidParams, q: float = None) -> SpectrumSeries:
     """The spectral pass: one rfftn of the weighted bundle per snapshot,
-    binned into shells and accumulated into the integrated mode power."""
+    binned into shells and accumulated into the integrated mode power.
+    With an exponent q the same bundle samples also give the space-time
+    integral of |w|^q, so the integrability norm needs no second bundle."""
     times = _require_time_series(series)
     grid = series.grid
     energy = np.empty((len(times), grid.n_shells))
     raw = np.empty_like(energy)
     mode_power = np.zeros(grid.half_shape)
-    for i, (st, w) in enumerate(zip(series, trapezoid_weights(times))):
-        energy[i], raw[i], power = _snapshot_spectrum(st, params)
-        mode_power += w * power
+    bundle_lq = None if q is None else 0.0
+    for i, (st, tw) in enumerate(zip(series, trapezoid_weights(times))):
+        w = _bundle(st, params)
+        energy[i], raw[i], power = _snapshot_spectrum(grid, w, params)
+        mode_power += tw * power
+        if q is not None:
+            bundle_lq += spacetime_lp(grid, ((tw, w),), (q,))[0]
     return SpectrumSeries(
         times=times, energy=energy, raw=raw,
         counts=_shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64),
         integrated_energy=np.trapezoid(energy, x=times, axis=0),
         integrated_raw=np.trapezoid(raw, x=times, axis=0),
         d=grid.d, n=grid.n, P=grid.P, grid=grid, mode_power=mode_power,
+        bundle_q=q, bundle_lq=bundle_lq,
     )
 
 
@@ -361,13 +375,17 @@ def spacetime_lp(grid: PeriodicGrid, rows, exponents) -> list:
     """Space-time integrals sum_i w_i int |f_i|^p dx, one per exponent p,
     over rows (w_i, f_i, g_i, ...) of a time weight and one sample per
     exponent.  A sample with a leading component axis enters by its
-    pointwise Euclidean magnitude."""
+    pointwise Euclidean magnitude; p = 2 sums the squares directly."""
     dxd = grid.dx**grid.d
     acc = [0.0] * len(exponents)
     for w, *samples in rows:
         for j, (f, p) in enumerate(zip(samples, exponents)):
-            mag = np.sqrt(np.sum(f**2, axis=0)) if f.ndim > grid.d else np.abs(f)
-            acc[j] += w * float(np.sum(mag**p)) * dxd
+            if p == 2.0:
+                total = np.sum(f * f)
+            else:
+                mag = np.sqrt(np.sum(f**2, axis=0)) if f.ndim > grid.d else np.abs(f)
+                total = np.sum(mag**p)
+            acc[j] += w * float(total) * dxd
     return acc
 
 
@@ -424,6 +442,19 @@ def snapshot_lags(lags) -> list:
     return [int(lag) for lag in lags]
 
 
+def integrable_lags(lags, count: int) -> list:
+    """snapshot_lags that each leave at least two quadrature points in
+    [0, T - lag] of a series of count snapshots."""
+    lags = snapshot_lags(lags)
+    for j in lags:
+        if j > count - 2:
+            raise ValueError(
+                f"lag {j} leaves an empty integration window ({count} snapshots); "
+                "the horizon-sized lag is not integrable"
+            )
+    return lags
+
+
 def time_modulus(series: SnapshotSeries, params: FluidParams, lags) -> ModulusTable:
     """Lag moduli int_0^{T - lag} int |f(t + lag) - f(t)|^p dx dt.
 
@@ -439,12 +470,7 @@ def time_modulus(series: SnapshotSeries, params: FluidParams, lags) -> ModulusTa
         raise ValueError("time moduli need uniform snapshot cadence")
     nt = len(times)
     lengths, dens, mom = [], [], []
-    for j in snapshot_lags(lags):
-        if j > nt - 2:
-            raise ValueError(
-                f"lag {j} leaves an empty integration window ({nt} snapshots); "
-                "the horizon-sized lag is not integrable"
-            )
+    for j in integrable_lags(lags, nt):
         sub = times[: nt - j]
         tw = trapezoid_weights(sub)
         diffs = ((w, series[i + j].rho.values - series[i].rho.values,
@@ -493,14 +519,26 @@ def high_integrability(
     sit strictly above the energy-level ones (gamma, 2, 2).
     """
     times = _require_time_series(series)
-    q1, q2, q = integrability_exponents(params.gamma, q1, q2, q)
+    q = integrability_exponents(params.gamma, q1, q2, q)[2]
+    rows = ((w, _bundle(st, params)) for st, w in zip(series, trapezoid_weights(times)))
+    return _integrability(series, params, q1, q2, q, spacetime_lp(series.grid, rows, (q,))[0])
 
-    rows = ((w, st.rho.values, st.m.values,
-             weighted_fields(st.rho, st.m, params.gamma, params.kappa, params.rho_min).values)
-            for st, w in zip(series, trapezoid_weights(times)))
-    acc_r, acc_m, acc_w = spacetime_lp(series.grid, rows, (q1, q2, q))
+
+def integrability_from_spectrum(spec: SpectrumSeries, series: SnapshotSeries, params: FluidParams,
+                                q1, q2) -> IntegrabilityReport:
+    """high_integrability with q = spec.bundle_q, taking the |w|^q integral
+    from a spectral pass run with that exponent."""
+    if spec.bundle_lq is None:
+        raise ValueError("the spectral pass ran without a bundle exponent q")
+    return _integrability(series, params, q1, q2, spec.bundle_q, spec.bundle_lq)
+
+
+def _integrability(series, params, q1, q2, q, bundle_lq) -> IntegrabilityReport:
+    q1, q2, q = integrability_exponents(params.gamma, q1, q2, q)
+    rows = ((w, st.rho.values, st.m.values) for st, w in zip(series, trapezoid_weights(series.times)))
+    acc_r, acc_m = spacetime_lp(series.grid, rows, (q1, q2))
     return IntegrabilityReport(
-        rho_norm=acc_r ** (1.0 / q1), m_norm=acc_m ** (1.0 / q2), w_norm=acc_w ** (1.0 / q),
+        rho_norm=acc_r ** (1.0 / q1), m_norm=acc_m ** (1.0 / q2), w_norm=bundle_lq ** (1.0 / q),
         q1=q1, q2=q2, q=q,
     )
 
@@ -544,19 +582,16 @@ class TestFunction:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "grad", grad)
 
-    def bump(self, t: float) -> float:
-        y = 1.0 - t / self.T0
-        if y <= 0.0:
-            return 0.0
-        if y >= 1.0:
-            return 1.0
-        return float(np.polyval(_SMOOTH, y))
+    def bump(self, t):
+        """b(t) at a time or an array of times."""
+        y = 1.0 - np.asarray(t, dtype=np.float64) / self.T0
+        return np.where(y <= 0.0, 0.0, np.where(y >= 1.0, 1.0, np.polyval(_SMOOTH, y)))
 
-    def bump_dt(self, t: float) -> float:
-        y = 1.0 - t / self.T0
-        if y <= 0.0 or y >= 1.0:
-            return 0.0
-        return float(np.polyval(_SMOOTH_D, y)) * (-1.0 / self.T0)
+    def bump_dt(self, t):
+        """b'(t) at a time or an array of times."""
+        y = 1.0 - np.asarray(t, dtype=np.float64) / self.T0
+        inside = (y > 0.0) & (y < 1.0)
+        return np.where(inside, np.polyval(_SMOOTH_D, y) * (-1.0 / self.T0), 0.0)
 
 
 def default_test_functions(grid: PeriodicGrid, T: float, vector: bool = False):
@@ -687,12 +722,35 @@ class WeakResiduals:
         return _max_rel([r.euler_residual for r in self.momentum], [r.roundoff_scale for r in self.momentum])
 
 
-def _record(rows, i, terms):
-    """Snapshot i of one test function: each (factor, field) term's
-    factor * sum(field), then the terms' gross mass sum |factor * field|."""
-    for k, (factor, values) in enumerate(terms):
-        rows[k, i] = factor * float(np.sum(values))
-    rows[len(terms), i] = sum(abs(f) * float(np.sum(np.abs(v))) for f, v in terms)
+def _stack(parts, shape: tuple) -> np.ndarray:
+    """Per-function arrays as one C-ordered (functions,) + shape array."""
+    return np.array(parts, dtype=np.float64).reshape((len(parts),) + shape)
+
+
+def _record(rows, gross, i, k, factor, products):
+    """Term k of every stacked function at snapshot i: factor times the sum
+    of each function's products, and |factor| times the sum of their
+    magnitudes added to its gross mass.  products are made absolute."""
+    flat = products.reshape(len(products), -1)
+    rows[:, k, i] = factor * np.sum(flat, axis=-1)
+    gross[:, i] += np.abs(factor) * np.sum(np.abs(flat, out=flat), axis=-1)
+
+
+def _bumps(fns, times) -> tuple:
+    """b and b' of every function at every time, (functions, times) each."""
+    shape = (len(fns), len(times))
+    return (np.array([phi.bump(times) for phi in fns]).reshape(shape),
+            np.array([phi.bump_dt(times) for phi in fns]).reshape(shape))
+
+
+def _sym_grad(grid: PeriodicGrid, u: np.ndarray, pairs) -> tuple:
+    """d_b u_a + d_a u_b for the pairs a <= b, flattened per pair (one
+    rfftn, one batched irfftn), and the box integral of |grad u|^2 by
+    Parseval, with the derivatives' Nyquist modes zeroed as in ik_half."""
+    u_h = grid.rfft(u.reshape((grid.d,) + grid.shape))
+    sym_h = np.array([grid.ik_half[b] * u_h[a] + grid.ik_half[a] * u_h[b] for a, b in pairs])
+    ik2 = sum(np.abs(ik) ** 2 for ik in grid.ik_half)
+    return grid.irfft(sym_h).reshape(len(pairs), -1), grid.parseval(ik2 * (u_h.real**2 + u_h.imag**2))
 
 
 def _weak_totals(times, terms, gross, data_values, dxd):
@@ -709,12 +767,13 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     """The weak-form pass: mass residuals of the scalar test functions and
     momentum residuals of the vector ones, in one sweep of the series.
 
-    Per snapshot, u = m / max(rho, rho_min), grad u (one rfftn, one batched
-    irfftn), Sigma, p and rho f are built once and contracted with every
-    test function's spatial part, scaled by its bump b(t) or b'(t).  The
-    mass data term uses the first snapshot's rho, the momentum one m0
-    (default the first snapshot's m); params may be None when there are
-    no vector test functions.
+    Per snapshot, u = m / max(rho, rho_min), the symmetric part of grad u
+    (one rfftn, one batched irfftn), m (x) m / rho, p and rho f are built
+    once.  Each term's products with every test function's spatial part
+    form one stacked array, summed per function and scaled by its bump
+    b(t) or b'(t).  The mass data term uses the first snapshot's rho, the
+    momentum one m0 (default the first snapshot's m); params may be None
+    when there are no vector test functions.
     """
     times = _require_time_series(series)
     grid = series.grid
@@ -725,52 +784,70 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
         raise ValueError("mass residual takes a scalar test function")
     if any(phi.components != d for phi in vectors):
         raise ValueError(f"momentum residual takes a {d}-component test function")
-    div_grads = [np.einsum("aa...->...", phi.grad) for phi in vectors]
-    force = params.forcing.spatial(grid) if vectors and params.forcing.active else None
-    # per function and snapshot: mass (dt, flux, gross); momentum (dt, flux,
-    # press, force, visc, gross, b^2)
-    mass_rows = np.zeros((len(scalars), 3, len(times)))
-    mom_rows = np.zeros((len(vectors), 7, len(times)))
-    grad_u_sq, div_u_sq = np.zeros(len(times)), np.zeros(len(times))
+    size, nt, ns, nv = grid.n**d, len(times), len(scalars), len(vectors)
+    s_space = _stack([phi.space for phi in scalars], (size,))
+    s_grad = _stack([phi.grad[0] for phi in scalars], (d, size))
+    s_b, s_bdt = _bumps(scalars, times)
+    v_space = _stack([phi.space for phi in vectors], (d, size))
+    v_div = _stack([np.einsum("aa...->...", phi.grad) for phi in vectors], (size,))
+    v_b, v_bdt = _bumps(vectors, times)
+    # m (x) m / rho and Sigma are symmetric, so both contract with grad phi
+    # through the pairs a <= b: with sym_aa = d_a phi_a and
+    # sym_ab = d_b phi_a + d_a phi_b, Q : grad phi = sum_pairs Q_ab sym_ab
+    # and Sigma : grad phi = mu sum_pairs (d_b u_a + d_a u_b) sym_ab
+    # + lam div u div phi.
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    v_sym = _stack([[phi.grad[a, b] + phi.grad[b, a] if a != b else phi.grad[a, a] for phi in vectors]
+                    for a, b in pairs], (nv, size))
+    force = params.forcing.spatial(grid).reshape(d, size) if vectors and params.forcing.active else None
+    # per function and snapshot: mass (dt, flux), momentum (dt, flux, press,
+    # force, visc), each with its gross mass
+    mass_rows, mass_gross = np.zeros((ns, 2, nt)), np.zeros((ns, nt))
+    mom_rows, mom_gross = np.zeros((nv, 5, nt)), np.zeros((nv, nt))
+    grad_u_sq, div_u_sq = np.zeros(nt), np.zeros(nt)
+    # One term's products with every function at a time, in one buffer for
+    # all snapshots: a fresh stacked product per term costs more than the
+    # term (at 3D 32^3 it is megabytes).
+    products = np.empty((max(ns, nv), d, size))
     for i, st in enumerate(series):
-        rho, m = st.rho.values, st.m.values
-        for phi, rows in zip(scalars, mass_rows):
-            _record(rows, i, [(phi.bump_dt(st.t), rho * phi.space[0]),
-                              (phi.bump(st.t), np.einsum("a...,a...->...", m, phi.grad[0]))])
+        # C-ordered flat samples (a copy of a Fortran-ordered stored snapshot)
+        rho, m = st.rho.values.reshape(size), st.m.values.reshape(d, size)
+        if scalars:
+            scalar_products = products[:ns, 0]
+            np.multiply(rho, s_space, out=scalar_products)
+            _record(mass_rows, mass_gross, i, 0, s_bdt[:, i], scalar_products)
+            np.einsum("kn,fkn->fn", m, s_grad, out=scalar_products)
+            _record(mass_rows, mass_gross, i, 1, s_b[:, i], scalar_products)
         if not vectors:
             continue
         u = params.velocity(rho, m)
-        quot = m[:, None] * u[None, :]  # m (x) m / rho
-        p = params.pressure(rho)
-        u_h = grid.rfft(u)
-        grad_h = np.empty((d, d) + grid.half_shape, dtype=np.complex128)
-        for axis in range(d):
-            np.multiply(grid.ik_half[axis], u_h, out=grad_h[:, axis])
-        grad_u = grid.irfft(grad_h)
-        div_u = np.einsum("aa...->...", grad_u)
-        stress = params.mu * (grad_u + np.swapaxes(grad_u, 0, 1))
-        for axis in range(d):
-            stress[axis, axis] += params.lam * div_u
-        grad_u_sq[i], div_u_sq[i] = float(np.sum(grad_u**2)), float(np.sum(div_u**2))
-        rho_f = None if force is None else rho * force * params.forcing.envelope_at(st.t)
-        for phi, div_g, rows in zip(vectors, div_grads, mom_rows):
-            b = phi.bump(st.t)
-            _record(rows, i, [
-                (phi.bump_dt(st.t), m * phi.space),
-                (b, np.einsum("ab...,ab...->...", quot, phi.grad)),
-                (b, p * div_g),
-                (b, 0.0 if rho_f is None else rho_f * phi.space),
-                (b, np.einsum("ab...,ab...->...", stress, phi.grad)),
-            ])
-            rows[6, i] = b * b
+        sym_u, grad_u_sq[i] = _sym_grad(grid, u, pairs)
+        div_u = 0.5 * sum(sym_u[k] for k, (a, b) in enumerate(pairs) if a == b)
+        div_u_sq[i] = np.dot(div_u, div_u)
+        b, comp, contracted = v_b[:, i], products[:nv], products[:nv, 0]
+        np.multiply(m, v_space, out=comp)
+        _record(mom_rows, mom_gross, i, 0, v_bdt[:, i], comp)
+        np.einsum("kn,kfn->fn", np.array([m[a] * u[b] for a, b in pairs]), v_sym, out=contracted)
+        _record(mom_rows, mom_gross, i, 1, b, contracted)
+        np.multiply(params.pressure(rho), v_div, out=contracted)
+        _record(mom_rows, mom_gross, i, 2, b, contracted)
+        if force is not None:
+            np.multiply(v_space, force, out=comp)
+            comp *= rho * params.forcing.envelope_at(st.t)
+            _record(mom_rows, mom_gross, i, 3, b, comp)
+        np.einsum("kn,kfn->fn", sym_u, v_sym, out=contracted)
+        contracted *= params.mu
+        contracted += params.lam * div_u * v_div
+        _record(mom_rows, mom_gross, i, 4, b, contracted)
 
     dxd = grid.dx**d
-    for arr in (mass_rows, mom_rows, grad_u_sq, div_u_sq):
+    b_sq = v_b**2 * dxd
+    for arr in (mass_rows, mass_gross, mom_rows, mom_gross, div_u_sq):  # grad_u_sq is a box integral
         arr *= dxd
     rho0 = series[0].rho.values
     mass = [
-        _weak_totals(times, rows[:2], rows[2], rho0 * (phi.bump(0.0) * phi.space)[0], dxd)
-        for phi, rows in zip(scalars, mass_rows)
+        _weak_totals(times, rows, gross, rho0 * (phi.bump(0.0) * phi.space)[0], dxd)
+        for phi, rows, gross in zip(scalars, mass_rows, mass_gross)
     ]
 
     def l2(g):
@@ -778,12 +855,12 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
 
     m0 = series[0].m if m0 is None else m0
     momentum = []
-    for phi, div_g, rows in zip(vectors, div_grads, mom_rows):
+    for phi, div_g, rows, gross, bf_sq in zip(vectors, v_div, mom_rows, mom_gross, b_sq):
         data_values = m0.values * (phi.bump(0.0) * phi.space)
-        euler, scale, roundoff = _weak_totals(times, rows[:4], rows[5], data_values, dxd)
+        euler, scale, roundoff = _weak_totals(times, rows[:4], gross, data_values, dxd)
         visc = float(np.trapezoid(rows[4], x=times))
-        bound = (2.0 * params.mu * l2(grad_u_sq) * l2(float(np.sum(phi.grad**2)) * rows[6])
-                 + abs(params.lam) * l2(div_u_sq) * l2(float(np.sum(div_g**2)) * rows[6]))
+        bound = (2.0 * params.mu * l2(grad_u_sq) * l2(float(np.sum(phi.grad**2)) * bf_sq)
+                 + abs(params.lam) * l2(div_u_sq) * l2(float(np.sum(div_g**2)) * bf_sq))
         momentum.append(MomentumResidual(
             euler_residual=euler,
             viscous_term=visc,

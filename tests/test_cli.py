@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import baroflow.cli
+import baroflow.diagnostics
 import baroflow.sweep
 from baroflow.cli import cli_main
 
@@ -242,6 +243,36 @@ class TestDiagnose:
         assert code == 2
         assert "q1 must exceed gamma" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
+
+    def test_lag_beyond_the_series_exits_two_before_output(self, tmp_path, capsys):
+        # 4 snapshots leave no integration window for the default lag 4
+        cfg = tmp_path / "short.ini"
+        cfg.write_text(
+            "[grid]\nd = 1\nn = 16\n[initial]\npreset = acoustic-pulse\namplitude = 0.1\n"
+            "[run]\nhorizon = 0.05\nsnapshots = 3\n[output]\nprefix = short\n"
+        )
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        report = tmp_path / "report"
+        code = cli_main(["diagnose", "--dir", str(tmp_path / "run"), "--prefix", "short",
+                         "--config", str(cfg), "--out", str(report)])
+        assert code == 2
+        assert "lag 4 leaves an empty integration window" in capsys.readouterr().err
+        assert not report.exists() or not any(report.iterdir())
+        assert cli_main(["diagnose", "--dir", str(tmp_path / "run"), "--prefix", "short",
+                         "--config", str(cfg), "--out", str(report), "--spectrum"]) == 0
+
+    def test_one_weighted_bundle_per_snapshot(self, sim_dir, tmp_path, monkeypatch):
+        calls = []
+        real = baroflow.diagnostics.weighted_fields
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baroflow.diagnostics, "weighted_fields", counting)
+        assert cli_main(["diagnose", "--dir", str(sim_dir), "--prefix", "demo",
+                         "--out", str(tmp_path)]) == 0
+        assert len(calls) == 25
 
 
 class TestSweep:

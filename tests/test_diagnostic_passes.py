@@ -19,6 +19,7 @@ from baroflow.diagnostics import (
     ckhw_statistic,
     default_test_functions,
     fractional_sobolev_norm,
+    high_integrability,
     shell_spectrum,
     sobolev_norm_from_spectrum,
     time_integrated_spectrum,
@@ -28,10 +29,12 @@ from baroflow.diagnostics import (
     _trapezoid_refinement_gap,
 )
 from baroflow.fields import dft_forward, make_grid, weighted_fields
+from baroflow.snapshots import read_series, write_series
 from baroflow.solver import FluidParams, ForcingSpec, preset_ic, run
 
 TWO_PI = 2.0 * np.pi
 REL = 1e-12
+STORED_REL = 1e-13
 
 
 # ------------------------------------------------------------ references
@@ -302,3 +305,35 @@ class TestWeakFormPass:
         )
         ns = max(abs(r.ns_residual) for r in weak.momentum)
         assert weak.ns_max_rel == ns / max(r.roundoff_scale for r in weak.momentum)
+
+
+class TestStoredSeries:
+    """diagnose reads Fortran-ordered snapshots; the passes mix them with
+    C-ordered test functions and must agree with the in-memory series."""
+
+    def test_passes_match_the_in_memory_series(self, case, tmp_path):
+        series, params = case
+        write_series(tmp_path, "s", series, params)
+        stored, _ = read_series(tmp_path, "s")
+        if series.grid.d > 1:
+            assert not stored[0].rho.values.flags.c_contiguous
+        T = float(series.times[-1])
+        scalars = default_test_functions(series.grid, T)
+        vectors = default_test_functions(series.grid, T, vector=True)
+        got, want = (weak_residuals(s, params, scalars, vectors) for s in (stored, series))
+        for (r, s, g), (r_want, s_want, g_want) in zip(got.mass, want.mass):
+            assert abs(r - r_want) <= STORED_REL * g_want
+            assert math.isclose(s, s_want, rel_tol=STORED_REL)
+            assert math.isclose(g, g_want, rel_tol=STORED_REL)
+        for mr, mr_want in zip(got.momentum, want.momentum):
+            gross = mr_want.roundoff_scale
+            for name in ("euler_residual", "viscous_term", "ns_residual", "quadrature_uncertainty"):
+                assert abs(getattr(mr, name) - getattr(mr_want, name)) <= STORED_REL * gross, name
+            for name in ("viscous_bound", "quadrature_scale", "roundoff_scale"):
+                assert math.isclose(getattr(mr, name), getattr(mr_want, name), rel_tol=STORED_REL), name
+        rep, rep_want = (high_integrability(s, params) for s in (stored, series))
+        for name in ("rho_norm", "m_norm", "w_norm"):
+            assert math.isclose(getattr(rep, name), getattr(rep_want, name), rel_tol=STORED_REL), name
+        spec, spec_want = (time_integrated_spectrum(s, params) for s in (stored, series))
+        for name in ("energy", "raw", "integrated_energy", "integrated_raw", "mode_power"):
+            assert _close(getattr(spec, name), getattr(spec_want, name), STORED_REL), name

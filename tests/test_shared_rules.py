@@ -137,6 +137,18 @@ def test_kernel_matches_difference_moduli(sweep):
         assert _rel(gm, want_m) <= KERNEL_REL
 
 
+def test_l2_kernel_equals_the_magnitude_form(sweep):
+    series = sweep.entries[0].result.series
+    grid = series.grid
+    dxd = grid.dx**grid.d
+    rows = [(w, st.rho.values, st.m.values) for st, w in zip(series, trapezoid_weights(series.times))]
+    got_r, got_m = spacetime_lp(grid, rows, (2.0, 2.0))
+    want_r = sum(w * float(np.sum(np.abs(r) ** 2.0)) * dxd for w, r, _ in rows)
+    want_m = sum(w * float(np.sum(np.sqrt(np.sum(m**2, axis=0)) ** 2.0)) * dxd for w, _, m in rows)
+    assert _rel(got_r, want_r) <= KERNEL_REL
+    assert _rel(got_m, want_m) <= KERNEL_REL
+
+
 def test_moduli_tables_match_reference(sweep):
     series, params = sweep.entries[0].result.series, sweep.entries[0].params
     grid = series.grid
