@@ -180,7 +180,7 @@ def _cmd_diagnose(args) -> int:
     if do_all or args.spectrum or args.ckhw or args.sobolev:
         # the integrability norm of w reuses the spectral pass's bundle samples
         q1, q2, q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)
-        spec = dg.time_integrated_spectrum(series, params, q if do_all or args.sobolev else None)
+        spec = dg.time_integrated_spectrum(series, params, q)
 
     if do_all or args.spectrum:
         k_phys = 2.0 * math.pi / spec.P

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -518,10 +519,8 @@ def high_integrability(
     Defaults: q1 = 1.2*gamma, q2 = 2.5, q = q2.  The exponents must
     sit strictly above the energy-level ones (gamma, 2, 2).
     """
-    times = _require_time_series(series)
     q = integrability_exponents(params.gamma, q1, q2, q)[2]
-    rows = ((w, _bundle(st, params)) for st, w in zip(series, trapezoid_weights(times)))
-    return _integrability(series, params, q1, q2, q, spacetime_lp(series.grid, rows, (q,))[0])
+    return integrability_from_spectrum(time_integrated_spectrum(series, params, q), series, params, q1, q2)
 
 
 def integrability_from_spectrum(spec: SpectrumSeries, series: SnapshotSeries, params: FluidParams,
@@ -530,15 +529,11 @@ def integrability_from_spectrum(spec: SpectrumSeries, series: SnapshotSeries, pa
     from a spectral pass run with that exponent."""
     if spec.bundle_lq is None:
         raise ValueError("the spectral pass ran without a bundle exponent q")
-    return _integrability(series, params, q1, q2, spec.bundle_q, spec.bundle_lq)
-
-
-def _integrability(series, params, q1, q2, q, bundle_lq) -> IntegrabilityReport:
-    q1, q2, q = integrability_exponents(params.gamma, q1, q2, q)
+    q1, q2, q = integrability_exponents(params.gamma, q1, q2, spec.bundle_q)
     rows = ((w, st.rho.values, st.m.values) for st, w in zip(series, trapezoid_weights(series.times)))
     acc_r, acc_m = spacetime_lp(series.grid, rows, (q1, q2))
     return IntegrabilityReport(
-        rho_norm=acc_r ** (1.0 / q1), m_norm=acc_m ** (1.0 / q2), w_norm=bundle_lq ** (1.0 / q),
+        rho_norm=acc_r ** (1.0 / q1), m_norm=acc_m ** (1.0 / q2), w_norm=spec.bundle_lq ** (1.0 / q),
         q1=q1, q2=q2, q=q,
     )
 
@@ -559,7 +554,8 @@ class TestFunction:
     amplitude per component, so components > 1 gives a vector function.
     space holds the trig sum, shape (components,) + grid.shape, and grad
     its analytic spatial derivatives, shape (components, d) + grid.shape;
-    phi(t) = bump(t) * space.
+    phi(t) = bump(t) * space.  Both are sampled on first use and kept;
+    weak_residuals samples its own stacks and leaves them unsampled.
     """
 
     # not a test case, despite the name pytest sees on import
@@ -575,12 +571,22 @@ class TestFunction:
             raise ValueError(f"support end T0 must be positive, got {self.T0}")
         if self.components < 1:
             raise ValueError("components must be at least 1")
-        object.__setattr__(self, "terms", trig_terms(self.terms))
+        object.__setattr__(self, "terms", trig_terms(self.terms, self.components, self.grid.d))
+
+    @cached_property
+    def _samples(self) -> tuple:
         space, grad = self.grid.trig_sum(self.terms, self.components)
         space.setflags(write=False)
         grad.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "grad", grad)
+        return space, grad
+
+    @property
+    def space(self) -> np.ndarray:
+        return self._samples[0]
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._samples[1]
 
     def bump(self, t):
         """b(t) at a time or an array of times."""
@@ -722,11 +728,6 @@ class WeakResiduals:
         return _max_rel([r.euler_residual for r in self.momentum], [r.roundoff_scale for r in self.momentum])
 
 
-def _stack(parts, shape: tuple) -> np.ndarray:
-    """Per-function arrays as one C-ordered (functions,) + shape array."""
-    return np.array(parts, dtype=np.float64).reshape((len(parts),) + shape)
-
-
 def _record(rows, gross, i, k, factor, products):
     """Term k of every stacked function at snapshot i: factor times the sum
     of each function's products, and |factor| times the sum of their
@@ -785,20 +786,28 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     if any(phi.components != d for phi in vectors):
         raise ValueError(f"momentum residual takes a {d}-component test function")
     size, nt, ns, nv = grid.n**d, len(times), len(scalars), len(vectors)
-    s_space = _stack([phi.space for phi in scalars], (size,))
-    s_grad = _stack([phi.grad[0] for phi in scalars], (d, size))
-    s_b, s_bdt = _bumps(scalars, times)
-    v_space = _stack([phi.space for phi in vectors], (d, size))
-    v_div = _stack([np.einsum("aa...->...", phi.grad) for phi in vectors], (size,))
-    v_b, v_bdt = _bumps(vectors, times)
     # m (x) m / rho and Sigma are symmetric, so both contract with grad phi
     # through the pairs a <= b: with sym_aa = d_a phi_a and
     # sym_ab = d_b phi_a + d_a phi_b, Q : grad phi = sum_pairs Q_ab sym_ab
     # and Sigma : grad phi = mu sum_pairs (d_b u_a + d_a u_b) sym_ab
     # + lam div u div phi.
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
-    v_sym = _stack([[phi.grad[a, b] + phi.grad[b, a] if a != b else phi.grad[a, a] for phi in vectors]
-                    for a, b in pairs], (nv, size))
+    # Each function is sampled straight into its family's C-ordered stacks,
+    # one function's samples alive at a time.
+    s_space, s_grad = np.empty((ns, size)), np.empty((ns, d, size))
+    for f, phi in enumerate(scalars):
+        space, grad = grid.trig_sum(phi.terms, 1)
+        s_space[f], s_grad[f] = space.reshape(size), grad.reshape(d, size)
+    v_space, v_div, v_sym = np.empty((nv, d, size)), np.empty((nv, size)), np.empty((len(pairs), nv, size))
+    v_grad_sq = np.empty(nv)
+    for f, phi in enumerate(vectors):
+        space, grad = grid.trig_sum(phi.terms, d)
+        grad = grad.reshape(d, d, size)
+        v_space[f], v_div[f], v_grad_sq[f] = space.reshape(d, size), np.einsum("aan->n", grad), np.sum(grad**2)
+        for k, (a, b) in enumerate(pairs):
+            v_sym[k, f] = grad[a, b] + grad[b, a] if a != b else grad[a, a]
+    s_b, s_bdt = _bumps(scalars, times)
+    v_b, v_bdt = _bumps(vectors, times)
     force = params.forcing.spatial(grid).reshape(d, size) if vectors and params.forcing.active else None
     # per function and snapshot: mass (dt, flux), momentum (dt, flux, press,
     # force, visc), each with its gross mass
@@ -844,22 +853,22 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     b_sq = v_b**2 * dxd
     for arr in (mass_rows, mass_gross, mom_rows, mom_gross, div_u_sq):  # grad_u_sq is a box integral
         arr *= dxd
-    rho0 = series[0].rho.values
+    rho0 = series[0].rho.values.reshape(size)
     mass = [
-        _weak_totals(times, rows, gross, rho0 * (phi.bump(0.0) * phi.space)[0], dxd)
-        for phi, rows, gross in zip(scalars, mass_rows, mass_gross)
+        _weak_totals(times, rows, gross, rho0 * (phi.bump(0.0) * space), dxd)
+        for phi, space, rows, gross in zip(scalars, s_space, mass_rows, mass_gross)
     ]
 
     def l2(g):
         return math.sqrt(max(float(np.trapezoid(g, x=times)), 0.0))
 
-    m0 = series[0].m if m0 is None else m0
+    m0 = (series[0].m if m0 is None else m0).values.reshape(d, size)
     momentum = []
-    for phi, div_g, rows, gross, bf_sq in zip(vectors, v_div, mom_rows, mom_gross, b_sq):
-        data_values = m0.values * (phi.bump(0.0) * phi.space)
-        euler, scale, roundoff = _weak_totals(times, rows[:4], gross, data_values, dxd)
+    for phi, space, div_g, grad_sq, rows, gross, bf_sq in zip(vectors, v_space, v_div, v_grad_sq,
+                                                             mom_rows, mom_gross, b_sq):
+        euler, scale, roundoff = _weak_totals(times, rows[:4], gross, m0 * (phi.bump(0.0) * space), dxd)
         visc = float(np.trapezoid(rows[4], x=times))
-        bound = (2.0 * params.mu * l2(grad_u_sq) * l2(float(np.sum(phi.grad**2)) * bf_sq)
+        bound = (2.0 * params.mu * l2(grad_u_sq) * l2(float(grad_sq) * bf_sq)
                  + abs(params.lam) * l2(div_u_sq) * l2(float(np.sum(div_g**2)) * bf_sq))
         momentum.append(MomentumResidual(
             euler_residual=euler,

@@ -181,9 +181,7 @@ class PeriodicGrid:
         coords = self.axes_coordinates()
         space = np.zeros((components,) + self.shape)
         grad = np.zeros((components, self.d) + self.shape)
-        for amps, mode_vec, phase in terms:
-            if len(amps) != components or len(mode_vec) != self.d:
-                raise ValueError(f"term shape does not match {components} components on a {self.d}-D grid")
+        for amps, mode_vec, phase in trig_terms(terms, components, self.d):
             kvec = [2.0 * np.pi / self.P * v for v in mode_vec]
             arg = np.full(self.shape, phase)
             for axis in range(self.d):
@@ -244,13 +242,17 @@ class PeriodicGrid:
         return total * self.dx**self.d / float(self.n**self.d)
 
 
-def trig_terms(terms) -> tuple:
+def trig_terms(terms, components: int = None, d: int = None) -> tuple:
     """(amps, mode, phase) terms as (float tuple, int tuple, float), the
-    form PeriodicGrid.trig_sum samples."""
-    return tuple(
+    form PeriodicGrid.trig_sum samples; given components and d, each
+    term must carry that many amplitudes and mode entries."""
+    terms = tuple(
         (tuple(float(a) for a in amps), tuple(int(v) for v in mode_vec), float(phase))
         for amps, mode_vec, phase in terms
     )
+    if components is not None and any(len(a) != components or len(k) != d for a, k, _ in terms):
+        raise ValueError(f"term shape does not match {components} components on a {d}-D grid")
+    return terms
 
 
 def make_grid(d: int, n: int, P: float) -> PeriodicGrid:

@@ -12,6 +12,8 @@ import baroflow.cli
 import baroflow.diagnostics
 import baroflow.sweep
 from baroflow.cli import cli_main
+from baroflow.snapshots import read_series
+from baroflow.solver import FluidParams
 
 SIM_CONFIG = """
 [grid]
@@ -273,6 +275,17 @@ class TestDiagnose:
         assert cli_main(["diagnose", "--dir", str(sim_dir), "--prefix", "demo",
                          "--out", str(tmp_path)]) == 0
         assert len(calls) == 25
+
+    def test_integrability_matches_the_standalone_norms(self, sim_dir, tmp_path):
+        assert cli_main(["diagnose", "--dir", str(sim_dir), "--prefix", "demo",
+                         "--out", str(tmp_path), "--sobolev"]) == 0
+        got = json.loads((tmp_path / "diagnostics.json").read_text())["integrability"]
+        series, metas = read_series(sim_dir, "demo")
+        meta = metas[0]
+        params = FluidParams(gamma=meta.gamma, kappa=meta.kappa, mu=meta.mu, lam=meta.lam)
+        rep = baroflow.diagnostics.high_integrability(series, params)
+        for name in ("rho_norm", "m_norm", "w_norm", "q"):
+            assert got[name] == getattr(rep, name), name
 
 
 class TestSweep:

@@ -306,6 +306,16 @@ class TestWeakFormPass:
         ns = max(abs(r.ns_residual) for r in weak.momentum)
         assert weak.ns_max_rel == ns / max(r.roundoff_scale for r in weak.momentum)
 
+    def test_the_pass_leaves_test_functions_unsampled(self, case):
+        # the pass samples into its own stacks, so the caller's test set
+        # holds no sampled fields beside them
+        series, params = case
+        T = float(series.times[-1])
+        scalars = default_test_functions(series.grid, T)
+        vectors = default_test_functions(series.grid, T, vector=True)
+        weak_residuals(series, params, scalars, vectors)
+        assert not any("_samples" in vars(phi) for phi in scalars + vectors)
+
 
 class TestStoredSeries:
     """diagnose reads Fortran-ordered snapshots; the passes mix them with
