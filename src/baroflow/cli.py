@@ -13,6 +13,7 @@ output byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from . import diagnostics as dg
 from .config import ExperimentConfig
 from .fields import Field, dft_forward, make_grid
 from .snapshots import SnapshotFormatError, read_series, read_snapshot, write_series, write_snapshot
-from .solver import BlowUpError, FluidParams, preset_ic, run
+from .solver import BlowUpError, FluidParams, preset_ic, run, total_energy
 from .sweep import (
     cauchy_distances,
     convergence_rate,
@@ -92,6 +93,10 @@ def _energy_summary(report) -> dict:
     }
 
 
+def _admissibility(adm) -> dict:
+    return {"max_residual": adm.max_residual, "tol": adm.tol, "admissible": adm.admissible}
+
+
 def _load_config(path) -> ExperimentConfig:
     """Read an experiment file, treating a missing path as a usage
     error (exit 2) rather than a runtime failure like missing data."""
@@ -109,7 +114,7 @@ def _cmd_simulate(args) -> int:
     initial = cfg.initial_state(grid, params)
     result = run(initial, params, T=cfg.run.horizon, snapshots=cfg.run.snapshots, cfl=cfg.run.cfl)
     rep = result.report
-    adm = dg.energy_admissibility(result.series, params, work=rep.W)
+    adm = dg.energy_admissibility(rep.t, rep.E, rep.W)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "ledger.csv", _LEDGER_HEADER, _ledger_rows(rep))
     written = []
@@ -125,11 +130,7 @@ def _cmd_simulate(args) -> int:
         "snapshot_files": written,
         "times": rep.t,
         "energy": {**_energy_summary(rep), "estimate_constant": rep.M_T},
-        "admissibility": {
-            "max_residual": adm.max_residual,
-            "tol": adm.tol,
-            "admissible": adm.admissible,
-        },
+        "admissibility": _admissibility(adm),
     }
     _write_json(out / "summary.json", summary)
     print(f"simulate: {len(result.series)} snapshots at dt = {result.dt:.6g}")
@@ -218,12 +219,7 @@ def _cmd_diagnose(args) -> int:
             "alpha": dcfg.sobolev_alpha,
             "norm": dg.sobolev_norm_from_spectrum(spec, dcfg.sobolev_alpha),
         }
-        integ = dg.integrability_from_spectrum(spec, series, params, q1, q2)
-        report["integrability"] = {
-            "rho_norm": integ.rho_norm, "q1": integ.q1,
-            "m_norm": integ.m_norm, "q2": integ.q2,
-            "w_norm": integ.w_norm, "q": integ.q,
-        }
+        report["integrability"] = dataclasses.asdict(dg.integrability_from_spectrum(spec, series, params, q1, q2))
 
     if do_all or args.moduli:
         sm = dg.space_modulus(series, params, dcfg.moduli_shifts)
@@ -258,19 +254,14 @@ def _cmd_diagnose(args) -> int:
             ["equation", "index", "residual", "scale", "gross", "euler", "viscous", "bound"],
             rows,
         )
-        adm = dg.energy_admissibility(series, params)
+        adm = dg.energy_admissibility(series.times, [total_energy(st, params) for st in series])
         rq = dg.reynolds_quotient(series[-1], dcfg.theta)
         report["residuals"] = {
             "mass_max_rel": weak.mass_max_rel,
             "ns_max_rel": weak.ns_max_rel,
             "csv": "residuals.csv",
         }
-        report["admissibility"] = {
-            "max_residual": adm.max_residual,
-            "tol": adm.tol,
-            "admissible": adm.admissible,
-            "work_assumed_zero": True,
-        }
+        report["admissibility"] = {**_admissibility(adm), "work_assumed_zero": True}
         np.save(out / "reynolds_trace.npy", rq.V)
         report["reynolds"] = {
             "trace_file": "reynolds_trace.npy",
@@ -322,13 +313,7 @@ def _cmd_sweep(args) -> int:
         small = viscous_smallness(sweep)
         limit = limit_candidate_check(sweep, theta=cfg.diagnostics.theta)
         ref_mus = [pair[0] for pair in ref.mu_pairs]
-        summary["cauchy"] = {
-            "mu_pairs": list(cauchy.mu_pairs),
-            "rho_distances": cauchy.rho_distances,
-            "m_distances": cauchy.m_distances,
-            "p1": cauchy.p1,
-            "p2": cauchy.p2,
-        }
+        summary["cauchy"] = dataclasses.asdict(cauchy)
         summary["reference"] = {
             "mu_pairs": list(ref.mu_pairs),
             "rho_distances": ref.rho_distances,
@@ -341,13 +326,7 @@ def _cmd_sweep(args) -> int:
             ),
         }
         summary["smallness"] = {
-            "rows": [
-                {
-                    "mu": r.mu, "grad_u_l2": r.grad_u_l2, "mu_grad": r.mu_grad,
-                    "sqrt_mu_grad": r.sqrt_mu_grad, "dissipation": r.dissipation,
-                }
-                for r in small.rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in small.rows],
             "mu_grad_decreasing": small.mu_grad_decreasing,
             "energy_bounded": small.energy_bounded,
         }
@@ -497,7 +476,7 @@ def _check_energy_ledger():
     bound = 1e-8 * max(rep.E0, 1.0)
     if abs(float(rep.R[-1])) > bound:
         raise AssertionError(f"ledger residual {rep.R[-1]} exceeds {bound}")
-    adm = dg.energy_admissibility(result.series, params, work=rep.W)
+    adm = dg.energy_admissibility(rep.t, rep.E, rep.W)
     if not adm.admissible:
         raise AssertionError(f"viscous run flagged inadmissible ({adm.max_residual})")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import math
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -233,21 +232,18 @@ class ExperimentConfig:
         return cls.parse(Path(path).read_text())
 
     def validate(self):
-        """The grid, fluid, forcing, sweep and [diagnostics] rules are those
-        of PeriodicGrid, FluidParams, ForcingSpec, plan_sweep/SweepPlan and
-        the diagnostics that take each value."""
+        """The grid (forcing modes too), fluid, forcing, run-window, sweep and
+        [diagnostics] rules are those of PeriodicGrid, FluidParams, ForcingSpec,
+        plan_sweep/SweepPlan (solver.run_window) and the diagnostics that take each value."""
         grid = self.make_grid()
-        gamma = self.fluid_params().gamma
-        if not (self.run.horizon > 0.0 and math.isfinite(self.run.horizon)):
-            raise ValueError(f"run horizon must be positive, got {self.run.horizon}")
-        if self.run.snapshots < 1:
-            raise ValueError(f"snapshots must be at least 1, got {self.run.snapshots}")
+        params = self.fluid_params()
+        grid.dealiased_terms(params.forcing.terms)
         self.sweep_plan()
         dc = self.diagnostics
         dg.fit_window(grid.n, dc.window_lo, dc.window_hi)
         dg.ckhw_k_star(grid.n, dc.ckhw_beta, dc.ckhw_k_star)
         dg.sobolev_order(dc.sobolev_alpha)
-        dg.integrability_exponents(gamma, dc.q1, dc.q2, dc.q)
+        dg.integrability_exponents(params.gamma, dc.q1, dc.q2, dc.q)
         dg.snapshot_lags(dc.moduli_lags)
         dg.vacuum_threshold(dc.theta)
 

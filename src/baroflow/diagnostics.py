@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
 from .fields import Field, PeriodicGrid, trig_terms, weighted_fields
-from .solver import FluidParams, SnapshotSeries, State, total_energy
+from .solver import FluidParams, SnapshotSeries, State
 
 __all__ = [
     "Spectrum",
@@ -507,20 +506,11 @@ def integrability_exponents(gamma: float, q1, q2, q) -> tuple:
     return q1, q2, q
 
 
-def high_integrability(
-    series: SnapshotSeries,
-    params: FluidParams,
-    q1: float = None,
-    q2: float = None,
-    q: float = None,
-) -> IntegrabilityReport:
-    """Norms ||rho||_{L^q1}, ||m||_{L^q2}, ||w||_{L^q} on [0,T) x box.
-
-    Defaults: q1 = 1.2*gamma, q2 = 2.5, q = q2.  The exponents must
-    sit strictly above the energy-level ones (gamma, 2, 2).
-    """
-    q = integrability_exponents(params.gamma, q1, q2, q)[2]
-    return integrability_from_spectrum(time_integrated_spectrum(series, params, q), series, params, q1, q2)
+def high_integrability(series: SnapshotSeries, params: FluidParams) -> IntegrabilityReport:
+    """Norms ||rho||_{L^q1}, ||m||_{L^q2}, ||w||_{L^q} on [0,T) x box at the
+    default exponents (integrability_exponents); integrability_from_spectrum takes others."""
+    spec = time_integrated_spectrum(series, params, integrability_exponents(params.gamma, None, None, None)[2])
+    return integrability_from_spectrum(spec, series, params, None, None)
 
 
 def integrability_from_spectrum(spec: SpectrumSeries, series: SnapshotSeries, params: FluidParams,
@@ -551,11 +541,8 @@ class TestFunction:
     phi(t, x) = b(t) * sum_terms amps * cos(k.x + phase), with b a
     degree-9 smoothstep in (1 - t/T0): b(0) = 1, b and four derivatives
     vanish at t = T0, identically zero beyond.  Terms carry one
-    amplitude per component, so components > 1 gives a vector function.
-    space holds the trig sum, shape (components,) + grid.shape, and grad
-    its analytic spatial derivatives, shape (components, d) + grid.shape;
-    phi(t) = bump(t) * space.  Both are sampled on first use and kept;
-    weak_residuals samples its own stacks and leaves them unsampled.
+    amplitude per component, so components > 1 gives a vector function;
+    grid.trig_sum(terms, components) samples the spatial part and its gradient.
     """
 
     # not a test case, despite the name pytest sees on import
@@ -572,21 +559,6 @@ class TestFunction:
         if self.components < 1:
             raise ValueError("components must be at least 1")
         object.__setattr__(self, "terms", trig_terms(self.terms, self.components, self.grid.d))
-
-    @cached_property
-    def _samples(self) -> tuple:
-        space, grad = self.grid.trig_sum(self.terms, self.components)
-        space.setflags(write=False)
-        grad.setflags(write=False)
-        return space, grad
-
-    @property
-    def space(self) -> np.ndarray:
-        return self._samples[0]
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self._samples[1]
 
     def bump(self, t):
         """b(t) at a time or an array of times."""
@@ -746,12 +718,10 @@ def _bumps(fns, times) -> tuple:
 
 def _sym_grad(grid: PeriodicGrid, u: np.ndarray, pairs) -> tuple:
     """d_b u_a + d_a u_b for the pairs a <= b, flattened per pair (one
-    rfftn, one batched irfftn), and the box integral of |grad u|^2 by
-    Parseval, with the derivatives' Nyquist modes zeroed as in ik_half."""
+    rfftn, one batched irfftn), and the box integral of |grad u|^2."""
     u_h = grid.rfft(u.reshape((grid.d,) + grid.shape))
     sym_h = np.array([grid.ik_half[b] * u_h[a] + grid.ik_half[a] * u_h[b] for a, b in pairs])
-    ik2 = sum(np.abs(ik) ** 2 for ik in grid.ik_half)
-    return grid.irfft(sym_h).reshape(len(pairs), -1), grid.parseval(ik2 * (u_h.real**2 + u_h.imag**2))
+    return grid.irfft(sym_h).reshape(len(pairs), -1), grid.grad_sq(u_h)
 
 
 def _weak_totals(times, terms, gross, data_values, dxd):
@@ -819,7 +789,6 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     # term (at 3D 32^3 it is megabytes).
     products = np.empty((max(ns, nv), d, size))
     for i, st in enumerate(series):
-        # C-ordered flat samples (a copy of a Fortran-ordered stored snapshot)
         rho, m = st.rho.values.reshape(size), st.m.values.reshape(d, size)
         if scalars:
             scalar_products = products[:ns, 0]
@@ -893,14 +862,15 @@ class AdmissibilityResult:
     admissible: bool
 
 
-def energy_admissibility(series: SnapshotSeries, params: FluidParams, work: np.ndarray = None) -> AdmissibilityResult:
-    """Check that no snapshot holds more energy than data plus work, to
-    tol = 1e-8 * max(E(0), 1)."""
-    times = series.times
-    E = np.array([total_energy(st, params) for st in series])
+def energy_admissibility(times, energies, work=None) -> AdmissibilityResult:
+    """Check that no snapshot holds more energy E than data plus work W (default
+    none), to tol = 1e-8 * max(E(0), 1): a run's ledger rows (t, E, W), or
+    solver.total_energy of stored snapshots."""
+    times = np.asarray(times, dtype=np.float64)
+    E = np.asarray(energies, dtype=np.float64)
     W = np.zeros(len(times)) if work is None else np.asarray(work, dtype=np.float64)
-    if len(W) != len(times):
-        raise ValueError("work array must align with the snapshot times")
+    if not len(E) == len(W) == len(times):
+        raise ValueError("energies and work must align with the snapshot times")
     res = E - E[0] - W
     tol = 1e-8 * max(E[0], 1.0)
     mx = float(np.max(res))

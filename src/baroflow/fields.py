@@ -78,6 +78,8 @@ class PeriodicGrid:
         ik_deriv restricted to the half lattice (Nyquist zeroed).
     k2_half : ndarray
         |k|^2 on the half lattice (Nyquist included), for diffusion.
+    ik2_half : ndarray
+        sum of |ik_half|^2 over the axes (Nyquist zeroed), for grad_sq.
     mode_norm_half : ndarray
         mode_norm on the half lattice.
     shell_half : ndarray
@@ -144,6 +146,7 @@ class PeriodicGrid:
         for axis in range(d):
             k2 = k2 + wavevectors[axis][..., :h].astype(np.float64) ** 2
         object.__setattr__(self, "k2_half", k2)
+        object.__setattr__(self, "ik2_half", sum(np.abs(ik) ** 2 for ik in self.ik_half))
         object.__setattr__(self, "mode_norm_half", mode_norm[..., :h].copy())
         shell = np.rint(self.mode_norm_half).astype(np.int64)
         object.__setattr__(self, "shell_half", shell)
@@ -195,6 +198,14 @@ class PeriodicGrid:
                     grad[comp, axis] += -amps[comp] * kvec[axis] * s
         return space, grad
 
+    def dealiased_terms(self, terms) -> tuple:
+        """terms, if every mode lies within the two-thirds cutoff, |mode_a| <=
+        n//3 on each axis: a dealiased product silently drops any other."""
+        for _, mode_vec, _ in terms:
+            if max(abs(v) for v in mode_vec) > self.n // 3:
+                raise ValueError(f"forcing mode {tuple(mode_vec)} is past the two-thirds cutoff n//3 = {self.n // 3}")
+        return terms
+
     def trig_shift(self, terms, components: int):
         """rfft(w) -> rfft(w * trig_sum(terms, components)[0]) on the dealiased
         modes, exact for the grid product, aliasing included.  Returns
@@ -241,6 +252,11 @@ class PeriodicGrid:
         total = float(np.sum(self.parseval_weight * power))
         return total * self.dx**self.d / float(self.n**self.d)
 
+    def grad_sq(self, coef: np.ndarray) -> float:
+        """Box integral of |grad w|^2 (summed over any leading component axes)
+        from coef = rfft(w), the derivatives' Nyquist modes zeroed as in ik_half."""
+        return self.parseval(self.ik2_half * (coef.real**2 + coef.imag**2))
+
 
 def trig_terms(terms, components: int = None, d: int = None) -> tuple:
     """(amps, mode, phase) terms as (float tuple, int tuple, float), the
@@ -276,15 +292,15 @@ class Field:
     """Real-valued sampled field, scalar or multi-component.
 
     Scalar fields store shape grid.shape, multi-component fields
-    (components,) + grid.shape.  Values are copied and frozen at
-    construction; fields are immutable once built.
+    (components,) + grid.shape.  Values are copied, C-ordered whatever
+    their source, and frozen; fields are immutable once built.
     """
 
     grid: PeriodicGrid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
+        vals = np.array(self.values, dtype=np.float64, copy=True, order="C")
         c = _check_component_shape(self.grid, vals)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")

@@ -40,12 +40,12 @@ __all__ = [
     "RunResult",
     "BlowUpError",
     "MassDriftError",
-    "pressure",
     "sonic_speed",
     "rhs",
     "cfl_dt",
     "step",
     "snapshot_step",
+    "run_window",
     "run",
     "preset_ic",
 ]
@@ -104,10 +104,6 @@ class ForcingSpec:
             return math.cos(self.rate * t)
         return math.exp(-self.rate * t)
 
-    def evaluate(self, t: float, grid: PeriodicGrid) -> np.ndarray:
-        """Sample f(t, .) on the grid, shape (d,) + grid.shape."""
-        return self.spatial(grid) * self.envelope_at(t)
-
     def spatial(self, grid: PeriodicGrid) -> np.ndarray:
         """The time-independent factor of f: the term sum without the
         envelope, shape (d,) + grid.shape (zeros when inactive)."""
@@ -153,7 +149,8 @@ class FluidParams:
         return m / np.maximum(rho, self.rho_min)
 
     def pressure(self, rho: np.ndarray) -> np.ndarray:
-        """kappa * max(rho, 0)^gamma, unchecked (see the module's pressure)."""
+        """Barotropic pressure kappa * max(rho, 0)^gamma, unchecked: State rejects
+        negative density, and a negative RK4 stage is the run's to report."""
         return self.kappa * np.maximum(rho, 0.0) ** self.gamma
 
 
@@ -239,14 +236,6 @@ class RunResult:
     params: FluidParams
 
 
-def pressure(rho: np.ndarray, params: FluidParams) -> np.ndarray:
-    """Barotropic pressure kappa * rho^gamma (tiny negatives clipped)."""
-    r = np.asarray(rho, dtype=np.float64)
-    if float(np.min(r)) < -1e-12:
-        raise ValueError(f"density below tolerance: min {np.min(r):.3e}")
-    return params.pressure(r)
-
-
 def sonic_speed(rho: np.ndarray, params: FluidParams) -> np.ndarray:
     """Sonic weight c with c^2 = p/rho = kappa*rho^(gamma-1).
 
@@ -268,11 +257,12 @@ def _state(t: float, grid: PeriodicGrid, fields: np.ndarray) -> State:
 
 def _forcing(params: FluidParams, grid: PeriodicGrid, with_ledger: bool):
     """(spatial factor for the work rate, or None without the ledger;
-    targets; mode shift) of an active forcing, else None."""
+    targets; mode shift) of an active forcing, else None.  Its modes must
+    pass grid.dealiased_terms: the shift maps onto dealiased modes only."""
     if not params.forcing.active:
         return None
     force_xy = params.forcing.spatial(grid) if with_ledger else None
-    return (force_xy,) + grid.trig_shift(params.forcing.terms, grid.d)
+    return (force_xy,) + grid.trig_shift(grid.dealiased_terms(params.forcing.terms), grid.d)
 
 
 def _rhs_core(state_h, state, t, grid, params, force, extra_source=None, want_rates=False):
@@ -335,7 +325,10 @@ def _rhs_core(state_h, state, t, grid, params, force, extra_source=None, want_ra
     if not want_rates:
         return out_h, 0.0, 0.0
 
-    # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx.
+    # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx.  The first
+    # keeps the Nyquist mode that grid.grad_sq zeroes: it is -int u . lap u,
+    # with the diffusion term's Laplacian symbol -k2, which is unambiguous
+    # at the Nyquist mode (only odd derivatives zero it there).
     grad_sq = grid.parseval(k2 * (u_h.real**2 + u_h.imag**2))
     div_sq = grid.parseval(div_u_h.real**2 + div_u_h.imag**2)
     diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
@@ -439,6 +432,15 @@ def snapshot_step(spacing: float, dt_stable: float):
     return per, spacing / per
 
 
+def run_window(T: float, snapshots: int):
+    """Reject a run window other than a positive, finite horizon T cut into
+    at least one snapshot interval."""
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
+    if snapshots < 1:
+        raise ValueError(f"need at least one snapshot interval, got {snapshots}")
+
+
 def run(
     initial: State,
     params: FluidParams,
@@ -455,10 +457,7 @@ def run(
     reproducible across runs sharing (dt, spacing).  dt_cap tightens the
     stability bound, letting several runs agree on one step size.
     """
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"horizon T must be positive, got {T}")
-    if snapshots < 1:
-        raise ValueError(f"need at least one snapshot interval, got {snapshots}")
+    run_window(T, snapshots)
     if dt_cap is not None and not dt_cap > 0:
         raise ValueError(f"dt_cap must be positive, got {dt_cap}")
     if params.mu == 0.0:

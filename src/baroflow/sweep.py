@@ -33,6 +33,7 @@ from .solver import (
     cfl_dt,
     preset_ic,
     run,
+    run_window,
     snapshot_step,
 )
 from .fields import make_grid
@@ -63,6 +64,7 @@ class SweepPlan:
     lam_ratio fixes the second viscosity as lam = lam_ratio * mu for
     every entry; it must exceed -2 so lam + 2 mu stays positive.
     rho_min is the density floor every entry's FluidParams carries.
+    T and snapshots follow solver.run_window.
     """
 
     mu_values: tuple
@@ -91,8 +93,7 @@ class SweepPlan:
             raise ValueError("sweep viscosities must decrease strictly")
         if self.lam_ratio <= -2.0:
             raise ValueError(f"lam_ratio must exceed -2, got {self.lam_ratio}")
-        if not (self.T > 0):
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        run_window(self.T, self.snapshots)
         object.__setattr__(self, "mu_values", mus)
 
     def params_for(self, mu: float) -> FluidParams:
@@ -267,16 +268,10 @@ def viscous_smallness(sweep: SweepResult) -> SmallnessTable:
     for e in sweep.completed:
         series = e.result.series
         grid = series.grid
-        times = series.times
-        k2_deriv = sum(np.abs(ik) ** 2 for ik in grid.ik_half)  # Nyquist zeroed
-        g = []
-        for st in series:
-            u = e.params.velocity(st.rho.values, st.m.values)
-            g.append(grid.parseval(k2_deriv * np.abs(grid.rfft(u)) ** 2))
-        grad_sq = float(np.trapezoid(np.array(g), x=times))
+        g = [grid.grad_sq(grid.rfft(e.params.velocity(st.rho.values, st.m.values))) for st in series]
+        grad_sq = float(np.trapezoid(np.array(g), x=series.times))
         grad_l2 = math.sqrt(max(grad_sq, 0.0))
-        lam = e.params.lam
-        mu = e.params.mu
+        mu, lam = e.params.mu, e.params.lam
         c = 1.0 if lam >= -mu else mu / (2.0 * mu + lam)
         d_total = float(e.result.report.D[-1])
         if mu * grad_sq > c * d_total * (1.0 + 1e-6) + 1e-12:
@@ -340,7 +335,8 @@ def limit_candidate_check(sweep: SweepResult, theta: float = 1e-6) -> LimitCandi
     T = series.times[-1] - series.times[0]
     weak = weak_residuals(series, entry.params, default_test_functions(grid, T),
                           default_test_functions(grid, T, vector=True))
-    adm = energy_admissibility(series, entry.params, work=entry.result.report.W)
+    ledger = entry.result.report
+    adm = energy_admissibility(ledger.t, ledger.E, ledger.W)
     quo = reynolds_quotient(series[-1], theta)
     ss = time_integrated_spectrum(series, entry.params)
     shells = np.arange(1, grid.n // 3 + 1, dtype=np.float64)

@@ -404,6 +404,10 @@ class TestExitCodes:
         ("[output]", "[sweep]\nratio = 1.5\n\n[output]", "ratio must lie in (0, 1)"),
         ("[run]", "[run]\ncfl = -0.5", "cfl"),
         ("preset = acoustic-pulse", "preset = vortex-sheet", "vortex-sheet"),
+        # n = 32 keeps modes up to n//3 = 10; mode 11 would be dropped unseen
+        ("[fluid]", "[forcing]\nmode = trig\nterm1 = 0.05@11@0.0\n\n[fluid]", "two-thirds cutoff"),
+        ("horizon = 0.3", "horizon = inf", "horizon T must be positive and finite"),
+        ("snapshots = 24", "snapshots = 0", "need at least one snapshot interval"),
     ])
     def test_invalid_config_exits_two_before_output(self, tmp_path, capsys, old, new, message):
         cfg = tmp_path / "exp.ini"

@@ -17,6 +17,7 @@ from baroflow.diagnostics import (
     energy_admissibility,
     fractional_sobolev_norm,
     high_integrability,
+    integrability_from_spectrum,
     reynolds_quotient,
     shell_spectrum,
     space_modulus,
@@ -28,6 +29,7 @@ from baroflow.diagnostics import (
 from baroflow.fields import Field, dft_forward, make_grid
 from baroflow.solver import (
     FluidParams,
+    ForcingSpec,
     SnapshotSeries,
     State,
     preset_ic,
@@ -426,12 +428,13 @@ class TestIntegrability:
         series = series_from(grid, [(0.0, np.ones(grid.shape), np.zeros((1,) + grid.shape)),
                                     (1.0, np.ones(grid.shape), np.zeros((1,) + grid.shape))])
         params = FluidParams(gamma=1.5)
+        spec = time_integrated_spectrum(series, params, 2.5)
         with pytest.raises(ValueError, match="q1 must exceed gamma"):
-            high_integrability(series, params, q1=1.5)
+            integrability_from_spectrum(spec, series, params, 1.5, None)
         with pytest.raises(ValueError, match="q2 and q must exceed 2"):
-            high_integrability(series, params, q2=2.0)
+            integrability_from_spectrum(spec, series, params, None, 2.0)
         with pytest.raises(ValueError, match="q2 and q must exceed 2"):
-            high_integrability(series, params, q=1.9)
+            integrability_from_spectrum(time_integrated_spectrum(series, params, 1.9), series, params, None, None)
 
 
 class TestTestFunction:
@@ -466,8 +469,9 @@ class TestTestFunction:
             components=2,
         )
         t = 0.3
-        val = fn.bump(t) * fn.space
-        grad = fn.bump(t) * fn.grad
+        space, grad = grid.trig_sum(fn.terms, fn.components)
+        val = fn.bump(t) * space
+        grad = fn.bump(t) * grad
         for comp in range(2):
             coef = dft_forward(Field(grid=grid, values=val[comp])).coefficients
             for axis in range(2):
@@ -535,8 +539,9 @@ class TestWeakMass:
         states = list(result.series.states)
         # corrupt the snapshot with the largest mass flux against this phi
         dxd = grid.dx**grid.d
+        grad = grid.trig_sum(phi.terms, 1)[1]
         fluxes = [
-            abs(float(np.sum(st.m.values * (phi.bump(st.t) * phi.grad)[0]))) * dxd
+            abs(float(np.sum(st.m.values * (phi.bump(st.t) * grad)[0]))) * dxd
             for st in states
         ]
         k = int(np.argmax(fluxes))
@@ -665,6 +670,12 @@ class TestWeakMomentum:
         assert still.roundoff_scale > 1.0
 
 
+def stored_energies(series, params):
+    """The times and total energies of a series' snapshots, as diagnose
+    gives them to energy_admissibility."""
+    return series.times, [total_energy(st, params) for st in series]
+
+
 class TestAdmissibility:
     def test_constant_energy_is_admissible(self):
         grid = make_grid(1, 16, 2.0 * np.pi)
@@ -672,7 +683,7 @@ class TestAdmissibility:
         rho = np.ones(grid.shape)
         m = np.zeros((1,) + grid.shape)
         series = series_from(grid, [(0.0, rho, m), (1.0, rho, m)])
-        rep = energy_admissibility(series, params)
+        rep = energy_admissibility(*stored_energies(series, params))
         assert rep.admissible
         assert np.max(np.abs(rep.residuals)) == 0.0
         assert rep.tol == 1e-8 * max(total_energy(series[0], params), 1.0)
@@ -683,7 +694,7 @@ class TestAdmissibility:
         x = grid.axes_coordinates()[0]
         entries = [(t, np.ones(grid.shape), (0.5 * math.exp(-t) * np.cos(x))[None])
                    for t in (0.0, 0.5, 1.0)]
-        rep = energy_admissibility(series_from(grid, entries), params)
+        rep = energy_admissibility(*stored_energies(series_from(grid, entries), params))
         assert rep.admissible
         assert rep.max_residual <= 0.0
 
@@ -693,7 +704,7 @@ class TestAdmissibility:
         x = grid.axes_coordinates()[0]
         entries = [(t, np.ones(grid.shape), ((0.5 + 0.2 * t) * np.cos(x))[None])
                    for t in (0.0, 0.5, 1.0)]
-        rep = energy_admissibility(series_from(grid, entries), params)
+        rep = energy_admissibility(*stored_energies(series_from(grid, entries), params))
         assert not rep.admissible
         assert rep.max_residual > rep.tol
 
@@ -703,9 +714,8 @@ class TestAdmissibility:
         x = grid.axes_coordinates()[0]
         entries = [(t, np.ones(grid.shape), ((0.5 + 0.2 * t) * np.cos(x))[None])
                    for t in (0.0, 0.5, 1.0)]
-        series = series_from(grid, entries)
-        E = np.array([total_energy(st, params) for st in series])
-        rep = energy_admissibility(series, params, work=E - E[0])
+        times, E = stored_energies(series_from(grid, entries), params)
+        rep = energy_admissibility(times, E, work=np.array(E) - E[0])
         assert rep.admissible
         assert np.max(np.abs(rep.residuals)) == 0.0
 
@@ -713,18 +723,38 @@ class TestAdmissibility:
         grid = make_grid(2, 32, 2.0 * np.pi)
         params = FluidParams(gamma=1.4, kappa=1.0, mu=1e-2)
         result = run(preset_ic("taylor-green", grid, params), params, T=0.5, snapshots=8)
-        rep = energy_admissibility(result.series, params, work=result.report.W)
+        ledger = result.report
+        rep = energy_admissibility(ledger.t, ledger.E, ledger.W)
         assert rep.admissible
         # the t = 0 row is exactly zero; dissipation pushes the rest down
         assert rep.max_residual == 0.0
         assert np.max(rep.residuals[1:]) < 0.0
 
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_ledger_energies_are_the_snapshots_energies(self, forced):
+        """The rule on a run's ledger rows equals the rule on energies
+        recomputed from its snapshots, bit for bit."""
+        grid = make_grid(2, 16, 2.0 * np.pi)
+        forcing = ForcingSpec(mode="trig", terms=(((0.2, 0.0), (1, 0), 0.3),), envelope="cos", rate=1.5)
+        params = FluidParams(mu=1e-2, forcing=forcing if forced else ForcingSpec())
+        result = run(preset_ic("random-band", grid, params, seed=8, amplitude=0.6), params, T=0.3, snapshots=6)
+        ledger = result.report
+        got = energy_admissibility(ledger.t, ledger.E, ledger.W)
+        times, E = stored_energies(result.series, params)
+        want = energy_admissibility(times, E, ledger.W)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.residuals, want.residuals)
+        assert (got.max_residual, got.tol, got.admissible) == (want.max_residual, want.tol, want.admissible)
+
     def test_work_length_mismatch_rejected(self):
         grid = make_grid(1, 16, 1.0)
         rho = np.ones(grid.shape)
         series = series_from(grid, [(0.0, rho, rho[None] * 0.0), (1.0, rho, rho[None] * 0.0)])
+        times, E = stored_energies(series, FluidParams())
         with pytest.raises(ValueError, match="align with the snapshot times"):
-            energy_admissibility(series, FluidParams(), work=np.zeros(3))
+            energy_admissibility(times, E, work=np.zeros(3))
+        with pytest.raises(ValueError, match="align with the snapshot times"):
+            energy_admissibility(times, E[:1])
 
 
 class TestReynoldsQuotient:

@@ -428,6 +428,11 @@ class TestConfigValidation:
         ("sweep", "count = 1", "count must be at least 2"),
         ("sweep", "mu_max = 0.0", "mu_max must be positive"),
         ("sweep", "lam_ratio = -2.0", "lam_ratio must exceed -2"),
+        ("forcing", "mode = trig\nterm1 = 0.05,0.0@22,0@0.0", "forcing mode \\(22, 0\\) is past the two-thirds cutoff"),
+        ("forcing", "mode = trig\nterm1 = 0.05,0.0@0,-22@0.0", "two-thirds cutoff n//3 = 21"),
+        ("run", "horizon = inf", "horizon T must be positive and finite"),
+        ("run", "horizon = 0.0", "horizon T must be positive and finite"),
+        ("run", "snapshots = 0", "need at least one snapshot interval"),
     ])
     def test_grid_forcing_and_sweep_rules_apply_when_read(self, section, body, message):
         with pytest.raises(ValueError, match=message):

@@ -2,10 +2,13 @@
 
 The space-time L^p kernel must reproduce the modulus, distance and
 integrability loops; the grid's trig sampler the forcing and
-test-function loops; FluidParams' closure the inline velocity floor and
+test-function loops; its grad_sq the smallness table's |rfft(u)|^2 form
+(to round-off); FluidParams' closure the inline velocity floor and
 pressure law; snapshot_step the sweep's copy of the fixed-step rule.
 The replaced forms are kept here as test-only references.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,17 +16,20 @@ import pytest
 from baroflow import solver
 from baroflow.diagnostics import (
     TestFunction,
-    high_integrability,
+    integrability_from_spectrum,
     space_modulus,
     spacetime_lp,
+    time_integrated_spectrum,
     time_modulus,
     trapezoid_weights,
 )
 from baroflow.fields import Field, make_grid, weighted_fields
-from baroflow.solver import FluidParams, ForcingSpec, State, pressure, total_energy
-from baroflow.sweep import plan_sweep, run_sweep, series_distance
+from baroflow.solver import FluidParams, ForcingSpec, State, total_energy
+from baroflow.sweep import plan_sweep, run_sweep, series_distance, viscous_smallness
 
 KERNEL_REL = 1e-14
+# grid.grad_sq squares the real and imaginary parts, the reference |.|
+SMALLNESS_REL = 1e-13
 
 
 # ------------------------------------------------------------ references
@@ -61,6 +67,16 @@ def reference_integrability(series, params, q1, q2, q):
         wmag = np.sqrt(np.sum(wf.values**2, axis=0))
         acc_w += w * float(np.sum(wmag**q)) * dxd
     return acc_r ** (1.0 / q1), acc_m ** (1.0 / q2), acc_w ** (1.0 / q)
+
+
+def reference_smallness_grad(entry):
+    """||grad u||_{L^2 t,x} of one sweep entry, squaring |rfft(u)|."""
+    series = entry.result.series
+    grid = series.grid
+    k2_deriv = sum(np.abs(ik) ** 2 for ik in grid.ik_half)  # Nyquist zeroed
+    g = [grid.parseval(k2_deriv * np.abs(grid.rfft(entry.params.velocity(st.rho.values, st.m.values))) ** 2)
+         for st in series]
+    return math.sqrt(max(float(np.trapezoid(np.array(g), x=series.times)), 0.0))
 
 
 def reference_forcing_spatial(spec, grid):
@@ -180,9 +196,18 @@ def test_series_distance_is_bit_identical(sweep, p1, p2):
 def test_integrability_matches_weighted_bundle(sweep):
     series, params = sweep.entries[1].result.series, sweep.entries[1].params
     q1, q2, q = 1.9, 2.5, 3.0
-    rep = high_integrability(series, params, q1, q2, q)
+    rep = integrability_from_spectrum(time_integrated_spectrum(series, params, q), series, params, q1, q2)
     want_r, want_m, want_w = reference_integrability(series, params, q1, q2, q)
     assert (rep.rho_norm, rep.m_norm, rep.w_norm) == (want_r, want_m, want_w)
+
+
+def test_smallness_matches_the_magnitude_form(sweep):
+    table = viscous_smallness(sweep)
+    for row, entry in zip(table.rows, sweep.entries):
+        want = reference_smallness_grad(entry)
+        assert _rel(row.grad_u_l2, want) <= SMALLNESS_REL
+        assert _rel(row.mu_grad, entry.mu * want) <= SMALLNESS_REL
+        assert _rel(row.sqrt_mu_grad, math.sqrt(entry.mu) * want) <= SMALLNESS_REL
 
 
 # ---------------------------------------------------------------- trig sampler
@@ -203,8 +228,9 @@ def test_test_function_parts_are_bit_identical(d, components):
     grid = make_grid(d, 8, 1.7)
     phi = TestFunction(grid=grid, T0=1.0, terms=_terms(d, components), components=components)
     space, grad = reference_test_function_parts(grid, phi.terms, components)
-    assert np.array_equal(phi.space, space)
-    assert np.array_equal(phi.grad, grad)
+    got_space, got_grad = grid.trig_sum(phi.terms, phi.components)
+    assert np.array_equal(got_space, space)
+    assert np.array_equal(got_grad, grad)
 
 
 def test_sampler_rejects_mismatched_terms():
@@ -225,7 +251,6 @@ def test_closure_methods_match_inline_forms():
     params = FluidParams(gamma=1.6, kappa=0.7, mu=0.01, rho_min=1e-3)
     assert np.array_equal(params.velocity(rho, m), m / np.maximum(rho, params.rho_min))
     assert np.array_equal(params.pressure(rho), params.kappa * np.maximum(rho, 0.0) ** params.gamma)
-    assert np.array_equal(pressure(rho, params), params.pressure(rho))
     state = State(t=0.0, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=m))
     r = np.maximum(rho, params.rho_min)
     internal = params.kappa * np.maximum(rho, 0.0) ** params.gamma / (params.gamma - 1.0)
@@ -233,13 +258,13 @@ def test_closure_methods_match_inline_forms():
     assert total_energy(state, params) == float(np.sum(want)) * grid.dx**grid.d
 
 
-def test_pressure_checks_density_but_the_rhs_does_not():
+def test_state_checks_density_but_the_rhs_does_not():
     grid = make_grid(1, 8, 1.0)
     params = FluidParams(mu=0.01)
     rho = np.ones(grid.shape)
     rho[3] = -1e-6
     with pytest.raises(ValueError, match="density below tolerance"):
-        pressure(rho, params)
+        State(t=0.0, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=np.zeros((1,) + grid.shape)))
     # A stage value below zero is the run's to report as a blow-up, not a crash.
     fields = np.concatenate((rho[None], np.zeros((1,) + grid.shape)))
     out_h, _, _ = solver._rhs_core(grid.rfft(fields), fields, 0.0, grid, params, None)

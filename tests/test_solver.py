@@ -19,7 +19,6 @@ from baroflow.solver import (
     _rhs_core,
     cfl_dt,
     preset_ic,
-    pressure,
     rhs,
     run,
     sonic_speed,
@@ -40,7 +39,7 @@ def l2_err(a, b):
 
 def reference_rhs(rho, m, t, grid, params):
     """Complex-FFT right-hand side on the full lattice, with the pressure
-    transformed on its own and the forcing sampled through evaluate:
+    transformed on its own and the forcing sampled at time t:
     the reference the real-transform core must reproduce."""
     axes, ik, keep = grid.spatial_axes(), grid.ik_deriv, grid.dealias
     d = grid.d
@@ -63,7 +62,7 @@ def reference_rhs(rho, m, t, grid, params):
         dm_h[a] = acc
     work_rate = 0.0
     if params.forcing.active:
-        f_phys = params.forcing.evaluate(t, grid)
+        f_phys = params.forcing.spatial(grid) * params.forcing.envelope_at(t)
         dm_h += np.fft.fftn(rho * f_phys, axes=axes)
         work_rate = float(np.sum(m * f_phys)) * grid.dx**d
     drho = np.real(np.fft.ifftn(drho_h * keep))
@@ -183,18 +182,8 @@ class TestParams:
 
     def test_pressure_and_sonic_values(self):
         p = FluidParams(gamma=2.0, kappa=1.0, mu=1e-3)
-        assert pressure(np.array(4.0), p) == pytest.approx(16.0)
+        assert p.pressure(np.array(4.0)) == pytest.approx(16.0)
         assert sonic_speed(np.array(4.0), p) == pytest.approx(2.0)
-
-    def test_forcing_evaluate_is_spatial_times_envelope(self):
-        g = make_grid(2, 16, TWO_PI)
-        forcing = ForcingSpec(
-            mode="trig", terms=(((0.05, 0.0), (1, 0), 0.0), ((0.0, 0.03), (0, 2), 0.5)),
-            envelope="cos", rate=3.0,
-        )
-        for t in (0.0, 0.37, 1.9):
-            want = forcing.spatial(g) * forcing.envelope_at(t)
-            assert np.array_equal(forcing.evaluate(t, g), want)
 
     def test_forcing_validation(self):
         with pytest.raises(ValueError, match="mode"):
@@ -417,7 +406,7 @@ class TestRun:
         res = run(preset_ic("equilibrium", g, params), params, T=1.0, snapshots=100)
         rates = []
         for st in res.series:
-            f = forcing.evaluate(st.t, g)
+            f = forcing.spatial(g) * forcing.envelope_at(st.t)
             rates.append(float(np.sum(st.m.values * f)) * g.dx**g.d)
         w_quad = np.concatenate([[0.0], np.cumsum((np.array(rates[:-1]) + np.array(rates[1:])) / 2 * np.diff(res.series.times))])
         scale = max(abs(res.report.W[-1]), 1e-30)
@@ -585,6 +574,28 @@ class TestForcingShift:
         want = (g.rfft(rho * forcing.spatial(g)) * forcing.envelope_at(t)).ravel()[targets]
         got = forcing.envelope_at(t) * shift(g.rfft(rho))
         assert rel_err(got, want) <= 1e-14
+
+
+    @pytest.mark.parametrize("mode", [(6, 0), (8, 0), (0, -6), (7, 2)])
+    def test_forcing_past_the_cutoff_is_rejected(self, mode):
+        # at n = 16 the dealiased modes reach n//3 = 5; a term past them
+        # would leave the RHS unforced and the ledger's work at zero
+        g = make_grid(2, 16, TWO_PI)
+        params = FluidParams(mu=1e-3, forcing=ForcingSpec(mode="trig", terms=(((0.05, 0.0), mode, 0.0),)))
+        st = preset_ic("equilibrium", g, params)
+        for call in (lambda: rhs(st, params), lambda: step(st, params, 0.01),
+                     lambda: run(st, params, T=0.05, snapshots=1)):
+            with pytest.raises(ValueError, match="two-thirds cutoff"):
+                call()
+
+    def test_forcing_at_the_cutoff_is_applied(self):
+        g = make_grid(2, 16, TWO_PI)
+        forcing = ForcingSpec(mode="trig", terms=(((0.05, 0.02), (5, -5), 0.3),))
+        params = FluidParams(mu=1e-3, forcing=forcing)
+        st = preset_ic("equilibrium", g, params)
+        _, dm = rhs(st, params)
+        assert np.max(np.abs(dm.values - forcing.spatial(g))) < 1e-15
+        assert run(st, params, T=0.05, snapshots=1).report.W[-1] > 0
 
 
 class TestCoefficientState:

@@ -73,6 +73,17 @@ class TestPlan:
         with pytest.raises(ValueError, match="horizon"):
             SweepPlan(mu_values=(1e-2, 5e-3), T=0.0)
 
+    @pytest.mark.parametrize("T, snapshots, message", [
+        (math.inf, 16, "horizon T must be positive and finite"),
+        (math.nan, 16, "horizon T must be positive and finite"),
+        (1.0, 0, "need at least one snapshot interval"),
+    ])
+    def test_plan_rejects_a_bad_run_window(self, T, snapshots, message):
+        # the window is run's, checked when the plan is built, not when the
+        # ladder is half run
+        with pytest.raises(ValueError, match=message):
+            SweepPlan(mu_values=(1e-2, 5e-3), T=T, snapshots=snapshots)
+
 
 class TestRunSweep:
     def test_all_entries_complete(self, acoustic_sweep):
