@@ -25,8 +25,8 @@ import numpy as np
 from . import diagnostics as dg
 from .config import ExperimentConfig
 from .fields import Field, dft_forward, make_grid
-from .snapshots import SnapshotFormatError, read_series, read_snapshot, write_series, write_snapshot
-from .solver import BlowUpError, FluidParams, preset_ic, run, total_energy
+from .snapshots import SnapshotFormatError, read_snapshot, scan_series, write_series, write_snapshot
+from .solver import BlowUpError, FluidParams, preset_ic, run
 from .sweep import (
     cauchy_distances,
     convergence_rate,
@@ -148,6 +148,9 @@ def _diagnose_params(metas, config_path):
     cfg = _load_config(config_path)
     params = cfg.fluid_params()
     for name, got, want in (
+        ("[grid] d", cfg.grid.d, meta.d),
+        ("[grid] n", cfg.grid.n, meta.n),
+        ("[grid] box", cfg.grid.box, meta.P),
         ("gamma", params.gamma, meta.gamma),
         ("kappa", params.kappa, meta.kappa),
         ("mu", params.mu, meta.mu),
@@ -163,25 +166,36 @@ def _diagnose_params(metas, config_path):
 def _cmd_diagnose(args) -> int:
     directory = Path(args.dir)
     out = Path(args.out) if args.out else directory
-    series, metas = read_series(directory, args.prefix)
-    cfg, params = _diagnose_params(metas, args.config)
+    series = scan_series(directory, args.prefix)
+    cfg, params = _diagnose_params(series.metas, args.config)
     dcfg = cfg.diagnostics
     do_all = not (args.spectrum or args.ckhw or args.sobolev or args.moduli or args.residuals)
+    T = float(series.times[-1])
+    passes = {}
+    if do_all or args.spectrum or args.ckhw or args.sobolev:
+        # the integrability norm of w reuses the spectral pass's bundle samples
+        q1, q2, q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)
+        passes["spectrum"] = dg.spectral_pass(series, params, q)
+    if do_all or args.sobolev:
+        passes["integrability"] = dg.integrability_pass(series, q1, q2)
     if do_all or args.moduli:
-        dg.integrable_lags(dcfg.moduli_lags, len(series))
+        passes["space"] = dg.space_modulus_pass(series, params, dcfg.moduli_shifts)
+        passes["time"] = dg.time_modulus_pass(series, params, dcfg.moduli_lags)
+    if do_all or args.residuals:
+        passes["weak"] = dg.weak_pass(series, params, dg.default_test_functions(series.grid, T),
+                                      dg.default_test_functions(series.grid, T, vector=True))
+        passes["admissibility"] = dg.energy_pass(series, params)
+        passes["reynolds"] = dg.reynolds_pass(series, dcfg.theta)
+    got = dict(zip(passes, dg.feed(series, passes.values())))
     out.mkdir(parents=True, exist_ok=True)
     report = {
         "command": "diagnose",
         "prefix": args.prefix,
         "snapshot_count": len(series),
-        "horizon": float(series.times[-1]),
+        "horizon": T,
         "fluid": {"gamma": params.gamma, "kappa": params.kappa, "mu": params.mu, "lam": params.lam},
     }
-
-    if do_all or args.spectrum or args.ckhw or args.sobolev:
-        # the integrability norm of w reuses the spectral pass's bundle samples
-        q1, q2, q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)
-        spec = dg.time_integrated_spectrum(series, params, q)
+    spec = got.get("spectrum")
 
     if do_all or args.spectrum:
         k_phys = 2.0 * math.pi / spec.P
@@ -207,29 +221,19 @@ def _cmd_diagnose(args) -> int:
 
     if do_all or args.ckhw:
         det = dg.ckhw_from_spectrum(spec, dcfg.ckhw_beta, dcfg.ckhw_k_star)
-        report["ckhw"] = {
-            "value": det.value,
-            "per_mode_sup": det.per_mode_sup,
-            "beta": det.beta,
-            "k_star": det.k_star,
-        }
+        report["ckhw"] = {k: getattr(det, k) for k in ("value", "per_mode_sup", "beta", "k_star")}
 
     if do_all or args.sobolev:
         report["sobolev"] = {
             "alpha": dcfg.sobolev_alpha,
             "norm": dg.sobolev_norm_from_spectrum(spec, dcfg.sobolev_alpha),
         }
-        report["integrability"] = dataclasses.asdict(dg.integrability_from_spectrum(spec, series, params, q1, q2))
+        integrability = dg.integrability_from_spectrum(spec, series, params, q1, q2, got["integrability"])
+        report["integrability"] = dataclasses.asdict(integrability)
 
     if do_all or args.moduli:
-        sm = dg.space_modulus(series, params, dcfg.moduli_shifts)
-        tm = dg.time_modulus(series, params, dcfg.moduli_lags)
-        rows = []
-        for table in (sm, tm):
-            rows.extend(
-                (table.kind, L, rho_v, m_v)
-                for L, rho_v, m_v in zip(table.lengths, table.density, table.momentum)
-            )
+        sm, tm = got["space"], got["time"]
+        rows = [(t.kind, L, r, m) for t in (sm, tm) for L, r, m in zip(t.lengths, t.density, t.momentum)]
         _write_csv(out / "moduli.csv", ["kind", "length", "density", "momentum"], rows)
         report["moduli"] = {
             "exponent": sm.exponent,
@@ -239,10 +243,7 @@ def _cmd_diagnose(args) -> int:
         }
 
     if do_all or args.residuals:
-        T = float(series.times[-1])
-        scalars = dg.default_test_functions(series.grid, T)
-        vectors = dg.default_test_functions(series.grid, T, vector=True)
-        weak = dg.weak_residuals(series, params, scalars, vectors)
+        weak, adm, rq = got["weak"], got["admissibility"], got["reynolds"]
         rows = [("mass", i, r, s, g, 0.0, 0.0, 0.0) for i, (r, s, g) in enumerate(weak.mass)]
         rows.extend(
             ("momentum", i, mr.ns_residual, mr.quadrature_scale, mr.roundoff_scale,
@@ -254,8 +255,6 @@ def _cmd_diagnose(args) -> int:
             ["equation", "index", "residual", "scale", "gross", "euler", "viscous", "bound"],
             rows,
         )
-        adm = dg.energy_admissibility(series.times, [total_energy(st, params) for st in series])
-        rq = dg.reynolds_quotient(series[-1], dcfg.theta)
         report["residuals"] = {
             "mass_max_rel": weak.mass_max_rel,
             "ns_max_rel": weak.ns_max_rel,

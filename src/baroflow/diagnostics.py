@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fields import Field, PeriodicGrid, trig_terms, weighted_fields
-from .solver import FluidParams, SnapshotSeries, State
+from .solver import FluidParams, SnapshotSeries, State, total_energy
 
 __all__ = [
     "Spectrum",
@@ -185,24 +185,33 @@ def trapezoid_weights(times) -> np.ndarray:
     return w
 
 
-def time_integrated_spectrum(series: SnapshotSeries, params: FluidParams, q: float = None) -> SpectrumSeries:
-    """The spectral pass: one rfftn of the weighted bundle per snapshot,
-    binned into shells and accumulated into the integrated mode power.
-    With an exponent q the same bundle samples also give the space-time
-    integral of |w|^q, so the integrability norm needs no second bundle."""
+def feed(series, passes) -> list:
+    """The results of passes over one sweep of a series, in order.  A pass
+    is a generator that sets itself up (checking its arguments) on the
+    first next(), takes each State by send(), and answers the last one
+    with its result; all are set up before the first State is taken."""
+    for p in passes:
+        next(p)
+    for st in series:
+        results = [p.send(st) for p in passes]
+    return results
+
+
+def spectral_pass(series, params: FluidParams, q):
+    """time_integrated_spectrum as a feed pass."""
     times = _require_time_series(series)
     grid = series.grid
     energy = np.empty((len(times), grid.n_shells))
     raw = np.empty_like(energy)
     mode_power = np.zeros(grid.half_shape)
     bundle_lq = None if q is None else 0.0
-    for i, (st, tw) in enumerate(zip(series, trapezoid_weights(times))):
-        w = _bundle(st, params)
+    for i, tw in enumerate(trapezoid_weights(times)):
+        w = _bundle((yield), params)
         energy[i], raw[i], power = _snapshot_spectrum(grid, w, params)
         mode_power += tw * power
         if q is not None:
             bundle_lq += spacetime_lp(grid, ((tw, w),), (q,))[0]
-    return SpectrumSeries(
+    yield SpectrumSeries(
         times=times, energy=energy, raw=raw,
         counts=_shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64),
         integrated_energy=np.trapezoid(energy, x=times, axis=0),
@@ -210,6 +219,14 @@ def time_integrated_spectrum(series: SnapshotSeries, params: FluidParams, q: flo
         d=grid.d, n=grid.n, P=grid.P, grid=grid, mode_power=mode_power,
         bundle_q=q, bundle_lq=bundle_lq,
     )
+
+
+def time_integrated_spectrum(series: SnapshotSeries, params: FluidParams, q: float = None) -> SpectrumSeries:
+    """The spectral pass: one rfftn of the weighted bundle per snapshot,
+    binned into shells and accumulated into the integrated mode power.
+    With an exponent q the same bundle samples also give the space-time
+    integral of |w|^q, so the integrability norm needs no second bundle."""
+    return feed(series, [spectral_pass(series, params, q)])[0]
 
 
 class SparseSpectrumError(ValueError):
@@ -399,13 +416,8 @@ def _modulus_table(kind, lengths, dens, mom, exponent) -> ModulusTable:
     )
 
 
-def space_modulus(series: SnapshotSeries, params: FluidParams, shifts) -> ModulusTable:
-    """Shift moduli int_0^T int |f(x + dx*shift) - f(x)|^p dx dt.
-
-    shifts are integer lattice offsets (scalars act along axis 0); the
-    density channel uses p = gamma, momentum p = 2 with the pointwise
-    vector magnitude.  Shifts are exact rolls.
-    """
+def space_modulus_pass(series, params: FluidParams, shifts):
+    """space_modulus as a feed pass."""
     times = _require_time_series(series)
     grid = series.grid
     p_rho = params.gamma
@@ -420,18 +432,26 @@ def space_modulus(series: SnapshotSeries, params: FluidParams, shifts) -> Modulu
             if any(float(v) != int(v) for v in s) or len(off) != grid.d:
                 raise ValueError(f"shift {s} is not a valid lattice offset")
         offsets.append(off)
-    tw = trapezoid_weights(times)
     axes = grid.spatial_axes()
-    lengths, dens, mom = [], [], []
-    for off in offsets:
-        lengths.append(grid.dx * math.sqrt(sum(o * o for o in off)))
-        shift = tuple(-o for o in off)
-        diffs = ((w, np.roll(st.rho.values, shift, axes) - st.rho.values,
-                  np.roll(st.m.values, shift, axes) - st.m.values) for st, w in zip(series, tw))
-        gr, gm = spacetime_lp(grid, diffs, (p_rho, 2.0))
-        dens.append(gr)
-        mom.append(gm)
-    return _modulus_table("space", lengths, dens, mom, p_rho)
+    sums = np.zeros((len(offsets), 2))
+    for w in trapezoid_weights(times):
+        st = yield
+        for k, off in enumerate(offsets):
+            shift = tuple(-o for o in off)
+            sums[k] += spacetime_lp(grid, ((w, np.roll(st.rho.values, shift, axes) - st.rho.values,
+                                            np.roll(st.m.values, shift, axes) - st.m.values),), (p_rho, 2.0))
+    lengths = [grid.dx * math.sqrt(sum(o * o for o in off)) for off in offsets]
+    yield _modulus_table("space", lengths, sums[:, 0], sums[:, 1], p_rho)
+
+
+def space_modulus(series: SnapshotSeries, params: FluidParams, shifts) -> ModulusTable:
+    """Shift moduli int_0^T int |f(x + dx*shift) - f(x)|^p dx dt.
+
+    shifts are integer lattice offsets (scalars act along axis 0); the
+    density channel uses p = gamma, momentum p = 2 with the pointwise
+    vector magnitude.  Shifts are exact rolls.
+    """
+    return feed(series, [space_modulus_pass(series, params, shifts)])[0]
 
 
 def snapshot_lags(lags) -> list:
@@ -442,25 +462,8 @@ def snapshot_lags(lags) -> list:
     return [int(lag) for lag in lags]
 
 
-def integrable_lags(lags, count: int) -> list:
-    """snapshot_lags that each leave at least two quadrature points in
-    [0, T - lag] of a series of count snapshots."""
-    lags = snapshot_lags(lags)
-    for j in lags:
-        if j > count - 2:
-            raise ValueError(
-                f"lag {j} leaves an empty integration window ({count} snapshots); "
-                "the horizon-sized lag is not integrable"
-            )
-    return lags
-
-
-def time_modulus(series: SnapshotSeries, params: FluidParams, lags) -> ModulusTable:
-    """Lag moduli int_0^{T - lag} int |f(t + lag) - f(t)|^p dx dt.
-
-    lags count snapshot intervals (cadence must be uniform).  A lag
-    must leave at least two quadrature points in [0, T - lag].
-    """
+def time_modulus_pass(series, params: FluidParams, lags):
+    """time_modulus as a feed pass, keeping the last max(lags) + 1 states."""
     times = _require_time_series(series)
     grid = series.grid
     p_rho = params.gamma
@@ -469,17 +472,34 @@ def time_modulus(series: SnapshotSeries, params: FluidParams, lags) -> ModulusTa
     if np.max(np.abs(spacing - delta)) > 1e-9 * delta:
         raise ValueError("time moduli need uniform snapshot cadence")
     nt = len(times)
-    lengths, dens, mom = [], [], []
-    for j in integrable_lags(lags, nt):
-        sub = times[: nt - j]
-        tw = trapezoid_weights(sub)
-        diffs = ((w, series[i + j].rho.values - series[i].rho.values,
-                  series[i + j].m.values - series[i].m.values) for i, w in enumerate(tw))
-        gr, gm = spacetime_lp(grid, diffs, (p_rho, 2.0))
-        lengths.append(j * delta)
-        dens.append(gr)
-        mom.append(gm)
-    return _modulus_table("time", lengths, dens, mom, p_rho)
+    lags = snapshot_lags(lags)
+    for j in lags:
+        if j > nt - 2:
+            raise ValueError(
+                f"lag {j} leaves an empty integration window ({nt} snapshots); "
+                "the horizon-sized lag is not integrable"
+            )
+    weights = [trapezoid_weights(times[: nt - j]) for j in lags]
+    ring, sums = {}, np.zeros((len(lags), 2))
+    for i in range(nt):
+        ring[i] = st = yield
+        ring.pop(i - max(lags, default=0) - 1, None)
+        # the pair (i - j, i) of lag j comes in the order of its first snapshot
+        for k, j in enumerate(lags):
+            if i >= j:
+                old = ring[i - j]
+                sums[k] += spacetime_lp(grid, ((weights[k][i - j], st.rho.values - old.rho.values,
+                                                st.m.values - old.m.values),), (p_rho, 2.0))
+    yield _modulus_table("time", [j * delta for j in lags], sums[:, 0], sums[:, 1], p_rho)
+
+
+def time_modulus(series: SnapshotSeries, params: FluidParams, lags) -> ModulusTable:
+    """Lag moduli int_0^{T - lag} int |f(t + lag) - f(t)|^p dx dt.
+
+    lags count snapshot intervals (cadence must be uniform).  A lag
+    must leave at least two quadrature points in [0, T - lag].
+    """
+    return feed(series, [time_modulus_pass(series, params, lags)])[0]
 
 
 @dataclass(frozen=True)
@@ -509,19 +529,30 @@ def integrability_exponents(gamma: float, q1, q2, q) -> tuple:
 def high_integrability(series: SnapshotSeries, params: FluidParams) -> IntegrabilityReport:
     """Norms ||rho||_{L^q1}, ||m||_{L^q2}, ||w||_{L^q} on [0,T) x box at the
     default exponents (integrability_exponents); integrability_from_spectrum takes others."""
-    spec = time_integrated_spectrum(series, params, integrability_exponents(params.gamma, None, None, None)[2])
-    return integrability_from_spectrum(spec, series, params, None, None)
+    q1, q2, q = integrability_exponents(params.gamma, None, None, None)
+    spec, sums = feed(series, [spectral_pass(series, params, q), integrability_pass(series, q1, q2)])
+    return integrability_from_spectrum(spec, series, params, q1, q2, sums)
+
+
+def integrability_pass(series, q1: float, q2: float):
+    """Feed pass of the space-time integrals of rho^q1 and |m|^q2, at
+    checked exponents (see integrability_exponents)."""
+    sums = np.zeros(2)
+    for tw in trapezoid_weights(series.times):
+        st = yield
+        sums += spacetime_lp(series.grid, ((tw, st.rho.values, st.m.values),), (q1, q2))
+    yield sums
 
 
 def integrability_from_spectrum(spec: SpectrumSeries, series: SnapshotSeries, params: FluidParams,
-                                q1, q2) -> IntegrabilityReport:
+                                q1, q2, sums=None) -> IntegrabilityReport:
     """high_integrability with q = spec.bundle_q, taking the |w|^q integral
-    from a spectral pass run with that exponent."""
+    from a spectral pass run with that exponent.  sums, an
+    integrability_pass's result at q1 and q2, stands in for a sweep of series."""
     if spec.bundle_lq is None:
         raise ValueError("the spectral pass ran without a bundle exponent q")
     q1, q2, q = integrability_exponents(params.gamma, q1, q2, spec.bundle_q)
-    rows = ((w, st.rho.values, st.m.values) for st, w in zip(series, trapezoid_weights(series.times)))
-    acc_r, acc_m = spacetime_lp(series.grid, rows, (q1, q2))
+    acc_r, acc_m = feed(series, [integrability_pass(series, q1, q2)])[0] if sums is None else sums
     return IntegrabilityReport(
         rho_norm=acc_r ** (1.0 / q1), m_norm=acc_m ** (1.0 / q2), w_norm=spec.bundle_lq ** (1.0 / q),
         q1=q1, q2=q2, q=q,
@@ -733,19 +764,8 @@ def _weak_totals(times, terms, gross, data_values, dxd):
     return residual, scale, float(np.sum(np.abs(data_values))) * dxd + float(np.trapezoid(gross, x=times))
 
 
-def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vectors=(),
-                   m0: Field = None) -> WeakResiduals:
-    """The weak-form pass: mass residuals of the scalar test functions and
-    momentum residuals of the vector ones, in one sweep of the series.
-
-    Per snapshot, u = m / max(rho, rho_min), the symmetric part of grad u
-    (one rfftn, one batched irfftn), m (x) m / rho, p and rho f are built
-    once.  Each term's products with every test function's spatial part
-    form one stacked array, summed per function and scaled by its bump
-    b(t) or b'(t).  The mass data term uses the first snapshot's rho, the
-    momentum one m0 (default the first snapshot's m); params may be None
-    when there are no vector test functions.
-    """
+def weak_pass(series, params: FluidParams, scalars, vectors, m0: Field = None):
+    """weak_residuals as a feed pass, keeping the first state for the data terms."""
     times = _require_time_series(series)
     grid = series.grid
     d = grid.d
@@ -788,7 +808,10 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     # all snapshots: a fresh stacked product per term costs more than the
     # term (at 3D 32^3 it is megabytes).
     products = np.empty((max(ns, nv), d, size))
-    for i, st in enumerate(series):
+    for i in range(nt):
+        st = yield
+        if i == 0:
+            first = st
         rho, m = st.rho.values.reshape(size), st.m.values.reshape(d, size)
         if scalars:
             scalar_products = products[:ns, 0]
@@ -822,7 +845,7 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     b_sq = v_b**2 * dxd
     for arr in (mass_rows, mass_gross, mom_rows, mom_gross, div_u_sq):  # grad_u_sq is a box integral
         arr *= dxd
-    rho0 = series[0].rho.values.reshape(size)
+    rho0 = first.rho.values.reshape(size)
     mass = [
         _weak_totals(times, rows, gross, rho0 * (phi.bump(0.0) * space), dxd)
         for phi, space, rows, gross in zip(scalars, s_space, mass_rows, mass_gross)
@@ -831,7 +854,7 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     def l2(g):
         return math.sqrt(max(float(np.trapezoid(g, x=times)), 0.0))
 
-    m0 = (series[0].m if m0 is None else m0).values.reshape(d, size)
+    m0 = (first.m if m0 is None else m0).values.reshape(d, size)
     momentum = []
     for phi, space, div_g, grad_sq, rows, gross, bf_sq in zip(vectors, v_space, v_div, v_grad_sq,
                                                              mom_rows, mom_gross, b_sq):
@@ -848,7 +871,23 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
             quadrature_uncertainty=_trapezoid_refinement_gap(times, (sum(rows[:4]), rows[4]), scale),
             roundoff_scale=roundoff,
         ))
-    return WeakResiduals(mass=tuple(mass), momentum=tuple(momentum))
+    yield WeakResiduals(mass=tuple(mass), momentum=tuple(momentum))
+
+
+def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vectors=(),
+                   m0: Field = None) -> WeakResiduals:
+    """The weak-form pass: mass residuals of the scalar test functions and
+    momentum residuals of the vector ones, in one sweep of the series.
+
+    Per snapshot, u = m / max(rho, rho_min), the symmetric part of grad u
+    (one rfftn, one batched irfftn), m (x) m / rho, p and rho f are built
+    once.  Each term's products with every test function's spatial part
+    form one stacked array, summed per function and scaled by its bump
+    b(t) or b'(t).  The mass data term uses the first snapshot's rho, the
+    momentum one m0 (default the first snapshot's m); params may be None
+    when there are no vector test functions.
+    """
+    return feed(series, [weak_pass(series, params, scalars, vectors, m0)])[0]
 
 
 @dataclass(frozen=True)
@@ -877,6 +916,14 @@ def energy_admissibility(times, energies, work=None) -> AdmissibilityResult:
     return AdmissibilityResult(times=times, residuals=res, max_residual=mx, tol=tol, admissible=mx <= tol)
 
 
+def energy_pass(series, params: FluidParams):
+    """Feed pass judging the snapshots' total energies by energy_admissibility, with no work."""
+    energies = []
+    for _ in range(len(series)):
+        energies.append(total_energy((yield), params))
+    yield energy_admissibility(series.times, energies)
+
+
 @dataclass(frozen=True)
 class ReynoldsQuotient:
     """Momentum quotient tensor M = (m x m)/rho with a vacuum mask.
@@ -896,6 +943,13 @@ def vacuum_threshold(theta: float) -> float:
     if not theta > 0:
         raise ValueError(f"vacuum threshold theta must be positive, got {theta}")
     return float(theta)
+
+
+def reynolds_pass(series, theta: float):
+    """Feed pass of the last snapshot's reynolds_quotient."""
+    for _ in range(len(series) - 1):
+        yield
+    yield reynolds_quotient((yield), theta)
 
 
 def reynolds_quotient(state: State, theta: float) -> ReynoldsQuotient:

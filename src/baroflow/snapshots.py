@@ -29,15 +29,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Field, make_grid
-from .solver import SnapshotSeries, State
+from .fields import Field, PeriodicGrid, make_grid
+from .solver import SnapshotSeries, State, snapshot_times
 
 __all__ = [
     "SnapshotFormatError",
     "SnapshotMeta",
+    "StoredSeries",
     "write_snapshot",
     "read_snapshot",
     "write_series",
+    "scan_series",
     "read_series",
 ]
 
@@ -50,9 +52,9 @@ class SnapshotFormatError(ValueError):
     """The bytes on disk do not form a valid snapshot."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnapshotMeta:
-    """Header contents of one snapshot file."""
+    """Header contents of one snapshot file (slotted: a scan keeps one per file)."""
 
     version: int
     d: int
@@ -87,73 +89,89 @@ def write_snapshot(path, state: State, params) -> SnapshotMeta:
     return meta
 
 
-def read_snapshot(path, first=None):
-    """Parse one snapshot file into (State, SnapshotMeta).
-
-    first, the (State, SnapshotMeta) of a series' first snapshot, lends
-    the state its grid; the header must then agree with that meta on
-    the grid and the fluid constants.
-    """
-    data = Path(path).read_bytes()
+def _parse_header(path, data: bytes):
+    """(SnapshotMeta, payload checksum) from a file's leading bytes."""
+    name = Path(path).name
     if len(data) < _HEADER.size:
-        raise SnapshotFormatError(f"file holds {len(data)} bytes, shorter than the header")
+        raise SnapshotFormatError(f"{name}: file holds {len(data)} bytes, shorter than the header")
     (magic, version, d, n, P, gamma, kappa, mu, lam, t,
      field_count, checksum) = _HEADER.unpack_from(data)
     if magic != MAGIC:
-        raise SnapshotFormatError(f"bad magic {magic!r}")
+        raise SnapshotFormatError(f"{name}: bad magic {magic!r}")
     if version != VERSION:
-        raise SnapshotFormatError(f"unsupported format version {version}")
+        raise SnapshotFormatError(f"{name}: unsupported format version {version}")
     if field_count != 1 + d:
-        raise SnapshotFormatError(f"field count {field_count} does not match dimension {d}")
-    payload = data[_HEADER.size :]
-    count = n**d
-    expected = 8 * field_count * count
+        raise SnapshotFormatError(f"{name}: field count {field_count} does not match dimension {d}")
+    return SnapshotMeta(version, d, n, P, gamma, kappa, mu, lam, t, field_count), checksum
+
+
+def read_snapshot(path, scanned=None):
+    """Parse one snapshot file into (State, SnapshotMeta).  scanned, the
+    (grid, SnapshotMeta) scan_series found for the file, lends the state
+    its grid; the header must still be that meta."""
+    data = Path(path).read_bytes()
+    meta, checksum = _parse_header(path, data)
+    name = Path(path).name
+    payload = memoryview(data)[_HEADER.size :]
+    count = meta.n**meta.d
+    expected = 8 * meta.field_count * count
     if len(payload) != expected:
-        raise SnapshotFormatError(f"payload holds {len(payload)} bytes, expected {expected}")
+        raise SnapshotFormatError(f"{name}: payload holds {len(payload)} bytes, expected {expected}")
     if zlib.crc32(payload) & 0xFFFFFFFF != checksum:
-        raise SnapshotFormatError("payload checksum mismatch (file is corrupted)")
-    meta = SnapshotMeta(
-        version=version, d=d, n=n, P=P, gamma=gamma, kappa=kappa,
-        mu=mu, lam=lam, t=t, field_count=field_count,
-    )
-    if first is None:
-        grid = make_grid(d, n, P)
-    else:
-        grid = first[0].grid
-        for name in ("d", "n", "P", "gamma", "kappa", "mu", "lam"):
-            got, want = getattr(meta, name), getattr(first[1], name)
-            if got != want:
-                raise SnapshotFormatError(
-                    f"{Path(path).name}: header {name} = {got} disagrees with the first snapshot ({want})"
-                )
+        raise SnapshotFormatError(f"{name}: payload checksum mismatch (file is corrupted)")
+    if scanned is not None and meta != scanned[1]:
+        raise SnapshotFormatError(f"{name}: header changed since the series was scanned")
+    grid = make_grid(meta.d, meta.n, meta.P) if scanned is None else scanned[0]
     flat = np.frombuffer(payload, dtype="<f8")
     rho = flat[:count].reshape(grid.shape, order="F")
     m = np.stack([
         flat[(1 + a) * count : (2 + a) * count].reshape(grid.shape, order="F")
-        for a in range(d)
+        for a in range(meta.d)
     ])
-    return State(t=t, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=m)), meta
+    return State(t=meta.t, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=m)), meta
 
 
 def _series_path(directory: Path, prefix: str, index: int) -> Path:
     return directory / f"{prefix}_{index:04d}.ckhs"
 
 
+@dataclass(frozen=True)
+class StoredSeries:
+    """A snapshot series on disk, known up front by its headers (see
+    scan_series).  Iterating reads each payload when it is reached,
+    checksum-verified, onto the one grid; no earlier state is kept."""
+
+    directory: Path
+    prefix: str
+    metas: tuple
+    grid: PeriodicGrid
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.array([meta.t for meta in self.metas])
+
+    def __len__(self):
+        return len(self.metas)
+
+    def __iter__(self):
+        for i, meta in enumerate(self.metas):
+            yield read_snapshot(_series_path(self.directory, self.prefix, i), (self.grid, meta))[0]
+
+
 def write_series(directory, prefix: str, series: SnapshotSeries, params):
     """Write every snapshot of a series as prefix_NNNN.ckhs files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, st in enumerate(series):
-        path = _series_path(directory, prefix, i)
+    paths = [_series_path(directory, prefix, i) for i in range(len(series))]
+    for path, st in zip(paths, series):
         write_snapshot(path, st, params)
-        paths.append(path)
     return paths
 
 
-def read_series(directory, prefix: str):
-    """Load prefix_NNNN.ckhs files back into (SnapshotSeries, metas),
-    every state on the first snapshot's grid (see read_snapshot)."""
+def scan_series(directory, prefix: str) -> StoredSeries:
+    """Find the prefix_NNNN.ckhs files and read their headers only: the
+    indices must be contiguous from 0, and every header must agree with
+    the first on the grid and the fluid constants."""
     directory = Path(directory)
     pattern = re.compile(rf"^{re.escape(prefix)}_(\d{{4}})\.ckhs$")
     found = sorted(
@@ -166,9 +184,23 @@ def read_series(directory, prefix: str):
     indices = [i for i, _ in found]
     if indices != list(range(len(indices))):
         raise SnapshotFormatError(f"snapshot indices are not contiguous: {indices}")
-    states, metas = [], []
+    metas = []
     for _, path in found:
-        st, meta = read_snapshot(path, (states[0], metas[0]) if states else None)
-        states.append(st)
+        with open(path, "rb") as fh:
+            meta, _ = _parse_header(path, fh.read(_HEADER.size))
+        for name in ("d", "n", "P", "gamma", "kappa", "mu", "lam") if metas else ():
+            got, want = getattr(meta, name), getattr(metas[0], name)
+            if got != want:
+                raise SnapshotFormatError(
+                    f"{path.name}: header {name} = {got} disagrees with the first snapshot ({want})"
+                )
         metas.append(meta)
-    return SnapshotSeries(states=tuple(states)), metas
+    snapshot_times([meta.t for meta in metas])
+    first = metas[0]
+    return StoredSeries(directory, prefix, tuple(metas), make_grid(first.d, first.n, first.P))
+
+
+def read_series(directory, prefix: str):
+    """Load prefix_NNNN.ckhs files into (SnapshotSeries, metas): scan_series, then collect."""
+    stored = scan_series(directory, prefix)
+    return SnapshotSeries(states=tuple(stored)), list(stored.metas)

@@ -87,8 +87,8 @@ class SweepPlan:
         mus = tuple(float(v) for v in self.mu_values)
         if len(mus) < 2:
             raise ValueError("a sweep needs at least two viscosities")
-        if any(v <= 0 for v in mus):
-            raise ValueError("sweep viscosities must be positive")
+        if any(not (v > 0) for v in mus):
+            raise ValueError("sweep viscosities must be positive (a ladder's mu_max must be positive)")
         if any(b >= a for a, b in zip(mus, mus[1:])):
             raise ValueError("sweep viscosities must decrease strictly")
         if self.lam_ratio <= -2.0:
@@ -105,8 +105,6 @@ class SweepPlan:
 
 def plan_sweep(mu_max: float, ratio: float, count: int, **kwargs) -> SweepPlan:
     """Geometric viscosity ladder mu_max * ratio^i, i = 0 .. count-1."""
-    if not (mu_max > 0):
-        raise ValueError(f"mu_max must be positive, got {mu_max}")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
     if count < 2:

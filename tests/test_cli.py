@@ -2,8 +2,10 @@
 
 import csv
 import json
+import math
 import shutil
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ import pytest
 import baroflow.cli
 import baroflow.diagnostics
 import baroflow.sweep
+from baroflow import diagnostics as dg
 from baroflow.cli import cli_main
-from baroflow.snapshots import read_series
-from baroflow.solver import FluidParams
+from baroflow.config import ExperimentConfig
+from baroflow.fields import Field, make_grid
+from baroflow.snapshots import read_series, write_series
+from baroflow.solver import FluidParams, SnapshotSeries, State, preset_ic, total_energy
 
 SIM_CONFIG = """
 [grid]
@@ -74,6 +79,111 @@ amplitude = 8.0
 horizon = 0.5
 snapshots = 4
 """
+
+
+FORCED_2D_CONFIG = """
+[grid]
+d = 2
+n = 16
+
+[fluid]
+mu = 0.002
+
+[forcing]
+mode = trig
+term1 = 0.05,0.0@1,0@0.0
+
+[initial]
+preset = random-band
+seed = 4
+amplitude = 0.3
+
+[run]
+horizon = 0.2
+snapshots = 8
+"""
+
+FREE_3D_CONFIG = """
+[grid]
+d = 3
+n = 8
+
+[fluid]
+mu = 0.02
+
+[initial]
+preset = random-band
+seed = 5
+amplitude = 0.3
+
+[run]
+horizon = 0.1
+snapshots = 6
+
+[diagnostics]
+window_lo = 1
+window_hi = 4
+"""
+
+
+def synthetic_series(directory, d, n, count):
+    """count snapshots 0.01 apart of one smooth state with growing momentum,
+    written as run_NNNN.ckhs."""
+    grid = make_grid(d, n, 2.0 * np.pi)
+    params = FluidParams(gamma=1.4, kappa=1.0, mu=1e-3)
+    base = preset_ic("random-band", grid, params, seed=3, amplitude=0.2)
+    states = [State(t=0.01 * k, rho=base.rho, m=Field(grid=grid, values=(1.0 + 0.01 * k) * base.m.values))
+              for k in range(count)]
+    write_series(directory, "run", SnapshotSeries(states=tuple(states)), params)
+
+
+def read_csv(path):
+    """Rows of a report CSV, numbers parsed (the %.17g cells round-trip exactly)."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+    return [[cell(c) for c in row] for row in list(csv.reader(path.open()))[1:]]
+
+
+def expected_reports(series, params, dcfg):
+    """Every diagnose section from the public functions, each its own sweep
+    of an in-memory series: (csv rows by file, json values by section)."""
+    q1, q2, q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)
+    spec = dg.time_integrated_spectrum(series, params, q)
+    shells = np.arange(len(spec.integrated_energy))
+    fit = dg.ckh_fit(spec, dcfg.window_lo, dcfg.window_hi)
+    det = dg.ckhw_from_spectrum(spec, dcfg.ckhw_beta, dcfg.ckhw_k_star)
+    sm = dg.space_modulus(series, params, dcfg.moduli_shifts)
+    tm = dg.time_modulus(series, params, dcfg.moduli_lags)
+    T = float(series.times[-1])
+    weak = dg.weak_residuals(series, params, dg.default_test_functions(series.grid, T),
+                             dg.default_test_functions(series.grid, T, vector=True))
+    adm = dg.energy_admissibility(series.times, [total_energy(st, params) for st in series])
+    rq = dg.reynolds_quotient(series[-1], dcfg.theta)
+    rows = {
+        "spectrum.csv": list(zip(shells, 2.0 * math.pi / spec.P * shells, spec.counts,
+                                 spec.integrated_energy, spec.integrated_raw)),
+        "moduli.csv": [(t.kind, L, r, m) for t in (sm, tm) for L, r, m in zip(t.lengths, t.density, t.momentum)],
+        "residuals.csv": [("mass", i, r, sc, g, 0.0, 0.0, 0.0) for i, (r, sc, g) in enumerate(weak.mass)] + [
+            ("momentum", i, mr.ns_residual, mr.quadrature_scale, mr.roundoff_scale, mr.euler_residual,
+             mr.viscous_term, mr.viscous_bound) for i, mr in enumerate(weak.momentum)],
+    }
+    values = {
+        "spectrum": {"exponent": fit.exponent, "prefactor": fit.prefactor, "fit_residual": fit.residual,
+                     "m_t": fit.m_t},
+        "ckhw": {"value": det.value, "per_mode_sup": det.per_mode_sup},
+        "sobolev": {"norm": dg.sobolev_norm_from_spectrum(spec, dcfg.sobolev_alpha)},
+        "integrability": vars(dg.integrability_from_spectrum(spec, series, params, q1, q2)),
+        "moduli": {"space": {"density_slope": sm.density_slope, "momentum_slope": sm.momentum_slope},
+                   "time": {"density_slope": tm.density_slope, "momentum_slope": tm.momentum_slope}},
+        "residuals": {"mass_max_rel": weak.mass_max_rel, "ns_max_rel": weak.ns_max_rel},
+        "admissibility": {"max_residual": adm.max_residual, "tol": adm.tol, "admissible": adm.admissible},
+        "reynolds": {"trace_min": float(np.min(rq.V)), "trace_mean": float(np.mean(rq.V)),
+                     "trace_max": float(np.max(rq.V)), "vacuum_fraction": rq.vacuum_fraction},
+    }
+    return rows, values, rq.V
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +396,71 @@ class TestDiagnose:
         rep = baroflow.diagnostics.high_integrability(series, params)
         for name in ("rho_norm", "m_norm", "w_norm", "q"):
             assert got[name] == getattr(rep, name), name
+
+    @pytest.mark.parametrize("config", [FORCED_2D_CONFIG, FREE_3D_CONFIG], ids=["2d-forced", "3d-free"])
+    def test_one_sweep_reports_equal_the_public_functions(self, tmp_path, config):
+        # diagnose feeds every section from one lazy read of each snapshot; each
+        # report must equal the public functions applied to the loaded series
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(config)
+        series_dir, out = tmp_path / "series", tmp_path / "report"
+        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(series_dir)]) == 0
+        assert cli_main(["diagnose", "--dir", str(series_dir), "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+        cfg = ExperimentConfig.from_file(cfg_path)
+        series, _ = read_series(series_dir, "run")
+        rows, values, trace = expected_reports(series, cfg.fluid_params(), cfg.diagnostics)
+        for name, want in rows.items():
+            assert read_csv(out / name) == [list(row) for row in want], name
+        data = json.loads((out / "diagnostics.json").read_text())
+        for section, want in values.items():
+            for key, value in want.items():
+                assert data[section][key] == value, (section, key)
+        assert np.array_equal(np.load(out / "reynolds_trace.npy"), trace)
+
+    def test_memory_does_not_grow_with_the_series(self, tmp_path):
+        # the traced peak of a diagnose call at 64 snapshots may exceed the
+        # one at 16 by the per-snapshot scalars, not by stored payloads
+        payload = 3 * 32**2 * 8
+        for count in (16, 64):
+            synthetic_series(tmp_path / f"s{count}", 2, 32, count)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert cli_main(["diagnose", "--dir", str(tmp_path / f"s{count}"),
+                                 "--out", str(tmp_path / f"out{count}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # first use: lazy imports and caches
+        assert peak(64) - peak(16) < 4 * payload
+
+    @pytest.mark.parametrize("key,old,new", [
+        ("n", "n = 32", "n = 64"), ("d", "d = 1", "d = 2"), ("box", "n = 32", "n = 32\nbox = 1.0"),
+    ], ids=["n", "d", "box"])
+    def test_config_grid_must_match_the_headers(self, sim_dir, tmp_path, capsys, key, old, new):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SIM_CONFIG.replace(old, new, 1))
+        report = tmp_path / "report"
+        code = cli_main(["diagnose", "--dir", str(sim_dir), "--prefix", "demo",
+                         "--config", str(cfg), "--out", str(report)])
+        assert code == 2
+        assert f"config [grid] {key} = " in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_corrupt_payload_exits_one_before_output(self, tmp_path, capsys):
+        synthetic_series(tmp_path / "series", 1, 16, 8)
+        path = tmp_path / "series" / "run_0005.ckhs"
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        report = tmp_path / "report"
+        code = cli_main(["diagnose", "--dir", str(tmp_path / "series"), "--out", str(report)])
+        assert code == 1
+        assert "run_0005.ckhs: payload checksum mismatch" in capsys.readouterr().err
+        assert not report.exists() or not any(report.iterdir())
 
 
 class TestSweep:

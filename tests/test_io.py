@@ -10,6 +10,7 @@ from baroflow.snapshots import (
     SnapshotFormatError,
     read_series,
     read_snapshot,
+    scan_series,
     write_series,
     write_snapshot,
 )
@@ -75,7 +76,7 @@ class TestSnapshotCorruption:
         blob = bytearray(path.read_bytes())
         blob[_HEADER.size + 100] ^= 0x01
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotFormatError, match="checksum"):
+        with pytest.raises(SnapshotFormatError, match="one.ckhs: payload checksum"):
             read_snapshot(path)
 
     def test_bad_magic(self, tmp_path):
@@ -85,7 +86,7 @@ class TestSnapshotCorruption:
         blob = bytearray(path.read_bytes())
         blob[0:4] = b"NOPE"
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotFormatError, match="magic"):
+        with pytest.raises(SnapshotFormatError, match="one.ckhs: bad magic"):
             read_snapshot(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -95,13 +96,23 @@ class TestSnapshotCorruption:
         blob = bytearray(path.read_bytes())
         blob[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotFormatError, match="version"):
+        with pytest.raises(SnapshotFormatError, match="one.ckhs: unsupported format version"):
+            read_snapshot(path)
+
+    def test_field_count_must_match_the_dimension(self, tmp_path):
+        grid, params, state = small_state()
+        path = tmp_path / "one.ckhs"
+        write_snapshot(path, state, params)
+        blob = bytearray(path.read_bytes())
+        blob[64:68] = (4).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotFormatError, match="one.ckhs: field count 4 does not match dimension 2"):
             read_snapshot(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.ckhs"
         path.write_bytes(b"CKHS" + b"\x00" * 10)
-        with pytest.raises(SnapshotFormatError, match="header"):
+        with pytest.raises(SnapshotFormatError, match="short.ckhs: file holds 14 bytes, shorter than the header"):
             read_snapshot(path)
 
     def test_trailing_garbage(self, tmp_path):
@@ -109,7 +120,7 @@ class TestSnapshotCorruption:
         path = tmp_path / "one.ckhs"
         write_snapshot(path, state, params)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(SnapshotFormatError, match="payload"):
+        with pytest.raises(SnapshotFormatError, match="one.ckhs: payload holds"):
             read_snapshot(path)
 
 
@@ -151,6 +162,49 @@ class TestSeries:
         write_series(tmp_path, "other", result.series[:2], params)
         back, _ = read_series(tmp_path, "other")
         assert len(back) == 2
+
+    def test_lazy_reader_gives_the_states_of_read_series(self, tmp_path, short_run):
+        result, params = short_run
+        write_series(tmp_path, "demo", result.series, params)
+        stored = scan_series(tmp_path, "demo")
+        loaded, metas = read_series(tmp_path, "demo")
+        assert list(stored.metas) == metas and len(stored) == len(loaded)
+        assert np.array_equal(stored.times, loaded.times)
+        states = list(stored)
+        assert all(st.rho.grid is stored.grid and st.m.grid is stored.grid for st in states)
+        for got, want in zip(states, loaded):
+            assert got.t == want.t
+            assert np.array_equal(got.rho.values, want.rho.values)
+            assert np.array_equal(got.m.values, want.m.values)
+            assert got.rho.values.flags.c_contiguous and got.m.values.flags.c_contiguous
+
+    def test_scan_reads_headers_and_each_payload_waits_for_the_pass(self, tmp_path, short_run):
+        result, params = short_run
+        write_series(tmp_path, "demo", result.series, params)
+        path = tmp_path / "demo_0004.ckhs"
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        stored = scan_series(tmp_path, "demo")
+        states = iter(stored)
+        assert [next(states).t for _ in range(4)] == list(result.series.times[:4])
+        with pytest.raises(SnapshotFormatError, match="demo_0004.ckhs: payload checksum mismatch"):
+            next(states)
+
+    def test_header_rewritten_after_the_scan_is_rejected(self, tmp_path, short_run):
+        result, params = short_run
+        write_series(tmp_path, "demo", result.series, params)
+        stored = scan_series(tmp_path, "demo")
+        write_snapshot(tmp_path / "demo_0002.ckhs", result.series[3], params)
+        with pytest.raises(SnapshotFormatError, match="demo_0002.ckhs: header changed since the series was scanned"):
+            list(stored)
+
+    def test_times_must_increase(self, tmp_path, short_run):
+        result, params = short_run
+        write_series(tmp_path, "demo", result.series, params)
+        write_snapshot(tmp_path / "demo_0002.ckhs", result.series[1], params)
+        with pytest.raises(ValueError, match="snapshot times must increase strictly"):
+            scan_series(tmp_path, "demo")
 
     def test_states_share_one_grid(self, tmp_path, short_run):
         result, params = short_run

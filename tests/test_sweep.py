@@ -57,6 +57,8 @@ class TestPlan:
             plan_sweep(1e-2, 0.5, 1)
         with pytest.raises(ValueError, match="mu_max"):
             plan_sweep(0.0, 0.5, 3)
+        with pytest.raises(ValueError, match="mu_max must be positive"):
+            plan_sweep(math.nan, 0.5, 3)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="decrease strictly"):
@@ -67,6 +69,8 @@ class TestPlan:
             SweepPlan(mu_values=(1e-2,))
         with pytest.raises(ValueError, match="must be positive"):
             SweepPlan(mu_values=(1e-2, 0.0))
+        with pytest.raises(ValueError, match="must be positive"):
+            SweepPlan(mu_values=(math.nan, 1e-3))
         # lam = -2 mu would cancel the full viscous operator
         with pytest.raises(ValueError, match="lam_ratio"):
             SweepPlan(mu_values=(1e-2, 5e-3), lam_ratio=-2.0)
