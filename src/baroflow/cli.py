@@ -139,8 +139,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _diagnose_params(metas, config_path):
-    meta = metas[0]
+def _diagnose_params(meta, config_path):
     if config_path is None:
         cfg = ExperimentConfig()
         params = FluidParams(gamma=meta.gamma, kappa=meta.kappa, mu=meta.mu, lam=meta.lam)
@@ -167,17 +166,17 @@ def _cmd_diagnose(args) -> int:
     directory = Path(args.dir)
     out = Path(args.out) if args.out else directory
     series = scan_series(directory, args.prefix)
-    cfg, params = _diagnose_params(series.metas, args.config)
+    cfg, params = _diagnose_params(series.meta, args.config)
     dcfg = cfg.diagnostics
     do_all = not (args.spectrum or args.ckhw or args.sobolev or args.moduli or args.residuals)
     T = float(series.times[-1])
     passes = {}
     if do_all or args.spectrum or args.ckhw or args.sobolev:
         # the integrability norm of w reuses the spectral pass's bundle samples
-        q1, q2, q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)
+        q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)[2]
         passes["spectrum"] = dg.spectral_pass(series, params, q)
     if do_all or args.sobolev:
-        passes["integrability"] = dg.integrability_pass(series, q1, q2)
+        passes["integrability"] = dg.integrability_pass(series, params, dcfg.q1, dcfg.q2)
     if do_all or args.moduli:
         passes["space"] = dg.space_modulus_pass(series, params, dcfg.moduli_shifts)
         passes["time"] = dg.time_modulus_pass(series, params, dcfg.moduli_lags)
@@ -185,8 +184,8 @@ def _cmd_diagnose(args) -> int:
         passes["weak"] = dg.weak_pass(series, params, dg.default_test_functions(series.grid, T),
                                       dg.default_test_functions(series.grid, T, vector=True))
         passes["admissibility"] = dg.energy_pass(series, params)
-        passes["reynolds"] = dg.reynolds_pass(series, dcfg.theta)
-    got = dict(zip(passes, dg.feed(series, passes.values())))
+    *results, last = dg.feed(series, passes.values())
+    got = dict(zip(passes, results))
     out.mkdir(parents=True, exist_ok=True)
     report = {
         "command": "diagnose",
@@ -221,19 +220,29 @@ def _cmd_diagnose(args) -> int:
 
     if do_all or args.ckhw:
         det = dg.ckhw_from_spectrum(spec, dcfg.ckhw_beta, dcfg.ckhw_k_star)
-        report["ckhw"] = {k: getattr(det, k) for k in ("value", "per_mode_sup", "beta", "k_star")}
+        report["ckhw"] = {
+            "value": det.value,
+            "per_mode_sup": det.per_mode_sup,
+            "beta": det.beta,
+            "k_star": det.k_star,
+        }
 
     if do_all or args.sobolev:
         report["sobolev"] = {
             "alpha": dcfg.sobolev_alpha,
             "norm": dg.sobolev_norm_from_spectrum(spec, dcfg.sobolev_alpha),
         }
-        integrability = dg.integrability_from_spectrum(spec, series, params, q1, q2, got["integrability"])
+        integrability = dg.integrability_from_spectrum(spec, got["integrability"], params)
         report["integrability"] = dataclasses.asdict(integrability)
 
     if do_all or args.moduli:
         sm, tm = got["space"], got["time"]
-        rows = [(t.kind, L, r, m) for t in (sm, tm) for L, r, m in zip(t.lengths, t.density, t.momentum)]
+        rows = []
+        for table in (sm, tm):
+            rows.extend(
+                (table.kind, L, rho_v, m_v)
+                for L, rho_v, m_v in zip(table.lengths, table.density, table.momentum)
+            )
         _write_csv(out / "moduli.csv", ["kind", "length", "density", "momentum"], rows)
         report["moduli"] = {
             "exponent": sm.exponent,
@@ -243,7 +252,7 @@ def _cmd_diagnose(args) -> int:
         }
 
     if do_all or args.residuals:
-        weak, adm, rq = got["weak"], got["admissibility"], got["reynolds"]
+        weak, adm = got["weak"], got["admissibility"]
         rows = [("mass", i, r, s, g, 0.0, 0.0, 0.0) for i, (r, s, g) in enumerate(weak.mass)]
         rows.extend(
             ("momentum", i, mr.ns_residual, mr.quadrature_scale, mr.roundoff_scale,
@@ -261,6 +270,7 @@ def _cmd_diagnose(args) -> int:
             "csv": "residuals.csv",
         }
         report["admissibility"] = {**_admissibility(adm), "work_assumed_zero": True}
+        rq = dg.reynolds_quotient(last, dcfg.theta)
         np.save(out / "reynolds_trace.npy", rq.V)
         report["reynolds"] = {
             "trace_file": "reynolds_trace.npy",

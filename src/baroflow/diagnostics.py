@@ -186,15 +186,15 @@ def trapezoid_weights(times) -> np.ndarray:
 
 
 def feed(series, passes) -> list:
-    """The results of passes over one sweep of a series, in order.  A pass
-    is a generator that sets itself up (checking its arguments) on the
-    first next(), takes each State by send(), and answers the last one
-    with its result; all are set up before the first State is taken."""
+    """The results of passes over one sweep of a series, in order, then the
+    last State.  A pass is a generator that sets itself up (checking its
+    arguments) on the first next(), takes each State by send(), and answers
+    the last one with its result; all are set up before the first State is taken."""
     for p in passes:
         next(p)
     for st in series:
         results = [p.send(st) for p in passes]
-    return results
+    return results + [st]
 
 
 def spectral_pass(series, params: FluidParams, q):
@@ -529,30 +529,30 @@ def integrability_exponents(gamma: float, q1, q2, q) -> tuple:
 def high_integrability(series: SnapshotSeries, params: FluidParams) -> IntegrabilityReport:
     """Norms ||rho||_{L^q1}, ||m||_{L^q2}, ||w||_{L^q} on [0,T) x box at the
     default exponents (integrability_exponents); integrability_from_spectrum takes others."""
-    q1, q2, q = integrability_exponents(params.gamma, None, None, None)
-    spec, sums = feed(series, [spectral_pass(series, params, q), integrability_pass(series, q1, q2)])
-    return integrability_from_spectrum(spec, series, params, q1, q2, sums)
+    q = integrability_exponents(params.gamma, None, None, None)[2]
+    spec, sums, _ = feed(series, [spectral_pass(series, params, q), integrability_pass(series, params)])
+    return integrability_from_spectrum(spec, sums, params)
 
 
-def integrability_pass(series, q1: float, q2: float):
-    """Feed pass of the space-time integrals of rho^q1 and |m|^q2, at
-    checked exponents (see integrability_exponents)."""
+def integrability_pass(series, params: FluidParams, q1=None, q2=None):
+    """Feed pass of the space-time integrals of rho^q1 and |m|^q2, at the
+    exponents integrability_exponents resolves: answers (q1, q2, sums)."""
+    q1, q2, _ = integrability_exponents(params.gamma, q1, q2, None)
     sums = np.zeros(2)
     for tw in trapezoid_weights(series.times):
         st = yield
         sums += spacetime_lp(series.grid, ((tw, st.rho.values, st.m.values),), (q1, q2))
-    yield sums
+    yield q1, q2, sums
 
 
-def integrability_from_spectrum(spec: SpectrumSeries, series: SnapshotSeries, params: FluidParams,
-                                q1, q2, sums=None) -> IntegrabilityReport:
-    """high_integrability with q = spec.bundle_q, taking the |w|^q integral
-    from a spectral pass run with that exponent.  sums, an
-    integrability_pass's result at q1 and q2, stands in for a sweep of series."""
+def integrability_from_spectrum(spec: SpectrumSeries, sums, params: FluidParams) -> IntegrabilityReport:
+    """high_integrability with q = spec.bundle_q: the |w|^q integral from a
+    spectral pass run with that exponent, the rho and m integrals from an
+    integrability_pass's answer (q1, q2, sums)."""
     if spec.bundle_lq is None:
         raise ValueError("the spectral pass ran without a bundle exponent q")
-    q1, q2, q = integrability_exponents(params.gamma, q1, q2, spec.bundle_q)
-    acc_r, acc_m = feed(series, [integrability_pass(series, q1, q2)])[0] if sums is None else sums
+    q1, q2, (acc_r, acc_m) = sums
+    q = integrability_exponents(params.gamma, q1, q2, spec.bundle_q)[2]
     return IntegrabilityReport(
         rho_norm=acc_r ** (1.0 / q1), m_norm=acc_m ** (1.0 / q2), w_norm=spec.bundle_lq ** (1.0 / q),
         q1=q1, q2=q2, q=q,
@@ -943,13 +943,6 @@ def vacuum_threshold(theta: float) -> float:
     if not theta > 0:
         raise ValueError(f"vacuum threshold theta must be positive, got {theta}")
     return float(theta)
-
-
-def reynolds_pass(series, theta: float):
-    """Feed pass of the last snapshot's reynolds_quotient."""
-    for _ in range(len(series) - 1):
-        yield
-    yield reynolds_quotient((yield), theta)
 
 
 def reynolds_quotient(state: State, theta: float) -> ReynoldsQuotient:

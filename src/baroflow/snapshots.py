@@ -24,13 +24,13 @@ from __future__ import annotations
 import re
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .fields import Field, PeriodicGrid, make_grid
-from .solver import SnapshotSeries, State, snapshot_times
+from .solver import SnapshotSeries, State
 
 __all__ = [
     "SnapshotFormatError",
@@ -52,9 +52,9 @@ class SnapshotFormatError(ValueError):
     """The bytes on disk do not form a valid snapshot."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SnapshotMeta:
-    """Header contents of one snapshot file (slotted: a scan keeps one per file)."""
+    """Header contents of one snapshot file."""
 
     version: int
     d: int
@@ -138,40 +138,42 @@ def _series_path(directory: Path, prefix: str, index: int) -> Path:
 @dataclass(frozen=True)
 class StoredSeries:
     """A snapshot series on disk, known up front by its headers (see
-    scan_series).  Iterating reads each payload when it is reached,
-    checksum-verified, onto the one grid; no earlier state is kept."""
+    scan_series): the first header, which every other one repeats but for
+    its time, and the times.  Iterating reads each payload when it is
+    reached, checksum-verified, onto the one grid; no earlier state is kept."""
 
     directory: Path
     prefix: str
-    metas: tuple
+    meta: SnapshotMeta
+    times: np.ndarray
     grid: PeriodicGrid
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([meta.t for meta in self.metas])
-
     def __len__(self):
-        return len(self.metas)
+        return len(self.times)
 
     def __iter__(self):
-        for i, meta in enumerate(self.metas):
-            yield read_snapshot(_series_path(self.directory, self.prefix, i), (self.grid, meta))[0]
+        for i, t in enumerate(self.times.tolist()):
+            scanned = (self.grid, replace(self.meta, t=t))
+            yield read_snapshot(_series_path(self.directory, self.prefix, i), scanned)[0]
 
 
 def write_series(directory, prefix: str, series: SnapshotSeries, params):
     """Write every snapshot of a series as prefix_NNNN.ckhs files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = [_series_path(directory, prefix, i) for i in range(len(series))]
-    for path, st in zip(paths, series):
+    paths = []
+    for i, st in enumerate(series):
+        path = _series_path(directory, prefix, i)
         write_snapshot(path, st, params)
+        paths.append(path)
     return paths
 
 
 def scan_series(directory, prefix: str) -> StoredSeries:
     """Find the prefix_NNNN.ckhs files and read their headers only: the
     indices must be contiguous from 0, and every header must agree with
-    the first on the grid and the fluid constants."""
+    the first on the grid and the fluid constants and hold a later time
+    than the one before."""
     directory = Path(directory)
     pattern = re.compile(rf"^{re.escape(prefix)}_(\d{{4}})\.ckhs$")
     found = sorted(
@@ -194,13 +196,16 @@ def scan_series(directory, prefix: str) -> StoredSeries:
                 raise SnapshotFormatError(
                     f"{path.name}: header {name} = {got} disagrees with the first snapshot ({want})"
                 )
+        if metas and not meta.t > metas[-1].t:
+            raise SnapshotFormatError(f"{path.name}: time {meta.t} does not exceed the previous snapshot's")
         metas.append(meta)
-    snapshot_times([meta.t for meta in metas])
     first = metas[0]
-    return StoredSeries(directory, prefix, tuple(metas), make_grid(first.d, first.n, first.P))
+    return StoredSeries(directory, prefix, first, np.array([meta.t for meta in metas]),
+                        make_grid(first.d, first.n, first.P))
 
 
 def read_series(directory, prefix: str):
     """Load prefix_NNNN.ckhs files into (SnapshotSeries, metas): scan_series, then collect."""
     stored = scan_series(directory, prefix)
-    return SnapshotSeries(states=tuple(stored)), list(stored.metas)
+    metas = [replace(stored.meta, t=t) for t in stored.times.tolist()]
+    return SnapshotSeries(states=tuple(stored)), metas

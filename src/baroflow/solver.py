@@ -195,14 +195,6 @@ class EnergyReport:
     M_T: float
 
 
-def snapshot_times(times) -> None:
-    """The rule for a series' times: at least one, strictly increasing."""
-    if len(times) < 1:
-        raise ValueError("series needs at least one snapshot")
-    if not all(b > a for a, b in zip(times, times[1:])):
-        raise ValueError("snapshot times must increase strictly")
-
-
 @dataclass(frozen=True)
 class SnapshotSeries:
     """Uniformly spaced snapshots of one run."""
@@ -210,7 +202,11 @@ class SnapshotSeries:
     states: tuple
 
     def __post_init__(self):
-        snapshot_times([s.t for s in self.states])
+        if len(self.states) < 1:
+            raise ValueError("series needs at least one snapshot")
+        ts = [s.t for s in self.states]
+        if not all(b > a for a, b in zip(ts, ts[1:])):
+            raise ValueError("snapshot times must increase strictly")
         object.__setattr__(self, "states", tuple(self.states))
 
     @property

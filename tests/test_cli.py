@@ -1,6 +1,7 @@
 """End-to-end CLI runs through cli_main."""
 
 import csv
+import gc
 import json
 import math
 import shutil
@@ -150,8 +151,9 @@ def read_csv(path):
 def expected_reports(series, params, dcfg):
     """Every diagnose section from the public functions, each its own sweep
     of an in-memory series: (csv rows by file, json values by section)."""
-    q1, q2, q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)
+    q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)[2]
     spec = dg.time_integrated_spectrum(series, params, q)
+    sums = dg.feed(series, [dg.integrability_pass(series, params, dcfg.q1, dcfg.q2)])[0]
     shells = np.arange(len(spec.integrated_energy))
     fit = dg.ckh_fit(spec, dcfg.window_lo, dcfg.window_hi)
     det = dg.ckhw_from_spectrum(spec, dcfg.ckhw_beta, dcfg.ckhw_k_star)
@@ -175,7 +177,7 @@ def expected_reports(series, params, dcfg):
                      "m_t": fit.m_t},
         "ckhw": {"value": det.value, "per_mode_sup": det.per_mode_sup},
         "sobolev": {"norm": dg.sobolev_norm_from_spectrum(spec, dcfg.sobolev_alpha)},
-        "integrability": vars(dg.integrability_from_spectrum(spec, series, params, q1, q2)),
+        "integrability": vars(dg.integrability_from_spectrum(spec, sums, params)),
         "moduli": {"space": {"density_slope": sm.density_slope, "momentum_slope": sm.momentum_slope},
                    "time": {"density_slope": tm.density_slope, "momentum_slope": tm.momentum_slope}},
         "residuals": {"mass_max_rel": weak.mass_max_rel, "ns_max_rel": weak.ns_max_rel},
@@ -420,12 +422,15 @@ class TestDiagnose:
 
     def test_memory_does_not_grow_with_the_series(self, tmp_path):
         # the traced peak of a diagnose call at 64 snapshots may exceed the
-        # one at 16 by the per-snapshot scalars, not by stored payloads
+        # one at 16 by the rows kept per snapshot (spectrum and weak-form
+        # rows, times), not by stored payloads; a collection before each
+        # call keeps garbage of the previous one out of the peak
         payload = 3 * 32**2 * 8
         for count in (16, 64):
             synthetic_series(tmp_path / f"s{count}", 2, 32, count)
 
         def peak(count):
+            gc.collect()
             tracemalloc.start()
             try:
                 assert cli_main(["diagnose", "--dir", str(tmp_path / f"s{count}"),

@@ -15,9 +15,11 @@ from baroflow.diagnostics import (
     ckhw_statistic,
     default_test_functions,
     energy_admissibility,
+    feed,
     fractional_sobolev_norm,
     high_integrability,
     integrability_from_spectrum,
+    integrability_pass,
     reynolds_quotient,
     shell_spectrum,
     space_modulus,
@@ -428,13 +430,15 @@ class TestIntegrability:
         series = series_from(grid, [(0.0, np.ones(grid.shape), np.zeros((1,) + grid.shape)),
                                     (1.0, np.ones(grid.shape), np.zeros((1,) + grid.shape))])
         params = FluidParams(gamma=1.5)
-        spec = time_integrated_spectrum(series, params, 2.5)
         with pytest.raises(ValueError, match="q1 must exceed gamma"):
-            integrability_from_spectrum(spec, series, params, 1.5, None)
+            feed(series, [integrability_pass(series, params, 1.5, None)])
         with pytest.raises(ValueError, match="q2 and q must exceed 2"):
-            integrability_from_spectrum(spec, series, params, None, 2.0)
+            feed(series, [integrability_pass(series, params, None, 2.0)])
+        sums = feed(series, [integrability_pass(series, params)])[0]
         with pytest.raises(ValueError, match="q2 and q must exceed 2"):
-            integrability_from_spectrum(time_integrated_spectrum(series, params, 1.9), series, params, None, None)
+            integrability_from_spectrum(time_integrated_spectrum(series, params, 1.9), sums, params)
+        with pytest.raises(ValueError, match="without a bundle exponent"):
+            integrability_from_spectrum(time_integrated_spectrum(series, params), sums, params)
 
 
 class TestTestFunction:

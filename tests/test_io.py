@@ -168,7 +168,8 @@ class TestSeries:
         write_series(tmp_path, "demo", result.series, params)
         stored = scan_series(tmp_path, "demo")
         loaded, metas = read_series(tmp_path, "demo")
-        assert list(stored.metas) == metas and len(stored) == len(loaded)
+        assert stored.meta == metas[0] and len(stored) == len(loaded) == len(metas)
+        assert [meta.t for meta in metas] == list(stored.times)
         assert np.array_equal(stored.times, loaded.times)
         states = list(stored)
         assert all(st.rho.grid is stored.grid and st.m.grid is stored.grid for st in states)
@@ -203,7 +204,7 @@ class TestSeries:
         result, params = short_run
         write_series(tmp_path, "demo", result.series, params)
         write_snapshot(tmp_path / "demo_0002.ckhs", result.series[1], params)
-        with pytest.raises(ValueError, match="snapshot times must increase strictly"):
+        with pytest.raises(SnapshotFormatError, match="demo_0002.ckhs: time .* does not exceed the previous"):
             scan_series(tmp_path, "demo")
 
     def test_states_share_one_grid(self, tmp_path, short_run):

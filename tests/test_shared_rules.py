@@ -16,7 +16,9 @@ import pytest
 from baroflow import solver
 from baroflow.diagnostics import (
     TestFunction,
+    feed,
     integrability_from_spectrum,
+    integrability_pass,
     space_modulus,
     spacetime_lp,
     time_integrated_spectrum,
@@ -196,7 +198,8 @@ def test_series_distance_is_bit_identical(sweep, p1, p2):
 def test_integrability_matches_weighted_bundle(sweep):
     series, params = sweep.entries[1].result.series, sweep.entries[1].params
     q1, q2, q = 1.9, 2.5, 3.0
-    rep = integrability_from_spectrum(time_integrated_spectrum(series, params, q), series, params, q1, q2)
+    sums = feed(series, [integrability_pass(series, params, q1, q2)])[0]
+    rep = integrability_from_spectrum(time_integrated_spectrum(series, params, q), sums, params)
     want_r, want_m, want_w = reference_integrability(series, params, q1, q2, q)
     assert (rep.rho_norm, rep.m_norm, rep.w_norm) == (want_r, want_m, want_w)
 
