@@ -67,12 +67,12 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None  # JSON has no NaN or infinity
     return obj
 
 
 def _write_json(path, payload):
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n")
 
 
@@ -172,11 +172,8 @@ def _cmd_diagnose(args) -> int:
     T = float(series.times[-1])
     passes = {}
     if do_all or args.spectrum or args.ckhw or args.sobolev:
-        # the integrability norm of w reuses the spectral pass's bundle samples
-        q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)[2]
-        passes["spectrum"] = dg.spectral_pass(series, params, q)
-    if do_all or args.sobolev:
-        passes["integrability"] = dg.integrability_pass(series, params, dcfg.q1, dcfg.q2)
+        exponents = (dcfg.q1, dcfg.q2, dcfg.q) if do_all or args.sobolev else None
+        passes["spectrum"] = dg.spectral_pass(series, params, exponents)
     if do_all or args.moduli:
         passes["space"] = dg.space_modulus_pass(series, params, dcfg.moduli_shifts)
         passes["time"] = dg.time_modulus_pass(series, params, dcfg.moduli_lags)
@@ -232,8 +229,7 @@ def _cmd_diagnose(args) -> int:
             "alpha": dcfg.sobolev_alpha,
             "norm": dg.sobolev_norm_from_spectrum(spec, dcfg.sobolev_alpha),
         }
-        integrability = dg.integrability_from_spectrum(spec, got["integrability"], params)
-        report["integrability"] = dataclasses.asdict(integrability)
+        report["integrability"] = dataclasses.asdict(spec.integrability)
 
     if do_all or args.moduli:
         sm, tm = got["space"], got["time"]
@@ -405,9 +401,9 @@ def _cmd_report(args) -> int:
             for (a, b), r, m in zip(c["mu_pairs"], c["rho_distances"], c["m_distances"]):
                 print(f"  {a:.6g} -> {b:.6g}: {r:.6e}, {m:.6e}")
             ref = data["reference"]
-            if ref["rho_rate"] is not None:
-                print(f"rates against the least viscous run: rho {ref['rho_rate']:.3f}, "
-                      f"m {ref['m_rate']:.3f}")
+            rates = [f"{k} {ref[k + '_rate']:.3f}" for k in ("rho", "m") if ref[k + "_rate"] is not None]
+            if rates:  # a rate is null when it has no finite value
+                print(f"rates against the least viscous run: {', '.join(rates)}")
             lc = data["limit_candidate"]
             print(f"limit candidate: mass {lc['mass_max_rel']:.3e}, "
                   f"ns {lc['ns_max_rel']:.3e}, euler deficit {lc['euler_deficit_rel']:.3e}")

@@ -38,6 +38,7 @@ __all__ = [
     "time_integrated_spectrum",
     "trapezoid_weights",
     "ckh_fit",
+    "decay_constant",
     "ckhw_statistic",
     "ckhw_from_spectrum",
     "fractional_sobolev_norm",
@@ -46,7 +47,6 @@ __all__ = [
     "time_modulus",
     "spacetime_lp",
     "high_integrability",
-    "integrability_from_spectrum",
     "default_test_functions",
     "weak_residual_momentum",
     "weak_residuals",
@@ -138,8 +138,8 @@ class SpectrumSeries:
 
     mode_power is the time integral of the per-mode |w_hat|^2 on grid's
     half lattice; a series built from per-shell integrals has neither.
-    bundle_lq is the space-time integral of |w|^bundle_q when the pass
-    was run with an exponent q (see integrability_from_spectrum).
+    integrability holds the norms of rho, m and w when the pass was run
+    with integrability exponents, and is None otherwise.
     """
 
     times: np.ndarray
@@ -153,8 +153,7 @@ class SpectrumSeries:
     P: float
     grid: PeriodicGrid = None
     mode_power: np.ndarray = None
-    bundle_q: float = None
-    bundle_lq: float = None
+    integrability: IntegrabilityReport = None
 
     @classmethod
     def from_integrated(cls, integrated_energy, d, n, P):
@@ -197,36 +196,41 @@ def feed(series, passes) -> list:
     return results + [st]
 
 
-def spectral_pass(series, params: FluidParams, q):
-    """time_integrated_spectrum as a feed pass."""
+def spectral_pass(series, params: FluidParams, exponents=None):
+    """time_integrated_spectrum as a feed pass.  Exponents (q1, q2, q) are
+    resolved by integrability_exponents when the pass is set up."""
     times = _require_time_series(series)
     grid = series.grid
+    if exponents is not None:
+        exponents = integrability_exponents(params.gamma, *exponents)
+    sums = np.zeros(3)
     energy = np.empty((len(times), grid.n_shells))
     raw = np.empty_like(energy)
     mode_power = np.zeros(grid.half_shape)
-    bundle_lq = None if q is None else 0.0
     for i, tw in enumerate(trapezoid_weights(times)):
-        w = _bundle((yield), params)
+        st = yield
+        w = _bundle(st, params)
         energy[i], raw[i], power = _snapshot_spectrum(grid, w, params)
         mode_power += tw * power
-        if q is not None:
-            bundle_lq += spacetime_lp(grid, ((tw, w),), (q,))[0]
+        if exponents is not None:
+            sums += spacetime_lp(grid, ((tw, st.rho.values, st.m.values, w),), exponents)
     yield SpectrumSeries(
         times=times, energy=energy, raw=raw,
         counts=_shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64),
         integrated_energy=np.trapezoid(energy, x=times, axis=0),
         integrated_raw=np.trapezoid(raw, x=times, axis=0),
         d=grid.d, n=grid.n, P=grid.P, grid=grid, mode_power=mode_power,
-        bundle_q=q, bundle_lq=bundle_lq,
+        integrability=None if exponents is None else IntegrabilityReport(
+            *(acc ** (1.0 / q) for acc, q in zip(sums, exponents)), *exponents),
     )
 
 
-def time_integrated_spectrum(series: SnapshotSeries, params: FluidParams, q: float = None) -> SpectrumSeries:
+def time_integrated_spectrum(series: SnapshotSeries, params: FluidParams, exponents=None) -> SpectrumSeries:
     """The spectral pass: one rfftn of the weighted bundle per snapshot,
     binned into shells and accumulated into the integrated mode power.
-    With an exponent q the same bundle samples also give the space-time
-    integral of |w|^q, so the integrability norm needs no second bundle."""
-    return feed(series, [spectral_pass(series, params, q)])[0]
+    With exponents (q1, q2, q) the same sweep also gives the space-time
+    norms of rho, m and the bundle w (see IntegrabilityReport)."""
+    return feed(series, [spectral_pass(series, params, exponents)])[0]
 
 
 class SparseSpectrumError(ValueError):
@@ -280,11 +284,17 @@ def ckh_fit(spec: SpectrumSeries, k_lo: int = None, k_hi: int = None) -> CkhFit:
     slope, intercept = np.polyfit(logk, logv, 1)
     fitted = slope * logk + intercept
     residual = float(np.sqrt(np.mean((logv - fitted) ** 2)))
-    m_t = float(np.max(ks ** (5.0 / 3.0) * vals))
     return CkhFit(
         exponent=float(slope), prefactor=float(np.exp(intercept)),
-        residual=residual, m_t=m_t, k_lo=k_lo, k_hi=k_hi,
+        residual=residual, m_t=decay_constant(spec.integrated_energy, k_lo, k_hi), k_lo=k_lo, k_hi=k_hi,
     )
+
+
+def decay_constant(integrated_energy, k_lo: int, k_hi: int) -> float:
+    """m_t, the maximum of k^(5/3) * integrated_energy[k] over the shells
+    k_lo..k_hi: the empirical constant of the k^(-5/3) decay bound."""
+    window = np.asarray(integrated_energy)[k_lo : k_hi + 1]
+    return float(np.max(np.arange(k_lo, k_lo + len(window), dtype=np.float64) ** (5.0 / 3.0) * window))
 
 
 @dataclass(frozen=True)
@@ -504,7 +514,11 @@ def time_modulus(series: SnapshotSeries, params: FluidParams, lags) -> ModulusTa
 
 @dataclass(frozen=True)
 class IntegrabilityReport:
-    """Mixed space-time L^q norms above the energy exponents."""
+    """Mixed space-time L^q norms above the energy exponents.
+
+    m_norm is the momentum m in L^q2; the paper's bound is on the
+    velocity u in L^q2, and a per-rung report must pick one of the two.
+    """
 
     rho_norm: float
     m_norm: float
@@ -528,35 +542,8 @@ def integrability_exponents(gamma: float, q1, q2, q) -> tuple:
 
 def high_integrability(series: SnapshotSeries, params: FluidParams) -> IntegrabilityReport:
     """Norms ||rho||_{L^q1}, ||m||_{L^q2}, ||w||_{L^q} on [0,T) x box at the
-    default exponents (integrability_exponents); integrability_from_spectrum takes others."""
-    q = integrability_exponents(params.gamma, None, None, None)[2]
-    spec, sums, _ = feed(series, [spectral_pass(series, params, q), integrability_pass(series, params)])
-    return integrability_from_spectrum(spec, sums, params)
-
-
-def integrability_pass(series, params: FluidParams, q1=None, q2=None):
-    """Feed pass of the space-time integrals of rho^q1 and |m|^q2, at the
-    exponents integrability_exponents resolves: answers (q1, q2, sums)."""
-    q1, q2, _ = integrability_exponents(params.gamma, q1, q2, None)
-    sums = np.zeros(2)
-    for tw in trapezoid_weights(series.times):
-        st = yield
-        sums += spacetime_lp(series.grid, ((tw, st.rho.values, st.m.values),), (q1, q2))
-    yield q1, q2, sums
-
-
-def integrability_from_spectrum(spec: SpectrumSeries, sums, params: FluidParams) -> IntegrabilityReport:
-    """high_integrability with q = spec.bundle_q: the |w|^q integral from a
-    spectral pass run with that exponent, the rho and m integrals from an
-    integrability_pass's answer (q1, q2, sums)."""
-    if spec.bundle_lq is None:
-        raise ValueError("the spectral pass ran without a bundle exponent q")
-    q1, q2, (acc_r, acc_m) = sums
-    q = integrability_exponents(params.gamma, q1, q2, spec.bundle_q)[2]
-    return IntegrabilityReport(
-        rho_norm=acc_r ** (1.0 / q1), m_norm=acc_m ** (1.0 / q2), w_norm=spec.bundle_lq ** (1.0 / q),
-        q1=q1, q2=q2, q=q,
-    )
+    default exponents (integrability_exponents); the spectral pass takes others."""
+    return time_integrated_spectrum(series, params, (None, None, None)).integrability
 
 
 # Degree-9 smoothstep: S(0) = 0, S(1) = 1, derivatives 1..4 vanish at both

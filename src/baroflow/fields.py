@@ -35,6 +35,9 @@ __all__ = [
     "weighted_fields",
 ]
 
+# a density sample down to -RHO_TOLERANCE is round-off of a nonnegative density
+RHO_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class PeriodicGrid:
@@ -389,7 +392,7 @@ def weighted_fields(
     if not rho.is_scalar or m.components != rho.grid.d:
         raise ValueError("expected scalar rho and d-component m")
     r = rho.values
-    if float(np.min(r)) < -1e-12:
+    if float(np.min(r)) < -RHO_TOLERANCE:
         raise ValueError(f"density has negative values beyond tolerance: min {np.min(r):.3e}")
     r = np.maximum(r, 0.0)
     denom = np.maximum(r, rho_min)

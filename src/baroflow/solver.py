@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Field, PeriodicGrid, trig_terms
+from .fields import RHO_TOLERANCE, Field, PeriodicGrid, trig_terms
 
 __all__ = [
     "ForcingSpec",
@@ -169,7 +169,7 @@ class State:
             raise ValueError(f"momentum needs {self.grid.d} components, got {self.m.components}")
         if self.m.grid != self.rho.grid:
             raise ValueError("rho and m live on different grids")
-        if float(np.min(self.rho.values)) < -1e-12:
+        if float(np.min(self.rho.values)) < -RHO_TOLERANCE:
             raise ValueError(f"density below tolerance: min {np.min(self.rho.values):.3e}")
 
     @property
@@ -390,7 +390,7 @@ def _check_alive(rho, m, t):
     if not np.all(np.isfinite(rho)) or not np.all(np.isfinite(m)):
         raise BlowUpError(f"non-finite values at t = {t:.6g}", t=t)
     low = float(np.min(rho))
-    if low < -1e-12:
+    if low < -RHO_TOLERANCE:
         raise BlowUpError(f"density lost positivity (min rho = {low:.3e}) at t = {t:.6g}", t=t)
 
 

@@ -16,13 +16,15 @@ import numpy as np
 from .diagnostics import (
     AdmissibilityResult,
     WeakResiduals,
+    decay_constant,
     default_test_functions,
     energy_admissibility,
+    feed,
     reynolds_quotient,
     spacetime_lp,
-    time_integrated_spectrum,
+    spectral_pass,
     trapezoid_weights,
-    weak_residuals,
+    weak_pass,
 )
 from .solver import (
     BlowUpError,
@@ -329,16 +331,13 @@ def limit_candidate_check(sweep: SweepResult, theta: float = 1e-6) -> LimitCandi
         raise ValueError("no completed runs to check")
     entry = done[-1]
     series = entry.result.series
-    grid = series.grid
-    T = series.times[-1] - series.times[0]
-    weak = weak_residuals(series, entry.params, default_test_functions(grid, T),
-                          default_test_functions(grid, T, vector=True))
+    grid, T = series.grid, series.times[-1]
+    tests = default_test_functions(grid, T), default_test_functions(grid, T, vector=True)
+    weak, spec, last = feed(series, [weak_pass(series, entry.params, *tests), spectral_pass(series, entry.params)])
     ledger = entry.result.report
     adm = energy_admissibility(ledger.t, ledger.E, ledger.W)
-    quo = reynolds_quotient(series[-1], theta)
-    ss = time_integrated_spectrum(series, entry.params)
-    shells = np.arange(1, grid.n // 3 + 1, dtype=np.float64)
-    m_t = float(np.max(shells ** (5.0 / 3.0) * ss.integrated_energy[1 : grid.n // 3 + 1]))
+    quo = reynolds_quotient(last, theta)
+    m_t = decay_constant(spec.integrated_energy, 1, grid.n // 3)
 
     plausible = bool(
         weak.mass_max_rel <= REL_TOL

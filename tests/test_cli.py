@@ -148,12 +148,15 @@ def read_csv(path):
     return [[cell(c) for c in row] for row in list(csv.reader(path.open()))[1:]]
 
 
+def strict_json(name):
+    """json.loads hook that rejects NaN and Infinity, which are not JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
 def expected_reports(series, params, dcfg):
     """Every diagnose section from the public functions, each its own sweep
     of an in-memory series: (csv rows by file, json values by section)."""
-    q = dg.integrability_exponents(params.gamma, dcfg.q1, dcfg.q2, dcfg.q)[2]
-    spec = dg.time_integrated_spectrum(series, params, q)
-    sums = dg.feed(series, [dg.integrability_pass(series, params, dcfg.q1, dcfg.q2)])[0]
+    spec = dg.time_integrated_spectrum(series, params, (dcfg.q1, dcfg.q2, dcfg.q))
     shells = np.arange(len(spec.integrated_energy))
     fit = dg.ckh_fit(spec, dcfg.window_lo, dcfg.window_hi)
     det = dg.ckhw_from_spectrum(spec, dcfg.ckhw_beta, dcfg.ckhw_k_star)
@@ -177,7 +180,7 @@ def expected_reports(series, params, dcfg):
                      "m_t": fit.m_t},
         "ckhw": {"value": det.value, "per_mode_sup": det.per_mode_sup},
         "sobolev": {"norm": dg.sobolev_norm_from_spectrum(spec, dcfg.sobolev_alpha)},
-        "integrability": vars(dg.integrability_from_spectrum(spec, sums, params)),
+        "integrability": vars(spec.integrability),
         "moduli": {"space": {"density_slope": sm.density_slope, "momentum_slope": sm.momentum_slope},
                    "time": {"density_slope": tm.density_slope, "momentum_slope": tm.momentum_slope}},
         "residuals": {"mass_max_rel": weak.mass_max_rel, "ns_max_rel": weak.ns_max_rel},
@@ -455,6 +458,17 @@ class TestDiagnose:
         assert f"config [grid] {key} = " in capsys.readouterr().err
         assert not report.exists()
 
+    def test_a_value_with_no_finite_fit_is_written_as_null(self, tmp_path):
+        # one shift and one lag leave each moduli slope a fit of one point
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(FORCED_2D_CONFIG + "\n[diagnostics]\nmoduli_shifts = 1\nmoduli_lags = 1\n")
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert cli_main(["diagnose", "--dir", str(tmp_path / "run"), "--config", str(cfg),
+                         "--out", str(tmp_path / "report"), "--moduli"]) == 0
+        data = json.loads((tmp_path / "report" / "diagnostics.json").read_text(), parse_constant=strict_json)
+        for kind in ("space", "time"):
+            assert data["moduli"][kind] == {"density_slope": None, "momentum_slope": None}
+
     def test_corrupt_payload_exits_one_before_output(self, tmp_path, capsys):
         synthetic_series(tmp_path / "series", 1, 16, 8)
         path = tmp_path / "series" / "run_0005.ckhs"
@@ -531,6 +545,22 @@ class TestReport:
         text = capsys.readouterr().out
         assert "plausible limit: True" in text
         assert "rates against the least viscous run" in text
+
+    def test_sweep_report_with_a_null_rate(self, sweep_dir, tmp_path, capsys):
+        # convergence_rate is inf when every distance is zero; the summary holds null
+        data = json.loads((sweep_dir / "summary.json").read_text())
+        data["reference"]["m_rate"] = None
+        baroflow.cli._write_json(tmp_path / "summary.json", data)
+        assert cli_main(["report", "--dir", str(tmp_path)]) == 0
+        rho_rate = data["reference"]["rho_rate"]
+        assert f"rates against the least viscous run: rho {rho_rate:.3f}\n" in capsys.readouterr().out
+
+    def test_json_reports_hold_no_nan_or_infinity(self, tmp_path):
+        path = tmp_path / "summary.json"
+        baroflow.cli._write_json(path, {"rate": float("inf"), "slopes": np.array([np.nan, 1.5]),
+                                        "m_t": np.float64(-np.inf)})
+        assert json.loads(path.read_text(), parse_constant=strict_json) == {
+            "rate": None, "slopes": [None, 1.5], "m_t": None}
 
     def test_missing_summary(self, tmp_path):
         assert cli_main(["report", "--dir", str(tmp_path)]) == 1

@@ -13,16 +13,15 @@ from baroflow.diagnostics import (
     ckh_fit,
     ckhw_from_spectrum,
     ckhw_statistic,
+    decay_constant,
     default_test_functions,
     energy_admissibility,
-    feed,
     fractional_sobolev_norm,
     high_integrability,
-    integrability_from_spectrum,
-    integrability_pass,
     reynolds_quotient,
     shell_spectrum,
     space_modulus,
+    spectral_pass,
     time_integrated_spectrum,
     time_modulus,
     weak_residual_momentum,
@@ -171,6 +170,19 @@ class TestCkhFit:
     def test_small_wobble_moves_exponent_little(self):
         fit = ckh_fit(self.synthetic(-5.0 / 3.0, wobble=0.01))
         assert abs(fit.exponent + 5.0 / 3.0) < 0.02
+
+    def test_decay_constant_is_the_filtered_window_maximum(self):
+        # the form ckh_fit used before it shared decay_constant: shells in
+        # the window with positive energy only; empty shells add 0 to a
+        # maximum that is positive, so both forms agree bit for bit
+        ie = self.synthetic(-5.0 / 3.0, wobble=0.3).integrated_energy.copy()
+        ie[[5, 6, 9, 14]] = 0.0
+        for k_lo, k_hi in ((1, 21), (4, 12), (5, 11), (2, 32)):
+            shells = np.arange(len(ie))
+            sel = (shells >= k_lo) & (shells <= k_hi) & (ie > 0)
+            want = float(np.max(shells[sel].astype(np.float64) ** (5.0 / 3.0) * ie[sel]))
+            assert decay_constant(ie, k_lo, k_hi) == want
+            assert ckh_fit(SpectrumSeries.from_integrated(ie, d=3, n=64, P=2.0 * np.pi), k_lo, k_hi).m_t == want
 
     def test_bad_windows_rejected(self):
         ss = self.synthetic(-2.0)
@@ -431,14 +443,23 @@ class TestIntegrability:
                                     (1.0, np.ones(grid.shape), np.zeros((1,) + grid.shape))])
         params = FluidParams(gamma=1.5)
         with pytest.raises(ValueError, match="q1 must exceed gamma"):
-            feed(series, [integrability_pass(series, params, 1.5, None)])
+            time_integrated_spectrum(series, params, (1.5, None, None))
         with pytest.raises(ValueError, match="q2 and q must exceed 2"):
-            feed(series, [integrability_pass(series, params, None, 2.0)])
-        sums = feed(series, [integrability_pass(series, params)])[0]
+            time_integrated_spectrum(series, params, (None, 2.0, None))
         with pytest.raises(ValueError, match="q2 and q must exceed 2"):
-            integrability_from_spectrum(time_integrated_spectrum(series, params, 1.9), sums, params)
-        with pytest.raises(ValueError, match="without a bundle exponent"):
-            integrability_from_spectrum(time_integrated_spectrum(series, params), sums, params)
+            time_integrated_spectrum(series, params, (None, None, 1.9))
+        # resolved when the pass is set up, before it takes a snapshot
+        with pytest.raises(ValueError, match="q1 must exceed gamma"):
+            next(spectral_pass(series, params, (1.5, None, None)))
+
+    def test_no_exponents_no_report(self):
+        grid = make_grid(1, 8, 1.0)
+        series = series_from(grid, [(0.0, np.ones(grid.shape), np.zeros((1,) + grid.shape)),
+                                    (1.0, np.ones(grid.shape), np.zeros((1,) + grid.shape))])
+        params = FluidParams(gamma=1.5)
+        assert time_integrated_spectrum(series, params).integrability is None
+        assert time_integrated_spectrum(series, params, (None, None, None)).integrability == \
+            high_integrability(series, params)
 
 
 class TestTestFunction:

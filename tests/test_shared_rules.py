@@ -16,16 +16,13 @@ import pytest
 from baroflow import solver
 from baroflow.diagnostics import (
     TestFunction,
-    feed,
-    integrability_from_spectrum,
-    integrability_pass,
     space_modulus,
     spacetime_lp,
     time_integrated_spectrum,
     time_modulus,
     trapezoid_weights,
 )
-from baroflow.fields import Field, make_grid, weighted_fields
+from baroflow.fields import RHO_TOLERANCE, Field, make_grid, weighted_fields
 from baroflow.solver import FluidParams, ForcingSpec, State, total_energy
 from baroflow.sweep import plan_sweep, run_sweep, series_distance, viscous_smallness
 
@@ -198,8 +195,7 @@ def test_series_distance_is_bit_identical(sweep, p1, p2):
 def test_integrability_matches_weighted_bundle(sweep):
     series, params = sweep.entries[1].result.series, sweep.entries[1].params
     q1, q2, q = 1.9, 2.5, 3.0
-    sums = feed(series, [integrability_pass(series, params, q1, q2)])[0]
-    rep = integrability_from_spectrum(time_integrated_spectrum(series, params, q), sums, params)
+    rep = time_integrated_spectrum(series, params, (q1, q2, q)).integrability
     want_r, want_m, want_w = reference_integrability(series, params, q1, q2, q)
     assert (rep.rho_norm, rep.m_norm, rep.w_norm) == (want_r, want_m, want_w)
 
@@ -272,6 +268,27 @@ def test_state_checks_density_but_the_rhs_does_not():
     fields = np.concatenate((rho[None], np.zeros((1,) + grid.shape)))
     out_h, _, _ = solver._rhs_core(grid.rfft(fields), fields, 0.0, grid, params, None)
     assert np.all(np.isfinite(out_h))
+
+
+def test_one_density_tolerance():
+    # State, the run's health check and the weighted bundle share one bound
+    grid = make_grid(1, 8, 1.0)
+    m = Field(grid=grid, values=np.zeros((1,) + grid.shape))
+    for low, ok in ((-RHO_TOLERANCE, True), (-2.0 * RHO_TOLERANCE, False)):
+        rho = np.ones(grid.shape)
+        rho[3] = low
+        checks = (
+            (ValueError, "density below tolerance", lambda: State(t=0.0, rho=Field(grid=grid, values=rho), m=m)),
+            (solver.BlowUpError, "density lost positivity", lambda: solver._check_alive(rho, m.values, 0.0)),
+            (ValueError, "negative values beyond tolerance",
+             lambda: weighted_fields(Field(grid=grid, values=rho), m, 1.4, 1.0, 1e-10)),
+        )
+        for error, message, check in checks:
+            if ok:
+                check()
+            else:
+                with pytest.raises(error, match=message):
+                    check()
 
 
 def test_snapshot_step_is_the_largest_dividing_step():

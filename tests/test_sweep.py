@@ -1,6 +1,7 @@
 """Sweep harness tests: planning, shared-step execution, blow-up
 flagging, run-to-run distances, rates and the limit-candidate check."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,13 @@ import numpy as np
 import pytest
 
 import baroflow.sweep
+from baroflow.diagnostics import (
+    default_test_functions,
+    energy_admissibility,
+    reynolds_quotient,
+    time_integrated_spectrum,
+    weak_residuals,
+)
 from baroflow.fields import Field, make_grid
 from baroflow.solver import FluidParams, SnapshotSeries, State, cfl_dt, preset_ic
 from baroflow.sweep import (
@@ -285,6 +293,37 @@ class TestLimitCandidate:
         report = limit_candidate_check(sweep)
         for r in report.weak.momentum:
             assert abs((r.euler_residual - r.viscous_term) - r.ns_residual) < 1e-15
+
+    def test_last_rung_is_swept_once(self, acoustic_sweep):
+        class CountingSeries(SnapshotSeries):
+            def __iter__(self):
+                object.__setattr__(self, "sweeps", getattr(self, "sweeps", 0) + 1)
+                return super().__iter__()
+
+        plan, sweep = acoustic_sweep
+        last = sweep.entries[-1]
+        counted = CountingSeries(states=last.result.series.states)
+        entry = dataclasses.replace(last, result=dataclasses.replace(last.result, series=counted))
+        limit_candidate_check(dataclasses.replace(sweep, entries=sweep.entries[:-1] + (entry,)))
+        assert counted.sweeps == 1
+
+    def test_report_equals_the_public_functions(self, acoustic_sweep):
+        plan, sweep = acoustic_sweep
+        entry = sweep.entries[-1]
+        series, params, ledger = entry.result.series, entry.params, entry.result.report
+        T = series.times[-1]
+        weak = weak_residuals(series, params, default_test_functions(series.grid, T),
+                              default_test_functions(series.grid, T, vector=True))
+        adm = energy_admissibility(ledger.t, ledger.E, ledger.W)
+        ie = time_integrated_spectrum(series, params).integrated_energy
+        shells = np.arange(1, plan.n // 3 + 1, dtype=np.float64)
+        report = limit_candidate_check(sweep, theta=1.0)
+        assert report.weak == weak
+        assert (report.admissibility.max_residual, report.admissibility.admissible) == (adm.max_residual,
+                                                                                        adm.admissible)
+        # theta = 1 flags part of the acoustic pulse's last state
+        assert 0.0 < report.vacuum_fraction == reynolds_quotient(series[-1], 1.0).vacuum_fraction < 1.0
+        assert report.m_t == float(np.max(shells ** (5.0 / 3.0) * ie[1 : plan.n // 3 + 1]))
 
     def test_no_completed_runs_rejected(self):
         plan = SweepPlan(mu_values=(1e-2, 5e-3), d=1, n=16)
