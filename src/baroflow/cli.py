@@ -286,6 +286,8 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
+    if cfg.fluid.lam is not None:  # every rung runs lam = lam_ratio * mu
+        raise ValueError("sweep does not use [fluid] lam; set [sweep] lam_ratio instead")
     out = Path(args.out) if args.out else Path(cfg.output.directory)
     plan = cfg.sweep_plan()
     sweep = run_sweep(plan)

@@ -95,26 +95,17 @@ def _snapshot_spectrum(grid: PeriodicGrid, w: np.ndarray, params: FluidParams):
 class Spectrum:
     """Shell-binned spectrum of the weighted bundle at one time.
 
-    energy[s] carries the energy weights (1/2 and 1/(gamma-1)); raw[s]
-    is the plain sum of |w_hat|^2 over the shell; counts[s] the number
-    of lattice modes binned there.
+    energy[s] carries the energy weights (1/2 and 1/(gamma-1)) of the
+    modes in shell s; counts[s] is the number of lattice modes binned
+    there.
     """
 
     t: float
     energy: np.ndarray
-    raw: np.ndarray
     counts: np.ndarray
     d: int
     n: int
     P: float
-
-    @property
-    def shells(self) -> np.ndarray:
-        return np.arange(len(self.energy))
-
-    def per_shell_density(self) -> np.ndarray:
-        """energy / (nominal shell measure), e.g. E/(4 pi s^2) in 3D."""
-        return self.energy / _nominal_shell_measure(self.d, self.shells)
 
     def total(self) -> float:
         return float(np.sum(self.energy))
@@ -127,26 +118,25 @@ def shell_spectrum(state: State, params: FluidParams) -> Spectrum:
     (Parseval), which is the completeness check run by the tests.
     """
     grid = state.grid
-    energy, raw, _ = _snapshot_spectrum(grid, _bundle(state, params), params)
+    energy = _snapshot_spectrum(grid, _bundle(state, params), params)[0]
     counts = _shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64)
-    return Spectrum(t=state.t, energy=energy, raw=raw, counts=counts, d=grid.d, n=grid.n, P=grid.P)
+    return Spectrum(t=state.t, energy=energy, counts=counts, d=grid.d, n=grid.n, P=grid.P)
 
 
 @dataclass(frozen=True)
 class SpectrumSeries:
-    """Per-snapshot shell spectra plus their trapezoid time integrals.
+    """Trapezoid time integrals of a series' shell spectra.
 
+    integrated_energy[s] is int_0^T E(t, s) dt of shell_spectrum's rows,
+    integrated_raw[s] the same of the plain shell sums of |w_hat|^2.
     mode_power is the time integral of the per-mode |w_hat|^2 on grid's
     half lattice; a series built from per-shell integrals has neither.
     integrability holds the norms of rho, m and w when the pass was run
     with integrability exponents, and is None otherwise.
     """
 
-    times: np.ndarray
-    energy: np.ndarray  # (n_times, n_shells)
-    raw: np.ndarray
     counts: np.ndarray
-    integrated_energy: np.ndarray  # per shell, int_0^T E dt
+    integrated_energy: np.ndarray
     integrated_raw: np.ndarray
     d: int
     n: int
@@ -159,11 +149,9 @@ class SpectrumSeries:
     def from_integrated(cls, integrated_energy, d, n, P):
         """Build a fit-ready series directly from per-shell integrals."""
         ie = np.asarray(integrated_energy, dtype=np.float64)
-        ir = ie.copy()
         return cls(
-            times=np.array([0.0, 1.0]), energy=np.vstack([ie, ie]), raw=np.vstack([ir, ir]),
             counts=np.zeros(len(ie), dtype=np.int64),
-            integrated_energy=ie, integrated_raw=ir, d=d, n=n, P=P,
+            integrated_energy=ie, integrated_raw=ie.copy(), d=d, n=n, P=P,
         )
 
 
@@ -204,21 +192,22 @@ def spectral_pass(series, params: FluidParams, exponents=None):
     if exponents is not None:
         exponents = integrability_exponents(params.gamma, *exponents)
     sums = np.zeros(3)
-    energy = np.empty((len(times), grid.n_shells))
-    raw = np.empty_like(energy)
+    integrated = np.zeros((2, grid.n_shells))  # the energy and raw shell rows
     mode_power = np.zeros(grid.half_shape)
     for i, tw in enumerate(trapezoid_weights(times)):
         st = yield
         w = _bundle(st, params)
-        energy[i], raw[i], power = _snapshot_spectrum(grid, w, params)
+        energy, raw, power = _snapshot_spectrum(grid, w, params)
+        row = np.stack((energy, raw))
+        if i:  # np.trapezoid's own arithmetic, one interval at a time
+            integrated += (times[i] - times[i - 1]) * (row + prev) / 2.0
+        prev = row
         mode_power += tw * power
         if exponents is not None:
             sums += spacetime_lp(grid, ((tw, st.rho.values, st.m.values, w),), exponents)
     yield SpectrumSeries(
-        times=times, energy=energy, raw=raw,
         counts=_shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64),
-        integrated_energy=np.trapezoid(energy, x=times, axis=0),
-        integrated_raw=np.trapezoid(raw, x=times, axis=0),
+        integrated_energy=integrated[0], integrated_raw=integrated[1],
         d=grid.d, n=grid.n, P=grid.P, grid=grid, mode_power=mode_power,
         integrability=None if exponents is None else IntegrabilityReport(
             *(acc ** (1.0 / q) for acc, q in zip(sums, exponents)), *exponents),
@@ -299,9 +288,9 @@ def decay_constant(integrated_energy, k_lo: int, k_hi: int) -> float:
 
 @dataclass(frozen=True)
 class CkhwDetail:
-    """Weighted-mode decay statistic at every admissible shell.
+    """Weighted-mode decay statistic of a time-integrated spectrum.
 
-    value is sup over shells >= k_star of
+    value is sup over shells k_star <= s <= n/3 of
 
         s^(3+beta) * (shell sum of int |w_hat|^2 dt) / nominal(s),
 
@@ -313,8 +302,6 @@ class CkhwDetail:
     per_mode_sup: float
     beta: float
     k_star: int
-    shells: np.ndarray
-    shell_values: np.ndarray
 
 
 def ckhw_k_star(n: int, beta: float, k_star) -> int:
@@ -339,10 +326,7 @@ def ckhw_from_spectrum(spec: SpectrumSeries, beta: float, k_star: int = None) ->
     norm = grid.mode_norm_half
     in_range = (norm >= k_star) & (norm <= cap)
     per_mode = float(np.max(norm[in_range] ** (3.0 + beta) * itg[in_range], initial=0.0))
-    return CkhwDetail(
-        value=float(np.max(vals)), per_mode_sup=per_mode,
-        beta=float(beta), k_star=k_star, shells=shells, shell_values=vals,
-    )
+    return CkhwDetail(value=float(np.max(vals)), per_mode_sup=per_mode, beta=float(beta), k_star=k_star)
 
 
 def ckhw_statistic(series: SnapshotSeries, params: FluidParams, beta: float, k_star: int = None) -> float:
@@ -881,7 +865,6 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
 class AdmissibilityResult:
     """Energy admissibility: E(t) - E(0) - W(t) must stay below tol."""
 
-    times: np.ndarray
     residuals: np.ndarray
     max_residual: float
     tol: float
@@ -900,7 +883,7 @@ def energy_admissibility(times, energies, work=None) -> AdmissibilityResult:
     res = E - E[0] - W
     tol = 1e-8 * max(E[0], 1.0)
     mx = float(np.max(res))
-    return AdmissibilityResult(times=times, residuals=res, max_residual=mx, tol=tol, admissible=mx <= tol)
+    return AdmissibilityResult(residuals=res, max_residual=mx, tol=tol, admissible=mx <= tol)
 
 
 def energy_pass(series, params: FluidParams):
@@ -913,14 +896,11 @@ def energy_pass(series, params: FluidParams):
 
 @dataclass(frozen=True)
 class ReynoldsQuotient:
-    """Momentum quotient tensor M = (m x m)/rho with a vacuum mask.
-
-    Entries where rho < theta are zeroed and flagged; V = trace(M) is
-    the quotient's kinetic-energy density |m|^2/rho.
+    """Trace V = |m|^2/rho of the momentum quotient (m x m)/rho, the
+    quotient's kinetic-energy density, zeroed where rho < theta;
+    vacuum_fraction is the share of grid points with rho < theta.
     """
 
-    M: np.ndarray
-    mask: np.ndarray
     V: np.ndarray
     theta: float
     vacuum_fraction: float
@@ -934,15 +914,9 @@ def vacuum_threshold(theta: float) -> float:
 
 def reynolds_quotient(state: State, theta: float) -> ReynoldsQuotient:
     theta = vacuum_threshold(theta)
-    grid = state.grid
-    d = grid.d
     rho = state.rho.values
     m = state.m.values
     mask = rho < theta
     safe = np.where(mask, 1.0, rho)
-    M = np.where(mask, 0.0, m[:, None] * m[None, :] / safe)
-    V = np.einsum("aa...->...", M)
-    return ReynoldsQuotient(
-        M=M, mask=mask, V=V, theta=theta,
-        vacuum_fraction=float(np.mean(mask)),
-    )
+    V = np.where(mask, 0.0, np.sum(m * m / safe, axis=0))
+    return ReynoldsQuotient(V=V, theta=theta, vacuum_fraction=float(np.mean(mask)))

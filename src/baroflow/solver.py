@@ -233,7 +233,6 @@ class RunResult:
     report: EnergyReport
     dt: float
     steps_per_snapshot: int
-    params: FluidParams
 
 
 def sonic_speed(rho: np.ndarray, params: FluidParams) -> np.ndarray:
@@ -519,7 +518,6 @@ def run(
         report=report,
         dt=dt,
         steps_per_snapshot=per,
-        params=params,
     )
 
 

@@ -532,6 +532,18 @@ class TestSweep:
         assert "theta must be positive" in capsys.readouterr().err
         assert rungs == [] and not (tmp_path / "out").exists()
 
+    def test_fluid_lam_exits_two_before_a_rung(self, tmp_path, monkeypatch, capsys):
+        """Every rung runs lam = [sweep] lam_ratio * mu, so a [fluid] lam
+        would be recorded in config_text and then ignored."""
+        rungs = []
+        real_run = baroflow.sweep.run
+        monkeypatch.setattr(baroflow.sweep, "run", lambda *a, **k: rungs.append(1) or real_run(*a, **k))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SWEEP_CONFIG + "\n[fluid]\nlam = 0.0\n")
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "[sweep] lam_ratio" in capsys.readouterr().err
+        assert rungs == [] and not (tmp_path / "out").exists()
+
 
 class TestReport:
     def test_simulate_report(self, sim_dir, capsys):

@@ -28,7 +28,9 @@ from baroflow.diagnostics import (
     time_modulus,
     weak_residual_momentum,
     weak_residuals,
+    _bundle,
     _nominal_shell_measure,
+    _snapshot_spectrum,
     _trapezoid_refinement_gap,
 )
 from baroflow.fields import dft_forward, make_grid, weighted_fields
@@ -227,17 +229,18 @@ class TestSpectralPass:
     def test_shell_rows_counts_and_integrals(self, case):
         series, params = case
         energy, raw, counts = reference_spectrum_rows(series, params)
+        rows = [_snapshot_spectrum(series.grid, _bundle(st, params), params)[:2] for st in series]
+        for st, (got_energy, got_raw), want_energy, want_raw in zip(series, rows, energy, raw):
+            assert _close(got_energy, want_energy) and _close(got_raw, want_raw)
+            one = shell_spectrum(st, params)
+            assert np.array_equal(one.energy, got_energy) and np.array_equal(one.counts, counts)
         spec = time_integrated_spectrum(series, params)
         assert np.array_equal(spec.counts, counts)
-        for got, want in zip(spec.energy, energy):
-            assert _close(got, want)
-        for got, want in zip(spec.raw, raw):
-            assert _close(got, want)
+        for k, name in enumerate(("integrated_energy", "integrated_raw")):
+            want = np.trapezoid(np.array([r[k] for r in rows]), x=series.times, axis=0)
+            assert np.array_equal(getattr(spec, name), want), name
         assert _close(spec.integrated_energy, np.trapezoid(energy, x=series.times, axis=0))
         assert _close(spec.integrated_raw, np.trapezoid(raw, x=series.times, axis=0))
-        one = shell_spectrum(series[-1], params)
-        assert np.array_equal(one.counts, counts)
-        assert _close(one.energy, energy[-1]) and _close(one.raw, raw[-1])
 
     def test_mode_power_is_the_full_lattice_integral(self, case):
         series, params = case
@@ -344,5 +347,7 @@ class TestStoredSeries:
             for name in ("lengths", "density", "momentum", "density_slope", "momentum_slope"):
                 assert np.array_equal(getattr(table, name), getattr(table_want, name)), (fn.__name__, name)
         spec, spec_want = (time_integrated_spectrum(s, params) for s in (stored, series))
-        for name in ("energy", "raw", "integrated_energy", "integrated_raw", "mode_power"):
+        for name in ("counts", "integrated_energy", "integrated_raw", "mode_power"):
             assert np.array_equal(getattr(spec, name), getattr(spec_want, name)), name
+        rows = np.array([shell_spectrum(st, params).energy for st in stored])
+        assert np.array_equal(spec.integrated_energy, np.trapezoid(rows, x=stored.times, axis=0))

@@ -65,14 +65,16 @@ class TestShellSpectrum:
         # |(2,1,0)| = sqrt(5) = 2.236 rounds to shell 2.  A*cos splits into
         # A/2 at +/-k, so raw = A^2/2 and energy = A^2/4 in that shell; the
         # constant sonic field sqrt(kappa) puts kappa/(gamma-1) in shell 0.
+        # The raw shell sum is read as the integral of a constant over [0, 1].
         grid = make_grid(3, 16, 2.0 * np.pi)
         params = FluidParams(gamma=1.5, kappa=1.3, mu=1e-3)
         st = cosine_state(grid, (2, 1, 0), amp=0.6)
         sp = shell_spectrum(st, params)
         assert abs(sp.energy[2] - 0.09) < 1e-14
-        assert abs(sp.raw[2] - 0.18) < 1e-14
+        rows = [(t, st.rho.values, st.m.values) for t in (0.0, 1.0)]
+        assert abs(time_integrated_spectrum(series_from(grid, rows), params).integrated_raw[2] - 0.18) < 1e-14
         assert abs(sp.energy[0] - 1.3 / 0.5) < 1e-12
-        others = [s for s in sp.shells if s not in (0, 2)]
+        others = [s for s in range(len(sp.energy)) if s not in (0, 2)]
         assert max(abs(sp.energy[s]) for s in others) < 1e-15
 
     def test_counts_cover_the_lattice(self):
@@ -91,13 +93,6 @@ class TestShellSpectrum:
         per_vol = total_energy(st, params) / grid.vol
         assert abs(sp.total() - per_vol) < 1e-10 * per_vol
 
-    def test_per_shell_density_divides_by_sphere_area(self):
-        grid = make_grid(3, 16, 2.0 * np.pi)
-        params = FluidParams(gamma=1.5, kappa=1.0)
-        sp = shell_spectrum(cosine_state(grid, (3, 0, 0), amp=1.0), params)
-        dens = sp.per_shell_density()
-        assert abs(dens[3] - sp.energy[3] / (4.0 * np.pi * 9.0)) < 1e-16
-
 
 class TestSpectrumSeries:
     def test_integral_matches_trapezoid_of_rows(self):
@@ -108,9 +103,10 @@ class TestSpectrumSeries:
             (t, np.ones(grid.shape), (0.5 + 0.1 * t) * np.cos(grid.axes_coordinates()[0])[None])
             for t in times
         ]
-        ss = time_integrated_spectrum(series_from(grid, entries), params)
-        ref = np.trapezoid(ss.energy, x=ss.times, axis=0)
-        assert np.max(np.abs(ss.integrated_energy - ref)) < 1e-15
+        series = series_from(grid, entries)
+        ss = time_integrated_spectrum(series, params)
+        rows = np.array([shell_spectrum(st, params).energy for st in series])
+        assert np.array_equal(ss.integrated_energy, np.trapezoid(rows, x=series.times, axis=0))
 
     def test_exponential_decay_against_closed_form(self):
         # m = exp(-t)*cos(x) puts exp(-2t)/4 in shell 1, so the shell-1
@@ -240,9 +236,11 @@ class TestCkhw:
         m[0] = 1.0 * np.cos(2.0 * x) + 0.01 * np.cos(4.0 * y)
         series = self.two_snapshot_series(grid, np.ones(grid.shape), m)
         det = ckhw_from_spectrum(time_integrated_spectrum(series, params), beta=1.0, k_star=2)
+        # s^4 * (shell sum of |w_hat|^2 over one unit of time) / (4 pi s^2)
         shell2 = 2.0**4.0 * (1.0 / 2.0) / (4.0 * np.pi * 4.0)
+        shell4 = 4.0**4.0 * (0.01**2 / 2.0) / (4.0 * np.pi * 16.0)
+        assert 0.0 < shell4 < shell2
         assert abs(det.value - shell2) < 1e-12
-        assert det.shells[np.argmax(det.shell_values)] == 2
 
     def test_parameter_validation(self):
         grid = make_grid(3, 16, 2.0 * np.pi)
@@ -767,7 +765,6 @@ class TestAdmissibility:
         got = energy_admissibility(ledger.t, ledger.E, ledger.W)
         times, E = stored_energies(result.series, params)
         want = energy_admissibility(times, E, ledger.W)
-        assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.residuals, want.residuals)
         assert (got.max_residual, got.tol, got.admissible) == (want.max_residual, want.tol, want.admissible)
 
@@ -783,40 +780,30 @@ class TestAdmissibility:
 
 
 class TestReynoldsQuotient:
-    def random_state(self, seed=3):
-        grid = make_grid(2, 8, 2.0 * np.pi)
+    def random_state(self, seed=3, d=2):
+        grid = make_grid(d, 8, 2.0 * np.pi)
         rng = np.random.default_rng(seed)
         rho = rng.uniform(0.2, 2.0, size=grid.shape)
-        m = rng.normal(0.0, 0.5, size=(2,) + grid.shape)
+        m = rng.normal(0.0, 0.5, size=(d,) + grid.shape)
         return make_state(grid, rho, m)
 
-    def test_entries_match_direct_quotient(self):
-        st = self.random_state()
-        theta = 0.9
-        q = reynolds_quotient(st, theta)
-        rho = st.rho.values
-        m = st.m.values
-        mask = rho < theta
-        for a in range(2):
-            for b in range(2):
-                expect = np.where(mask, 0.0, m[a] * m[b] / np.where(mask, 1.0, rho))
-                assert np.max(np.abs(q.M[a, b] - expect)) < 1e-15
-        assert np.array_equal(q.mask, mask)
-        assert abs(q.vacuum_fraction - float(np.mean(mask))) < 1e-16
-
     def test_trace_is_kinetic_quotient(self):
-        st = self.random_state(seed=8)
-        q = reynolds_quotient(st, theta=0.5)
-        trace = q.M[0, 0] + q.M[1, 1]
-        assert np.max(np.abs(q.V - trace)) == 0.0
-        off = np.abs(q.M[0, 1] - q.M[1, 0])
-        assert np.max(off) == 0.0
+        """V is the trace of the masked tensor (m x m)/rho, bit for bit."""
+        for d in (1, 2, 3):
+            st = self.random_state(seed=8, d=d)
+            theta = 0.9
+            q = reynolds_quotient(st, theta)
+            rho, m = st.rho.values, st.m.values
+            mask = rho < theta
+            assert mask.any() and not mask.all()
+            tensor = np.where(mask, 0.0, m[:, None] * m[None, :] / np.where(mask, 1.0, rho))
+            assert np.array_equal(q.V, np.einsum("aa...->...", tensor))
+            assert q.vacuum_fraction == float(np.mean(mask))
 
     def test_threshold_above_density_masks_everything(self):
         st = self.random_state(seed=9)
         q = reynolds_quotient(st, theta=10.0)
         assert q.vacuum_fraction == 1.0
-        assert np.max(np.abs(q.M)) == 0.0
         assert np.max(np.abs(q.V)) == 0.0
 
     def test_nonpositive_threshold_rejected(self):

@@ -6,7 +6,9 @@ somewhere in the package outside its own body.  Deleting the last use
 of a helper must delete the helper, and its imports, too.  Every
 defaulted parameter of a public function or method is set by at least
 one call in src/, tests/ or bench/: a default nobody overrides is a
-constant, not an option.
+constant, not an option.  Every dataclass field in src/ is read in src/,
+bench/ or the acceptance gate: a result field only unit tests read is
+work done for nobody.
 """
 
 import ast
@@ -127,3 +129,54 @@ def test_every_defaulted_parameter_is_set_by_some_call():
         if not any(_sets(call, param, index) for call in calls.get(fn, ()))
     )
     assert unset == [], f"defaulted parameters no call in src/, tests/ or bench/ sets: {unset}"
+
+
+# Classes serialised whole by dataclasses.asdict: a field is read by
+# being written to a report, so no attribute read names it.
+SERIALISED_WHOLE = {
+    "CauchyTable": "summary.json's cauchy section is asdict(cauchy_distances(...)); test_cli pins its keys",
+}
+
+READERS = [
+    ast.parse(path.read_text(), filename=str(path))
+    for path in [*sorted(SRC.glob("*.py")), *sorted((SRC.parents[1] / "bench").rglob("*.py")),
+                 SRC.parents[1] / "tests" / "test_acceptance.py"]
+]
+
+
+def _dataclass_fields(tree):
+    """(class, field) of every non-ClassVar field of a @dataclass."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [getattr(dec, "func", dec) for dec in node.decorator_list]
+        if not any(getattr(dec, "id", None) == "dataclass" for dec in decorators):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                ann = getattr(item.annotation, "value", item.annotation)
+                if getattr(ann, "id", None) != "ClassVar":
+                    yield node.name, item.target.id
+
+
+def _attribute_reads(tree):
+    """Attribute names loaded, and constant names passed to getattr."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def test_every_dataclass_field_is_read():
+    """Names are matched, not owners: a field whose name another class also
+    reads (times, params) passes."""
+    reads = {name for tree in READERS for name in _attribute_reads(tree)}
+    unread = sorted(
+        f"{cls}.{name}"
+        for tree in TREES.values()
+        for cls, name in _dataclass_fields(tree)
+        if name not in reads and cls not in SERIALISED_WHOLE
+    )
+    assert unread == [], f"dataclass fields nothing in src/, bench/ or test_acceptance.py reads: {unread}"
