@@ -780,7 +780,7 @@ class TestAdmissibility:
 
 
 class TestReynoldsQuotient:
-    def random_state(self, seed=3, d=2):
+    def random_state(self, seed, d=2):
         grid = make_grid(d, 8, 2.0 * np.pi)
         rng = np.random.default_rng(seed)
         rho = rng.uniform(0.2, 2.0, size=grid.shape)
