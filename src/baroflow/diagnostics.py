@@ -96,16 +96,10 @@ class Spectrum:
     """Shell-binned spectrum of the weighted bundle at one time.
 
     energy[s] carries the energy weights (1/2 and 1/(gamma-1)) of the
-    modes in shell s; counts[s] is the number of lattice modes binned
-    there.
+    modes in shell s.
     """
 
-    t: float
     energy: np.ndarray
-    counts: np.ndarray
-    d: int
-    n: int
-    P: float
 
     def total(self) -> float:
         return float(np.sum(self.energy))
@@ -117,10 +111,7 @@ def shell_spectrum(state: State, params: FluidParams) -> Spectrum:
     The shell sum reproduces the per-volume total energy exactly
     (Parseval), which is the completeness check run by the tests.
     """
-    grid = state.grid
-    energy = _snapshot_spectrum(grid, _bundle(state, params), params)[0]
-    counts = _shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64)
-    return Spectrum(t=state.t, energy=energy, counts=counts, d=grid.d, n=grid.n, P=grid.P)
+    return Spectrum(energy=_snapshot_spectrum(state.grid, _bundle(state, params), params)[0])
 
 
 @dataclass(frozen=True)
@@ -128,9 +119,11 @@ class SpectrumSeries:
     """Trapezoid time integrals of a series' shell spectra.
 
     integrated_energy[s] is int_0^T E(t, s) dt of shell_spectrum's rows,
-    integrated_raw[s] the same of the plain shell sums of |w_hat|^2.
-    mode_power is the time integral of the per-mode |w_hat|^2 on grid's
-    half lattice; a series built from per-shell integrals has neither.
+    integrated_raw[s] the same of the plain shell sums of |w_hat|^2, and
+    counts[s] the number of lattice modes in shell s.  mode_power is the
+    time integral of the per-mode |w_hat|^2 on grid's half lattice.  A
+    series built from per-shell energy integrals (from_integrated) has
+    none of counts, integrated_raw and mode_power: they are None.
     integrability holds the norms of rho, m and w when the pass was run
     with integrability exponents, and is None otherwise.
     """
@@ -147,12 +140,10 @@ class SpectrumSeries:
 
     @classmethod
     def from_integrated(cls, integrated_energy, d, n, P):
-        """Build a fit-ready series directly from per-shell integrals."""
+        """Build a fit-ready series directly from per-shell energy
+        integrals; it has no counts, raw integrals or mode power."""
         ie = np.asarray(integrated_energy, dtype=np.float64)
-        return cls(
-            counts=np.zeros(len(ie), dtype=np.int64),
-            integrated_energy=ie, integrated_raw=ie.copy(), d=d, n=n, P=P,
-        )
+        return cls(counts=None, integrated_energy=ie, integrated_raw=None, d=d, n=n, P=P)
 
 
 def _require_time_series(series: SnapshotSeries):
@@ -720,7 +711,7 @@ def _bumps(fns, times) -> tuple:
 
 def _sym_grad(grid: PeriodicGrid, u: np.ndarray, pairs) -> tuple:
     """d_b u_a + d_a u_b for the pairs a <= b, flattened per pair (one
-    rfftn, one batched irfftn), and the box integral of |grad u|^2."""
+    rfftn, one batched inverse), and the box integral of |grad u|^2."""
     u_h = grid.rfft(u.reshape((grid.d,) + grid.shape))
     sym_h = np.array([grid.ik_half[b] * u_h[a] + grid.ik_half[a] * u_h[b] for a, b in pairs])
     return grid.irfft(sym_h).reshape(len(pairs), -1), grid.grad_sq(u_h)
@@ -851,7 +842,7 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     momentum residuals of the vector ones, in one sweep of the series.
 
     Per snapshot, u = m / max(rho, rho_min), the symmetric part of grad u
-    (one rfftn, one batched irfftn), m (x) m / rho, p and rho f are built
+    (one rfftn, one batched inverse), m (x) m / rho, p and rho f are built
     once.  Each term's products with every test function's spatial part
     form one stacked array, summed per function and scaled by its bump
     b(t) or b'(t).  The mass data term uses the first snapshot's rho, the

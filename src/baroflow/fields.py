@@ -240,14 +240,20 @@ class PeriodicGrid:
 
         return (self.dealias_half.size * np.arange(components)[:, None] + modes).ravel(), shift
 
-    def rfft(self, values: np.ndarray) -> np.ndarray:
+    def rfft(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Unnormalized real-to-complex transform over the spatial axes;
-        leading axes are batched."""
-        return np.fft.rfftn(values, axes=self.spatial_axes())
+        leading axes are batched.  out, if given, takes the result."""
+        return np.fft.rfftn(values, axes=self.spatial_axes(), out=out)
 
-    def irfft(self, coef: np.ndarray) -> np.ndarray:
-        """Inverse of rfft, back to real samples of grid.shape."""
-        return np.fft.irfftn(coef, s=self.shape, axes=self.spatial_axes())
+    def irfft(self, coef: np.ndarray, out: np.ndarray = None, scratch: np.ndarray = None) -> np.ndarray:
+        """Inverse of rfft, back to real samples of grid.shape, into out if
+        given: irfftn's passes, a complex inverse over each leading spatial
+        axis in turn, then the real inverse over the last.  scratch, shaped
+        like coef, takes the complex passes if given; coef is left alone."""
+        axes = self.spatial_axes()
+        for axis in axes[:-1]:
+            coef = np.fft.ifft(coef, axis=axis, out=scratch)
+        return np.fft.irfft(coef, self.n, axis=axes[-1], out=out)
 
     def parseval(self, power: np.ndarray) -> float:
         """Box integral of sum |w|^2 from the half-lattice power |rfft(w)|^2

@@ -19,6 +19,15 @@ Pi = m x u + p*I (d(d+1)/2): 8 real-field transforms in 2D, 13 in 3D.
 The forcing product rho*f is rho^ shifted by the forcing modes
 (PeriodicGrid.trig_shift), exact for the grid product.  Each step's
 inverse is checked for blow-up and feeds the next first stage.
+
+The stages write into one workspace (_Workspace) that run builds once
+and drops when it returns: the stage coefficients and their samples,
+the velocity, pressure and flux with their forward transforms, the
+assembled increment, and the product scratch.  The four increments
+collapse into a running sum, in the classical formula's order, held by
+the step's own result array; an increment, once summed, takes the
+complex passes of the next inverse.  rhs and step build a workspace of
+their own per call; no buffer outlives the call that built it.
 """
 
 from __future__ import annotations
@@ -144,14 +153,19 @@ class FluidParams:
         elif lam != 0.0:
             raise ValueError("mu = 0 requires lam = 0 (inviscid reference mode)")
 
-    def velocity(self, rho: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """u = m / max(rho, rho_min), the floored velocity."""
-        return m / np.maximum(rho, self.rho_min)
+    def velocity(self, rho: np.ndarray, m: np.ndarray, out=None, floor=None) -> np.ndarray:
+        """u = m / max(rho, rho_min), the floored velocity; out and floor,
+        if given, take u and the floored density."""
+        return np.divide(m, np.maximum(rho, self.rho_min, out=floor), out=out)
 
-    def pressure(self, rho: np.ndarray) -> np.ndarray:
+    def pressure(self, rho: np.ndarray, out=None) -> np.ndarray:
         """Barotropic pressure kappa * max(rho, 0)^gamma, unchecked: State rejects
-        negative density, and a negative RK4 stage is the run's to report."""
-        return self.kappa * np.maximum(rho, 0.0) ** self.gamma
+        negative density, and a negative RK4 stage is the run's to report.
+        out, if given, takes the result."""
+        p = np.maximum(rho, 0.0, out=out)
+        p **= self.gamma
+        p *= self.kappa
+        return p
 
 
 @dataclass(frozen=True)
@@ -264,81 +278,109 @@ def _forcing(params: FluidParams, grid: PeriodicGrid, with_ledger: bool):
     return (force_xy,) + grid.trig_shift(grid.dealiased_terms(params.forcing.terms), grid.d)
 
 
-def _rhs_core(state_h, state, t, grid, params, force, extra_source=None, want_rates=False):
-    """Spectral time derivative of the half-lattice state (rho^, m^),
-    shape (d + 1,) + grid.half_shape, whose samples are state; optionally
-    the instantaneous dissipation and forcing-work rates for the ledger.
+class _Workspace:
+    """The buffers one run's RK4 stages write into, built by run, step or rhs
+    and dropped with it: the stage coefficients, their samples and the RHS
+    output (d + 1 fields each), the velocity, pressure and flux with their
+    transforms, the divergence, and a product scratch."""
 
-    force is _forcing(params, grid, want_rates).  The increments are
-    dealiased except for extra_source, whose physical source is
-    transformed as it is.
+    def __init__(self, grid: PeriodicGrid, params: FluidParams):
+        d = grid.d
+        self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
+        self.slot = {pair: i for i, pair in enumerate(self.pairs)}
+        real = lambda *lead: np.empty(lead + grid.shape)
+        half = lambda *lead: np.empty(lead + grid.half_shape, dtype=np.complex128)
+        self.stage_h, self.k, self.stage = half(d + 1), half(d + 1), real(d + 1)
+        self.u, self.p, self.flux = real(d), real(), real(len(self.pairs))
+        self.u_h, self.flux_h = half(d), half(len(self.pairs))
+        self.div_u_h, self.tmp = half(), half()
+        self.mu_k2 = params.mu * grid.k2_half
+        # the rates' squared real and imaginary parts, in flux_h's memory:
+        # the flux coefficients are dead once the increments are assembled
+        size = d * math.prod(grid.half_shape)
+        flat = self.flux_h.reshape(-1).view(np.float64)
+        self.re2, self.im2 = (flat[i * size:(i + 1) * size].reshape((d,) + grid.half_shape) for i in (0, 1))
+
+
+def _rhs_core(state_h, state, t, out, grid, params, force, ws, extra_source=None, want_rates=False):
+    """Spectral time derivative of the half-lattice state (rho^, m^),
+    shape (d + 1,) + grid.half_shape, whose samples are state, written
+    into out; optionally the instantaneous dissipation and forcing-work
+    rates for the ledger.  Returns (out, dissipation rate, work rate).
+
+    force is _forcing(params, grid, want_rates) and ws a _Workspace of
+    grid and params; out, shaped like state_h, may be ws.k but no other
+    buffer of ws, nor state_h.  The increments are dealiased except for
+    extra_source, whose physical source is transformed as it is.
     """
-    ik, k2 = grid.ik_half, grid.k2_half
+    ik, tmp = grid.ik_half, ws.tmp
     d = grid.d
     rho, m = state[0], state[1:]
-    u = params.velocity(rho, m)
-    p = params.pressure(rho)
+    u = params.velocity(rho, m, out=ws.u, floor=ws.p)
+    p = params.pressure(rho, out=ws.p)
 
     # Symmetric flux Pi_ab = m_a u_b + p delta_ab, upper triangle only.
-    pairs = [(a, b) for a in range(d) for b in range(a, d)]
-    flux = np.empty((len(pairs),) + grid.shape)
-    for i, (a, b) in enumerate(pairs):
+    flux = ws.flux
+    for i, (a, b) in enumerate(ws.pairs):
         np.multiply(m[a], u[b], out=flux[i])
         if a == b:
             flux[i] += p
-    slot = {pair: i for i, pair in enumerate(pairs)}
 
-    u_h = grid.rfft(u)
-    flux_h = grid.rfft(flux)
+    u_h = grid.rfft(u, out=ws.u_h)
+    flux_h = grid.rfft(flux, out=ws.flux_h)
 
-    div_u_h = ik[0] * u_h[0]
+    div_u_h = np.multiply(ik[0], u_h[0], out=ws.div_u_h)
     for a in range(1, d):
-        div_u_h += ik[a] * u_h[a]
+        div_u_h += np.multiply(ik[a], u_h[a], out=tmp)
 
-    out_h = np.empty((d + 1,) + grid.half_shape, dtype=np.complex128)
-    out_h[0] = -ik[0] * state_h[1]
+    np.multiply(-ik[0], state_h[1], out=out[0])
     for a in range(1, d):
-        out_h[0] -= ik[a] * state_h[1 + a]
-    mu_k2 = params.mu * k2
+        out[0] -= np.multiply(ik[a], state_h[1 + a], out=tmp)
     for a in range(d):
-        acc = out_h[1 + a]
+        acc = out[1 + a]
         np.multiply((params.mu + params.lam) * ik[a], div_u_h, out=acc)
-        acc -= mu_k2 * u_h[a]
+        acc -= np.multiply(ws.mu_k2, u_h[a], out=tmp)
         for b in range(d):
-            acc -= ik[b] * flux_h[slot[(min(a, b), max(a, b))]]
-    out_h *= grid.dealias_half
+            acc -= np.multiply(ik[b], flux_h[ws.slot[(min(a, b), max(a, b))]], out=tmp)
+    out *= grid.dealias_half
 
     work_rate = 0.0
     if force is not None:
         force_xy, targets, shift = force
         envelope = params.forcing.envelope_at(t)
-        out_h[1:].reshape(-1)[targets] += envelope * shift(state_h[0])
+        out[1:].reshape(-1)[targets] += envelope * shift(state_h[0])
         if want_rates:
-            work_rate = float(np.sum(m * (force_xy * envelope))) * grid.dx**d
+            product = np.multiply(force_xy, envelope, out=flux[:d])  # the flux is transformed
+            product *= m
+            work_rate = float(np.sum(product)) * grid.dx**d
 
     if extra_source is not None:
         source = np.empty_like(state)
         source[0], source[1:] = extra_source(t, rho, m)
-        out_h += grid.rfft(source)
+        out += grid.rfft(source)
 
     if not want_rates:
-        return out_h, 0.0, 0.0
+        return out, 0.0, 0.0
 
     # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx.  The first
     # keeps the Nyquist mode that grid.grad_sq zeroes: it is -int u . lap u,
     # with the diffusion term's Laplacian symbol -k2, which is unambiguous
     # at the Nyquist mode (only odd derivatives zero it there).
-    grad_sq = grid.parseval(k2 * (u_h.real**2 + u_h.imag**2))
-    div_sq = grid.parseval(div_u_h.real**2 + div_u_h.imag**2)
+    re2, im2 = ws.re2, ws.im2
+    power = np.add(np.square(u_h.real, out=re2), np.square(u_h.imag, out=im2), out=re2)
+    grad_sq = grid.parseval(np.multiply(grid.k2_half, power, out=power))
+    power = np.add(np.square(div_u_h.real, out=re2[0]), np.square(div_u_h.imag, out=im2[0]), out=re2[0])
+    div_sq = grid.parseval(power)
     diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
-    return out_h, diss_rate, work_rate
+    return out, diss_rate, work_rate
 
 
 def rhs(state: State, params: FluidParams, extra_source=None):
     """Time derivative of (rho, m) as Fields (dealiased spectral form)."""
     grid, fields = state.grid, _fields(state)
     force = _forcing(params, grid, False)
-    out_h, _, _ = _rhs_core(grid.rfft(fields), fields, state.t, grid, params, force, extra_source)
+    ws = _Workspace(grid, params)
+    out_h, _, _ = _rhs_core(grid.rfft(fields), fields, state.t, ws.k, grid, params, force, ws, extra_source)
     out = grid.irfft(out_h)
     return Field(grid=grid, values=out[0]), Field(grid=grid, values=out[1:])
 
@@ -383,7 +425,8 @@ def cfl_dt(state: State, params: FluidParams, cfl: float = 0.4) -> float:
 
 
 def _check_alive(rho, m, t):
-    worst = max(float(np.max(np.abs(rho))), float(np.max(np.abs(m))))
+    # max |q| as max(max q, -min q), which builds no |q| array
+    worst = max(max(float(np.max(q)), -float(np.min(q))) for q in (rho, m))
     if not (math.isfinite(worst) and worst <= BLOWUP_THRESHOLD):
         raise BlowUpError(f"solution magnitude {worst:.3e} at t = {t:.6g} exceeds {BLOWUP_THRESHOLD:.1e}", t=t)
     if not np.all(np.isfinite(rho)) or not np.all(np.isfinite(m)):
@@ -393,21 +436,39 @@ def _check_alive(rho, m, t):
         raise BlowUpError(f"density lost positivity (min rho = {low:.3e}) at t = {t:.6g}", t=t)
 
 
-def _advance(state_h, state, t, dt, grid, params, force, extra_source=None, with_ledger=False):
+def _advance(state_h, state, t, dt, grid, params, force, ws, extra_source=None, with_ledger=False):
     """One classical RK4 step of the half-lattice state (rho^, m^) whose
     samples are state; returns the new coefficients, their samples, dD
-    and dW.  The samples feed the next step's first stage."""
-    extra = (grid, params, force, extra_source, with_ledger)
-    k1, d1, w1 = _rhs_core(state_h, state, t, *extra)
-    stage = state_h + 0.5 * dt * k1
-    k2, d2, w2 = _rhs_core(stage, grid.irfft(stage), t + 0.5 * dt, *extra)
-    stage = state_h + 0.5 * dt * k2
-    k3, d3, w3 = _rhs_core(stage, grid.irfft(stage), t + 0.5 * dt, *extra)
-    stage = state_h + dt * k3
-    k4, d4, w4 = _rhs_core(stage, grid.irfft(stage), t + dt, *extra)
+    and dW.  The samples feed the next step's first stage.
+
+    The stages run in the workspace ws.  The new coefficients are a fresh
+    array that takes k1, then the running sum k1 + 2 k2 + 2 k3 + k4 in
+    the order of the classical formula; the returned arrays are never
+    workspace buffers, so a later step leaves them alone."""
+    extra = (grid, params, force, ws, extra_source, with_ledger)
+    acc = np.empty_like(state_h)
+    k, stage_h, stage = ws.k, ws.stage_h, ws.stage
+
+    def to_stage(c, inc, acc=None):
+        """stage_h = state_h + c*inc, then acc += 2.0*inc if acc is given,
+        then stage_h's samples in stage; k is dead by then and takes the
+        inverse's complex passes."""
+        np.add(state_h, np.multiply(inc, c, out=stage_h), out=stage_h)
+        if acc is not None:
+            acc += np.multiply(inc, 2.0, out=inc)
+        grid.irfft(stage_h, out=stage, scratch=k)
+
+    _, d1, w1 = _rhs_core(state_h, state, t, acc, *extra)
+    to_stage(0.5 * dt, acc)
+    _, d2, w2 = _rhs_core(stage_h, stage, t + 0.5 * dt, k, *extra)
+    to_stage(0.5 * dt, k, acc)
+    _, d3, w3 = _rhs_core(stage_h, stage, t + 0.5 * dt, k, *extra)
+    to_stage(dt, k, acc)
+    _, d4, w4 = _rhs_core(stage_h, stage, t + dt, k, *extra)
+    acc += k
     sixth = dt / 6.0
-    new_h = state_h + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new = grid.irfft(new_h)
+    new_h = np.add(state_h, np.multiply(acc, sixth, out=acc), out=acc)
+    new = grid.irfft(new_h, scratch=k)
     dD = sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     dW = sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
     _check_alive(new[0], new[1:], t + dt)
@@ -420,7 +481,8 @@ def step(state: State, params: FluidParams, dt: float, extra_source=None) -> Sta
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid, fields = state.grid, _fields(state)
     force = _forcing(params, grid, False)
-    _, new, _, _ = _advance(grid.rfft(fields), fields, state.t, dt, grid, params, force, extra_source)
+    ws = _Workspace(grid, params)
+    _, new, _, _ = _advance(grid.rfft(fields), fields, state.t, dt, grid, params, force, ws, extra_source)
     return _state(state.t + dt, grid, new)
 
 
@@ -478,6 +540,7 @@ def run(
     E0 = total_energy(initial, params)
     mass0 = float(np.mean(fields[0]))
     force = _forcing(params, grid, True)
+    ws = _Workspace(grid, params)
 
     ts, Es, Ds, Ws = [t0], [E0], [0.0], [0.0]
     D_acc = W_acc = 0.0
@@ -486,7 +549,7 @@ def run(
         for _ in range(per):
             t_now = t0 + steps_done * dt
             fields_h, fields, dD, dW = _advance(
-                fields_h, fields, t_now, dt, grid, params, force, extra_source, with_ledger=True
+                fields_h, fields, t_now, dt, grid, params, force, ws, extra_source, with_ledger=True
             )
             D_acc += dD
             W_acc += dW

@@ -233,7 +233,7 @@ class TestSpectralPass:
         for st, (got_energy, got_raw), want_energy, want_raw in zip(series, rows, energy, raw):
             assert _close(got_energy, want_energy) and _close(got_raw, want_raw)
             one = shell_spectrum(st, params)
-            assert np.array_equal(one.energy, got_energy) and np.array_equal(one.counts, counts)
+            assert np.array_equal(one.energy, got_energy)
         spec = time_integrated_spectrum(series, params)
         assert np.array_equal(spec.counts, counts)
         for k, name in enumerate(("integrated_energy", "integrated_raw")):

@@ -78,11 +78,12 @@ class TestShellSpectrum:
         assert max(abs(sp.energy[s]) for s in others) < 1e-15
 
     def test_counts_cover_the_lattice(self):
+        # the spectral pass counts the modes per shell once per series
         grid = make_grid(2, 12, 1.0)
-        params = FluidParams()
-        sp = shell_spectrum(make_state(grid, np.ones(grid.shape), np.zeros((2,) + grid.shape)), params)
-        assert int(np.sum(sp.counts)) == 12**2
-        assert sp.counts[0] == 1
+        rows = [(t, np.ones(grid.shape), np.zeros((2,) + grid.shape)) for t in (0.0, 1.0)]
+        spec = time_integrated_spectrum(series_from(grid, rows), FluidParams())
+        assert int(np.sum(spec.counts)) == 12**2
+        assert spec.counts[0] == 1
 
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
     def test_shell_sum_equals_volume_energy(self, d, n):
@@ -179,6 +180,10 @@ class TestCkhFit:
             want = float(np.max(shells[sel].astype(np.float64) ** (5.0 / 3.0) * ie[sel]))
             assert decay_constant(ie, k_lo, k_hi) == want
             assert ckh_fit(SpectrumSeries.from_integrated(ie, d=3, n=64, P=2.0 * np.pi), k_lo, k_hi).m_t == want
+
+    def test_a_series_from_shell_integrals_invents_nothing(self):
+        ss = self.synthetic(-5.0 / 3.0)
+        assert ss.counts is None and ss.integrated_raw is None and ss.mode_power is None
 
     def test_bad_windows_rejected(self):
         ss = self.synthetic(-2.0)

@@ -266,7 +266,8 @@ def test_state_checks_density_but_the_rhs_does_not():
         State(t=0.0, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=np.zeros((1,) + grid.shape)))
     # A stage value below zero is the run's to report as a blow-up, not a crash.
     fields = np.concatenate((rho[None], np.zeros((1,) + grid.shape)))
-    out_h, _, _ = solver._rhs_core(grid.rfft(fields), fields, 0.0, grid, params, None)
+    ws = solver._Workspace(grid, params)
+    out_h, _, _ = solver._rhs_core(grid.rfft(fields), fields, 0.0, ws.k, grid, params, None, ws)
     assert np.all(np.isfinite(out_h))
 
 

@@ -1,6 +1,8 @@
 """Solver physics: RHS correctness, conservation, ledger closure, accuracy."""
 
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from baroflow.solver import (
     ForcingSpec,
     MassDriftError,
     State,
+    _Workspace,
     _advance,
     _fields,
     _forcing,
@@ -259,8 +262,9 @@ class TestRhs:
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
         st = preset_ic("random-band", g, params, seed=3 + d, amplitude=1.0)
         fields, t = _fields(st), 0.7
+        ws = _Workspace(g, params)
         out_h, diss, work = _rhs_core(
-            g.rfft(fields), fields, t, g, params, _forcing(params, g, True), want_rates=True
+            g.rfft(fields), fields, t, ws.k, g, params, _forcing(params, g, True), ws, want_rates=True
         )
         out = g.irfft(out_h)
         got = (out[0], out[1:], diss, work)
@@ -633,24 +637,28 @@ class TestCoefficientState:
     @pytest.mark.parametrize("d, forced, per_rhs", [(2, True, 8), (3, True, 13), (3, False, 13)])
     def test_real_fields_transformed_per_rhs(self, monkeypatch, d, forced, per_rhs):
         """Each RK4 stage inverts the d + 1 state fields and transforms u
-        (d fields) and the symmetric flux (d(d+1)/2) forward."""
+        (d fields) and the symmetric flux (d(d+1)/2) forward.  An inverse
+        is d - 1 complex passes over the leading axes and one real pass
+        over the last; the real passes count the fields."""
         g = make_grid(d, 8, TWO_PI)
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
         st = preset_ic("random-band", g, params, seed=1, amplitude=0.5)
         fields = _fields(st)
         fields_h, force = g.rfft(fields), _forcing(params, g, True)
-        counted = []
+        counted, passes = [], []
 
-        def counting(fn, lattice):
+        def counting(fn, lattice, into):
             def wrapper(a, *args, **kwargs):
-                counted.append(a.size // math.prod(lattice))
+                into.append(a.size // math.prod(lattice))
                 return fn(a, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, g.shape))
-        monkeypatch.setattr(np.fft, "irfftn", counting(np.fft.irfftn, g.half_shape))
-        _advance(fields_h, fields, 0.0, 1e-3, g, params, force, with_ledger=True)
+        monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, g.shape, counted))
+        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, g.half_shape, counted))
+        monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft, g.half_shape, passes))
+        _advance(fields_h, fields, 0.0, 1e-3, g, params, force, _Workspace(g, params), with_ledger=True)
         assert sum(counted) == 4 * per_rhs
+        assert passes == [d + 1] * (4 * (d - 1))
 
     def test_blow_up_is_reported_at_the_end_of_its_step(self):
         """A state made non-finite inside the third of five steps per
@@ -666,3 +674,83 @@ class TestCoefficientState:
             run(st, params, T=0.1, snapshots=2, dt_cap=0.01, extra_source=poison)
         assert type(info.value) is BlowUpError
         assert info.value.t == pytest.approx(0.03, rel=1e-12)
+
+
+class TestWorkspace:
+    """run, step and rhs reuse one set of stage buffers per call; nothing a
+    step returns or a series holds is one of them."""
+
+    # The traced transient of the 128^2 run below, peak minus what the
+    # result retains, as the stepper measured before it reused buffers:
+    # 5,362,996 bytes (numpy 2.4).  The workspace stepper reads 4,749,508.
+    TRANSIENT_BEFORE_WORKSPACE = 5_362_996
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_later_step_leaves_earlier_results_alone(self, d):
+        g = make_grid(d, 8 if d == 3 else 16, TWO_PI)
+        params = FluidParams(mu=0.05, forcing=two_term_forcing(d))
+        st = preset_ic("random-band", g, params, seed=5, amplitude=0.5)
+        fields = _fields(st)
+        fields_h, force, ws = g.rfft(fields), _forcing(params, g, True), _Workspace(g, params)
+        inputs = fields_h.copy(), fields.copy()
+        first_h, first, _, _ = _advance(fields_h, fields, 0.0, 1e-3, g, params, force, ws, with_ledger=True)
+        kept = first_h.copy(), first.copy()
+        _advance(first_h, first, 1e-3, 1e-3, g, params, force, ws, with_ledger=True)
+        for got, want in zip((fields_h, fields, first_h, first), inputs + kept):
+            assert np.array_equal(got, want)
+        for buf in vars(ws).values():
+            if isinstance(buf, np.ndarray):
+                assert not any(np.shares_memory(buf, a) for a in (first_h, first))
+
+    def test_series_states_survive_the_later_steps(self):
+        # the first snapshot of a two-snapshot run is the end of a run over
+        # its first half on the same dt, bit for bit, so no later step
+        # wrote into it
+        g = make_grid(2, 16, TWO_PI)
+        params = FluidParams(mu=0.02, forcing=two_term_forcing(2))
+        st = preset_ic("random-band", g, params, seed=6, amplitude=0.5)
+        whole = run(st, params, T=0.04, snapshots=2, dt_cap=0.004)
+        half = run(st, params, T=0.02, snapshots=1, dt_cap=0.004)
+        assert whole.dt == half.dt and whole.steps_per_snapshot == 5
+        for field in ("rho", "m"):
+            assert np.array_equal(getattr(whole.series[1], field).values, getattr(half.series[1], field).values)
+
+    def test_two_runs_agree_bit_for_bit(self):
+        g = make_grid(3, 8, TWO_PI)
+        params = FluidParams(mu=0.05, forcing=two_term_forcing(3))
+        st = preset_ic("random-band", g, params, seed=8, amplitude=0.5)
+        one, two = (run(st, params, T=0.05, snapshots=3) for _ in range(2))
+        for a, b in zip(one.series, two.series):
+            assert a.t == b.t
+            assert np.array_equal(a.rho.values, b.rho.values) and np.array_equal(a.m.values, b.m.values)
+        for name in ("t", "E", "D", "W", "R"):
+            assert np.array_equal(getattr(one.report, name), getattr(two.report, name))
+
+    def test_memory_stays_below_the_fresh_array_stepper(self):
+        # the tracemalloc pattern of the diagnose memory test: a collection
+        # before the call keeps earlier garbage out of the peak
+        g = make_grid(2, 128, TWO_PI)
+        params = FluidParams(mu=1e-3, forcing=two_term_forcing(2))
+        st = preset_ic("random-band", g, params, seed=7, amplitude=0.5)
+
+        def transient():
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = run(st, params, T=0.02, snapshots=2)
+                current, peak = tracemalloc.get_traced_memory()
+                assert result.steps_per_snapshot == 1
+                del result
+                gc.collect()
+                left = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            return peak - current, left
+
+        transient()  # first use: lazy imports and FFT plan caches
+        peak, left = transient()
+        assert peak <= self.TRANSIENT_BEFORE_WORKSPACE
+        # no workspace buffer outlives the run: not one grid field is left
+        assert left < 8 * g.n**2
+        assert not any(isinstance(o, _Workspace) for o in gc.get_objects())
