@@ -217,12 +217,7 @@ def _cmd_diagnose(args) -> int:
 
     if do_all or args.ckhw:
         det = dg.ckhw_from_spectrum(spec, dcfg.ckhw_beta, dcfg.ckhw_k_star)
-        report["ckhw"] = {
-            "value": det.value,
-            "per_mode_sup": det.per_mode_sup,
-            "beta": det.beta,
-            "k_star": det.k_star,
-        }
+        report["ckhw"] = dataclasses.asdict(det)
 
     if do_all or args.sobolev:
         report["sobolev"] = {
@@ -380,41 +375,54 @@ def _cmd_report(args) -> int:
     path = Path(args.dir) / "summary.json"
     if not path.exists():
         raise FileNotFoundError(f"no summary.json in {args.dir}")
-    data = json.loads(path.read_text())
+    try:
+        lines = _summary_lines(json.loads(path.read_text()), args.dir)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        # an unreadable summary, or one that is not JSON of the shape the command writes
+        print(f"error: unusable summary {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
+    return 0
+
+
+def _summary_lines(data: dict, where: str) -> list:
+    """The report's lines for a parsed summary.json."""
+    lines = []
+    out = lines.append
     command = data.get("command", "?")
-    print(f"summary of `{command}` in {args.dir}")
-    print(f"config sha256: {data.get('config_sha256', '?')}")
+    out(f"summary of `{command}` in {where}")
+    out(f"config sha256: {data.get('config_sha256', '?')}")
     if command == "simulate":
         e = data["energy"]
-        print(f"snapshots: {data['snapshot_count']}, dt = {data['dt']:.6g}")
-        print(f"energy initial {e['initial']:.8g} -> final {e['final']:.8g}")
-        print(f"dissipated {e['dissipated']:.6g}, work {e['work']:.6g}, "
-              f"ledger residual {e['ledger_residual']:.3e}")
+        out(f"snapshots: {data['snapshot_count']}, dt = {data['dt']:.6g}")
+        out(f"energy initial {e['initial']:.8g} -> final {e['final']:.8g}")
+        out(f"dissipated {e['dissipated']:.6g}, work {e['work']:.6g}, "
+            f"ledger residual {e['ledger_residual']:.3e}")
         adm = data["admissibility"]
-        print(f"admissible: {adm['admissible']} (max residual {adm['max_residual']:.3e})")
+        out(f"admissible: {adm['admissible']} (max residual {adm['max_residual']:.3e})")
     elif command == "sweep":
-        print(f"viscosities: {', '.join('%.6g' % m for m in data['mu_values'])}")
+        out(f"viscosities: {', '.join('%.6g' % m for m in data['mu_values'])}")
         for entry in data["entries"]:
             status = "ok" if entry["completed"] else f"FAILED: {entry['failure']}"
-            print(f"  mu = {entry['mu']:.6g}: {status}")
+            out(f"  mu = {entry['mu']:.6g}: {status}")
         if "cauchy" in data:
-            print("consecutive distances (rho, m):")
+            out("consecutive distances (rho, m):")
             c = data["cauchy"]
             for (a, b), r, m in zip(c["mu_pairs"], c["rho_distances"], c["m_distances"]):
-                print(f"  {a:.6g} -> {b:.6g}: {r:.6e}, {m:.6e}")
+                out(f"  {a:.6g} -> {b:.6g}: {r:.6e}, {m:.6e}")
             ref = data["reference"]
             rates = [f"{k} {ref[k + '_rate']:.3f}" for k in ("rho", "m") if ref[k + "_rate"] is not None]
             if rates:  # a rate is null when it has no finite value
-                print(f"rates against the least viscous run: {', '.join(rates)}")
+                out(f"rates against the least viscous run: {', '.join(rates)}")
             lc = data["limit_candidate"]
-            print(f"limit candidate: mass {lc['mass_max_rel']:.3e}, "
-                  f"ns {lc['ns_max_rel']:.3e}, euler deficit {lc['euler_deficit_rel']:.3e}")
-            print(f"plausible limit: {lc['plausible_limit']}")
+            out(f"limit candidate: mass {lc['mass_max_rel']:.3e}, "
+                f"ns {lc['ns_max_rel']:.3e}, euler deficit {lc['euler_deficit_rel']:.3e}")
+            out(f"plausible limit: {lc['plausible_limit']}")
         if "error" in data:
-            print(f"error: {data['error']}")
+            out(f"error: {data['error']}")
     else:
-        print(json.dumps(data, indent=2, sort_keys=True))
-    return 0
+        out(json.dumps(data, indent=2, sort_keys=True))
+    return lines
 
 
 # Built-in checks against frozen closed-form values.

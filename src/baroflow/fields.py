@@ -369,6 +369,16 @@ def dft_inverse(s: SpectralField) -> Field:
     return Field(grid=s.grid, values=re)
 
 
+def check_closure(gamma: float, kappa: float) -> None:
+    """Reject barotropic closure constants other than gamma > 1 and
+    kappa > 0 (NaN included): the one rule of FluidParams and
+    weighted_fields."""
+    if not (gamma > 1):
+        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    if not (kappa > 0):
+        raise ValueError(f"kappa must be positive, got {kappa}")
+
+
 def weighted_fields(
     rho: Field,
     m: Field,
@@ -389,10 +399,7 @@ def weighted_fields(
     density.  Below the floor w_u = sqrt(rho) * m / rho_min instead.
     Returns a Field with d + 1 components, w_u first.
     """
-    if gamma <= 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    check_closure(gamma, kappa)
     if rho.grid is not m.grid and rho.grid != m.grid:
         raise ValueError("rho and m live on different grids")
     if not rho.is_scalar or m.components != rho.grid.d:

@@ -20,14 +20,15 @@ The forcing product rho*f is rho^ shifted by the forcing modes
 (PeriodicGrid.trig_shift), exact for the grid product.  Each step's
 inverse is checked for blow-up and feeds the next first stage.
 
-The stages write into one workspace (_Workspace) that run builds once
-and drops when it returns: the stage coefficients and their samples,
-the velocity, pressure and flux with their forward transforms, the
-assembled increment, and the product scratch.  The four increments
-collapse into a running sum, in the classical formula's order, held by
-the step's own result array; an increment, once summed, takes the
-complex passes of the next inverse.  rhs and step build a workspace of
-their own per call; no buffer outlives the call that built it.
+rhs, step and run each build one stepper (_Stepper) and drop it when
+they return.  It owns the call's grid, fluid, forcing and extra source,
+whether the ledger rates ride along (run's only), and the buffers the
+stages write into: the stage coefficients and their samples, the
+velocity, pressure and flux with their forward transforms, the assembled
+increment, and the product scratch.  The four increments collapse into a
+running sum, in the classical formula's order, held by the step's own
+result array; an increment, once summed, takes the complex passes of the
+next inverse.  No buffer outlives the call that built it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import RHO_TOLERANCE, Field, PeriodicGrid, trig_terms
+from .fields import RHO_TOLERANCE, Field, PeriodicGrid, check_closure, trig_terms
 
 __all__ = [
     "ForcingSpec",
@@ -137,10 +138,7 @@ class FluidParams:
     forcing: ForcingSpec = field(default_factory=ForcingSpec)
 
     def __post_init__(self):
-        if not (self.gamma > 1):
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if not (self.kappa > 0):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        check_closure(self.gamma, self.kappa)
         if not (self.mu >= 0):
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if not (self.rho_min > 0):
@@ -268,24 +266,19 @@ def _state(t: float, grid: PeriodicGrid, fields: np.ndarray) -> State:
     return State(t=t, rho=Field(grid=grid, values=fields[0]), m=Field(grid=grid, values=fields[1:]))
 
 
-def _forcing(params: FluidParams, grid: PeriodicGrid, with_ledger: bool):
-    """(spatial factor for the work rate, or None without the ledger;
-    targets; mode shift) of an active forcing, else None.  Its modes must
-    pass grid.dealiased_terms: the shift maps onto dealiased modes only."""
-    if not params.forcing.active:
-        return None
-    force_xy = params.forcing.spatial(grid) if with_ledger else None
-    return (force_xy,) + grid.trig_shift(grid.dealiased_terms(params.forcing.terms), grid.d)
+class _Stepper:
+    """One call's RK4 stepper of the half-lattice state (rho^, m^): its grid,
+    fluid, extra source, forcing mode shift, ledger flag and stage buffers
+    (module docstring).  Only a ledger stepper builds the forcing's spatial
+    factor, for the work rate.  Forcing modes must pass grid.dealiased_terms:
+    the shift maps onto dealiased modes only."""
 
-
-class _Workspace:
-    """The buffers one run's RK4 stages write into, built by run, step or rhs
-    and dropped with it: the stage coefficients, their samples and the RHS
-    output (d + 1 fields each), the velocity, pressure and flux with their
-    transforms, the divergence, and a product scratch."""
-
-    def __init__(self, grid: PeriodicGrid, params: FluidParams):
+    def __init__(self, grid: PeriodicGrid, params: FluidParams, extra_source=None, ledger=False):
         d = grid.d
+        self.grid, self.params, self.extra_source, self.ledger = grid, params, extra_source, ledger
+        forcing = params.forcing
+        self.force_xy = forcing.spatial(grid) if forcing.active and ledger else None
+        self.force = grid.trig_shift(grid.dealiased_terms(forcing.terms), d) if forcing.active else None
         self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
         self.slot = {pair: i for i, pair in enumerate(self.pairs)}
         real = lambda *lead: np.empty(lead + grid.shape)
@@ -301,86 +294,120 @@ class _Workspace:
         flat = self.flux_h.reshape(-1).view(np.float64)
         self.re2, self.im2 = (flat[i * size:(i + 1) * size].reshape((d,) + grid.half_shape) for i in (0, 1))
 
+    def rhs(self, state_h, state, t, out):
+        """Spectral time derivative of the half-lattice state (rho^, m^),
+        shape (d + 1,) + grid.half_shape, whose samples are state, written
+        into out, and the dissipation and forcing-work rates (zeros without
+        the ledger).  Returns (out, dissipation rate, work rate).
 
-def _rhs_core(state_h, state, t, out, grid, params, force, ws, extra_source=None, want_rates=False):
-    """Spectral time derivative of the half-lattice state (rho^, m^),
-    shape (d + 1,) + grid.half_shape, whose samples are state, written
-    into out; optionally the instantaneous dissipation and forcing-work
-    rates for the ledger.  Returns (out, dissipation rate, work rate).
+        out, shaped like state_h, may be self.k but no other buffer of the
+        stepper, nor state_h.  The increments are dealiased except for the
+        extra source, whose physical source is transformed as it is.
+        """
+        grid, params, tmp = self.grid, self.params, self.tmp
+        ik, d = grid.ik_half, grid.d
+        rho, m = state[0], state[1:]
+        u = params.velocity(rho, m, out=self.u, floor=self.p)
+        p = params.pressure(rho, out=self.p)
 
-    force is _forcing(params, grid, want_rates) and ws a _Workspace of
-    grid and params; out, shaped like state_h, may be ws.k but no other
-    buffer of ws, nor state_h.  The increments are dealiased except for
-    extra_source, whose physical source is transformed as it is.
-    """
-    ik, tmp = grid.ik_half, ws.tmp
-    d = grid.d
-    rho, m = state[0], state[1:]
-    u = params.velocity(rho, m, out=ws.u, floor=ws.p)
-    p = params.pressure(rho, out=ws.p)
+        # Symmetric flux Pi_ab = m_a u_b + p delta_ab, upper triangle only.
+        flux = self.flux
+        for i, (a, b) in enumerate(self.pairs):
+            np.multiply(m[a], u[b], out=flux[i])
+            if a == b:
+                flux[i] += p
 
-    # Symmetric flux Pi_ab = m_a u_b + p delta_ab, upper triangle only.
-    flux = ws.flux
-    for i, (a, b) in enumerate(ws.pairs):
-        np.multiply(m[a], u[b], out=flux[i])
-        if a == b:
-            flux[i] += p
+        u_h = grid.rfft(u, out=self.u_h)
+        flux_h = grid.rfft(flux, out=self.flux_h)
 
-    u_h = grid.rfft(u, out=ws.u_h)
-    flux_h = grid.rfft(flux, out=ws.flux_h)
+        div_u_h = np.multiply(ik[0], u_h[0], out=self.div_u_h)
+        for a in range(1, d):
+            div_u_h += np.multiply(ik[a], u_h[a], out=tmp)
 
-    div_u_h = np.multiply(ik[0], u_h[0], out=ws.div_u_h)
-    for a in range(1, d):
-        div_u_h += np.multiply(ik[a], u_h[a], out=tmp)
+        np.multiply(-ik[0], state_h[1], out=out[0])
+        for a in range(1, d):
+            out[0] -= np.multiply(ik[a], state_h[1 + a], out=tmp)
+        for a in range(d):
+            acc = out[1 + a]
+            np.multiply((params.mu + params.lam) * ik[a], div_u_h, out=acc)
+            acc -= np.multiply(self.mu_k2, u_h[a], out=tmp)
+            for b in range(d):
+                acc -= np.multiply(ik[b], flux_h[self.slot[(min(a, b), max(a, b))]], out=tmp)
+        out *= grid.dealias_half
 
-    np.multiply(-ik[0], state_h[1], out=out[0])
-    for a in range(1, d):
-        out[0] -= np.multiply(ik[a], state_h[1 + a], out=tmp)
-    for a in range(d):
-        acc = out[1 + a]
-        np.multiply((params.mu + params.lam) * ik[a], div_u_h, out=acc)
-        acc -= np.multiply(ws.mu_k2, u_h[a], out=tmp)
-        for b in range(d):
-            acc -= np.multiply(ik[b], flux_h[ws.slot[(min(a, b), max(a, b))]], out=tmp)
-    out *= grid.dealias_half
+        work_rate = 0.0
+        if self.force is not None:
+            targets, shift = self.force
+            envelope = params.forcing.envelope_at(t)
+            out[1:].reshape(-1)[targets] += envelope * shift(state_h[0])
+            if self.ledger:
+                product = np.multiply(self.force_xy, envelope, out=flux[:d])  # the flux is transformed
+                product *= m
+                work_rate = float(np.sum(product)) * grid.dx**d
 
-    work_rate = 0.0
-    if force is not None:
-        force_xy, targets, shift = force
-        envelope = params.forcing.envelope_at(t)
-        out[1:].reshape(-1)[targets] += envelope * shift(state_h[0])
-        if want_rates:
-            product = np.multiply(force_xy, envelope, out=flux[:d])  # the flux is transformed
-            product *= m
-            work_rate = float(np.sum(product)) * grid.dx**d
+        if self.extra_source is not None:
+            source = np.empty_like(state)
+            source[0], source[1:] = self.extra_source(t, rho, m)
+            out += grid.rfft(source)
 
-    if extra_source is not None:
-        source = np.empty_like(state)
-        source[0], source[1:] = extra_source(t, rho, m)
-        out += grid.rfft(source)
+        if not self.ledger:
+            return out, 0.0, 0.0
 
-    if not want_rates:
-        return out, 0.0, 0.0
+        # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx.  The first
+        # keeps the Nyquist mode that grid.grad_sq zeroes: it is -int u . lap u,
+        # with the diffusion term's Laplacian symbol -k2, which is unambiguous
+        # at the Nyquist mode (only odd derivatives zero it there).
+        re2, im2 = self.re2, self.im2
+        power = np.add(np.square(u_h.real, out=re2), np.square(u_h.imag, out=im2), out=re2)
+        grad_sq = grid.parseval(np.multiply(grid.k2_half, power, out=power))
+        power = np.add(np.square(div_u_h.real, out=re2[0]), np.square(div_u_h.imag, out=im2[0]), out=re2[0])
+        div_sq = grid.parseval(power)
+        diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
+        return out, diss_rate, work_rate
 
-    # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx.  The first
-    # keeps the Nyquist mode that grid.grad_sq zeroes: it is -int u . lap u,
-    # with the diffusion term's Laplacian symbol -k2, which is unambiguous
-    # at the Nyquist mode (only odd derivatives zero it there).
-    re2, im2 = ws.re2, ws.im2
-    power = np.add(np.square(u_h.real, out=re2), np.square(u_h.imag, out=im2), out=re2)
-    grad_sq = grid.parseval(np.multiply(grid.k2_half, power, out=power))
-    power = np.add(np.square(div_u_h.real, out=re2[0]), np.square(div_u_h.imag, out=im2[0]), out=re2[0])
-    div_sq = grid.parseval(power)
-    diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
-    return out, diss_rate, work_rate
+    def advance(self, state_h, state, t, dt):
+        """One classical RK4 step of the half-lattice state (rho^, m^) whose
+        samples are state; returns the new coefficients, their samples, dD
+        and dW.  The samples feed the next step's first stage.
+
+        The new coefficients are a fresh array that takes k1, then the
+        running sum k1 + 2 k2 + 2 k3 + k4 in the order of the classical
+        formula; the returned arrays are never stepper buffers, so a later
+        step leaves them alone."""
+        grid, k, stage_h, stage = self.grid, self.k, self.stage_h, self.stage
+        acc = np.empty_like(state_h)
+
+        def to_stage(c, inc, acc=None):
+            """stage_h = state_h + c*inc, then acc += 2.0*inc if acc is given,
+            then stage_h's samples in stage; k is dead by then and takes the
+            inverse's complex passes."""
+            np.add(state_h, np.multiply(inc, c, out=stage_h), out=stage_h)
+            if acc is not None:
+                acc += np.multiply(inc, 2.0, out=inc)
+            grid.irfft(stage_h, out=stage, scratch=k)
+
+        _, d1, w1 = self.rhs(state_h, state, t, acc)
+        to_stage(0.5 * dt, acc)
+        _, d2, w2 = self.rhs(stage_h, stage, t + 0.5 * dt, k)
+        to_stage(0.5 * dt, k, acc)
+        _, d3, w3 = self.rhs(stage_h, stage, t + 0.5 * dt, k)
+        to_stage(dt, k, acc)
+        _, d4, w4 = self.rhs(stage_h, stage, t + dt, k)
+        acc += k
+        sixth = dt / 6.0
+        new_h = np.add(state_h, np.multiply(acc, sixth, out=acc), out=acc)
+        new = grid.irfft(new_h, scratch=k)
+        dD = sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        dW = sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+        _check_alive(new[0], new[1:], t + dt)
+        return new_h, new, dD, dW
 
 
 def rhs(state: State, params: FluidParams, extra_source=None):
     """Time derivative of (rho, m) as Fields (dealiased spectral form)."""
     grid, fields = state.grid, _fields(state)
-    force = _forcing(params, grid, False)
-    ws = _Workspace(grid, params)
-    out_h, _, _ = _rhs_core(grid.rfft(fields), fields, state.t, ws.k, grid, params, force, ws, extra_source)
+    stepper = _Stepper(grid, params, extra_source)
+    out_h, _, _ = stepper.rhs(grid.rfft(fields), fields, state.t, stepper.k)
     out = grid.irfft(out_h)
     return Field(grid=grid, values=out[0]), Field(grid=grid, values=out[1:])
 
@@ -436,53 +463,12 @@ def _check_alive(rho, m, t):
         raise BlowUpError(f"density lost positivity (min rho = {low:.3e}) at t = {t:.6g}", t=t)
 
 
-def _advance(state_h, state, t, dt, grid, params, force, ws, extra_source=None, with_ledger=False):
-    """One classical RK4 step of the half-lattice state (rho^, m^) whose
-    samples are state; returns the new coefficients, their samples, dD
-    and dW.  The samples feed the next step's first stage.
-
-    The stages run in the workspace ws.  The new coefficients are a fresh
-    array that takes k1, then the running sum k1 + 2 k2 + 2 k3 + k4 in
-    the order of the classical formula; the returned arrays are never
-    workspace buffers, so a later step leaves them alone."""
-    extra = (grid, params, force, ws, extra_source, with_ledger)
-    acc = np.empty_like(state_h)
-    k, stage_h, stage = ws.k, ws.stage_h, ws.stage
-
-    def to_stage(c, inc, acc=None):
-        """stage_h = state_h + c*inc, then acc += 2.0*inc if acc is given,
-        then stage_h's samples in stage; k is dead by then and takes the
-        inverse's complex passes."""
-        np.add(state_h, np.multiply(inc, c, out=stage_h), out=stage_h)
-        if acc is not None:
-            acc += np.multiply(inc, 2.0, out=inc)
-        grid.irfft(stage_h, out=stage, scratch=k)
-
-    _, d1, w1 = _rhs_core(state_h, state, t, acc, *extra)
-    to_stage(0.5 * dt, acc)
-    _, d2, w2 = _rhs_core(stage_h, stage, t + 0.5 * dt, k, *extra)
-    to_stage(0.5 * dt, k, acc)
-    _, d3, w3 = _rhs_core(stage_h, stage, t + 0.5 * dt, k, *extra)
-    to_stage(dt, k, acc)
-    _, d4, w4 = _rhs_core(stage_h, stage, t + dt, k, *extra)
-    acc += k
-    sixth = dt / 6.0
-    new_h = np.add(state_h, np.multiply(acc, sixth, out=acc), out=acc)
-    new = grid.irfft(new_h, scratch=k)
-    dD = sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-    dW = sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-    _check_alive(new[0], new[1:], t + dt)
-    return new_h, new, dD, dW
-
-
 def step(state: State, params: FluidParams, dt: float, extra_source=None) -> State:
     """Advance one RK4 step of size dt; mass is conserved to round-off."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid, fields = state.grid, _fields(state)
-    force = _forcing(params, grid, False)
-    ws = _Workspace(grid, params)
-    _, new, _, _ = _advance(grid.rfft(fields), fields, state.t, dt, grid, params, force, ws, extra_source)
+    _, new, _, _ = _Stepper(grid, params, extra_source).advance(grid.rfft(fields), fields, state.t, dt)
     return _state(state.t + dt, grid, new)
 
 
@@ -539,49 +525,36 @@ def run(
     states = [initial]
     E0 = total_energy(initial, params)
     mass0 = float(np.mean(fields[0]))
-    force = _forcing(params, grid, True)
-    ws = _Workspace(grid, params)
+    stepper = _Stepper(grid, params, extra_source, ledger=True)
 
-    ts, Es, Ds, Ws = [t0], [E0], [0.0], [0.0]
+    rows = [(t0, E0, 0.0, 0.0)]  # the ledger's (t, E, D, W)
     D_acc = W_acc = 0.0
     steps_done = 0
     for _snap in range(snapshots):
         for _ in range(per):
             t_now = t0 + steps_done * dt
-            fields_h, fields, dD, dW = _advance(
-                fields_h, fields, t_now, dt, grid, params, force, ws, extra_source, with_ledger=True
-            )
+            fields_h, fields, dD, dW = stepper.advance(fields_h, fields, t_now, dt)
             D_acc += dD
             W_acc += dW
             steps_done += 1
         t_now = t0 + steps_done * dt
         st = _state(t_now, grid, fields)
         states.append(st)
-        ts.append(t_now)
-        Es.append(total_energy(st, params))
-        Ds.append(D_acc)
-        Ws.append(W_acc)
+        rows.append((t_now, total_energy(st, params), D_acc, W_acc))
 
     mass1 = float(np.mean(fields[0]))
     scale = max(abs(mass0), 1e-300)
     if abs(mass1 - mass0) > 1e-10 * scale:
         raise MassDriftError(f"mass drifted by {abs(mass1 - mass0) / scale:.3e} relative", t=t_now)
 
-    t_arr = np.array(ts)
-    E_arr = np.array(Es)
-    D_arr = np.array(Ds)
-    W_arr = np.array(Ws)
+    t_arr, E_arr, D_arr, W_arr = np.array(rows).T
     R_arr = E_arr + D_arr - E0 - W_arr
     report = EnergyReport(
         t=t_arr, E=E_arr, D=D_arr, W=W_arr, R=R_arr,
         E0=E0, M_T=float(np.max(E_arr + D_arr)),
     )
-    return RunResult(
-        series=SnapshotSeries(states=tuple(states)),
-        report=report,
-        dt=dt,
-        steps_per_snapshot=per,
-    )
+    series = SnapshotSeries(states=tuple(states))
+    return RunResult(series=series, report=report, dt=dt, steps_per_snapshot=per)
 
 
 def _hermitianize(coef):

@@ -577,6 +577,26 @@ class TestReport:
     def test_missing_summary(self, tmp_path):
         assert cli_main(["report", "--dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("corrupt", ["simulate-without-energy", "cauchy-without-reference", "not-json",
+                                         "not-an-object", "a-directory"])
+    def test_corrupt_summary_exits_one(self, sweep_dir, tmp_path, capsys, corrupt):
+        path = tmp_path / "summary.json"
+        if corrupt == "simulate-without-energy":
+            path.write_text('{"command": "simulate"}')
+        elif corrupt == "cauchy-without-reference":
+            data = json.loads((sweep_dir / "summary.json").read_text())
+            del data["reference"]
+            baroflow.cli._write_json(path, data)
+        elif corrupt == "a-directory":
+            path.mkdir()
+        else:
+            path.write_text("{not json" if corrupt == "not-json" else "[1, 2]")
+        assert cli_main(["report", "--dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+
 
 class TestExitCodes:
     def test_selftest_passes(self, capsys):

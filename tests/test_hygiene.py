@@ -135,6 +135,7 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 # being written to a report, so no attribute read names it.
 SERIALISED_WHOLE = {
     "CauchyTable": "summary.json's cauchy section is asdict(cauchy_distances(...)); test_cli pins its keys",
+    "CkhwDetail": "diagnostics.json's ckhw section is asdict(ckhw_from_spectrum(...)); test_cli pins its keys",
 }
 
 READERS = [

@@ -4,7 +4,9 @@ The space-time L^p kernel must reproduce the modulus, distance and
 integrability loops; the grid's trig sampler the forcing and
 test-function loops; its grad_sq the smallness table's |rfft(u)|^2 form
 (to round-off); FluidParams' closure the inline velocity floor and
-pressure law; snapshot_step the sweep's copy of the fixed-step rule.
+pressure law; check_closure the gamma and kappa rule of FluidParams and
+the weighted bundle; snapshot_step the sweep's copy of the fixed-step
+rule.
 The replaced forms are kept here as test-only references.
 """
 
@@ -266,8 +268,8 @@ def test_state_checks_density_but_the_rhs_does_not():
         State(t=0.0, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=np.zeros((1,) + grid.shape)))
     # A stage value below zero is the run's to report as a blow-up, not a crash.
     fields = np.concatenate((rho[None], np.zeros((1,) + grid.shape)))
-    ws = solver._Workspace(grid, params)
-    out_h, _, _ = solver._rhs_core(grid.rfft(fields), fields, 0.0, ws.k, grid, params, None, ws)
+    stepper = solver._Stepper(grid, params)
+    out_h, _, _ = stepper.rhs(grid.rfft(fields), fields, 0.0, stepper.k)
     assert np.all(np.isfinite(out_h))
 
 
@@ -290,6 +292,23 @@ def test_one_density_tolerance():
             else:
                 with pytest.raises(error, match=message):
                     check()
+
+
+@pytest.mark.parametrize("gamma, kappa, message", [
+    (math.nan, 1.0, "gamma must exceed 1"),
+    (1.0, 1.0, "gamma must exceed 1"),
+    (1.4, math.nan, "kappa must be positive"),
+    (1.4, 0.0, "kappa must be positive"),
+])
+def test_one_closure_rule(gamma, kappa, message):
+    # FluidParams and the weighted bundle reject the same constants, NaN
+    # included: a NaN gamma would pass 1**nan == 1 through the bundle
+    grid = make_grid(1, 8, 1.0)
+    rho = Field(grid=grid, values=np.ones(grid.shape))
+    m = Field(grid=grid, values=np.zeros((1,) + grid.shape))
+    for check in (lambda: FluidParams(gamma=gamma, kappa=kappa), lambda: weighted_fields(rho, m, gamma, kappa)):
+        with pytest.raises(ValueError, match=message):
+            check()
 
 
 def test_snapshot_step_is_the_largest_dividing_step():

@@ -15,11 +15,8 @@ from baroflow.solver import (
     ForcingSpec,
     MassDriftError,
     State,
-    _Workspace,
-    _advance,
     _fields,
-    _forcing,
-    _rhs_core,
+    _Stepper,
     cfl_dt,
     preset_ic,
     rhs,
@@ -262,10 +259,8 @@ class TestRhs:
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
         st = preset_ic("random-band", g, params, seed=3 + d, amplitude=1.0)
         fields, t = _fields(st), 0.7
-        ws = _Workspace(g, params)
-        out_h, diss, work = _rhs_core(
-            g.rfft(fields), fields, t, ws.k, g, params, _forcing(params, g, True), ws, want_rates=True
-        )
+        stepper = _Stepper(g, params, ledger=True)
+        out_h, diss, work = stepper.rhs(g.rfft(fields), fields, t, stepper.k)
         out = g.irfft(out_h)
         got = (out[0], out[1:], diss, work)
         want = reference_rhs(st.rho.values, st.m.values, t, g, params)
@@ -644,7 +639,7 @@ class TestCoefficientState:
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
         st = preset_ic("random-band", g, params, seed=1, amplitude=0.5)
         fields = _fields(st)
-        fields_h, force = g.rfft(fields), _forcing(params, g, True)
+        fields_h, stepper = g.rfft(fields), _Stepper(g, params, ledger=True)
         counted, passes = [], []
 
         def counting(fn, lattice, into):
@@ -656,7 +651,7 @@ class TestCoefficientState:
         monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, g.shape, counted))
         monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, g.half_shape, counted))
         monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft, g.half_shape, passes))
-        _advance(fields_h, fields, 0.0, 1e-3, g, params, force, _Workspace(g, params), with_ledger=True)
+        stepper.advance(fields_h, fields, 0.0, 1e-3)
         assert sum(counted) == 4 * per_rhs
         assert passes == [d + 1] * (4 * (d - 1))
 
@@ -677,8 +672,9 @@ class TestCoefficientState:
 
 
 class TestWorkspace:
-    """run, step and rhs reuse one set of stage buffers per call; nothing a
-    step returns or a series holds is one of them."""
+    """run, step and rhs build one stepper per call, whose stage buffers
+    every step reuses; nothing a step returns or a series holds is one of
+    them."""
 
     # The traced transient of the 128^2 run below, peak minus what the
     # result retains, as the stepper measured before it reused buffers:
@@ -691,16 +687,37 @@ class TestWorkspace:
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d))
         st = preset_ic("random-band", g, params, seed=5, amplitude=0.5)
         fields = _fields(st)
-        fields_h, force, ws = g.rfft(fields), _forcing(params, g, True), _Workspace(g, params)
+        fields_h, stepper = g.rfft(fields), _Stepper(g, params, ledger=True)
         inputs = fields_h.copy(), fields.copy()
-        first_h, first, _, _ = _advance(fields_h, fields, 0.0, 1e-3, g, params, force, ws, with_ledger=True)
+        first_h, first, _, _ = stepper.advance(fields_h, fields, 0.0, 1e-3)
         kept = first_h.copy(), first.copy()
-        _advance(first_h, first, 1e-3, 1e-3, g, params, force, ws, with_ledger=True)
+        stepper.advance(first_h, first, 1e-3, 1e-3)
         for got, want in zip((fields_h, fields, first_h, first), inputs + kept):
             assert np.array_equal(got, want)
-        for buf in vars(ws).values():
+        for buf in vars(stepper).values():
             if isinstance(buf, np.ndarray):
                 assert not any(np.shares_memory(buf, a) for a in (first_h, first))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_ledger_leaves_the_step_alone(self, monkeypatch, d):
+        """A forced stepper built without the ledger steps to the same
+        coefficients and samples, bit for bit, as one built with it; it
+        returns zero rates and never builds the forcing's spatial factor."""
+        g = make_grid(d, 8 if d == 3 else 16, TWO_PI)
+        params = FluidParams(mu=0.05, forcing=two_term_forcing(d))
+        st = preset_ic("random-band", g, params, seed=4, amplitude=0.5)
+        fields = _fields(st)
+        fields_h = g.rfft(fields)
+        want_h, want, dD, dW = _Stepper(g, params, ledger=True).advance(fields_h, fields, 0.2, 1e-3)
+        assert dD > 0 and dW != 0.0
+
+        def spatial(self, grid):
+            raise AssertionError("ForcingSpec.spatial called without the ledger")
+
+        monkeypatch.setattr(ForcingSpec, "spatial", spatial)
+        got_h, got, dD, dW = _Stepper(g, params).advance(fields_h, fields, 0.2, 1e-3)
+        assert np.array_equal(got_h, want_h) and np.array_equal(got, want)
+        assert (dD, dW) == (0.0, 0.0)
 
     def test_series_states_survive_the_later_steps(self):
         # the first snapshot of a two-snapshot run is the end of a run over
@@ -753,4 +770,4 @@ class TestWorkspace:
         assert peak <= self.TRANSIENT_BEFORE_WORKSPACE
         # no workspace buffer outlives the run: not one grid field is left
         assert left < 8 * g.n**2
-        assert not any(isinstance(o, _Workspace) for o in gc.get_objects())
+        assert not any(isinstance(o, _Stepper) for o in gc.get_objects())
