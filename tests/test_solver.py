@@ -15,8 +15,8 @@ from baroflow.solver import (
     ForcingSpec,
     MassDriftError,
     State,
-    _fields,
     _Stepper,
+    _fields,
     cfl_dt,
     preset_ic,
     rhs,
