@@ -25,7 +25,7 @@ import numpy as np
 from . import diagnostics as dg
 from .config import ExperimentConfig
 from .fields import Field, dft_forward, make_grid
-from .snapshots import SnapshotFormatError, read_snapshot, scan_series, write_series, write_snapshot
+from .snapshots import SnapshotFormatError, SnapshotWriter, read_snapshot, scan_series, write_snapshot
 from .solver import BlowUpError, FluidParams, preset_ic, run
 from .sweep import (
     cauchy_distances,
@@ -112,14 +112,14 @@ def _cmd_simulate(args) -> int:
     grid = cfg.make_grid()
     params = cfg.fluid_params()
     initial = cfg.initial_state(grid, params)
-    result = run(initial, params, T=cfg.run.horizon, snapshots=cfg.run.snapshots, cfl=cfg.run.cfl)
+    writer = SnapshotWriter(out, cfg.output.prefix, params) if cfg.output.write_snapshots else None
+    result = run(initial, params, T=cfg.run.horizon, snapshots=cfg.run.snapshots, cfl=cfg.run.cfl,
+                 store=writer)
     rep = result.report
     adm = dg.energy_admissibility(rep.t, rep.E, rep.W)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "ledger.csv", _LEDGER_HEADER, _ledger_rows(rep))
-    written = []
-    if cfg.output.write_snapshots:
-        written = [p.name for p in write_series(out, cfg.output.prefix, result.series, params)]
+    written = [p.name for p in writer.paths] if writer else []
     summary = {
         "command": "simulate",
         "config_sha256": cfg.sha256(),
@@ -285,7 +285,11 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep does not use [fluid] lam; set [sweep] lam_ratio instead")
     out = Path(args.out) if args.out else Path(cfg.output.directory)
     plan = cfg.sweep_plan()
-    sweep = run_sweep(plan)
+    store_for = None
+    if cfg.output.write_snapshots:
+        def store_for(i, params):
+            return SnapshotWriter(out / f"entry_{i:02d}", cfg.output.prefix, params)
+    sweep = run_sweep(plan, store_for)
     out.mkdir(parents=True, exist_ok=True)
 
     entries = []
@@ -295,8 +299,6 @@ def _cmd_sweep(args) -> int:
             rep = entry.result.report
             info["energy"] = _energy_summary(rep)
             _write_csv(out / f"ledger_{i:02d}.csv", _LEDGER_HEADER, _ledger_rows(rep))
-            if cfg.output.write_snapshots:
-                write_series(out / f"entry_{i:02d}", cfg.output.prefix, entry.result.series, entry.params)
         entries.append(info)
 
     summary = {

@@ -17,6 +17,10 @@ flattened Fortran-style (first grid axis fastest).
 
 The checksum pins the payload bit-for-bit, so a corrupted file never
 parses quietly.
+
+SnapshotWriter is the store solver.run streams a series through: each
+snapshot is written as the run reaches it, and the run's series is the
+lazy StoredSeries of the files.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "SnapshotFormatError",
     "SnapshotMeta",
     "StoredSeries",
+    "SnapshotWriter",
     "write_snapshot",
     "read_snapshot",
     "write_series",
@@ -69,23 +74,29 @@ class SnapshotMeta:
 
 
 def write_snapshot(path, state: State, params) -> SnapshotMeta:
+    """Write one snapshot file, holding at most one field's bytes at a time:
+    the payload's CRC-32 runs along with the writes, and the header, which
+    holds it, is written last in front of them."""
     grid = state.grid
-    fields = [state.rho.values] + [state.m.values[a] for a in range(grid.d)]
-    payload = b"".join(np.asarray(f, dtype="<f8").tobytes(order="F") for f in fields)
-    checksum = zlib.crc32(payload) & 0xFFFFFFFF
     meta = SnapshotMeta(
         version=VERSION, d=grid.d, n=grid.n, P=grid.P,
         gamma=params.gamma, kappa=params.kappa, mu=params.mu, lam=params.lam,
         t=float(state.t), field_count=1 + grid.d,
     )
-    header = _HEADER.pack(
-        MAGIC, meta.version, meta.d, meta.n, meta.P,
-        meta.gamma, meta.kappa, meta.mu, meta.lam, meta.t,
-        meta.field_count, checksum,
-    )
+    checksum = 0
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+        fh.seek(_HEADER.size)
+        for f in (state.rho.values, *state.m.values):
+            chunk = np.ascontiguousarray(f.T, dtype="<f8")  # f's bytes in Fortran order
+            checksum = zlib.crc32(chunk, checksum)
+            fh.write(chunk)
+            del chunk  # before the next field's copy is made
+        fh.seek(0)
+        fh.write(_HEADER.pack(
+            MAGIC, meta.version, meta.d, meta.n, meta.P,
+            meta.gamma, meta.kappa, meta.mu, meta.lam, meta.t,
+            meta.field_count, checksum,
+        ))
     return meta
 
 
@@ -138,9 +149,10 @@ def _series_path(directory: Path, prefix: str, index: int) -> Path:
 @dataclass(frozen=True)
 class StoredSeries:
     """A snapshot series on disk, known up front by its headers (see
-    scan_series): the first header, which every other one repeats but for
-    its time, and the times.  Iterating reads each payload when it is
-    reached, checksum-verified, onto the one grid; no earlier state is kept."""
+    scan_series and SnapshotWriter.finish): the first header, which every
+    other one repeats but for its time, and the times.  Iterating reads
+    each payload when it is reached, checksum-verified, onto the one grid;
+    no earlier state is kept."""
 
     directory: Path
     prefix: str
@@ -157,16 +169,57 @@ class StoredSeries:
             yield read_snapshot(_series_path(self.directory, self.prefix, i), scanned)[0]
 
 
+class SnapshotWriter:
+    """A solver.run store that writes each snapshot it is handed as
+    prefix_NNNN.ckhs in directory and keeps no State.
+
+    Until finish(), each file carries a ".part" suffix, which scan_series
+    never matches; finish() gives the files their names and returns the
+    lazy StoredSeries of exactly what was written.  discard() deletes the
+    partial files, and the directory too when this writer made it and it
+    is left empty, so a run that raises leaves no snapshot behind."""
+
+    def __init__(self, directory, prefix: str, params):
+        self.directory, self.prefix, self.params = Path(directory), prefix, params
+        self.paths, self.times = [], []
+        self.meta = self.grid = None
+        self.made_directory = False
+
+    def add(self, state: State):
+        first = not self.paths
+        if first:
+            self.made_directory = not self.directory.exists()
+            self.directory.mkdir(parents=True, exist_ok=True)
+        path = _series_path(self.directory, self.prefix, len(self.paths))
+        meta = write_snapshot(_partial(path), state, self.params)
+        if first:
+            self.meta, self.grid = meta, state.grid
+        self.paths.append(path)
+        self.times.append(meta.t)
+
+    def finish(self) -> StoredSeries:
+        for path in self.paths:
+            _partial(path).replace(path)
+        return StoredSeries(self.directory, self.prefix, self.meta, np.array(self.times), self.grid)
+
+    def discard(self):
+        for path in self.paths:
+            _partial(path).unlink(missing_ok=True)
+        if self.made_directory and not any(self.directory.iterdir()):
+            self.directory.rmdir()
+
+
+def _partial(path: Path) -> Path:
+    return path.with_name(path.name + ".part")
+
+
 def write_series(directory, prefix: str, series: SnapshotSeries, params):
     """Write every snapshot of a series as prefix_NNNN.ckhs files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, st in enumerate(series):
-        path = _series_path(directory, prefix, i)
-        write_snapshot(path, st, params)
-        paths.append(path)
-    return paths
+    writer = SnapshotWriter(directory, prefix, params)
+    for st in series:
+        writer.add(st)
+    writer.finish()
+    return writer.paths
 
 
 def scan_series(directory, prefix: str) -> StoredSeries:

@@ -47,6 +47,7 @@ __all__ = [
     "State",
     "EnergyReport",
     "SnapshotSeries",
+    "MemoryStore",
     "RunResult",
     "BlowUpError",
     "MassDriftError",
@@ -239,9 +240,28 @@ class SnapshotSeries:
         return self.states[i]
 
 
+class MemoryStore:
+    """run's default snapshot store: keeps every State it is handed.
+
+    A store takes a run's snapshots in order through add(state); finish()
+    gives the run's series, and discard() drops them when the run raises."""
+
+    def __init__(self):
+        self.states = []
+
+    def add(self, state: State):
+        self.states.append(state)
+
+    def finish(self) -> SnapshotSeries:
+        return SnapshotSeries(states=tuple(self.states))
+
+    def discard(self):
+        self.states.clear()
+
+
 @dataclass(frozen=True)
 class RunResult:
-    series: SnapshotSeries
+    series: SnapshotSeries  # or the StoredSeries of a SnapshotWriter
     report: EnergyReport
     dt: float
     steps_per_snapshot: int
@@ -413,11 +433,22 @@ def rhs(state: State, params: FluidParams, extra_source=None):
 
 
 def total_energy(state: State, params: FluidParams) -> float:
-    """Box integral of 0.5|m|^2/rho + kappa*rho^gamma/(gamma-1)."""
-    r = np.maximum(state.rho.values, params.rho_min)
-    kinetic = 0.5 * np.sum(state.m.values**2, axis=0) / r
-    internal = params.pressure(state.rho.values) / (params.gamma - 1.0)
-    return float(np.sum(kinetic + internal)) * state.grid.dx**state.grid.d
+    """Box integral of 0.5|m|^2/rho + kappa*rho^gamma/(gamma-1).
+
+    Builds the energy density and one scratch field.  Each point's
+    operations and their order are those of the whole-field expression
+    0.5*sum(m**2, axis=0)/max(rho, rho_min) + pressure(rho)/(gamma - 1),
+    so E is the same to the bit."""
+    rho, m = state.rho.values, state.m.values
+    density, scratch = np.square(m[0]), np.empty(rho.shape)
+    for a in range(1, len(m)):
+        density += np.square(m[a], out=scratch)
+    density *= 0.5
+    density /= np.maximum(rho, params.rho_min, out=scratch)
+    internal = params.pressure(rho, out=scratch)
+    internal /= params.gamma - 1.0
+    density += internal
+    return float(np.sum(density)) * state.grid.dx**state.grid.d
 
 
 def cfl_dt(state: State, params: FluidParams, cfl: float = 0.4) -> float:
@@ -496,6 +527,7 @@ def run(
     cfl: float = 0.4,
     extra_source=None,
     dt_cap: float = None,
+    store=None,
 ) -> RunResult:
     """Integrate over [t0, t0 + T] with a fixed dt locked to the initial
     CFL state, emitting `snapshots` equally spaced snapshot intervals.
@@ -503,6 +535,12 @@ def run(
     dt divides the snapshot spacing exactly, so snapshot timestamps are
     reproducible across runs sharing (dt, spacing).  dt_cap tightens the
     stability bound, letting several runs agree on one step size.
+
+    Each snapshot, the initial state first, is handed to store as it is
+    reached, and the result's series is what the store finishes as: a
+    MemoryStore (the default) keeps the States, a
+    snapshots.SnapshotWriter streams them to disk.  A run that raises,
+    blow-up and mass drift included, has the store discard them first.
     """
     run_window(T, snapshots)
     if dt_cap is not None and not dt_cap > 0:
@@ -522,30 +560,36 @@ def run(
     fields = _fields(initial)
     fields_h = grid.rfft(fields)
     t0 = initial.t
-    states = [initial]
-    E0 = total_energy(initial, params)
-    mass0 = float(np.mean(fields[0]))
-    stepper = _Stepper(grid, params, extra_source, ledger=True)
+    store = MemoryStore() if store is None else store
+    try:
+        store.add(initial)
+        E0 = total_energy(initial, params)
+        mass0 = float(np.mean(fields[0]))
+        stepper = _Stepper(grid, params, extra_source, ledger=True)
 
-    rows = [(t0, E0, 0.0, 0.0)]  # the ledger's (t, E, D, W)
-    D_acc = W_acc = 0.0
-    steps_done = 0
-    for _snap in range(snapshots):
-        for _ in range(per):
+        rows = [(t0, E0, 0.0, 0.0)]  # the ledger's (t, E, D, W)
+        D_acc = W_acc = 0.0
+        steps_done = 0
+        for _snap in range(snapshots):
+            for _ in range(per):
+                t_now = t0 + steps_done * dt
+                fields_h, fields, dD, dW = stepper.advance(fields_h, fields, t_now, dt)
+                D_acc += dD
+                W_acc += dW
+                steps_done += 1
             t_now = t0 + steps_done * dt
-            fields_h, fields, dD, dW = stepper.advance(fields_h, fields, t_now, dt)
-            D_acc += dD
-            W_acc += dW
-            steps_done += 1
-        t_now = t0 + steps_done * dt
-        st = _state(t_now, grid, fields)
-        states.append(st)
-        rows.append((t_now, total_energy(st, params), D_acc, W_acc))
+            st = _state(t_now, grid, fields)
+            store.add(st)
+            rows.append((t_now, total_energy(st, params), D_acc, W_acc))
 
-    mass1 = float(np.mean(fields[0]))
-    scale = max(abs(mass0), 1e-300)
-    if abs(mass1 - mass0) > 1e-10 * scale:
-        raise MassDriftError(f"mass drifted by {abs(mass1 - mass0) / scale:.3e} relative", t=t_now)
+        mass1 = float(np.mean(fields[0]))
+        scale = max(abs(mass0), 1e-300)
+        if abs(mass1 - mass0) > 1e-10 * scale:
+            raise MassDriftError(f"mass drifted by {abs(mass1 - mass0) / scale:.3e} relative", t=t_now)
+        series = store.finish()
+    except BaseException:
+        store.discard()
+        raise
 
     t_arr, E_arr, D_arr, W_arr = np.array(rows).T
     R_arr = E_arr + D_arr - E0 - W_arr
@@ -553,7 +597,6 @@ def run(
         t=t_arr, E=E_arr, D=D_arr, W=W_arr, R=R_arr,
         E0=E0, M_T=float(np.max(E_arr + D_arr)),
     )
-    series = SnapshotSeries(states=tuple(states))
     return RunResult(series=series, report=report, dt=dt, steps_per_snapshot=per)
 
 

@@ -142,8 +142,13 @@ class SweepResult:
         return any(not e.completed for e in self.entries)
 
 
-def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Run every entry of the plan on one shared grid, state and dt."""
+def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
+    """Run every entry of the plan on one shared grid, state and dt.
+
+    store_for(index, params), if given, makes each entry's snapshot store
+    (see solver.run); a snapshots.SnapshotWriter per entry leaves every
+    completed entry's series on disk, read back lazily, and a failed
+    entry's nowhere.  Without it each series is kept in memory."""
     grid = make_grid(plan.d, plan.n, plan.P)
     params0 = plan.params_for(plan.mu_values[0])
     initial = preset_ic(plan.ic, grid, params0, seed=plan.ic_seed, amplitude=plan.ic_amplitude)
@@ -153,12 +158,12 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     _, shared_dt = snapshot_step(plan.T / plan.snapshots, shared_stable)
 
     entries = []
-    for mu in plan.mu_values:
+    for i, mu in enumerate(plan.mu_values):
         params = plan.params_for(mu)
         try:
             result = run(
-                initial, params, plan.T,
-                snapshots=plan.snapshots, cfl=plan.cfl, dt_cap=shared_stable,
+                initial, params, plan.T, snapshots=plan.snapshots, cfl=plan.cfl, dt_cap=shared_stable,
+                store=None if store_for is None else store_for(i, params),
             )
             entries.append(SweepEntry(mu=mu, params=params, result=result))
         except BlowUpError as exc:

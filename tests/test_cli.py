@@ -1,12 +1,10 @@
 """End-to-end CLI runs through cli_main."""
 
 import csv
-import gc
 import json
 import math
 import shutil
 import subprocess
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +125,60 @@ window_hi = 4
 """
 
 
+# a 2D forced run whose snapshot count is set per test; the ladder is for sweep
+STREAM_CONFIG = """
+[grid]
+d = 2
+n = 32
+
+[fluid]
+mu = 0.01
+
+[forcing]
+mode = trig
+term1 = 0.05,0.0@1,0@0.0
+
+[initial]
+preset = random-band
+seed = 3
+amplitude = 0.2
+
+[run]
+horizon = 0.64
+snapshots = {count}
+
+[sweep]
+mu_max = 0.01
+ratio = 0.5
+count = 2
+"""
+
+# the ladder's last rung blows up, the first two complete
+FAILING_RUNG_CONFIG = BLOWUP_CONFIG.replace("amplitude = 8.0", "amplitude = 4.0") + """
+[sweep]
+mu_max = 0.3
+ratio = 0.25
+count = 3
+"""
+
+
+def cli_ok(argv):
+    assert cli_main(argv) == 0, argv
+
+
+def peak_growth(traced_peak, tmp_path, command):
+    """How much the traced peak of `command` on STREAM_CONFIG grows from
+    16 to 64 snapshots."""
+
+    def peak(count):
+        cfg = tmp_path / f"exp{count}.ini"
+        cfg.write_text(STREAM_CONFIG.format(count=count))
+        return traced_peak(lambda: cli_ok([command, "--config", str(cfg), "--out", str(tmp_path / f"out{count}")]))
+
+    peak(16)  # first use: lazy imports and caches
+    return peak(64) - peak(16)
+
+
 def synthetic_series(directory, d, n, count):
     """count snapshots 0.01 apart of one smooth state with growing momentum,
     written as run_NNNN.ckhs."""
@@ -241,6 +293,20 @@ class TestSimulate:
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "summary.json").read_bytes() == (sim_dir / "summary.json").read_bytes()
         assert (out / "demo_0010.ckhs").read_bytes() == (sim_dir / "demo_0010.ckhs").read_bytes()
+
+    def test_memory_does_not_grow_with_the_series(self, tmp_path, traced_peak):
+        # each snapshot is written as the run reaches it, so 64 snapshots may
+        # cost more than 16 by the rows kept per snapshot (ledger, times,
+        # file names), not by stored payloads
+        assert peak_growth(traced_peak, tmp_path, "simulate") < 4 * 3 * 32**2 * 8
+        assert len(list((tmp_path / "out64").glob("run_*.ckhs"))) == 65
+
+    def test_a_blown_up_run_leaves_no_snapshots(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(BLOWUP_CONFIG)
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestDiagnose:
@@ -423,24 +489,17 @@ class TestDiagnose:
                 assert data[section][key] == value, (section, key)
         assert np.array_equal(np.load(out / "reynolds_trace.npy"), trace)
 
-    def test_memory_does_not_grow_with_the_series(self, tmp_path):
+    def test_memory_does_not_grow_with_the_series(self, tmp_path, traced_peak):
         # the traced peak of a diagnose call at 64 snapshots may exceed the
         # one at 16 by the rows kept per snapshot (spectrum and weak-form
-        # rows, times), not by stored payloads; a collection before each
-        # call keeps garbage of the previous one out of the peak
+        # rows, times), not by stored payloads
         payload = 3 * 32**2 * 8
         for count in (16, 64):
             synthetic_series(tmp_path / f"s{count}", 2, 32, count)
 
         def peak(count):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                assert cli_main(["diagnose", "--dir", str(tmp_path / f"s{count}"),
-                                 "--out", str(tmp_path / f"out{count}")]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            argv = ["diagnose", "--dir", str(tmp_path / f"s{count}"), "--out", str(tmp_path / f"out{count}")]
+            return traced_peak(lambda: cli_ok(argv))
 
         peak(16)  # first use: lazy imports and caches
         assert peak(64) - peak(16) < 4 * payload
@@ -521,6 +580,46 @@ class TestSweep:
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "summary.json").read_bytes() == (sweep_dir / "summary.json").read_bytes()
 
+    def test_memory_does_not_grow_with_the_series(self, tmp_path, traced_peak):
+        # with snapshots every rung streams to disk and the distances,
+        # smallness and limit check read the series back lazily: 64 snapshots
+        # may cost more than 16 by the rows kept per snapshot, not by payloads
+        assert peak_growth(traced_peak, tmp_path, "sweep") < 4 * 3 * 32**2 * 8
+        for i in range(2):
+            assert len(list((tmp_path / "out64" / f"entry_{i:02d}").glob("run_*.ckhs"))) == 65
+
+    def test_a_failed_rung_leaves_no_snapshots(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(FAILING_RUNG_CONFIG)
+        out = tmp_path / "out"
+        cli_ok(["sweep", "--config", str(cfg), "--out", str(out)])
+        data = json.loads((out / "summary.json").read_text())
+        assert [e["completed"] for e in data["entries"]] == [True, True, False]
+        assert "limit_candidate" in data
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*.ckhs*"))
+        assert written == [f"entry_{i:02d}/run_{k:04d}.ckhs" for i in range(2) for k in range(5)]
+        assert not (out / "entry_02").exists()
+
+    @pytest.mark.parametrize("config", ["1d", "3d-forced"])
+    def test_snapshots_leave_the_reports_unchanged(self, tmp_path, config):
+        # a sweep that writes its rungs' snapshots reads them back for the
+        # distances, smallness and limit check; every number stays the same
+        text = SWEEP_CONFIG if config == "1d" else FREE_3D_CONFIG.replace(
+            "[initial]", "[forcing]\nmode = trig\nterm1 = 0.05,0.0,0.0@1,0,0@0.0\n\n[initial]"
+        ) + "\n[sweep]\nmu_max = 0.02\nratio = 0.5\ncount = 3\n\n[output]\nwrite_snapshots = false\n"
+        outs = {}
+        for snapshots in ("false", "true"):
+            cfg = tmp_path / f"exp_{snapshots}.ini"
+            cfg.write_text(text.replace("write_snapshots = false", f"write_snapshots = {snapshots}"))
+            outs[snapshots] = tmp_path / f"out_{snapshots}"
+            cli_ok(["sweep", "--config", str(cfg), "--out", str(outs[snapshots])])
+        without, with_ = outs["false"], outs["true"]
+        assert (with_ / "entry_02" / "run_0000.ckhs").exists() and not (without / "entry_00").exists()
+        for name in ("distances.csv", "smallness.csv", "ledger_00.csv", "ledger_02.csv"):
+            assert (with_ / name).read_bytes() == (without / name).read_bytes(), name
+        a, b = (json.loads((o / "summary.json").read_text()) for o in (without, with_))
+        for section in ("cauchy", "reference", "smallness", "limit_candidate", "entries"):
+            assert a[section] == b[section], section
 
     def test_bad_theta_exits_two_before_a_rung(self, tmp_path, monkeypatch, capsys):
         rungs = []
@@ -626,6 +725,7 @@ class TestExitCodes:
         code = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "error: mass drifted" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # every snapshot was written, then discarded
 
     def test_bad_config_exits_two(self, tmp_path):
         cfg = tmp_path / "exp.ini"

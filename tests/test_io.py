@@ -1,5 +1,7 @@
 """Snapshot file format and config round trips."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from baroflow.fields import Field, make_grid
 from baroflow.snapshots import (
     _HEADER,
     SnapshotFormatError,
+    SnapshotWriter,
     read_series,
     read_snapshot,
     scan_series,
@@ -66,6 +69,33 @@ class TestSnapshotRoundTrip:
         assert np.array_equal(back.m.values, state.m.values)
         assert meta.field_count == 2
         assert meta.t == 0.75
+
+
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+    def test_bytes_equal_the_joined_payload(self, tmp_path, d, n):
+        # the fields are written one at a time under a running CRC; the file
+        # is still the header with the whole payload's CRC, then the payload
+        grid = make_grid(d, n, 2.0 * np.pi)
+        params = FluidParams(gamma=1.6, kappa=0.8, mu=2e-3)
+        rng = np.random.default_rng(d)
+        state = State(t=0.375, rho=Field(grid=grid, values=1.0 + 0.1 * rng.standard_normal(grid.shape)),
+                      m=Field(grid=grid, values=rng.standard_normal((d,) + grid.shape)))
+        path = tmp_path / "one.ckhs"
+        meta = write_snapshot(path, state, params)
+        fields = [state.rho.values] + [state.m.values[a] for a in range(d)]
+        payload = b"".join(np.asarray(f, dtype="<f8").tobytes(order="F") for f in fields)
+        header = _HEADER.pack(b"CKHS", 1, d, n, grid.P, params.gamma, params.kappa, params.mu, params.lam,
+                              0.375, 1 + d, zlib.crc32(payload) & 0xFFFFFFFF)
+        assert path.read_bytes() == header + payload
+        assert meta == read_snapshot(path)[1]
+
+    def test_one_field_in_memory_at_a_time(self, tmp_path, traced_peak):
+        grid = make_grid(2, 64, 2.0 * np.pi)
+        params = FluidParams()
+        state = preset_ic("random-band", grid, params, seed=2, amplitude=0.3)
+        field = 8 * 64**2
+        traced_peak(lambda: write_snapshot(tmp_path / "warm.ckhs", state, params))
+        assert traced_peak(lambda: write_snapshot(tmp_path / "one.ckhs", state, params)) < 1.5 * field
 
 
 class TestSnapshotCorruption:
@@ -234,6 +264,58 @@ class TestSeries:
         write_snapshot(tmp_path / "demo_0003.ckhs", result.series[3], FluidParams(**fields))
         with pytest.raises(SnapshotFormatError, match=f"demo_0003.ckhs: header {name} = "):
             read_series(tmp_path, "demo")
+
+
+class TestSnapshotWriter:
+    def test_streams_the_series_of_a_run(self, tmp_path, short_run):
+        result, params = short_run
+        writer = SnapshotWriter(tmp_path / "new", "demo", params)
+        initial = result.series[0]
+        streamed = run(initial, params, T=0.2, snapshots=5, store=writer)
+        assert writer.paths == [tmp_path / "new" / f"demo_{i:04d}.ckhs" for i in range(6)]
+        assert list(streamed.series.times) == list(result.series.times)
+        assert len(streamed.series) == 6 and streamed.series.grid == initial.grid
+        for got, want in zip(streamed.series, result.series):
+            assert np.array_equal(got.rho.values, want.rho.values)
+            assert np.array_equal(got.m.values, want.m.values)
+        for name in ("t", "E", "D", "W", "R"):
+            assert np.array_equal(getattr(streamed.report, name), getattr(result.report, name))
+
+    def test_files_are_partial_until_finish(self, tmp_path, short_run):
+        result, params = short_run
+        writer = SnapshotWriter(tmp_path, "demo", params)
+        for st in result.series:
+            writer.add(st)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"demo_{i:04d}.ckhs.part" for i in range(6)]
+        with pytest.raises(FileNotFoundError):
+            scan_series(tmp_path, "demo")
+        stored = writer.finish()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"demo_{i:04d}.ckhs" for i in range(6)]
+        scanned = scan_series(tmp_path, "demo")
+        assert (stored.meta, stored.grid) == (scanned.meta, scanned.grid)
+        assert list(stored.times) == list(scanned.times) == list(result.series.times)
+
+    def test_discard_leaves_nothing(self, tmp_path, short_run):
+        result, params = short_run
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for directory in (kept, tmp_path / "made"):
+            writer = SnapshotWriter(directory, "demo", params)
+            for st in result.series:
+                writer.add(st)
+            writer.discard()
+        assert kept.is_dir() and not any(kept.iterdir())
+        assert not (tmp_path / "made").exists()
+
+    def test_the_series_is_what_was_written(self, tmp_path, short_run):
+        # files a longer, earlier series left behind do not join the new one
+        result, params = short_run
+        write_series(tmp_path, "demo", result.series, params)
+        writer = SnapshotWriter(tmp_path, "demo", params)
+        for st in result.series[:3]:
+            writer.add(st)
+        stored = writer.finish()
+        assert len(stored) == 3 and [st.t for st in stored] == list(result.series.times[:3])
 
 
 OVERRIDE_INI = """

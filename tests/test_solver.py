@@ -14,6 +14,7 @@ from baroflow.solver import (
     FluidParams,
     ForcingSpec,
     MassDriftError,
+    MemoryStore,
     State,
     _Stepper,
     _fields,
@@ -458,6 +459,56 @@ class TestRun:
         with pytest.raises(ValueError, match="horizon"):
             run(st, FluidParams(), T=-1.0)
 
+    class Recorder(MemoryStore):
+        """A memory store that logs what run asks of it."""
+
+        def __init__(self):
+            super().__init__()
+            self.calls = []
+
+        def add(self, state):
+            self.calls.append(("add", state.t))
+            super().add(state)
+
+        def finish(self):
+            self.calls.append(("finish",))
+            return super().finish()
+
+        def discard(self):
+            self.calls.append(("discard",))
+            super().discard()
+
+    def test_each_snapshot_goes_to_the_store_in_order(self):
+        g = make_grid(2, 16, TWO_PI)
+        params = FluidParams(mu=1e-2, forcing=ForcingSpec(mode="trig", terms=(((0.05, 0.0), (1, 0), 0.0),)))
+        st = preset_ic("random-band", g, params, seed=4, amplitude=0.3)
+        store = self.Recorder()
+        res = run(st, params, T=0.1, snapshots=4, store=store)
+        plain = run(st, params, T=0.1, snapshots=4)
+        assert store.calls == [("add", t) for t in plain.series.times] + [("finish",)]
+        assert res.series.states[0] is st
+        for a, b in zip(res.series, plain.series):
+            assert np.array_equal(a.rho.values, b.rho.values) and np.array_equal(a.m.values, b.m.values)
+        for name in ("t", "E", "D", "W", "R"):
+            assert np.array_equal(getattr(res.report, name), getattr(plain.report, name))
+
+    @pytest.mark.parametrize("failure", ["blow-up", "mass drift"])
+    def test_a_run_that_raises_discards_its_snapshots(self, failure):
+        g = make_grid(1, 16, TWO_PI)
+        params = FluidParams(mu=1e-2)
+        value = np.nan if failure == "blow-up" else 1e-3
+
+        def source(t, rho, m):
+            return np.full_like(rho, value if t > 0.027 else 0.0), np.zeros_like(m)
+
+        store = self.Recorder()
+        with pytest.raises(BlowUpError):
+            run(preset_ic("acoustic-pulse", g, params), params, T=0.1, snapshots=2, dt_cap=0.01,
+                extra_source=source, store=store)
+        adds = 1 if failure == "blow-up" else 3  # the drift shows only at the end
+        assert [call[0] for call in store.calls] == ["add"] * adds + ["discard"]
+        assert store.states == []
+
 
 class TestManufacturedSolution:
     """Traveling-wave solution with a symbolic momentum source."""
@@ -544,6 +595,28 @@ class TestPresets:
         g = make_grid(1, 8, 1.0)
         with pytest.raises(ValueError, match="preset"):
             preset_ic("vortex-sheet", g, FluidParams())
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16)])
+    def test_total_energy_is_the_whole_field_expression(self, d, n):
+        g = make_grid(d, n, TWO_PI)
+        rng = np.random.default_rng(d)
+        for gamma in (1.4, 5.0 / 3.0):
+            params = FluidParams(gamma=gamma, kappa=0.7, rho_min=1e-3)
+            rho = rng.uniform(-1e-13, 2.0, g.shape)
+            rho.reshape(-1)[:3] = 0.0, -1e-13, 5e-4  # at, below and above zero, under rho_min
+            m = rng.standard_normal((d,) + g.shape) * 10.0 ** rng.uniform(-3, 3)
+            st = state_from(g, rho, m)
+            kinetic = 0.5 * np.sum(m**2, axis=0) / np.maximum(rho, params.rho_min)
+            internal = params.pressure(rho) / (params.gamma - 1.0)
+            assert total_energy(st, params) == float(np.sum(kinetic + internal)) * g.dx**d
+
+    @pytest.mark.parametrize("d,n", [(2, 128), (3, 32)])
+    def test_total_energy_builds_the_density_and_one_scratch_field(self, traced_peak, d, n):
+        g = make_grid(d, n, TWO_PI)
+        params = FluidParams()
+        st = preset_ic("random-band", g, params, seed=3, amplitude=0.5)
+        traced_peak(lambda: total_energy(st, params))
+        assert traced_peak(lambda: total_energy(st, params)) < 2.5 * 8 * n**d
 
     def test_total_energy_uniform_state(self):
         g = make_grid(2, 8, TWO_PI)

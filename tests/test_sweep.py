@@ -17,6 +17,7 @@ from baroflow.diagnostics import (
     weak_residuals,
 )
 from baroflow.fields import Field, make_grid
+from baroflow.snapshots import SnapshotWriter
 from baroflow.solver import FluidParams, SnapshotSeries, State, cfl_dt, preset_ic
 from baroflow.sweep import (
     SweepEntry,
@@ -149,6 +150,41 @@ class TestRunSweep:
         assert len(sweep.completed) == 1
         with pytest.raises(ValueError, match="at least two completed"):
             cauchy_distances(sweep)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_store_per_entry(self, acoustic_sweep, tmp_path):
+        # writers stream each entry's series to disk; the reports read them
+        # back and agree with the in-memory sweep bit for bit
+        plan, sweep = acoustic_sweep
+        made = []
+
+        def store_for(i, params):
+            made.append((i, params.mu))
+            return SnapshotWriter(tmp_path / f"entry_{i:02d}", "run", params)
+
+        stored = run_sweep(plan, store_for)
+        assert made == list(enumerate(plan.mu_values))
+        for e in stored.entries:
+            assert len(e.result.series) == plan.snapshots + 1
+        for table in (cauchy_distances, distances_to):
+            a, b = table(stored), table(sweep)
+            assert np.array_equal(a.rho_distances, b.rho_distances) and np.array_equal(a.m_distances, b.m_distances)
+        assert viscous_smallness(stored) == viscous_smallness(sweep)
+        a, b = limit_candidate_check(stored), limit_candidate_check(sweep)
+        assert (a.weak.mass_max_rel, a.weak.ns_max_rel, a.m_t) == (b.weak.mass_max_rel, b.weak.ns_max_rel, b.m_t)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_entry_leaves_no_snapshots(self, tmp_path):
+        plan = SweepPlan(
+            mu_values=(0.5, 0.05),
+            d=1, n=32, P=2.0 * np.pi,
+            ic="random-band", ic_seed=7, ic_amplitude=5.0,
+            T=0.4, snapshots=4,
+        )
+        sweep = run_sweep(plan, lambda i, params: SnapshotWriter(tmp_path / f"entry_{i:02d}", "run", params))
+        assert [e.completed for e in sweep.entries] == [True, False]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["entry_00"]
+        assert len(list((tmp_path / "entry_00").iterdir())) == 5
 
     def test_mass_drift_marks_entry_and_spares_the_rest(self, monkeypatch):
         real_run = baroflow.sweep.run
