@@ -79,16 +79,18 @@ def _bundle(state: State, params: FluidParams) -> np.ndarray:
     return weighted_fields(state.rho, state.m, params.gamma, params.kappa, params.rho_min).values
 
 
-def _snapshot_spectrum(grid: PeriodicGrid, w: np.ndarray, params: FluidParams):
-    """One rfftn of a snapshot's weighted bundle w: its shell energy and
-    raw shell power, and its half-lattice |w_hat|^2 (amplitude-normalized
-    coefficients, as dft_forward)."""
+def _bundle_power(grid: PeriodicGrid, w: np.ndarray) -> np.ndarray:
+    """One rfftn of a weighted bundle w: its half-lattice |w_hat|^2
+    (amplitude-normalized coefficients, as dft_forward), summed over the
+    velocity components and of the sonic part, stacked in that order."""
     coef = grid.rfft(w)
     power = (coef.real**2 + coef.imag**2) / float(grid.n**grid.d) ** 2
-    power_u, power_c = np.sum(power[: grid.d], axis=0), power[grid.d]
-    total = power_u + power_c
-    energy = _shell_sum(grid, 0.5 * power_u + power_c / (params.gamma - 1.0))
-    return energy, _shell_sum(grid, total), total
+    return np.stack((np.sum(power[: grid.d], axis=0), power[grid.d]))
+
+
+def _energy_shells(grid: PeriodicGrid, power: np.ndarray, params: FluidParams) -> np.ndarray:
+    """Shell energy of a stacked (velocity, sonic) |w_hat|^2."""
+    return _shell_sum(grid, 0.5 * power[0] + power[1] / (params.gamma - 1.0))
 
 
 @dataclass(frozen=True)
@@ -111,19 +113,21 @@ def shell_spectrum(state: State, params: FluidParams) -> Spectrum:
     The shell sum reproduces the per-volume total energy exactly
     (Parseval), which is the completeness check run by the tests.
     """
-    return Spectrum(energy=_snapshot_spectrum(state.grid, _bundle(state, params), params)[0])
+    grid = state.grid
+    return Spectrum(energy=_energy_shells(grid, _bundle_power(grid, _bundle(state, params)), params))
 
 
 @dataclass(frozen=True)
 class SpectrumSeries:
     """Trapezoid time integrals of a series' shell spectra.
 
-    integrated_energy[s] is int_0^T E(t, s) dt of shell_spectrum's rows,
-    integrated_raw[s] the same of the plain shell sums of |w_hat|^2, and
-    counts[s] the number of lattice modes in shell s.  mode_power is the
-    time integral of the per-mode |w_hat|^2 on grid's half lattice.  A
-    series built from per-shell energy integrals (from_integrated) has
-    none of counts, integrated_raw and mode_power: they are None.
+    mode_power is the time integral of the per-mode |w_hat|^2 on grid's
+    half lattice, binned into shells once: integrated_raw[s] is its shell
+    sum, and integrated_energy[s] that of its energy-weighted parts, the
+    integral int_0^T E(t, s) dt of shell_spectrum's rows.  counts[s] is
+    the number of lattice modes in shell s.  A series built from
+    per-shell energy integrals (from_integrated) has none of counts,
+    integrated_raw and mode_power: they are None.
     integrability holds the norms of rho, m and w when the pass was run
     with integrability exponents, and is None otherwise.
     """
@@ -183,22 +187,17 @@ def spectral_pass(series, params: FluidParams, exponents=None):
     if exponents is not None:
         exponents = integrability_exponents(params.gamma, *exponents)
     sums = np.zeros(3)
-    integrated = np.zeros((2, grid.n_shells))  # the energy and raw shell rows
-    mode_power = np.zeros(grid.half_shape)
-    for i, tw in enumerate(trapezoid_weights(times)):
+    power = np.zeros((2,) + grid.half_shape)  # int |w_hat|^2 dt, velocity and sonic parts
+    for tw in trapezoid_weights(times):
         st = yield
         w = _bundle(st, params)
-        energy, raw, power = _snapshot_spectrum(grid, w, params)
-        row = np.stack((energy, raw))
-        if i:  # np.trapezoid's own arithmetic, one interval at a time
-            integrated += (times[i] - times[i - 1]) * (row + prev) / 2.0
-        prev = row
-        mode_power += tw * power
+        power += tw * _bundle_power(grid, w)
         if exponents is not None:
             sums += spacetime_lp(grid, ((tw, st.rho.values, st.m.values, w),), exponents)
+    mode_power = power[0] + power[1]
     yield SpectrumSeries(
         counts=_shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64),
-        integrated_energy=integrated[0], integrated_raw=integrated[1],
+        integrated_energy=_energy_shells(grid, power, params), integrated_raw=_shell_sum(grid, mode_power),
         d=grid.d, n=grid.n, P=grid.P, grid=grid, mode_power=mode_power,
         integrability=None if exponents is None else IntegrabilityReport(
             *(acc ** (1.0 / q) for acc, q in zip(sums, exponents)), *exponents),
@@ -207,7 +206,7 @@ def spectral_pass(series, params: FluidParams, exponents=None):
 
 def time_integrated_spectrum(series: SnapshotSeries, params: FluidParams, exponents=None) -> SpectrumSeries:
     """The spectral pass: one rfftn of the weighted bundle per snapshot,
-    binned into shells and accumulated into the integrated mode power.
+    accumulated into the integrated mode power, binned into shells once.
     With exponents (q1, q2, q) the same sweep also gives the space-time
     norms of rho, m and the bundle w (see IntegrabilityReport)."""
     return feed(series, [spectral_pass(series, params, exponents)])[0]
@@ -309,14 +308,12 @@ def ckhw_from_spectrum(spec: SpectrumSeries, beta: float, k_star: int = None) ->
     """The weighted-mode decay statistic of a time-integrated spectrum."""
     grid = spec.grid
     k_star, cap = ckhw_k_star(grid.n, beta, k_star), grid.n // 3
-    itg = spec.mode_power
-    shell_sum = _shell_sum(grid, itg)
     shells = np.arange(k_star, cap + 1)
     nominal = _nominal_shell_measure(grid.d, shells)
-    vals = shells.astype(np.float64) ** (3.0 + beta) * shell_sum[k_star : cap + 1] / nominal
+    vals = shells.astype(np.float64) ** (3.0 + beta) * spec.integrated_raw[k_star : cap + 1] / nominal
     norm = grid.mode_norm_half
     in_range = (norm >= k_star) & (norm <= cap)
-    per_mode = float(np.max(norm[in_range] ** (3.0 + beta) * itg[in_range], initial=0.0))
+    per_mode = float(np.max(norm[in_range] ** (3.0 + beta) * spec.mode_power[in_range], initial=0.0))
     return CkhwDetail(value=float(np.max(vals)), per_mode_sup=per_mode, beta=float(beta), k_star=k_star)
 
 
@@ -406,35 +403,26 @@ def space_modulus_pass(series, params: FluidParams, shifts):
     times = _require_time_series(series)
     grid = series.grid
     p_rho = params.gamma
-    offsets = []
     for s in shifts:
-        if np.isscalar(s):
-            off = (int(s),) + (0,) * (grid.d - 1)
-            if float(s) != int(s):
-                raise ValueError(f"shift {s} is not an integer lattice offset")
-        else:
-            off = tuple(int(v) for v in s)
-            if any(float(v) != int(v) for v in s) or len(off) != grid.d:
-                raise ValueError(f"shift {s} is not a valid lattice offset")
-        offsets.append(off)
-    axes = grid.spatial_axes()
+        if float(s) != int(s):
+            raise ValueError(f"shift {s} is not an integer lattice offset")
+    offsets = [int(s) for s in shifts]
+    axis = grid.spatial_axes()[0]
     sums = np.zeros((len(offsets), 2))
     for w in trapezoid_weights(times):
         st = yield
         for k, off in enumerate(offsets):
-            shift = tuple(-o for o in off)
-            sums[k] += spacetime_lp(grid, ((w, np.roll(st.rho.values, shift, axes) - st.rho.values,
-                                            np.roll(st.m.values, shift, axes) - st.m.values),), (p_rho, 2.0))
-    lengths = [grid.dx * math.sqrt(sum(o * o for o in off)) for off in offsets]
-    yield _modulus_table("space", lengths, sums[:, 0], sums[:, 1], p_rho)
+            sums[k] += spacetime_lp(grid, ((w, np.roll(st.rho.values, -off, axis) - st.rho.values,
+                                            np.roll(st.m.values, -off, axis) - st.m.values),), (p_rho, 2.0))
+    yield _modulus_table("space", [grid.dx * abs(off) for off in offsets], sums[:, 0], sums[:, 1], p_rho)
 
 
 def space_modulus(series: SnapshotSeries, params: FluidParams, shifts) -> ModulusTable:
     """Shift moduli int_0^T int |f(x + dx*shift) - f(x)|^p dx dt.
 
-    shifts are integer lattice offsets (scalars act along axis 0); the
-    density channel uses p = gamma, momentum p = 2 with the pointwise
-    vector magnitude.  Shifts are exact rolls.
+    shifts are integer lattice offsets along the first axis; the density
+    channel uses p = gamma, momentum p = 2 with the pointwise vector
+    magnitude.  Shifts are exact rolls.
     """
     return feed(series, [space_modulus_pass(series, params, shifts)])[0]
 

@@ -174,10 +174,12 @@ class SnapshotWriter:
     prefix_NNNN.ckhs in directory and keeps no State.
 
     Until finish(), each file carries a ".part" suffix, which scan_series
-    never matches; finish() gives the files their names and returns the
-    lazy StoredSeries of exactly what was written.  discard() deletes the
-    partial files, and the directory too when this writer made it and it
-    is left empty, so a run that raises leaves no snapshot behind."""
+    never matches; finish() gives the files their names, deletes the
+    prefix_NNNN.ckhs files numbered past them (left by an earlier, longer
+    series), and returns the lazy StoredSeries of exactly what was
+    written.  discard() deletes the partial files, and the directory too
+    when this writer made it and it is left empty, so a run that raises
+    leaves no snapshot behind."""
 
     def __init__(self, directory, prefix: str, params):
         self.directory, self.prefix, self.params = Path(directory), prefix, params
@@ -200,6 +202,9 @@ class SnapshotWriter:
     def finish(self) -> StoredSeries:
         for path in self.paths:
             _partial(path).replace(path)
+        for index, path in _numbered(self.directory, self.prefix):
+            if index >= len(self.paths):
+                path.unlink()
         return StoredSeries(self.directory, self.prefix, self.meta, np.array(self.times), self.grid)
 
     def discard(self):
@@ -211,6 +216,12 @@ class SnapshotWriter:
 
 def _partial(path: Path) -> Path:
     return path.with_name(path.name + ".part")
+
+
+def _numbered(directory: Path, prefix: str) -> list:
+    """(index, path) of the prefix_NNNN.ckhs files in directory, by index."""
+    pattern = re.compile(rf"^{re.escape(prefix)}_(\d{{4}})\.ckhs$")
+    return sorted((int(m.group(1)), p) for p in directory.iterdir() if (m := pattern.match(p.name)))
 
 
 def write_series(directory, prefix: str, series: SnapshotSeries, params):
@@ -228,12 +239,7 @@ def scan_series(directory, prefix: str) -> StoredSeries:
     the first on the grid and the fluid constants and hold a later time
     than the one before."""
     directory = Path(directory)
-    pattern = re.compile(rf"^{re.escape(prefix)}_(\d{{4}})\.ckhs$")
-    found = sorted(
-        (int(m.group(1)), p)
-        for p in directory.iterdir()
-        if (m := pattern.match(p.name))
-    )
+    found = _numbered(directory, prefix)
     if not found:
         raise FileNotFoundError(f"no {prefix}_NNNN.ckhs files in {directory}")
     indices = [i for i, _ in found]

@@ -301,6 +301,20 @@ class TestSimulate:
         assert peak_growth(traced_peak, tmp_path, "simulate") < 4 * 3 * 32**2 * 8
         assert len(list((tmp_path / "out64").glob("run_*.ckhs"))) == 65
 
+    def test_a_shorter_series_replaces_a_longer_one(self, tmp_path):
+        # the second run's files past its count would otherwise join its series
+        out = tmp_path / "out"
+        for count in (8, 4):
+            cfg = tmp_path / f"exp{count}.ini"
+            cfg.write_text(SIM_CONFIG.replace("snapshots = 24", f"snapshots = {count}"))
+            cli_ok(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert sorted(p.name for p in out.glob("demo_*")) == [f"demo_{i:04d}.ckhs" for i in range(5)]
+        diag = tmp_path / "diag"
+        cli_ok(["diagnose", "--dir", str(out), "--prefix", "demo", "--out", str(diag), "--spectrum"])
+        summary = json.loads((out / "summary.json").read_text())
+        report = json.loads((diag / "diagnostics.json").read_text())
+        assert report["snapshot_count"] == summary["snapshot_count"] == 5
+
     def test_a_blown_up_run_leaves_no_snapshots(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(BLOWUP_CONFIG)

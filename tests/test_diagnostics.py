@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from baroflow import diagnostics
 from baroflow.diagnostics import (
     SpectrumSeries,
     TestFunction,
@@ -107,7 +108,30 @@ class TestSpectrumSeries:
         series = series_from(grid, entries)
         ss = time_integrated_spectrum(series, params)
         rows = np.array([shell_spectrum(st, params).energy for st in series])
-        assert np.array_equal(ss.integrated_energy, np.trapezoid(rows, x=series.times, axis=0))
+        want = np.trapezoid(rows, x=series.times, axis=0)
+        # the pass bins the integrated mode power once, so only the order of
+        # the sums differs from binning each snapshot
+        assert np.max(np.abs(ss.integrated_energy - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_shells_are_binned_once_per_series(self, monkeypatch):
+        # the counts, the energy and the raw shell sums, however many
+        # snapshots; the decay statistic reads the binned raw integral
+        grid = make_grid(2, 16, 2.0 * np.pi)
+        params = FluidParams()
+        st = preset_ic("random-band", grid, params, seed=4, amplitude=0.4)
+        calls = []
+        shell_sum = diagnostics._shell_sum
+        monkeypatch.setattr(diagnostics, "_shell_sum", lambda *a: calls.append(1) or shell_sum(*a))
+        counted = []
+        for nt in (3, 9):
+            calls.clear()
+            spec = time_integrated_spectrum(
+                series_from(grid, [(0.1 * i, st.rho.values, st.m.values) for i in range(nt)]), params)
+            counted.append(len(calls))
+        assert counted == [3, 3]
+        calls.clear()
+        ckhw_from_spectrum(spec, 1.0)
+        assert calls == []
 
     def test_exponential_decay_against_closed_form(self):
         # m = exp(-t)*cos(x) puts exp(-2t)/4 in shell 1, so the shell-1
@@ -345,16 +369,23 @@ class TestSpaceModulus:
         assert abs(table.momentum_slope - 2.0) < 0.05 * 2.0
         assert table.exponent == 1.7
 
-    def test_scalar_and_tuple_shifts_agree(self):
+    def test_shift_rolls_the_first_axis(self):
+        # a static state over [0, 1]: the time integral is the space integral
         grid = make_grid(2, 16, 2.0 * np.pi)
         params = FluidParams()
         st = preset_ic("random-band", grid, params, seed=21, amplitude=0.4)
         series = series_from(grid, [(0.0, st.rho.values, st.m.values),
                                     (1.0, st.rho.values, st.m.values)])
-        a = space_modulus(series, params, shifts=[3])
-        b = space_modulus(series, params, shifts=[(3, 0)])
-        assert a.density[0] == b.density[0]
-        assert a.momentum[0] == b.momentum[0]
+        table = space_modulus(series, params, shifts=[3])
+        dxd = grid.dx**2
+        for axis, equal in ((0, True), (1, False)):
+            d_rho = np.roll(st.rho.values, -3, axis) - st.rho.values
+            d_m = np.roll(st.m.values, -3, axis + 1) - st.m.values
+            density = float(np.sum(np.abs(d_rho) ** params.gamma)) * dxd
+            momentum = float(np.sum(d_m * d_m)) * dxd
+            assert math.isclose(table.density[0], density, rel_tol=1e-14) is equal
+            assert math.isclose(table.momentum[0], momentum, rel_tol=1e-14) is equal
+        assert table.lengths[0] == 3 * grid.dx
 
     def test_zero_shift_gives_zero_and_no_fit_point(self):
         grid = make_grid(1, 16, 1.0)

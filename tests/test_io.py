@@ -317,6 +317,19 @@ class TestSnapshotWriter:
         stored = writer.finish()
         assert len(stored) == 3 and [st.t for st in stored] == list(result.series.times[:3])
 
+    def test_finish_deletes_the_longer_series_of_its_prefix_only(self, tmp_path, short_run):
+        result, params = short_run
+        for prefix in ("demo", "other"):
+            write_series(tmp_path, prefix, result.series, params)
+        (tmp_path / "demo_0005.ckhs.bak").write_bytes(b"kept")
+        writer = SnapshotWriter(tmp_path, "demo", params)
+        for st in result.series[:3]:
+            writer.add(st)
+        writer.finish()
+        assert sorted(p.name for p in tmp_path.glob("demo_*")) == (
+            [f"demo_{i:04d}.ckhs" for i in range(3)] + ["demo_0005.ckhs.bak"])
+        assert len(scan_series(tmp_path, "demo")) == 3 and len(scan_series(tmp_path, "other")) == 6
+
 
 OVERRIDE_INI = """
 [grid]
