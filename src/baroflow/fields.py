@@ -61,34 +61,26 @@ class PeriodicGrid:
         Box volume P**d.
     shape : tuple of int
         Spatial array shape, (n,) * d.
-    modes : list of ndarray
-        Integer mode numbers per axis in FFT storage order, with the
-        Nyquist entry labelled +n/2.  Shaped for broadcasting.
-    wavevectors : list of ndarray
-        (2*pi/P) * modes, broadcastable per axis.
-    ik_deriv : list of ndarray
-        i*k per axis with the Nyquist mode zeroed, for odd-order
-        spectral derivatives of real fields.
-    mode_norm : ndarray
-        Euclidean length of the integer mode vector, full lattice.
+    mode_norm, origin_phase : ndarray
+        |mode| (Nyquist labelled +n/2) and the centered-phase DFT's factor
+        (-1)^(sum of modes), on the full lattice.
     n_shells : int
         Number of integer shells round(|mode|), max over the lattice + 1.
-    dealias : ndarray of bool
-        Two-thirds-rule mask, True where |mode| <= n//3 on every axis.
     half_shape : tuple of int
         Half-lattice shape (n,) * (d - 1) + (n//2 + 1,) of rfft output.
     ik_half : list of ndarray
-        ik_deriv restricted to the half lattice (Nyquist zeroed).
+        i*k per axis on the half lattice, broadcastable, with the Nyquist
+        mode zeroed, for odd-order spectral derivatives of real fields.
     k2_half : ndarray
         |k|^2 on the half lattice (Nyquist included), for diffusion.
     ik2_half : ndarray
         sum of |ik_half|^2 over the axes (Nyquist zeroed), for grad_sq.
     mode_norm_half : ndarray
-        mode_norm on the half lattice.
+        Euclidean length of the integer mode vector, half lattice.
     shell_half : ndarray
         Integer shell index round(|mode|) on the half lattice.
     dealias_half : ndarray of bool
-        The two-thirds-rule mask on the half lattice.
+        Two-thirds-rule mask, True where |mode| <= n//3 on every axis.
     parseval_weight : ndarray
         Hermitian multiplicity of each half-lattice mode along the last
         axis, broadcastable: 1 at last-axis modes 0 and n/2, 2 elsewhere.
@@ -103,58 +95,52 @@ class PeriodicGrid:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"points per axis must be even and >= 4, got {self.n}")
-        if not (self.P > 0):
-            raise ValueError(f"box length must be positive, got {self.P}")
-        object.__setattr__(self, "P", float(self.P))
-
-        n, d, P = self.n, self.d, self.P
+        n, d, P = self.n, self.d, float(self.P)
+        try:  # the box, its volume, the cell volume and the largest |k|^2
+            sizes = (P, P**d, (P / n) ** d, d * (math.pi * n / P) ** 2)
+        except (OverflowError, ZeroDivisionError):
+            sizes = (math.nan,)
+        if not all(0.0 < s < math.inf for s in sizes):
+            raise ValueError(
+                "box length must be positive, with a finite positive volume P^d, cell "
+                f"volume (P/n)^d and largest |k|^2, got {P}"
+            )
+        object.__setattr__(self, "P", P)
         object.__setattr__(self, "dx", P / n)
         object.__setattr__(self, "vol", P**d)
         object.__setattr__(self, "shape", (n,) * d)
+        # rfft keeps last-axis modes 0 .. n/2, the first n//2 + 1 entries
+        # of FFT storage order.
+        h = n // 2 + 1
+        object.__setattr__(self, "half_shape", self.shape[:-1] + (h,))
+
+        def lattice(values, last):
+            """values along each axis in turn, broadcastable; the last axis
+            keeps its first `last` entries."""
+            return [values[: last if axis == d - 1 else n].reshape((1,) * axis + (-1,) + (1,) * (d - 1 - axis))
+                    for axis in range(d)]
+
+        def squared_norm(vectors, shape):
+            return sum((v.astype(np.float64) ** 2 for v in vectors), np.zeros(shape))
 
         modes_1d = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
         modes_1d[n // 2] = n // 2  # label the Nyquist mode +n/2
-        modes, wavevectors, ik_deriv = [], [], []
-        for axis in range(d):
-            sh = [1] * d
-            sh[axis] = n
-            m = modes_1d.reshape(sh)
-            modes.append(m)
-            wavevectors.append((2.0 * np.pi / P) * m)
-            kd = (2.0 * np.pi / P) * modes_1d.astype(np.float64)
-            kd[n // 2] = 0.0  # Nyquist is ambiguous under differentiation
-            ik_deriv.append((1j * kd).reshape(sh))
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "wavevectors", wavevectors)
-        object.__setattr__(self, "ik_deriv", ik_deriv)
-
-        mode_sq = np.zeros(self.shape)
-        for axis in range(d):
-            mode_sq = mode_sq + modes[axis].astype(np.float64) ** 2
-        mode_norm = np.sqrt(mode_sq)
-        object.__setattr__(self, "mode_norm", mode_norm)
-
-        cut = n // 3
-        keep = np.ones(self.shape, dtype=bool)
-        for axis in range(d):
-            keep &= np.abs(modes[axis]) <= cut
-        object.__setattr__(self, "dealias", keep)
-
-        # rfft keeps last-axis modes 0 .. n/2, the first n//2 + 1 entries
-        # of FFT storage order, so every half-lattice operator is a slice.
-        h = n // 2 + 1
-        object.__setattr__(self, "half_shape", self.shape[:-1] + (h,))
-        object.__setattr__(self, "ik_half", ik_deriv[:-1] + [ik_deriv[-1][..., :h].copy()])
-        k2 = np.zeros(self.half_shape)
-        for axis in range(d):
-            k2 = k2 + wavevectors[axis][..., :h].astype(np.float64) ** 2
-        object.__setattr__(self, "k2_half", k2)
+        modes, half_modes = lattice(modes_1d, n), lattice(modes_1d, h)
+        k = (2.0 * np.pi / P) * modes_1d.astype(np.float64)
+        k_deriv = k.copy()
+        k_deriv[n // 2] = 0.0  # Nyquist is ambiguous under differentiation
+        object.__setattr__(self, "ik_half", lattice(1j * k_deriv, h))
+        object.__setattr__(self, "k2_half", squared_norm(lattice(k, h), self.half_shape))
         object.__setattr__(self, "ik2_half", sum(np.abs(ik) ** 2 for ik in self.ik_half))
-        object.__setattr__(self, "mode_norm_half", mode_norm[..., :h].copy())
+        object.__setattr__(self, "mode_norm", np.sqrt(squared_norm(modes, self.shape)))
+        object.__setattr__(self, "mode_norm_half", np.sqrt(squared_norm(half_modes, self.half_shape)))
         shell = np.rint(self.mode_norm_half).astype(np.int64)
         object.__setattr__(self, "shell_half", shell)
         object.__setattr__(self, "n_shells", int(shell.max()) + 1)  # |(n/2, ..., n/2)| is kept
-        object.__setattr__(self, "dealias_half", keep[..., :h].copy())
+        keep = np.ones(self.half_shape, dtype=bool)
+        for m in half_modes:
+            keep &= np.abs(m) <= n // 3
+        object.__setattr__(self, "dealias_half", keep)
         weight = np.full(h, 2.0)
         weight[0] = weight[-1] = 1.0
         object.__setattr__(self, "parseval_weight", weight)
@@ -162,8 +148,8 @@ class PeriodicGrid:
         # Samples start at -P/2, so mode phases pick up e^{-ik*x0} = (-1)^mode
         # per axis relative to the raw FFT.  The factor is its own inverse.
         phase = np.ones(self.shape)
-        for axis in range(d):
-            phase = phase * np.where(modes[axis] % 2 == 0, 1.0, -1.0)
+        for m in modes:
+            phase = phase * np.where(m % 2 == 0, 1.0, -1.0)
         object.__setattr__(self, "origin_phase", phase)
 
     def axes_coordinates(self):

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import Field, PeriodicGrid, make_grid
-from .solver import SnapshotSeries, State
+from .solver import State
 
 __all__ = [
     "SnapshotFormatError",
@@ -43,9 +43,7 @@ __all__ = [
     "SnapshotWriter",
     "write_snapshot",
     "read_snapshot",
-    "write_series",
     "scan_series",
-    "read_series",
 ]
 
 MAGIC = b"CKHS"
@@ -124,8 +122,7 @@ def read_snapshot(path, scanned=None):
     meta, checksum = _parse_header(path, data)
     name = Path(path).name
     payload = memoryview(data)[_HEADER.size :]
-    count = meta.n**meta.d
-    expected = 8 * meta.field_count * count
+    expected = 8 * meta.field_count * meta.n**meta.d
     if len(payload) != expected:
         raise SnapshotFormatError(f"{name}: payload holds {len(payload)} bytes, expected {expected}")
     if zlib.crc32(payload) & 0xFFFFFFFF != checksum:
@@ -133,13 +130,11 @@ def read_snapshot(path, scanned=None):
     if scanned is not None and meta != scanned[1]:
         raise SnapshotFormatError(f"{name}: header changed since the series was scanned")
     grid = make_grid(meta.d, meta.n, meta.P) if scanned is None else scanned[0]
-    flat = np.frombuffer(payload, dtype="<f8")
-    rho = flat[:count].reshape(grid.shape, order="F")
-    m = np.stack([
-        flat[(1 + a) * count : (2 + a) * count].reshape(grid.shape, order="F")
-        for a in range(meta.d)
-    ])
-    return State(t=meta.t, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=m)), meta
+    # one view of every field, each of whose Fortran-ordered bytes are a
+    # C array of the reversed shape; Field makes the one C-ordered copy
+    fields = np.frombuffer(payload, dtype="<f8").reshape((meta.field_count,) + grid.shape[::-1])
+    fields = fields.transpose(0, *range(meta.d, 0, -1))
+    return State(t=meta.t, rho=Field(grid=grid, values=fields[0]), m=Field(grid=grid, values=fields[1:])), meta
 
 
 def _series_path(directory: Path, prefix: str, index: int) -> Path:
@@ -224,15 +219,6 @@ def _numbered(directory: Path, prefix: str) -> list:
     return sorted((int(m.group(1)), p) for p in directory.iterdir() if (m := pattern.match(p.name)))
 
 
-def write_series(directory, prefix: str, series: SnapshotSeries, params):
-    """Write every snapshot of a series as prefix_NNNN.ckhs files."""
-    writer = SnapshotWriter(directory, prefix, params)
-    for st in series:
-        writer.add(st)
-    writer.finish()
-    return writer.paths
-
-
 def scan_series(directory, prefix: str) -> StoredSeries:
     """Find the prefix_NNNN.ckhs files and read their headers only: the
     indices must be contiguous from 0, and every header must agree with
@@ -261,10 +247,3 @@ def scan_series(directory, prefix: str) -> StoredSeries:
     first = metas[0]
     return StoredSeries(directory, prefix, first, np.array([meta.t for meta in metas]),
                         make_grid(first.d, first.n, first.P))
-
-
-def read_series(directory, prefix: str):
-    """Load prefix_NNNN.ckhs files into (SnapshotSeries, metas): scan_series, then collect."""
-    stored = scan_series(directory, prefix)
-    metas = [replace(stored.meta, t=t) for t in stored.times.tolist()]
-    return SnapshotSeries(states=tuple(stored)), metas

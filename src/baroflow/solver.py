@@ -625,6 +625,8 @@ def preset_ic(name: str, grid: PeriodicGrid, params: FluidParams, seed=None, amp
     acoustic-pulse rho = 1 + 0.1*amplitude*cos(k1.x), u = 0
     random-band    seeded noise confined to modes |k| <= n/8,
                    max |u| = amplitude/2, max drho = amplitude/10
+
+    seed is required by random-band and rejected by the others.
     """
     two_pi = 2.0 * np.pi
     coords = grid.axes_coordinates()
@@ -653,6 +655,8 @@ def preset_ic(name: str, grid: PeriodicGrid, params: FluidParams, seed=None, amp
         rho = 1.0 + a * np.cos(two_pi * coords[0] / grid.P + np.zeros(grid.shape))
         m = np.zeros((grid.d,) + grid.shape)
     elif name == "random-band":
+        if seed is None:  # OS entropy would give a state no record reproduces
+            raise ValueError("preset random-band needs a seed")
         rng = np.random.default_rng(seed)
         hi = max(1.0, grid.n / 8.0)
         u = np.empty((grid.d,) + grid.shape)
@@ -663,4 +667,6 @@ def preset_ic(name: str, grid: PeriodicGrid, params: FluidParams, seed=None, amp
         m = rho * u
     else:
         raise ValueError(f"unknown preset {name!r}")
+    if seed is not None and name != "random-band":
+        raise ValueError(f"preset {name} takes no seed (random-band only)")
     return State(t=0.0, rho=Field(grid=grid, values=rho), m=Field(grid=grid, values=m))

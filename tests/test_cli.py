@@ -5,6 +5,7 @@ import json
 import math
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from baroflow import diagnostics as dg
 from baroflow.cli import cli_main
 from baroflow.config import ExperimentConfig
 from baroflow.fields import Field, make_grid
-from baroflow.snapshots import read_series, write_series
-from baroflow.solver import FluidParams, SnapshotSeries, State, preset_ic, total_energy
+from baroflow.snapshots import SnapshotWriter, scan_series
+from baroflow.solver import FluidParams, State, preset_ic, total_energy
 
 SIM_CONFIG = """
 [grid]
@@ -185,9 +186,10 @@ def synthetic_series(directory, d, n, count):
     grid = make_grid(d, n, 2.0 * np.pi)
     params = FluidParams(gamma=1.4, kappa=1.0, mu=1e-3)
     base = preset_ic("random-band", grid, params, seed=3, amplitude=0.2)
-    states = [State(t=0.01 * k, rho=base.rho, m=Field(grid=grid, values=(1.0 + 0.01 * k) * base.m.values))
-              for k in range(count)]
-    write_series(directory, "run", SnapshotSeries(states=tuple(states)), params)
+    writer = SnapshotWriter(directory, "run", params)
+    for k in range(count):
+        writer.add(State(t=0.01 * k, rho=base.rho, m=Field(grid=grid, values=(1.0 + 0.01 * k) * base.m.values)))
+    writer.finish()
 
 
 def read_csv(path):
@@ -207,7 +209,7 @@ def strict_json(name):
 
 def expected_reports(series, params, dcfg):
     """Every diagnose section from the public functions, each its own sweep
-    of an in-memory series: (csv rows by file, json values by section)."""
+    of the series: (csv rows by file, json values by section)."""
     spec = dg.time_integrated_spectrum(series, params, (dcfg.q1, dcfg.q2, dcfg.q))
     shells = np.arange(len(spec.integrated_energy))
     fit = dg.ckh_fit(spec, dcfg.window_lo, dcfg.window_hi)
@@ -218,7 +220,7 @@ def expected_reports(series, params, dcfg):
     weak = dg.weak_residuals(series, params, dg.default_test_functions(series.grid, T),
                              dg.default_test_functions(series.grid, T, vector=True))
     adm = dg.energy_admissibility(series.times, [total_energy(st, params) for st in series])
-    rq = dg.reynolds_quotient(series[-1], dcfg.theta)
+    rq = dg.reynolds_quotient(list(series)[-1], dcfg.theta)
     rows = {
         "spectrum.csv": list(zip(shells, 2.0 * math.pi / spec.P * shells, spec.counts,
                                  spec.integrated_energy, spec.integrated_raw)),
@@ -475,8 +477,8 @@ class TestDiagnose:
         assert cli_main(["diagnose", "--dir", str(sim_dir), "--prefix", "demo",
                          "--out", str(tmp_path), "--sobolev"]) == 0
         got = json.loads((tmp_path / "diagnostics.json").read_text())["integrability"]
-        series, metas = read_series(sim_dir, "demo")
-        meta = metas[0]
+        series = scan_series(sim_dir, "demo")
+        meta = series.meta
         params = FluidParams(gamma=meta.gamma, kappa=meta.kappa, mu=meta.mu, lam=meta.lam)
         rep = baroflow.diagnostics.high_integrability(series, params)
         for name in ("rho_norm", "m_norm", "w_norm", "q"):
@@ -493,7 +495,7 @@ class TestDiagnose:
         assert cli_main(["diagnose", "--dir", str(series_dir), "--config", str(cfg_path),
                          "--out", str(out)]) == 0
         cfg = ExperimentConfig.from_file(cfg_path)
-        series, _ = read_series(series_dir, "run")
+        series = scan_series(series_dir, "run")
         rows, values, trace = expected_reports(series, cfg.fluid_params(), cfg.diagnostics)
         for name, want in rows.items():
             assert read_csv(out / name) == [list(row) for row in want], name
@@ -769,6 +771,33 @@ class TestExitCodes:
         cfg = tmp_path / "exp.ini"
         cfg.write_text(SIM_CONFIG.replace(old, new))
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("box", ["1e300", "inf", "nan", "1e-300"])
+    def test_a_degenerate_box_exits_two_with_one_error_line(self, tmp_path, capsys, command, box):
+        # P, the volume P^d, the cell volume (P/n)^d or the largest |k|^2
+        # overflows, vanishes or is not a number
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(FORCED_2D_CONFIG.replace("n = 16", f"n = 16\nbox = {box}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: box length must be positive") and f"got {float(box)}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("seed = 4\n", "", "random-band needs a seed"),
+        ("preset = random-band", "preset = acoustic-pulse", "acoustic-pulse takes no seed"),
+    ], ids=["random-band-without-seed", "seed-under-acoustic-pulse"])
+    def test_a_seed_is_required_by_random_band_only(self, tmp_path, capsys, command, old, new, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(FORCED_2D_CONFIG.replace(old, new))
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 

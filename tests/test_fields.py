@@ -51,10 +51,13 @@ def shift_modulus(grid, m, shift):
 
 class TestMakeGrid:
     def test_basic_attributes(self):
-        """(1, 8, 2*pi) gives dx = pi/4 and integer modes -3..4."""
+        """(1, 8, 2*pi) gives dx = pi/4, integer modes -3..4 on the full
+        lattice (Nyquist labelled +4) and 0..4 on the half lattice."""
         g = make_grid(1, 8, TWO_PI)
         assert g.dx == pytest.approx(np.pi / 4, rel=0, abs=0)
-        assert sorted(g.modes[0].ravel().tolist()) == [-3, -2, -1, 0, 1, 2, 3, 4]
+        assert sorted(g.mode_norm.tolist()) == [0, 1, 1, 2, 2, 3, 3, 4]
+        assert g.origin_phase.tolist() == [(-1.0) ** m for m in (0, 1, 2, 3, 4, -3, -2, -1)]
+        assert g.half_shape == (5,) and g.mode_norm_half.tolist() == [0, 1, 2, 3, 4]
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -71,17 +74,17 @@ class TestMakeGrid:
             make_grid(2, 8, -1.0)
 
     def test_mode_set_symmetric_under_negation(self):
-        """Every mode's negation is on the lattice, identifying +/- Nyquist."""
-        for n in (4, 6, 8, 12):
-            g = make_grid(1, n, 1.0)
-            mods = set(int(m) % n for m in g.modes[0].ravel())
-            for m in g.modes[0].ravel():
-                assert (-int(m)) % n in mods
+        """|mode| is the same at every mode's negation, identifying +/- Nyquist."""
+        for d, n in ((1, 4), (1, 6), (2, 8), (3, 12)):
+            g = make_grid(d, n, 1.0)
+            negated = g.mode_norm
+            for axis in range(d):
+                negated = np.roll(np.flip(negated, axis=axis), 1, axis=axis)
+            assert np.array_equal(negated, g.mode_norm)
 
     def test_dealias_mask_cut(self):
         g = make_grid(1, 12, TWO_PI)
-        kept = sorted(int(m) for m in g.modes[0].ravel()[g.dealias.ravel()])
-        assert kept == [-4, -3, -2, -1, 0, 1, 2, 3, 4]
+        assert np.flatnonzero(g.dealias_half).tolist() == [0, 1, 2, 3, 4]
 
 
 class TestHalfLattice:
@@ -97,25 +100,49 @@ class TestHalfLattice:
                 quad = float(np.sum(w**2)) * g.dx**d
                 assert g.parseval(np.abs(g.rfft(w)) ** 2) == pytest.approx(quad, rel=1e-13)
 
-    def test_operators_match_full_lattice(self):
+    @pytest.mark.parametrize("P", [TWO_PI, 1.7])
+    @pytest.mark.parametrize("n", [4, 6, 18, 32])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_operators_are_the_full_lattice_formulas(self, full_lattice, d, n, P):
+        """Each half-lattice operator is its full-lattice formula on rfft's
+        last-axis modes 0 .. n/2, the first h entries of FFT order, bit for
+        bit and in dtype; mode_norm and origin_phase are the formulas."""
+        g = make_grid(d, n, P)
+        ref, h = full_lattice(g), n // 2 + 1
+        assert g.half_shape == g.shape[:-1] + (h,)
+
+        def half(values):
+            return np.broadcast_to(values, g.shape)[..., :h]
+
+        multiplicity = np.where(np.arange(h) == -np.arange(h) % n, 1.0, 2.0)
+        pairs = [
+            (g.k2_half, half(ref.k2)),
+            (g.ik2_half, half(sum(np.abs(ik) ** 2 for ik in ref.ik))),
+            (g.mode_norm_half, half(ref.mode_norm)),
+            (g.shell_half, np.rint(half(ref.mode_norm)).astype(np.int64)),
+            (g.dealias_half, half(ref.dealias)),
+            (g.parseval_weight, multiplicity),
+            (g.mode_norm, ref.mode_norm),
+            (g.origin_phase, ref.origin_phase),
+        ]
+        pairs += [(np.broadcast_to(op, g.half_shape), half(ik)) for op, ik in zip(g.ik_half, ref.ik, strict=True)]
+        for got, want in pairs:
+            got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert g.n_shells == int(np.rint(np.max(ref.mode_norm))) + 1
+
+    def test_operators_match_full_lattice(self, full_lattice):
         """Mask, ik and k2 act on a real field exactly as the full-lattice
         operators do on its complex transform."""
         rng = np.random.default_rng(9)
         for d in (1, 2, 3):
             for n in (4, 6, 16):
                 g = make_grid(d, n, TWO_PI)
-                h = n // 2 + 1
-                assert g.half_shape == g.shape[:-1] + (h,)
-                # rfft's last-axis modes 0 .. n/2 are the first h entries of FFT order.
-                assert np.array_equal(g.dealias_half, g.dealias[..., :h])
-                for full_op, half_op in zip(g.ik_deriv, g.ik_half):
-                    assert np.array_equal(np.broadcast_to(half_op, g.half_shape),
-                                          np.broadcast_to(full_op, g.shape)[..., :h])
+                ref = full_lattice(g)
                 f = rng.standard_normal(g.shape)
                 f_full, f_half = np.fft.fftn(f), g.rfft(f)
-                k2 = sum(kv**2 for kv in g.wavevectors)
-                ops = [(g.dealias, g.dealias_half), (k2, g.k2_half)]
-                ops += list(zip(g.ik_deriv, g.ik_half))
+                ops = [(ref.dealias, g.dealias_half), (ref.k2, g.k2_half)]
+                ops += list(zip(ref.ik, g.ik_half))
                 for full_op, half_op in ops:
                     want = np.real(np.fft.ifftn(full_op * f_full))
                     got = g.irfft(half_op * f_half)
@@ -123,13 +150,13 @@ class TestHalfLattice:
 
 
 class TestTransforms:
-    def test_single_cosine_amplitudes(self):
+    def test_single_cosine_amplitudes(self, full_lattice):
         """cos(2*pi x / P) carries coefficient 1/2 at modes +1 and -1."""
         g = make_grid(1, 32, 3.0)
         (x,) = g.axes_coordinates()
         f = Field(grid=g, values=np.cos(TWO_PI * x / g.P))
         coef = dft_forward(f).coefficients
-        idx = {int(m): i for i, m in enumerate(g.modes[0].ravel())}
+        idx = {int(m): i for i, m in enumerate(full_lattice(g).modes[0])}
         assert coef[idx[1]] == pytest.approx(0.5, abs=1e-13)
         assert coef[idx[-1]] == pytest.approx(0.5, abs=1e-13)
         others = [c for i, c in enumerate(coef) if i not in (idx[1], idx[-1])]

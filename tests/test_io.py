@@ -11,10 +11,8 @@ from baroflow.snapshots import (
     _HEADER,
     SnapshotFormatError,
     SnapshotWriter,
-    read_series,
     read_snapshot,
     scan_series,
-    write_series,
     write_snapshot,
 )
 from baroflow.solver import FluidParams, State, preset_ic, run
@@ -162,108 +160,111 @@ def short_run():
     return run(initial, params, T=0.2, snapshots=5), params
 
 
+@pytest.fixture
+def demo_dir(tmp_path, short_run):
+    """tmp_path, holding short_run's series as demo_NNNN.ckhs: the same
+    run, streamed there through a SnapshotWriter."""
+    result, params = short_run
+    run(result.series[0], params, T=0.2, snapshots=5, store=SnapshotWriter(tmp_path, "demo", params))
+    return tmp_path
+
+
 class TestSeries:
     def test_series_round_trip(self, tmp_path, short_run):
         result, params = short_run
-        paths = write_series(tmp_path, "demo", result.series, params)
-        assert [p.name for p in paths] == [f"demo_{i:04d}.ckhs" for i in range(6)]
-        back, metas = read_series(tmp_path, "demo")
+        writer = SnapshotWriter(tmp_path, "demo", params)
+        run(result.series[0], params, T=0.2, snapshots=5, store=writer)
+        assert [p.name for p in writer.paths] == [f"demo_{i:04d}.ckhs" for i in range(6)]
+        back = scan_series(tmp_path, "demo")
         assert len(back) == len(result.series)
         for got, want in zip(back, result.series):
             assert np.array_equal(got.rho.values, want.rho.values)
             assert np.array_equal(got.m.values, want.m.values)
             assert got.t == want.t
-        assert all(meta.mu == params.mu for meta in metas)
+        assert back.meta.mu == params.mu
 
     def test_missing_series(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no demo_NNNN.ckhs files"):
-            read_series(tmp_path, "demo")
+            scan_series(tmp_path, "demo")
 
-    def test_gap_in_indices(self, tmp_path, short_run):
-        result, params = short_run
-        write_series(tmp_path, "demo", result.series, params)
-        (tmp_path / "demo_0002.ckhs").unlink()
+    def test_gap_in_indices(self, demo_dir):
+        (demo_dir / "demo_0002.ckhs").unlink()
         with pytest.raises(SnapshotFormatError, match="contiguous"):
-            read_series(tmp_path, "demo")
+            scan_series(demo_dir, "demo")
 
-    def test_prefix_isolation(self, tmp_path, short_run):
+    def test_prefix_isolation(self, demo_dir, short_run):
         result, params = short_run
-        write_series(tmp_path, "demo", result.series, params)
-        write_series(tmp_path, "other", result.series[:2], params)
-        back, _ = read_series(tmp_path, "other")
-        assert len(back) == 2
+        writer = SnapshotWriter(demo_dir, "other", params)
+        for st in result.series[:2]:
+            writer.add(st)
+        writer.finish()
+        assert len(scan_series(demo_dir, "other")) == 2 and len(scan_series(demo_dir, "demo")) == 6
 
-    def test_lazy_reader_gives_the_states_of_read_series(self, tmp_path, short_run):
-        result, params = short_run
-        write_series(tmp_path, "demo", result.series, params)
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+    def test_lazy_reader_gives_the_states_of_the_run(self, tmp_path, d, n):
+        grid = make_grid(d, n, 2.0 * np.pi)
+        params = FluidParams(gamma=1.4, kappa=1.0, mu=5e-3)
+        initial = preset_ic("random-band", grid, params, seed=30 + d, amplitude=0.3)
+        held = run(initial, params, T=0.05, snapshots=3).series
+        run(initial, params, T=0.05, snapshots=3, store=SnapshotWriter(tmp_path, "demo", params))
         stored = scan_series(tmp_path, "demo")
-        loaded, metas = read_series(tmp_path, "demo")
-        assert stored.meta == metas[0] and len(stored) == len(loaded) == len(metas)
-        assert [meta.t for meta in metas] == list(stored.times)
-        assert np.array_equal(stored.times, loaded.times)
+        assert len(stored) == len(held) == 4 and np.array_equal(stored.times, held.times)
         states = list(stored)
         assert all(st.rho.grid is stored.grid and st.m.grid is stored.grid for st in states)
-        for got, want in zip(states, loaded):
+        for got, want in zip(states, held):
             assert got.t == want.t
             assert np.array_equal(got.rho.values, want.rho.values)
             assert np.array_equal(got.m.values, want.m.values)
             assert got.rho.values.flags.c_contiguous and got.m.values.flags.c_contiguous
 
-    def test_scan_reads_headers_and_each_payload_waits_for_the_pass(self, tmp_path, short_run):
+    def test_scan_reads_headers_and_each_payload_waits_for_the_pass(self, demo_dir, short_run):
         result, params = short_run
-        write_series(tmp_path, "demo", result.series, params)
-        path = tmp_path / "demo_0004.ckhs"
+        path = demo_dir / "demo_0004.ckhs"
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0x01
         path.write_bytes(bytes(blob))
-        stored = scan_series(tmp_path, "demo")
+        stored = scan_series(demo_dir, "demo")
         states = iter(stored)
         assert [next(states).t for _ in range(4)] == list(result.series.times[:4])
         with pytest.raises(SnapshotFormatError, match="demo_0004.ckhs: payload checksum mismatch"):
             next(states)
 
-    def test_header_rewritten_after_the_scan_is_rejected(self, tmp_path, short_run):
+    def test_header_rewritten_after_the_scan_is_rejected(self, demo_dir, short_run):
         result, params = short_run
-        write_series(tmp_path, "demo", result.series, params)
-        stored = scan_series(tmp_path, "demo")
-        write_snapshot(tmp_path / "demo_0002.ckhs", result.series[3], params)
+        stored = scan_series(demo_dir, "demo")
+        write_snapshot(demo_dir / "demo_0002.ckhs", result.series[3], params)
         with pytest.raises(SnapshotFormatError, match="demo_0002.ckhs: header changed since the series was scanned"):
             list(stored)
 
-    def test_times_must_increase(self, tmp_path, short_run):
+    def test_times_must_increase(self, demo_dir, short_run):
         result, params = short_run
-        write_series(tmp_path, "demo", result.series, params)
-        write_snapshot(tmp_path / "demo_0002.ckhs", result.series[1], params)
+        write_snapshot(demo_dir / "demo_0002.ckhs", result.series[1], params)
         with pytest.raises(SnapshotFormatError, match="demo_0002.ckhs: time .* does not exceed the previous"):
-            scan_series(tmp_path, "demo")
+            scan_series(demo_dir, "demo")
 
-    def test_states_share_one_grid(self, tmp_path, short_run):
-        result, params = short_run
-        write_series(tmp_path, "demo", result.series, params)
-        back, _ = read_series(tmp_path, "demo")
+    def test_states_share_one_grid(self, demo_dir):
+        back = scan_series(demo_dir, "demo")
         grid = back.grid
         assert all(st.rho.grid is grid and st.m.grid is grid for st in back)
 
-    def test_mixed_grid_sizes_rejected(self, tmp_path, short_run):
+    def test_mixed_grid_sizes_rejected(self, demo_dir, short_run):
         result, params = short_run
-        write_series(tmp_path, "demo", result.series, params)
         grid = make_grid(1, 16, 2.0 * np.pi)
         odd = State(t=1.0, rho=Field(grid=grid, values=np.ones(16)),
                     m=Field(grid=grid, values=np.zeros((1, 16))))
-        write_snapshot(tmp_path / "demo_0006.ckhs", odd, params)
+        write_snapshot(demo_dir / "demo_0006.ckhs", odd, params)
         with pytest.raises(SnapshotFormatError, match="demo_0006.ckhs: header n = 16"):
-            read_series(tmp_path, "demo")
+            scan_series(demo_dir, "demo")
 
     @pytest.mark.parametrize("name", ["gamma", "kappa", "mu", "lam"])
-    def test_mixed_fluid_constants_rejected(self, tmp_path, short_run, name):
+    def test_mixed_fluid_constants_rejected(self, demo_dir, short_run, name):
         result, params = short_run
-        write_series(tmp_path, "demo", result.series, params)
         changed = {"gamma": 1.5, "kappa": 2.0, "mu": 1e-2, "lam": 0.0}
         fields = {k: getattr(params, k) for k in ("gamma", "kappa", "mu", "lam")}
         fields[name] = changed[name]
-        write_snapshot(tmp_path / "demo_0003.ckhs", result.series[3], FluidParams(**fields))
+        write_snapshot(demo_dir / "demo_0003.ckhs", result.series[3], FluidParams(**fields))
         with pytest.raises(SnapshotFormatError, match=f"demo_0003.ckhs: header {name} = "):
-            read_series(tmp_path, "demo")
+            scan_series(demo_dir, "demo")
 
 
 class TestSnapshotWriter:
@@ -307,11 +308,10 @@ class TestSnapshotWriter:
         assert kept.is_dir() and not any(kept.iterdir())
         assert not (tmp_path / "made").exists()
 
-    def test_the_series_is_what_was_written(self, tmp_path, short_run):
+    def test_the_series_is_what_was_written(self, demo_dir, short_run):
         # files a longer, earlier series left behind do not join the new one
         result, params = short_run
-        write_series(tmp_path, "demo", result.series, params)
-        writer = SnapshotWriter(tmp_path, "demo", params)
+        writer = SnapshotWriter(demo_dir, "demo", params)
         for st in result.series[:3]:
             writer.add(st)
         stored = writer.finish()
@@ -320,7 +320,7 @@ class TestSnapshotWriter:
     def test_finish_deletes_the_longer_series_of_its_prefix_only(self, tmp_path, short_run):
         result, params = short_run
         for prefix in ("demo", "other"):
-            write_series(tmp_path, prefix, result.series, params)
+            run(result.series[0], params, T=0.2, snapshots=5, store=SnapshotWriter(tmp_path, prefix, params))
         (tmp_path / "demo_0005.ckhs.bak").write_bytes(b"kept")
         writer = SnapshotWriter(tmp_path, "demo", params)
         for st in result.series[:3]:

@@ -38,13 +38,14 @@ def l2_err(a, b):
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def reference_rhs(rho, m, t, grid, params):
-    """Complex-FFT right-hand side on the full lattice, with the pressure
-    transformed on its own and the forcing sampled at time t:
-    the reference the real-transform core must reproduce."""
-    axes, ik, keep = grid.spatial_axes(), grid.ik_deriv, grid.dealias
+def reference_rhs(rho, m, t, grid, params, lattice):
+    """Complex-FFT right-hand side on the full lattice (the conftest
+    full_lattice formulas of grid), with the pressure transformed on its
+    own and the forcing sampled at time t: the reference the
+    real-transform core must reproduce."""
+    axes, ik, keep = grid.spatial_axes(), lattice.ik, lattice.dealias
     d = grid.d
-    k2 = sum(kv**2 for kv in grid.wavevectors)  # Nyquist included
+    k2 = lattice.k2  # Nyquist included
     u = m / np.maximum(rho, params.rho_min)
     p = params.kappa * np.maximum(rho, 0.0) ** params.gamma
     m_h = np.fft.fftn(m, axes=axes)
@@ -252,7 +253,7 @@ class TestRhs:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("forced", [False, True])
-    def test_matches_complex_fft_reference(self, d, forced):
+    def test_matches_complex_fft_reference(self, full_lattice, d, forced):
         """The half-lattice core agrees with the full-lattice complex-FFT
         form to round-off, ledger rates included."""
         n = 12 if d == 3 else 16
@@ -264,7 +265,7 @@ class TestRhs:
         out_h, diss, work = stepper.rhs(g.rfft(fields), fields, t, stepper.k)
         out = g.irfft(out_h)
         got = (out[0], out[1:], diss, work)
-        want = reference_rhs(st.rho.values, st.m.values, t, g, params)
+        want = reference_rhs(st.rho.values, st.m.values, t, g, params, full_lattice(g))
         for a, b in zip(got[:2], want[:2]):
             assert float(np.max(np.abs(a - b))) <= 1e-12 * float(np.max(np.abs(b)))
         assert want[2] > 0
@@ -558,14 +559,14 @@ class TestManufacturedSolution:
 
 
 class TestPresets:
-    def test_taylor_green_divergence_free(self):
+    def test_taylor_green_divergence_free(self, full_lattice):
         for d in (2, 3):
             g = make_grid(d, 16, TWO_PI)
             st = preset_ic("taylor-green", g, FluidParams())
             u_hat = dft_forward(st.m).coefficients  # rho = 1 so m = u
             div = np.zeros(g.shape, dtype=complex)
             for a in range(d):
-                div += g.wavevectors[a] * u_hat[a]
+                div += full_lattice(g).k[a] * u_hat[a]
             assert np.max(np.abs(div)) < 1e-13
 
     def test_taylor_green_needs_two_dimensions(self):
@@ -590,6 +591,17 @@ class TestPresets:
         coef = dft_forward(a.rho).coefficients
         outside = g.mode_norm > g.n / 8.0
         assert np.max(np.abs(coef[outside])) < 1e-15
+
+    def test_random_band_needs_a_seed(self):
+        g = make_grid(1, 8, 1.0)
+        with pytest.raises(ValueError, match="random-band needs a seed"):
+            preset_ic("random-band", g, FluidParams())
+
+    @pytest.mark.parametrize("name,d", [("equilibrium", 1), ("taylor-green", 2), ("acoustic-pulse", 1)])
+    def test_a_seed_is_rejected_by_the_other_presets(self, name, d):
+        g = make_grid(d, 8, 1.0)
+        with pytest.raises(ValueError, match=f"{name} takes no seed"):
+            preset_ic(name, g, FluidParams(), seed=3)
 
     def test_unknown_preset(self):
         g = make_grid(1, 8, 1.0)
