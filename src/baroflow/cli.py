@@ -26,15 +26,8 @@ from . import diagnostics as dg
 from .config import ExperimentConfig
 from .fields import Field, dft_forward, make_grid
 from .snapshots import SnapshotFormatError, SnapshotWriter, read_snapshot, scan_series, write_snapshot
-from .solver import BlowUpError, FluidParams, preset_ic, run, total_energy
-from .sweep import (
-    cauchy_distances,
-    convergence_rate,
-    distances_to,
-    limit_candidate_check,
-    run_sweep,
-    viscous_smallness,
-)
+from .solver import BlowUpError, FluidParams, TimesStore, preset_ic, run, total_energy
+from .sweep import StreamedTables, convergence_rate, limit_candidate_check, run_sweep
 
 __all__ = ["cli_main", "build_parser"]
 
@@ -114,7 +107,7 @@ def _cmd_simulate(args) -> int:
     initial = cfg.initial_state(grid, params)
     writer = SnapshotWriter(out, cfg.output.prefix, params) if cfg.output.write_snapshots else None
     result = run(initial, params, T=cfg.run.horizon, snapshots=cfg.run.snapshots, cfl=cfg.run.cfl,
-                 store=writer)
+                 store=writer or TimesStore())
     rep = result.report
     adm = dg.energy_admissibility(rep.t, rep.E, rep.W)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,11 +278,12 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep does not use [fluid] lam; set [sweep] lam_ratio instead")
     out = Path(args.out) if args.out else Path(cfg.output.directory)
     plan = cfg.sweep_plan()
-    store_for = None
+    hold = None
     if cfg.output.write_snapshots:
-        def store_for(i, params):
+        def hold(i, params):
             return SnapshotWriter(out / f"entry_{i:02d}", cfg.output.prefix, params)
-    sweep = run_sweep(plan, store_for)
+    streamed = StreamedTables(plan, hold)
+    sweep = run_sweep(plan, streamed.store_for)
     out.mkdir(parents=True, exist_ok=True)
 
     entries = []
@@ -312,9 +306,7 @@ def _cmd_sweep(args) -> int:
 
     code = 0
     if len(sweep.completed) >= 2:
-        cauchy = cauchy_distances(sweep)
-        ref = distances_to(sweep)
-        small = viscous_smallness(sweep)
+        cauchy, ref, small = streamed.tables(sweep)
         limit = limit_candidate_check(sweep, theta=cfg.diagnostics.theta)
         ref_mus = [pair[0] for pair in ref.mu_pairs]
         summary["cauchy"] = dataclasses.asdict(cauchy)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -234,10 +235,13 @@ class ExperimentConfig:
     def validate(self):
         """The grid (forcing modes too), fluid, forcing, run-window, sweep and
         [diagnostics] rules are those of PeriodicGrid, FluidParams, ForcingSpec,
-        plan_sweep/SweepPlan (solver.run_window) and the diagnostics that take each value."""
+        plan_sweep/SweepPlan (solver.run_window) and the diagnostics that take
+        each value; the initial amplitude must be finite."""
         grid = self.make_grid()
         params = self.fluid_params()
         grid.dealiased_terms(params.forcing.terms)
+        if not math.isfinite(self.initial.amplitude):
+            raise ValueError(f"[initial] amplitude must be finite, got {self.initial.amplitude}")
         self.sweep_plan()
         dc = self.diagnostics
         dg.fit_window(grid.n, dc.window_lo, dc.window_hi)

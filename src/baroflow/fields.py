@@ -195,11 +195,14 @@ class PeriodicGrid:
                 raise ValueError(f"forcing mode {tuple(mode_vec)} is past the two-thirds cutoff n//3 = {self.n // 3}")
         return terms
 
-    def trig_shift(self, terms, components: int):
+    def trig_shift(self, terms, components: int, scratch: np.ndarray = None):
         """rfft(w) -> rfft(w * trig_sum(terms, components)[0]) on the dealiased
         modes, exact for the grid product, aliasing included.  Returns
         (targets, shift): the modes' flat indices in a (components,) +
-        half_shape array, and the map.  On x_j = -P/2 + j*dx a term is
+        half_shape array, and the map.  The map's buffers are made once, so
+        its result lasts until its next call; they live in scratch, a
+        contiguous complex array left alone while the result is used, if it
+        is large enough.  On x_j = -P/2 + j*dx a term is
         amps * cos(2 pi mode.j/n + phase - pi*sum(mode)): it moves rfft(w) by
         -+mode with weights amps * (-1)^sum(mode) * e^{+-i phase} / 2.  Sources
         past the last axis's n/2 are conjugates of their Hermitian mirrors.
@@ -218,11 +221,14 @@ class PeriodicGrid:
         index = np.array(index, dtype=np.intp).reshape(-1, modes.size)
         mirrored = np.array(mirrored, dtype=bool).reshape(index.shape)
         weight = np.array(weight, dtype=np.complex128).reshape(-1, components).T
+        need = index.size + components * modes.size
+        pool = scratch.reshape(-1) if scratch is not None and scratch.size >= need else np.empty(need, np.complex128)
+        values, moved = pool[: index.size].reshape(index.shape), pool[index.size : need].reshape(components, -1)
 
         def shift(coef):
-            values = coef.ravel()[index]
+            np.take(coef.ravel(), index, out=values, mode="clip")  # "clip" writes out unbuffered
             np.conjugate(values, out=values, where=mirrored)
-            return (weight @ values).ravel()
+            return np.matmul(weight, values, out=moved).ravel()
 
         return (self.dealias_half.size * np.arange(components)[:, None] + modes).ravel(), shift
 

@@ -114,6 +114,15 @@ def _parse_header(path, data: bytes):
     return SnapshotMeta(version, d, n, P, gamma, kappa, mu, lam, t, field_count), checksum
 
 
+def _header_grid(path, meta: SnapshotMeta) -> PeriodicGrid:
+    """The grid of a header's d, n and P; a box PeriodicGrid rejects is a
+    format error of the file."""
+    try:
+        return make_grid(meta.d, meta.n, meta.P)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{Path(path).name}: {exc}") from None
+
+
 def read_snapshot(path, scanned=None):
     """Parse one snapshot file into (State, SnapshotMeta).  scanned, the
     (grid, SnapshotMeta) scan_series found for the file, lends the state
@@ -129,7 +138,7 @@ def read_snapshot(path, scanned=None):
         raise SnapshotFormatError(f"{name}: payload checksum mismatch (file is corrupted)")
     if scanned is not None and meta != scanned[1]:
         raise SnapshotFormatError(f"{name}: header changed since the series was scanned")
-    grid = make_grid(meta.d, meta.n, meta.P) if scanned is None else scanned[0]
+    grid = _header_grid(path, meta) if scanned is None else scanned[0]
     # one view of every field, each of whose Fortran-ordered bytes are a
     # C array of the reversed shape; Field makes the one C-ordered copy
     fields = np.frombuffer(payload, dtype="<f8").reshape((meta.field_count,) + grid.shape[::-1])
@@ -244,6 +253,5 @@ def scan_series(directory, prefix: str) -> StoredSeries:
         if metas and not meta.t > metas[-1].t:
             raise SnapshotFormatError(f"{path.name}: time {meta.t} does not exceed the previous snapshot's")
         metas.append(meta)
-    first = metas[0]
-    return StoredSeries(directory, prefix, first, np.array([meta.t for meta in metas]),
-                        make_grid(first.d, first.n, first.P))
+    return StoredSeries(directory, prefix, metas[0], np.array([meta.t for meta in metas]),
+                        _header_grid(found[0][1], metas[0]))

@@ -25,10 +25,12 @@ they return.  It owns the call's grid, fluid, forcing and extra source,
 whether the ledger rates ride along (run's only), and the buffers the
 stages write into: the stage coefficients and their samples, the
 velocity, pressure and flux with their forward transforms, the assembled
-increment, and the product scratch.  The four increments collapse into a
-running sum, in the classical formula's order, held by the step's own
-result array; an increment, once summed, takes the complex passes of the
-next inverse.  No buffer outlives the call that built it.
+increment and the product scratch; the forcing shift's gathered and
+moved modes take the flux coefficients' memory once those are summed.
+The four increments collapse into a running sum, in the classical
+formula's order, held by the step's own result array; an increment,
+once summed, takes the complex passes of the next inverse.  No buffer
+outlives the call that built it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "EnergyReport",
     "SnapshotSeries",
     "MemoryStore",
+    "TimesStore",
     "RunResult",
     "BlowUpError",
     "MassDriftError",
@@ -259,9 +262,26 @@ class MemoryStore:
         self.states.clear()
 
 
+class TimesStore:
+    """A run store that keeps no State, for a run whose States are not read
+    afterwards: its series is the snapshot times alone, an array."""
+
+    def __init__(self):
+        self.times = []
+
+    def add(self, state: State):
+        self.times.append(state.t)
+
+    def finish(self) -> np.ndarray:
+        return np.array(self.times)
+
+    def discard(self):
+        self.times.clear()
+
+
 @dataclass(frozen=True)
 class RunResult:
-    series: SnapshotSeries  # or the StoredSeries of a SnapshotWriter
+    series: SnapshotSeries  # or a SnapshotWriter's StoredSeries, or a TimesStore's times
     report: EnergyReport
     dt: float
     steps_per_snapshot: int
@@ -298,7 +318,6 @@ class _Stepper:
         self.grid, self.params, self.extra_source, self.ledger = grid, params, extra_source, ledger
         forcing = params.forcing
         self.force_xy = forcing.spatial(grid) if forcing.active and ledger else None
-        self.force = grid.trig_shift(grid.dealiased_terms(forcing.terms), d) if forcing.active else None
         self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
         self.slot = {pair: i for i, pair in enumerate(self.pairs)}
         real = lambda *lead: np.empty(lead + grid.shape)
@@ -307,9 +326,12 @@ class _Stepper:
         self.u, self.p, self.flux = real(d), real(), real(len(self.pairs))
         self.u_h, self.flux_h = half(d), half(len(self.pairs))
         self.div_u_h, self.tmp = half(), half()
+        # the shift's buffers, in flux_h's memory when they fit: the flux
+        # coefficients are dead once the increments are assembled
+        self.force = (grid.trig_shift(grid.dealiased_terms(forcing.terms), d, scratch=self.flux_h)
+                      if forcing.active else None)
         self.mu_k2 = params.mu * grid.k2_half
-        # the rates' squared real and imaginary parts, in flux_h's memory:
-        # the flux coefficients are dead once the increments are assembled
+        # the rates' squared real and imaginary parts, in flux_h's memory too
         size = d * math.prod(grid.half_shape)
         flat = self.flux_h.reshape(-1).view(np.float64)
         self.re2, self.im2 = (flat[i * size:(i + 1) * size].reshape((d,) + grid.half_shape) for i in (0, 1))
@@ -359,7 +381,9 @@ class _Stepper:
         if self.force is not None:
             targets, shift = self.force
             envelope = params.forcing.envelope_at(t)
-            out[1:].reshape(-1)[targets] += envelope * shift(state_h[0])
+            moved = shift(state_h[0])
+            moved *= envelope
+            np.add.at(out[1:].reshape(-1), targets, moved)  # unbuffered; the targets are distinct
             if self.ledger:
                 product = np.multiply(self.force_xy, envelope, out=flux[:d])  # the flux is transformed
                 product *= m

@@ -4,6 +4,21 @@ Every entry shares the grid, initial state, forcing and time step (the
 most restrictive entry's stable dt caps all runs), so snapshot times
 align exactly and run-to-run distances are meaningful.  Blow-ups mark
 their entry as failed and leave the rest of the sweep usable.
+
+run_sweep runs the least viscous entry first, then the next more
+viscous one, and so on until one completes: that one is the reference,
+the last completed entry.  The entries left run from the most viscous
+down.  Every entry runs once on the same state, parameters and step, so
+the order leaves every State as it is, and the entries are reported in
+index order.
+
+The distances and the smallness samples are feed passes
+(diagnostics.feed).  cauchy_distances, distances_to and viscous_smallness
+feed them over a sweep's stored series; StreamedTables, which the CLI
+uses, feeds them from each entry's store while the entry runs.  It holds
+the reference's series, the previous completed entry's until the next
+completed entry has run, and the running entry's when a later entry
+will pair with it.
 """
 
 from __future__ import annotations
@@ -30,8 +45,10 @@ from .solver import (
     BlowUpError,
     FluidParams,
     ForcingSpec,
+    MemoryStore,
     RunResult,
     SnapshotSeries,
+    TimesStore,
     cfl_dt,
     preset_ic,
     run,
@@ -48,12 +65,15 @@ __all__ = [
     "SmallnessRow",
     "SmallnessTable",
     "LimitCandidateReport",
+    "StreamedTables",
     "plan_sweep",
     "run_sweep",
+    "distance_pass",
     "series_distance",
     "cauchy_distances",
     "distances_to",
     "convergence_rate",
+    "smallness_pass",
     "viscous_smallness",
     "limit_candidate_check",
 ]
@@ -143,12 +163,14 @@ class SweepResult:
 
 
 def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
-    """Run every entry of the plan on one shared grid, state and dt.
+    """Run every entry of the plan on one shared grid, state and dt, in the
+    order of the module docstring.
 
     store_for(index, params), if given, makes each entry's snapshot store
-    (see solver.run); a snapshots.SnapshotWriter per entry leaves every
-    completed entry's series on disk, read back lazily, and a failed
-    entry's nowhere.  Without it each series is kept in memory."""
+    (see solver.run) just before the entry runs; a snapshots.SnapshotWriter
+    per entry leaves every completed entry's series on disk, read back
+    lazily, and a failed entry's nowhere.  Without it each series is kept
+    in memory."""
     grid = make_grid(plan.d, plan.n, plan.P)
     params0 = plan.params_for(plan.mu_values[0])
     initial = preset_ic(plan.ic, grid, params0, seed=plan.ic_seed, amplitude=plan.ic_amplitude)
@@ -157,18 +179,45 @@ def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
     )
     _, shared_dt = snapshot_step(plan.T / plan.snapshots, shared_stable)
 
-    entries = []
-    for i, mu in enumerate(plan.mu_values):
+    def entry(i):
+        mu = plan.mu_values[i]
         params = plan.params_for(mu)
         try:
             result = run(
                 initial, params, plan.T, snapshots=plan.snapshots, cfl=plan.cfl, dt_cap=shared_stable,
                 store=None if store_for is None else store_for(i, params),
             )
-            entries.append(SweepEntry(mu=mu, params=params, result=result))
+            return SweepEntry(mu=mu, params=params, result=result)
         except BlowUpError as exc:
-            entries.append(SweepEntry(mu=mu, params=params, failure=str(exc)))
+            return SweepEntry(mu=mu, params=params, failure=str(exc))
+
+    entries = [None] * len(plan.mu_values)
+    for reference in reversed(range(len(entries))):
+        entries[reference] = entry(reference)
+        if entries[reference].completed:
+            break
+    for i in range(reference):  # none are left when no entry completed
+        entries[i] = entry(i)
     return SweepResult(plan=plan, entries=tuple(entries), shared_dt=shared_dt)
+
+
+def distance_pass(partner, p1: float, p2: float):
+    """series_distance(partner, series) as a feed pass over series: each
+    State sent is paired with partner's State at the same index, read when
+    it is reached.  The trapezoid weights are partner's; each State's time
+    must match partner's."""
+    times, grid = partner.times, partner.grid
+    tol = 1e-12 * max(times[-1], 1.0)
+    acc_r = acc_m = 0.0
+    for w, t, theirs in zip(trapezoid_weights(times), times, partner):
+        st = yield
+        if abs(st.t - t) > tol:
+            raise ValueError("series must share their snapshot times")
+        r, m = spacetime_lp(grid, ((w, theirs.rho.values - st.rho.values, theirs.m.values - st.m.values),),
+                            (p1, p2))
+        acc_r += r
+        acc_m += m
+    yield acc_r ** (1.0 / p1), acc_m ** (1.0 / p2)
 
 
 def series_distance(a: SnapshotSeries, b: SnapshotSeries, p1: float, p2: float):
@@ -177,15 +226,11 @@ def series_distance(a: SnapshotSeries, b: SnapshotSeries, p1: float, p2: float):
     Trapezoid in time over identical snapshot grids; the momentum
     channel uses the pointwise Euclidean magnitude of the difference.
     """
-    ta, tb = a.times, b.times
-    if len(ta) != len(tb) or float(np.max(np.abs(ta - tb))) > 1e-12 * max(ta[-1], 1.0):
+    if len(a) != len(b):
         raise ValueError("series must share their snapshot times")
     if a.grid != b.grid:
         raise ValueError("series must share one grid")
-    rows = ((w, sa.rho.values - sb.rho.values, sa.m.values - sb.m.values)
-            for sa, sb, w in zip(a, b, trapezoid_weights(ta)))
-    acc_r, acc_m = spacetime_lp(a.grid, rows, (p1, p2))
-    return acc_r ** (1.0 / p1), acc_m ** (1.0 / p2)
+    return feed(b, [distance_pass(a, p1, p2)])[0]
 
 
 @dataclass(frozen=True)
@@ -200,29 +245,39 @@ class CauchyTable:
     p2: float
 
 
-def _distance_table(sweep: SweepResult, pairs_of) -> CauchyTable:
-    p1, p2 = sweep.plan.gamma, 2.0
+def _completed(sweep: SweepResult) -> list:
+    """The completed entries, at least two of them."""
     done = sweep.completed
     if len(done) < 2:
         raise ValueError(f"need at least two completed runs, have {len(done)}")
-    pairs = pairs_of(done)
-    dists = np.array([series_distance(a.result.series, b.result.series, p1, p2) for a, b in pairs])
+    return done
+
+
+def _distance_table(plan: SweepPlan, pairs, dists=None) -> CauchyTable:
+    """The table of the entry pairs and their distances, by default those
+    of their stored series."""
+    if dists is None:
+        dists = [series_distance(a.result.series, b.result.series, plan.gamma, 2.0) for a, b in pairs]
+    dists = np.array(dists)
     return CauchyTable(
         mu_pairs=tuple((a.mu, b.mu) for a, b in pairs), rho_distances=dists[:, 0],
-        m_distances=dists[:, 1], p1=p1, p2=p2,
+        m_distances=dists[:, 1], p1=plan.gamma, p2=2.0,
     )
+
+
+def _adjacent(done) -> list:
+    return list(zip(done, done[1:]))
 
 
 def cauchy_distances(sweep: SweepResult) -> CauchyTable:
     """Distances between consecutive completed entries, largest mu first."""
-    return _distance_table(sweep, lambda done: list(zip(done, done[1:])))
+    return _distance_table(sweep.plan, _adjacent(_completed(sweep)))
 
 
 def distances_to(sweep: SweepResult, reference: int = -1) -> CauchyTable:
     """Distance of every other completed run to one reference entry."""
-    return _distance_table(
-        sweep, lambda done: [(e, done[reference]) for e in done if e is not done[reference]]
-    )
+    done = _completed(sweep)
+    return _distance_table(sweep.plan, [(e, done[reference]) for e in done if e is not done[reference]])
 
 
 def convergence_rate(mu_values, distances) -> float:
@@ -267,14 +322,25 @@ class SmallnessTable:
     energy_bounded: bool
 
 
-def viscous_smallness(sweep: SweepResult) -> SmallnessTable:
+def smallness_pass(count: int, params: FluidParams):
+    """||grad u||^2 in L^2 of space and time, over count States, as a feed
+    pass: the box integral of |grad u|^2 per State, then the trapezoid over
+    the States' own times."""
+    g, times = [], []
+    for _ in range(count):
+        st = yield
+        grid = st.grid
+        g.append(grid.grad_sq(grid.rfft(params.velocity(st.rho.values, st.m.values))))
+        times.append(st.t)
+    yield float(np.trapezoid(np.array(g), x=np.array(times)))
+
+
+def _smallness_table(entries, grad_sqs) -> SmallnessTable:
+    """The table of completed entries, in index order, and their squared
+    ||grad u|| in L^2 (smallness_pass)."""
     rows = []
     bounded = True
-    for e in sweep.completed:
-        series = e.result.series
-        grid = series.grid
-        g = [grid.grad_sq(grid.rfft(e.params.velocity(st.rho.values, st.m.values))) for st in series]
-        grad_sq = float(np.trapezoid(np.array(g), x=series.times))
+    for e, grad_sq in zip(entries, grad_sqs):
         grad_l2 = math.sqrt(max(grad_sq, 0.0))
         mu, lam = e.params.mu, e.params.lam
         c = 1.0 if lam >= -mu else mu / (2.0 * mu + lam)
@@ -288,6 +354,96 @@ def viscous_smallness(sweep: SweepResult) -> SmallnessTable:
     vals = [r.mu_grad for r in rows]
     decreasing = all(b < a for a, b in zip(vals, vals[1:]))
     return SmallnessTable(rows=tuple(rows), mu_grad_decreasing=decreasing, energy_bounded=bounded)
+
+
+def viscous_smallness(sweep: SweepResult) -> SmallnessTable:
+    done = sweep.completed
+    return _smallness_table(done, [
+        feed(e.result.series, [smallness_pass(len(e.result.series), e.params)])[0] for e in done
+    ])
+
+
+class _RungStore:
+    """A run store that sends each State to passes (feed's protocol, set up
+    here) and hands it on to inner; finish() gives finished(inner's series,
+    the passes' results) and discard() drops the partial sums."""
+
+    def __init__(self, inner, passes: dict, finished):
+        self.inner, self.passes, self.finished = inner, passes, finished
+        for p in passes.values():
+            next(p)
+
+    def add(self, state):
+        self.results = {name: p.send(state) for name, p in self.passes.items()}
+        self.inner.add(state)
+
+    def finish(self):
+        return self.finished(self.inner.finish(), self.results)
+
+    def discard(self):
+        self.passes = self.results = None
+        self.inner.discard()
+
+
+class StreamedTables:
+    """cauchy_distances, distances_to and viscous_smallness of a sweep,
+    reduced while run_sweep runs it: pass store_for to run_sweep, then call
+    tables(sweep).
+
+    Each entry's store feeds the smallness pass and, once the reference has
+    run, the distance passes against the reference and against the
+    previous completed entry (its Cauchy partner).  It holds the entry's
+    States for later entries: the reference's to the end, another's until
+    the next completed entry has run, the last entry's not at all.
+    hold(index, params) makes the holding store, a snapshots.SnapshotWriter
+    say; by default the States stay in memory and the result of an entry
+    other than the reference keeps only its times.  A failed entry leaves
+    the partner as it was."""
+
+    def __init__(self, plan: SweepPlan, hold=None):
+        self.plan, self.hold = plan, hold
+        self.reference = self.partner = None  # held series
+        self.reference_index = None
+        self.reduced = {}  # index -> the results of its passes
+
+    def store_for(self, index: int, params: FluidParams):
+        p1 = self.plan.gamma
+        passes = {"grad": smallness_pass(self.plan.snapshots + 1, params)}
+        last = False
+        if self.reference is not None:
+            passes["reference"] = distance_pass(self.reference, p1, 2.0)
+            if self.partner is not None:
+                passes["cauchy"] = distance_pass(self.partner, p1, 2.0)
+            last = index == self.reference_index - 1
+        if self.hold is not None:
+            inner = self.hold(index, params)
+        else:
+            inner = TimesStore() if last else MemoryStore()
+
+        def finished(series, results):
+            self.reduced[index] = results
+            if self.reference is None:
+                self.reference, self.reference_index = series, index
+                return series
+            self.partner = None if last else series
+            return series if self.hold or last else series.times
+
+        return _RungStore(inner, passes, finished)
+
+    def tables(self, sweep: SweepResult):
+        """(cauchy_distances, distances_to, viscous_smallness) of the sweep
+        that run_sweep ran with store_for.  The last Cauchy pair is the last
+        entry's pair with the reference, computed once."""
+        self.partner = None
+        done = _completed(sweep)
+        reduced = [self.reduced[i] for i, e in enumerate(sweep.entries) if e.completed]
+        to_reference = [r["reference"] for r in reduced[:-1]]
+        steps = [r["cauchy"] for r in reduced[1:-1]] + to_reference[-1:]
+        return (
+            _distance_table(self.plan, _adjacent(done), steps),
+            _distance_table(self.plan, [(e, done[-1]) for e in done[:-1]], to_reference),
+            _smallness_table(done, [r["grad"] for r in reduced]),
+        )
 
 
 # largest weak residual, relative to its family's gross scale, of a

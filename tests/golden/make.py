@@ -1,16 +1,20 @@
-"""Golden reports: three tiny CLI runs whose every report is committed
+"""Golden reports: four tiny CLI runs whose every report is committed
 here and compared by tests/test_golden.py.
 
-    PYTHONPATH=src python tests/golden/make.py
+    PYTHONPATH=src python tests/golden/make.py [RUN ...]
 
-reruns them and rewrites the reports next to this script.  The runs:
+reruns them and rewrites the reports of the named runs (all of them by
+default) next to this script.  The runs:
 
 - simulate: a forced 2D n = 16 run of 8 snapshots (summary.json, ledger.csv);
 - diagnose: every section of `diagnose --config` on that run's snapshots
   (diagnostics.json, spectrum.csv, moduli.csv, residuals.csv,
   reynolds_trace.npy);
 - sweep: a 3D n = 8 two-rung viscosity ladder without snapshots
-  (summary.json, ledger_NN.csv, distances.csv, smallness.csv).
+  (summary.json, ledger_NN.csv, distances.csv, smallness.csv);
+- sweep-blowup: a 1D n = 32 three-rung ladder without snapshots whose
+  least viscous rung blows up, so the middle rung is the reference
+  (the same reports; the failed rung has no ledger).
 
 Regenerating is a change of test data: do it only when a report is
 meant to move, and say which values moved and why.
@@ -88,22 +92,51 @@ prefix = run
 write_snapshots = false
 """
 
-RUNS = ("simulate", "diagnose", "sweep")
+BLOWUP_SWEEP_CONFIG = """
+[grid]
+d = 1
+n = 32
+
+[fluid]
+mu = 0.3
+
+[initial]
+preset = random-band
+seed = 7
+amplitude = 4.0
+
+[run]
+horizon = 0.5
+snapshots = 4
+
+[sweep]
+mu_max = 0.3
+ratio = 0.25
+count = 3
+
+[output]
+prefix = run
+write_snapshots = false
+"""
+
+RUNS = ("simulate", "diagnose", "sweep", "sweep-blowup")
 
 
 def generate(root: Path) -> None:
-    """Run the three golden runs, each into root / its name."""
+    """Run the golden runs, each into root / its name."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    sim_cfg, sweep_cfg = root / "simulate.ini", root / "sweep.ini"
+    sim_cfg, sweep_cfg, blowup_cfg = root / "simulate.ini", root / "sweep.ini", root / "sweep-blowup.ini"
     sim_cfg.write_text(SIMULATE_CONFIG)
     sweep_cfg.write_text(SWEEP_CONFIG)
+    blowup_cfg.write_text(BLOWUP_SWEEP_CONFIG)
     sim = root / "simulate"
     argvs = (
         ["simulate", "--config", str(sim_cfg), "--out", str(sim)],
         ["diagnose", "--dir", str(sim), "--prefix", "run", "--config", str(sim_cfg),
          "--out", str(root / "diagnose")],
         ["sweep", "--config", str(sweep_cfg), "--out", str(root / "sweep")],
+        ["sweep", "--config", str(blowup_cfg), "--out", str(root / "sweep-blowup")],
     )
     for argv in argvs:
         code = cli_main(argv)
@@ -116,10 +149,14 @@ def reports(run_dir: Path) -> list:
     return sorted(p.name for p in Path(run_dir).iterdir() if p.suffix in REPORT_SUFFIXES)
 
 
-def main() -> int:
+def main(runs) -> int:
+    unknown = sorted(set(runs) - set(RUNS))
+    if unknown:
+        print(f"unknown runs {unknown}; the runs are {', '.join(RUNS)}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         generate(Path(tmp))
-        for run in RUNS:
+        for run in runs or RUNS:
             dest = HERE / run
             if dest.exists():
                 shutil.rmtree(dest)
@@ -131,4 +168,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,11 +1,14 @@
 """End-to-end CLI runs through cli_main."""
 
 import csv
+import dataclasses
+import gc
 import json
 import math
 import shutil
 import subprocess
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from baroflow.config import ExperimentConfig
 from baroflow.fields import Field, make_grid
 from baroflow.snapshots import SnapshotWriter, scan_series
 from baroflow.solver import FluidParams, State, preset_ic, total_energy
+from baroflow.sweep import cauchy_distances, distances_to, run_sweep, viscous_smallness
 
 SIM_CONFIG = """
 [grid]
@@ -167,17 +171,36 @@ def cli_ok(argv):
     assert cli_main(argv) == 0, argv
 
 
-def peak_growth(traced_peak, tmp_path, command):
+def peak_growth(traced_peak, tmp_path, command, write_snapshots=True):
     """How much the traced peak of `command` on STREAM_CONFIG grows from
     16 to 64 snapshots."""
 
     def peak(count):
         cfg = tmp_path / f"exp{count}.ini"
-        cfg.write_text(STREAM_CONFIG.format(count=count))
+        cfg.write_text(STREAM_CONFIG.format(count=count) + f"\n[output]\nwrite_snapshots = {str(write_snapshots).lower()}\n")
         return traced_peak(lambda: cli_ok([command, "--config", str(cfg), "--out", str(tmp_path / f"out{count}")]))
 
     peak(16)  # first use: lazy imports and caches
     return peak(64) - peak(16)
+
+
+def assert_sweep_reports_equal_the_library(out, sweep):
+    """The reports of a CLI sweep in out against the library's tables over
+    sweep, the same ladder run in memory."""
+    cauchy, ref, small = cauchy_distances(sweep), distances_to(sweep), viscous_smallness(sweep)
+    data = json.loads((out / "summary.json").read_text())
+    assert [e["completed"] for e in data["entries"]] == [e.completed for e in sweep.entries]
+    for section, table in (("cauchy", cauchy), ("reference", ref)):
+        assert data[section]["mu_pairs"] == [list(pair) for pair in table.mu_pairs], section
+        assert data[section]["rho_distances"] == table.rho_distances.tolist(), section
+        assert data[section]["m_distances"] == table.m_distances.tolist(), section
+    assert data["smallness"] == json.loads(json.dumps(dataclasses.asdict(small)))
+    assert data["limit_candidate"]["mu"] == sweep.completed[-1].mu
+    assert read_csv(out / "distances.csv") == [
+        [a, b, r, m] for (a, b), r, m in zip(cauchy.mu_pairs, cauchy.rho_distances, cauchy.m_distances)]
+    assert read_csv(out / "smallness.csv") == [
+        [r.mu, r.grad_u_l2, r.mu_grad, r.sqrt_mu_grad, r.dissipation] for r in small.rows]
+    return cauchy
 
 
 def synthetic_series(directory, d, n, count):
@@ -303,6 +326,13 @@ class TestSimulate:
         assert peak_growth(traced_peak, tmp_path, "simulate") < 4 * 3 * 32**2 * 8
         assert len(list((tmp_path / "out64").glob("run_*.ckhs"))) == 65
 
+    def test_without_snapshots_no_state_is_kept(self, tmp_path, traced_peak):
+        # the summary needs the snapshot count alone, so no State outlives its snapshot
+        assert peak_growth(traced_peak, tmp_path, "simulate", write_snapshots=False) < 4 * 3 * 32**2 * 8
+        summary = json.loads((tmp_path / "out64" / "summary.json").read_text())
+        assert (summary["snapshot_count"], summary["snapshot_files"]) == (65, [])
+        assert not list((tmp_path / "out64").glob("*.ckhs"))
+
     def test_a_shorter_series_replaces_a_longer_one(self, tmp_path):
         # the second run's files past its count would otherwise join its series
         out = tmp_path / "out"
@@ -424,6 +454,21 @@ class TestDiagnose:
                          "--out", str(tmp_path / "report")])
         assert code == 1
         assert f"demo_0025.ckhs: header {key} = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box", [1e300, -1.0])
+    def test_a_bad_box_in_the_headers_exits_one_naming_the_file(self, sim_dir, tmp_path, capsys, box):
+        # the CRC covers the payload only, so the box is checked as the grid is built
+        series = tmp_path / "series"
+        shutil.copytree(sim_dir, series)
+        for path in series.glob("demo_*.ckhs"):
+            blob = bytearray(path.read_bytes())
+            blob[16:24] = np.float64(box).tobytes()
+            path.write_bytes(bytes(blob))
+        code = cli_main(["diagnose", "--dir", str(series), "--prefix", "demo", "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: demo_0000.ckhs: box length must be positive") and err.count("\n") == 1
+        assert not (tmp_path / "report").exists()
 
     def test_mismatched_config_rejected(self, sim_dir, tmp_path):
         cfg = tmp_path / "wrong.ini"
@@ -616,6 +661,66 @@ class TestSweep:
         assert written == [f"entry_{i:02d}/run_{k:04d}.ckhs" for i in range(2) for k in range(5)]
         assert not (out / "entry_02").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("snapshots", ["false", "true"])
+    def test_a_blown_up_least_viscous_rung_leaves_the_next_the_reference(self, tmp_path, snapshots):
+        text = FAILING_RUNG_CONFIG + f"\n[output]\nwrite_snapshots = {snapshots}\n"
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        cli_ok(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        sweep = run_sweep(ExperimentConfig.parse(text).sweep_plan())
+        assert [e.completed for e in sweep.entries] == [True, True, False]
+        cauchy = assert_sweep_reports_equal_the_library(tmp_path / "out", sweep)
+        assert cauchy.mu_pairs == ((0.3, 0.075),)
+
+    @pytest.mark.parametrize("snapshots", ["false", "true"])
+    def test_a_blown_up_middle_rung_is_skipped_by_its_cauchy_pair(self, tmp_path, monkeypatch, snapshots):
+        real_run = baroflow.sweep.run
+
+        def leaky_second_rung(initial, params, *args, **kwargs):
+            if params.mu == 0.005:  # mass drift fails the rung
+                kwargs["extra_source"] = lambda t, rho, m: (np.full_like(rho, 1e-3), np.zeros_like(m))
+            return real_run(initial, params, *args, **kwargs)
+
+        monkeypatch.setattr(baroflow.sweep, "run", leaky_second_rung)
+        text = SWEEP_CONFIG.replace("count = 3", "count = 4").replace("write_snapshots = false",
+                                                                      f"write_snapshots = {snapshots}")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        cli_ok(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        sweep = run_sweep(ExperimentConfig.parse(text).sweep_plan())
+        assert [e.completed for e in sweep.entries] == [True, False, True, True]
+        cauchy = assert_sweep_reports_equal_the_library(tmp_path / "out", sweep)
+        assert cauchy.mu_pairs == ((0.01, 0.0025), (0.0025, 0.00125))
+
+    def test_without_snapshots_two_rungs_of_states_are_held(self, tmp_path, monkeypatch):
+        # after each rung of a 4-rung ladder the States alive are the
+        # reference's and the previous completed rung's series (which share
+        # the initial State), or fewer; keeping every series would hold 4
+        refs = []
+        check = State.__post_init__
+
+        def counted(state):
+            check(state)
+            refs.append(weakref.ref(state))
+
+        monkeypatch.setattr(State, "__post_init__", counted)
+        alive, real_run = [], baroflow.sweep.run
+
+        def run(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            del args, kwargs  # the store, as run_sweep drops it
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            return result
+
+        monkeypatch.setattr(baroflow.sweep, "run", run)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SWEEP_CONFIG.replace("count = 3", "count = 4").replace("snapshots = 60", "snapshots = 8"))
+        cli_ok(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        per_rung = 9
+        assert alive == [per_rung, 2 * per_rung - 1, 2 * per_rung - 1, per_rung]
+
     @pytest.mark.parametrize("config", ["1d", "3d-forced"])
     def test_snapshots_leave_the_reports_unchanged(self, tmp_path, config):
         # a sweep that writes its rungs' snapshots reads them back for the
@@ -787,6 +892,18 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: box length must be positive") and f"got {float(box)}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
+    def test_a_non_finite_amplitude_exits_two_naming_the_key(self, tmp_path, capsys, command, amplitude):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(FORCED_2D_CONFIG.replace("amplitude = 0.3", f"amplitude = {amplitude}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: [initial] amplitude must be finite, got {float(amplitude)}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -1,8 +1,9 @@
-"""Every report of three tiny CLI runs against the committed goldens.
+"""Every report of four tiny CLI runs against the committed goldens.
 
 tests/golden/make.py defines the runs (a forced 2D simulate, diagnose
-with every section on its snapshots, a 3D two-rung sweep) and rewrites
-the goldens.  Here they are rerun in a temporary directory and compared
+with every section on its snapshots, a 3D two-rung sweep, a 1D
+three-rung sweep whose least viscous rung blows up) and rewrites the
+goldens.  Here they are rerun in a temporary directory and compared
 with the committed reports: the same report files, the same JSON keys,
 structure and strings (the embedded config text and its sha256
 included), the same CSV headers and text cells, and floats within 1e-13

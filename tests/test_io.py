@@ -242,6 +242,17 @@ class TestSeries:
         with pytest.raises(SnapshotFormatError, match="demo_0002.ckhs: time .* does not exceed the previous"):
             scan_series(demo_dir, "demo")
 
+    @pytest.mark.parametrize("box", [1e300, -1.0, 0.0])
+    def test_a_bad_box_is_a_format_error_of_the_file(self, demo_dir, box):
+        for path in demo_dir.glob("demo_*.ckhs"):
+            blob = bytearray(path.read_bytes())
+            blob[16:24] = np.float64(box).tobytes()
+            path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotFormatError, match="demo_0000.ckhs: box length must be positive"):
+            scan_series(demo_dir, "demo")
+        with pytest.raises(SnapshotFormatError, match="demo_0003.ckhs: box length must be positive"):
+            read_snapshot(demo_dir / "demo_0003.ckhs")
+
     def test_states_share_one_grid(self, demo_dir):
         back = scan_series(demo_dir, "demo")
         grid = back.grid

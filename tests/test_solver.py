@@ -658,7 +658,32 @@ class TestForcingShift:
         want = (g.rfft(rho * forcing.spatial(g)) * forcing.envelope_at(t)).ravel()[targets]
         got = forcing.envelope_at(t) * shift(g.rfft(rho))
         assert rel_err(got, want) <= 1e-14
+        # scratch for the gathered sources and the moved modes lends the map
+        # its buffers; one entry fewer does not
+        need = len(targets) // d * (2 * len(terms) + d)
+        for size, lent in ((need, True), (need - 1, False)):
+            scratch = np.empty(size, dtype=np.complex128)
+            moved = g.trig_shift(forcing.terms, d, scratch=scratch)[1](g.rfft(rho))
+            assert np.array_equal(forcing.envelope_at(t) * moved, got)
+            assert np.shares_memory(moved, scratch) == lent
 
+
+    def test_a_forced_stage_allocates_no_more_than_an_unforced_one(self, traced_peak):
+        # the shift gathers, maps and scales into buffers made with the stepper
+        g = make_grid(2, 64, TWO_PI)
+        terms = (((0.05, 0.0), (1, 0), 0.0), ((0.0, 0.03), (0, 2), 0.5))
+        peaks = []
+        for forcing in (ForcingSpec(), ForcingSpec(mode="trig", terms=terms, envelope="exp", rate=0.7)):
+            params = FluidParams(mu=1e-3, forcing=forcing)
+            st = preset_ic("random-band", g, params, seed=3, amplitude=0.5)
+            fields = np.concatenate((st.rho.values[None], st.m.values))
+            fields_h, stepper = g.rfft(fields), _Stepper(g, params)
+            out = np.empty_like(fields_h)
+            stepper.rhs(fields_h, fields, 0.1, out)
+            peaks.append(traced_peak(lambda: stepper.rhs(fields_h, fields, 0.1, out)))
+        assert peaks[1] <= peaks[0] + 1024
+        # nor does it keep buffers of its own: the flux coefficients' memory is free by then
+        assert np.shares_memory(stepper.force[1](fields_h[0]), stepper.flux_h)
 
     @pytest.mark.parametrize("mode", [(6, 0), (8, 0), (0, -6), (7, 2)])
     def test_forcing_past_the_cutoff_is_rejected(self, mode):

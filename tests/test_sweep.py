@@ -20,6 +20,7 @@ from baroflow.fields import Field, make_grid
 from baroflow.snapshots import SnapshotWriter
 from baroflow.solver import FluidParams, SnapshotSeries, State, cfl_dt, preset_ic
 from baroflow.sweep import (
+    StreamedTables,
     SweepEntry,
     SweepPlan,
     SweepResult,
@@ -163,7 +164,8 @@ class TestRunSweep:
             return SnapshotWriter(tmp_path / f"entry_{i:02d}", "run", params)
 
         stored = run_sweep(plan, store_for)
-        assert made == list(enumerate(plan.mu_values))
+        # the least viscous entry first, as the reference, then from the most viscous down
+        assert made == [(2, 2.5e-3), (0, 1e-2), (1, 5e-3)]
         for e in stored.entries:
             assert len(e.result.series) == plan.snapshots + 1
         for table in (cauchy_distances, distances_to):
@@ -272,6 +274,32 @@ class TestDistances:
         ref = sweep.completed[-1].result.series
         dr, _ = series_distance(sweep.completed[0].result.series, ref, plan.gamma, 2.0)
         assert table.rho_distances[0] == dr
+
+
+class TestStreamedTables:
+    def test_tables_equal_the_library_functions(self, acoustic_sweep):
+        plan, sweep = acoustic_sweep
+        streamed = StreamedTables(plan)
+        again = run_sweep(plan, streamed.store_for)
+        cauchy, ref, small = streamed.tables(again)
+        for got, want in ((cauchy, cauchy_distances(sweep)), (ref, distances_to(sweep))):
+            assert got.mu_pairs == want.mu_pairs and (got.p1, got.p2) == (want.p1, want.p2)
+            assert np.array_equal(got.rho_distances, want.rho_distances)
+            assert np.array_equal(got.m_distances, want.m_distances)
+        assert small == viscous_smallness(sweep)
+        # the last Cauchy pair is the last entry's distance to the reference
+        assert (cauchy.rho_distances[-1], cauchy.m_distances[-1]) == (ref.rho_distances[-1], ref.m_distances[-1])
+
+    def test_only_the_reference_keeps_its_states(self, acoustic_sweep):
+        plan, sweep = acoustic_sweep
+        streamed = StreamedTables(plan)
+        again = run_sweep(plan, streamed.store_for)
+        *others, reference = again.entries
+        for e in others:
+            assert np.array_equal(e.result.series, sweep.entries[0].result.series.times)
+        assert [st.t for st in reference.result.series] == list(sweep.entries[-1].result.series.times)
+        a, b = limit_candidate_check(again), limit_candidate_check(sweep)
+        assert (a.weak, a.m_t, a.vacuum_fraction) == (b.weak, b.m_t, b.vacuum_fraction)
 
 
 class TestConvergenceRate:
