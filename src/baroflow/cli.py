@@ -25,8 +25,8 @@ import numpy as np
 from . import diagnostics as dg
 from .config import ExperimentConfig
 from .fields import Field, dft_forward, make_grid
-from .snapshots import SnapshotFormatError, SnapshotWriter, read_snapshot, scan_series, write_snapshot
-from .solver import BlowUpError, FluidParams, TimesStore, preset_ic, run, total_energy
+from .snapshots import SnapshotFormatError, read_snapshot, scan_series, write_pass, write_snapshot
+from .solver import BlowUpError, FluidParams, preset_ic, run, times_pass, total_energy
 from .sweep import StreamedTables, convergence_rate, limit_candidate_check, run_sweep
 
 __all__ = ["cli_main", "build_parser"]
@@ -105,14 +105,14 @@ def _cmd_simulate(args) -> int:
     grid = cfg.make_grid()
     params = cfg.fluid_params()
     initial = cfg.initial_state(grid, params)
-    writer = SnapshotWriter(out, cfg.output.prefix, params) if cfg.output.write_snapshots else None
-    result = run(initial, params, T=cfg.run.horizon, snapshots=cfg.run.snapshots, cfl=cfg.run.cfl,
-                 store=writer or TimesStore())
+    count, writes = cfg.run.snapshots + 1, cfg.output.write_snapshots
+    store = write_pass(out, cfg.output.prefix, params, count) if writes else times_pass(count)
+    result = run(initial, params, T=cfg.run.horizon, snapshots=cfg.run.snapshots, cfl=cfg.run.cfl, store=store)
     rep = result.report
     adm = dg.energy_admissibility(rep.t, rep.E, rep.W)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "ledger.csv", _LEDGER_HEADER, _ledger_rows(rep))
-    written = [p.name for p in writer.paths] if writer else []
+    written = [p.name for p in result.series.paths] if writes else []
     summary = {
         "command": "simulate",
         "config_sha256": cfg.sha256(),
@@ -281,7 +281,7 @@ def _cmd_sweep(args) -> int:
     hold = None
     if cfg.output.write_snapshots:
         def hold(i, params):
-            return SnapshotWriter(out / f"entry_{i:02d}", cfg.output.prefix, params)
+            return write_pass(out / f"entry_{i:02d}", cfg.output.prefix, params, plan.snapshots + 1)
     streamed = StreamedTables(plan, hold)
     sweep = run_sweep(plan, streamed.store_for)
     out.mkdir(parents=True, exist_ok=True)

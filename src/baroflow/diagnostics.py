@@ -171,12 +171,31 @@ def feed(series, passes) -> list:
     """The results of passes over one sweep of a series, in order, then the
     last State.  A pass is a generator that sets itself up (checking its
     arguments) on the first next(), takes each State by send(), and answers
-    the last one with its result; all are set up before the first State is taken."""
+    the last one with its result; close() before then discards what it
+    made.  All are set up before the first State is taken.  solver.run
+    drives one pass, its store, the same way while it runs."""
     for p in passes:
         next(p)
     for st in series:
         results = [p.send(st) for p in passes]
     return results + [st]
+
+
+def fan_out(passes: dict, count: int, answer=dict):
+    """One feed pass of count States that sends each to every pass of the
+    dict passes, each set up for count States too, and answers with
+    answer(their answers by name).  Closed before then, it closes them."""
+    try:
+        for p in passes.values():
+            next(p)
+        for _ in range(count):
+            st = yield
+            answers = {name: p.send(st) for name, p in passes.items()}
+    except BaseException:
+        for p in passes.values():
+            p.close()
+        raise
+    yield answer(answers)
 
 
 def spectral_pass(series, params: FluidParams, exponents=None):

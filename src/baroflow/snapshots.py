@@ -18,7 +18,7 @@ flattened Fortran-style (first grid axis fastest).
 The checksum pins the payload bit-for-bit, so a corrupted file never
 parses quietly.
 
-SnapshotWriter is the store solver.run streams a series through: each
+write_pass is the store solver.run streams a series through: each
 snapshot is written as the run reaches it, and the run's series is the
 lazy StoredSeries of the files.
 """
@@ -40,7 +40,7 @@ __all__ = [
     "SnapshotFormatError",
     "SnapshotMeta",
     "StoredSeries",
-    "SnapshotWriter",
+    "write_pass",
     "write_snapshot",
     "read_snapshot",
     "scan_series",
@@ -153,10 +153,10 @@ def _series_path(directory: Path, prefix: str, index: int) -> Path:
 @dataclass(frozen=True)
 class StoredSeries:
     """A snapshot series on disk, known up front by its headers (see
-    scan_series and SnapshotWriter.finish): the first header, which every
-    other one repeats but for its time, and the times.  Iterating reads
-    each payload when it is reached, checksum-verified, onto the one grid;
-    no earlier state is kept."""
+    scan_series and write_pass): the first header, which every other one
+    repeats but for its time, and the times.  Iterating reads each payload
+    when it is reached, checksum-verified, onto the one grid; no earlier
+    state is kept."""
 
     directory: Path
     prefix: str
@@ -164,58 +164,53 @@ class StoredSeries:
     times: np.ndarray
     grid: PeriodicGrid
 
+    @property
+    def paths(self) -> list:
+        return [_series_path(self.directory, self.prefix, i) for i in range(len(self))]
+
     def __len__(self):
         return len(self.times)
 
     def __iter__(self):
-        for i, t in enumerate(self.times.tolist()):
-            scanned = (self.grid, replace(self.meta, t=t))
-            yield read_snapshot(_series_path(self.directory, self.prefix, i), scanned)[0]
+        for path, t in zip(self.paths, self.times.tolist()):
+            yield read_snapshot(path, (self.grid, replace(self.meta, t=t)))[0]
 
 
-class SnapshotWriter:
-    """A solver.run store that writes each snapshot it is handed as
-    prefix_NNNN.ckhs in directory and keeps no State.
+def write_pass(directory, prefix: str, params, count: int):
+    """A feed pass (diagnostics.feed), solver.run's store for a series
+    streamed to disk: it writes each of the count States it is sent as
+    prefix_NNNN.ckhs in directory and keeps none.
 
-    Until finish(), each file carries a ".part" suffix, which scan_series
-    never matches; finish() gives the files their names, deletes the
+    Until the last State, each file carries a ".part" suffix, which
+    scan_series never matches.  Then the files take their names, the
     prefix_NNNN.ckhs files numbered past them (left by an earlier, longer
-    series), and returns the lazy StoredSeries of exactly what was
-    written.  discard() deletes the partial files, and the directory too
-    when this writer made it and it is left empty, so a run that raises
-    leaves no snapshot behind."""
-
-    def __init__(self, directory, prefix: str, params):
-        self.directory, self.prefix, self.params = Path(directory), prefix, params
-        self.paths, self.times = [], []
-        self.meta = self.grid = None
-        self.made_directory = False
-
-    def add(self, state: State):
-        first = not self.paths
-        if first:
-            self.made_directory = not self.directory.exists()
-            self.directory.mkdir(parents=True, exist_ok=True)
-        path = _series_path(self.directory, self.prefix, len(self.paths))
-        meta = write_snapshot(_partial(path), state, self.params)
-        if first:
-            self.meta, self.grid = meta, state.grid
-        self.paths.append(path)
-        self.times.append(meta.t)
-
-    def finish(self) -> StoredSeries:
-        for path in self.paths:
+    series) are deleted, and the answer is the lazy StoredSeries of exactly
+    what was written.  Closed before then, it deletes the partial files, and
+    the directory too when it made it and it is left empty, so a run that
+    raises leaves no snapshot behind."""
+    directory = Path(directory)
+    made_directory = not directory.exists()
+    directory.mkdir(parents=True, exist_ok=True)
+    paths, times = [_series_path(directory, prefix, i) for i in range(count)], []
+    try:
+        for path in paths:
+            st = yield
+            meta = write_snapshot(_partial(path), st, params)
+            if not times:
+                first, grid = meta, st.grid
+            times.append(meta.t)
+        for path in paths:
             _partial(path).replace(path)
-        for index, path in _numbered(self.directory, self.prefix):
-            if index >= len(self.paths):
+        for index, path in _numbered(directory, prefix):
+            if index >= count:
                 path.unlink()
-        return StoredSeries(self.directory, self.prefix, self.meta, np.array(self.times), self.grid)
-
-    def discard(self):
-        for path in self.paths:
+    except BaseException:
+        for path in paths:
             _partial(path).unlink(missing_ok=True)
-        if self.made_directory and not any(self.directory.iterdir()):
-            self.directory.rmdir()
+        if made_directory and not any(directory.iterdir()):
+            directory.rmdir()
+        raise
+    yield StoredSeries(directory, prefix, first, np.array(times), grid)
 
 
 def _partial(path: Path) -> Path:

@@ -49,8 +49,8 @@ __all__ = [
     "State",
     "EnergyReport",
     "SnapshotSeries",
-    "MemoryStore",
-    "TimesStore",
+    "collect_pass",
+    "times_pass",
     "RunResult",
     "BlowUpError",
     "MassDriftError",
@@ -243,45 +243,27 @@ class SnapshotSeries:
         return self.states[i]
 
 
-class MemoryStore:
-    """run's default snapshot store: keeps every State it is handed.
-
-    A store takes a run's snapshots in order through add(state); finish()
-    gives the run's series, and discard() drops them when the run raises."""
-
-    def __init__(self):
-        self.states = []
-
-    def add(self, state: State):
-        self.states.append(state)
-
-    def finish(self) -> SnapshotSeries:
-        return SnapshotSeries(states=tuple(self.states))
-
-    def discard(self):
-        self.states.clear()
+def collect_pass(count: int):
+    """run's default store, a feed pass (diagnostics.feed) that keeps the
+    count States it is sent and answers with their SnapshotSeries."""
+    states = []
+    for _ in range(count):
+        states.append((yield))
+    yield SnapshotSeries(states=tuple(states))
 
 
-class TimesStore:
-    """A run store that keeps no State, for a run whose States are not read
-    afterwards: its series is the snapshot times alone, an array."""
-
-    def __init__(self):
-        self.times = []
-
-    def add(self, state: State):
-        self.times.append(state.t)
-
-    def finish(self) -> np.ndarray:
-        return np.array(self.times)
-
-    def discard(self):
-        self.times.clear()
+def times_pass(count: int):
+    """A feed pass that keeps no State, for a run whose States are not read
+    afterwards: it answers with the times of the count States, an array."""
+    times = []
+    for _ in range(count):
+        times.append((yield).t)
+    yield np.array(times)
 
 
 @dataclass(frozen=True)
 class RunResult:
-    series: SnapshotSeries  # or a SnapshotWriter's StoredSeries, or a TimesStore's times
+    series: SnapshotSeries  # or whatever else run's store answers with
     report: EnergyReport
     dt: float
     steps_per_snapshot: int
@@ -560,11 +542,13 @@ def run(
     reproducible across runs sharing (dt, spacing).  dt_cap tightens the
     stability bound, letting several runs agree on one step size.
 
-    Each snapshot, the initial state first, is handed to store as it is
-    reached, and the result's series is what the store finishes as: a
-    MemoryStore (the default) keeps the States, a
-    snapshots.SnapshotWriter streams them to disk.  A run that raises,
-    blow-up and mass drift included, has the store discard them first.
+    store is a feed pass (diagnostics.feed) set up for snapshots + 1
+    States, collect_pass's by default: run sends it each snapshot, the
+    initial state first, as the run reaches it, and the result's series is
+    its answer.  snapshots.write_pass streams them to disk, times_pass keeps
+    the times alone.  The mass check comes before the last snapshot is sent,
+    so a run that raises, blow-up and mass drift included, closes the pass
+    before it answers.
     """
     run_window(T, snapshots)
     if dt_cap is not None and not dt_cap > 0:
@@ -584,9 +568,9 @@ def run(
     fields = _fields(initial)
     fields_h = grid.rfft(fields)
     t0 = initial.t
-    store = MemoryStore() if store is None else store
+    store = collect_pass(snapshots + 1) if store is None else store
     try:
-        store.add(initial)
+        next(store)
         E0 = total_energy(initial, params)
         mass0 = float(np.mean(fields[0]))
         stepper = _Stepper(grid, params, extra_source, ledger=True)
@@ -594,7 +578,9 @@ def run(
         rows = [(t0, E0, 0.0, 0.0)]  # the ledger's (t, E, D, W)
         D_acc = W_acc = 0.0
         steps_done = 0
+        st = initial
         for _snap in range(snapshots):
+            store.send(st)
             for _ in range(per):
                 t_now = t0 + steps_done * dt
                 fields_h, fields, dD, dW = stepper.advance(fields_h, fields, t_now, dt)
@@ -603,16 +589,15 @@ def run(
                 steps_done += 1
             t_now = t0 + steps_done * dt
             st = _state(t_now, grid, fields)
-            store.add(st)
             rows.append((t_now, total_energy(st, params), D_acc, W_acc))
 
         mass1 = float(np.mean(fields[0]))
         scale = max(abs(mass0), 1e-300)
         if abs(mass1 - mass0) > 1e-10 * scale:
             raise MassDriftError(f"mass drifted by {abs(mass1 - mass0) / scale:.3e} relative", t=t_now)
-        series = store.finish()
+        series = store.send(st)
     except BaseException:
-        store.discard()
+        store.close()
         raise
 
     t_arr, E_arr, D_arr, W_arr = np.array(rows).T

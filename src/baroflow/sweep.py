@@ -15,7 +15,7 @@ index order.
 The distances and the smallness samples are feed passes
 (diagnostics.feed).  cauchy_distances, distances_to and viscous_smallness
 feed them over a sweep's stored series; StreamedTables, which the CLI
-uses, feeds them from each entry's store while the entry runs.  It holds
+uses, gives each entry's run a fan-out of them as its store.  It holds
 the reference's series, the previous completed entry's until the next
 completed entry has run, and the running entry's when a later entry
 will pair with it.
@@ -34,6 +34,7 @@ from .diagnostics import (
     decay_constant,
     default_test_functions,
     energy_admissibility,
+    fan_out,
     feed,
     reynolds_quotient,
     spacetime_lp,
@@ -45,15 +46,15 @@ from .solver import (
     BlowUpError,
     FluidParams,
     ForcingSpec,
-    MemoryStore,
     RunResult,
     SnapshotSeries,
-    TimesStore,
     cfl_dt,
+    collect_pass,
     preset_ic,
     run,
     run_window,
     snapshot_step,
+    times_pass,
 )
 from .fields import make_grid
 
@@ -166,11 +167,11 @@ def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
     """Run every entry of the plan on one shared grid, state and dt, in the
     order of the module docstring.
 
-    store_for(index, params), if given, makes each entry's snapshot store
-    (see solver.run) just before the entry runs; a snapshots.SnapshotWriter
-    per entry leaves every completed entry's series on disk, read back
-    lazily, and a failed entry's nowhere.  Without it each series is kept
-    in memory."""
+    store_for(index, params), if given, makes each entry's store, a feed
+    pass (see solver.run), just before the entry runs; a
+    snapshots.write_pass per entry leaves every completed entry's series on
+    disk, read back lazily, and a failed entry's nowhere.  Without it each
+    series is kept in memory."""
     grid = make_grid(plan.d, plan.n, plan.P)
     params0 = plan.params_for(plan.mu_values[0])
     initial = preset_ic(plan.ic, grid, params0, seed=plan.ic_seed, amplitude=plan.ic_amplitude)
@@ -363,52 +364,31 @@ def viscous_smallness(sweep: SweepResult) -> SmallnessTable:
     ])
 
 
-class _RungStore:
-    """A run store that sends each State to passes (feed's protocol, set up
-    here) and hands it on to inner; finish() gives finished(inner's series,
-    the passes' results) and discard() drops the partial sums."""
-
-    def __init__(self, inner, passes: dict, finished):
-        self.inner, self.passes, self.finished = inner, passes, finished
-        for p in passes.values():
-            next(p)
-
-    def add(self, state):
-        self.results = {name: p.send(state) for name, p in self.passes.items()}
-        self.inner.add(state)
-
-    def finish(self):
-        return self.finished(self.inner.finish(), self.results)
-
-    def discard(self):
-        self.passes = self.results = None
-        self.inner.discard()
-
-
 class StreamedTables:
     """cauchy_distances, distances_to and viscous_smallness of a sweep,
     reduced while run_sweep runs it: pass store_for to run_sweep, then call
     tables(sweep).
 
-    Each entry's store feeds the smallness pass and, once the reference has
-    run, the distance passes against the reference and against the
-    previous completed entry (its Cauchy partner).  It holds the entry's
-    States for later entries: the reference's to the end, another's until
-    the next completed entry has run, the last entry's not at all.
-    hold(index, params) makes the holding store, a snapshots.SnapshotWriter
-    say; by default the States stay in memory and the result of an entry
-    other than the reference keeps only its times.  A failed entry leaves
-    the partner as it was."""
+    Each entry's store is a fan-out (diagnostics.fan_out) of the smallness
+    pass, once the reference has run the distance passes against the
+    reference and against the previous completed entry (its Cauchy
+    partner), and a pass that holds the entry's States for later entries:
+    the reference's to the end, another's until the next completed entry
+    has run, the last entry's not at all.  hold(index, params) makes the
+    holding pass, a snapshots.write_pass say; by default the States stay in
+    memory and the result of an entry other than the reference keeps only
+    its times.  A failed entry's store is closed before it answers, which
+    leaves the partner as it was."""
 
     def __init__(self, plan: SweepPlan, hold=None):
         self.plan, self.hold = plan, hold
         self.reference = self.partner = None  # held series
         self.reference_index = None
-        self.reduced = {}  # index -> the results of its passes
+        self.reduced = {}  # index -> the answers of its passes
 
     def store_for(self, index: int, params: FluidParams):
-        p1 = self.plan.gamma
-        passes = {"grad": smallness_pass(self.plan.snapshots + 1, params)}
+        count, p1 = self.plan.snapshots + 1, self.plan.gamma
+        passes = {"grad": smallness_pass(count, params)}
         last = False
         if self.reference is not None:
             passes["reference"] = distance_pass(self.reference, p1, 2.0)
@@ -416,19 +396,20 @@ class StreamedTables:
                 passes["cauchy"] = distance_pass(self.partner, p1, 2.0)
             last = index == self.reference_index - 1
         if self.hold is not None:
-            inner = self.hold(index, params)
+            passes["series"] = self.hold(index, params)
         else:
-            inner = TimesStore() if last else MemoryStore()
+            passes["series"] = (times_pass if last else collect_pass)(count)
 
-        def finished(series, results):
-            self.reduced[index] = results
+        def finished(answers):
+            series = answers.pop("series")
+            self.reduced[index] = answers
             if self.reference is None:
                 self.reference, self.reference_index = series, index
                 return series
             self.partner = None if last else series
             return series if self.hold or last else series.times
 
-        return _RungStore(inner, passes, finished)
+        return fan_out(passes, count, finished)
 
     def tables(self, sweep: SweepResult):
         """(cauchy_distances, distances_to, viscous_smallness) of the sweep

@@ -20,7 +20,7 @@ from baroflow import diagnostics as dg
 from baroflow.cli import cli_main
 from baroflow.config import ExperimentConfig
 from baroflow.fields import Field, make_grid
-from baroflow.snapshots import SnapshotWriter, scan_series
+from baroflow.snapshots import scan_series, write_pass
 from baroflow.solver import FluidParams, State, preset_ic, total_energy
 from baroflow.sweep import cauchy_distances, distances_to, run_sweep, viscous_smallness
 
@@ -209,10 +209,9 @@ def synthetic_series(directory, d, n, count):
     grid = make_grid(d, n, 2.0 * np.pi)
     params = FluidParams(gamma=1.4, kappa=1.0, mu=1e-3)
     base = preset_ic("random-band", grid, params, seed=3, amplitude=0.2)
-    writer = SnapshotWriter(directory, "run", params)
-    for k in range(count):
-        writer.add(State(t=0.01 * k, rho=base.rho, m=Field(grid=grid, values=(1.0 + 0.01 * k) * base.m.values)))
-    writer.finish()
+    states = [State(t=0.01 * k, rho=base.rho, m=Field(grid=grid, values=(1.0 + 0.01 * k) * base.m.values))
+              for k in range(count)]
+    dg.feed(states, [write_pass(directory, "run", params, count)])
 
 
 def read_csv(path):

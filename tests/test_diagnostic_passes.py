@@ -18,6 +18,7 @@ from baroflow.diagnostics import (
     ckhw_from_spectrum,
     ckhw_statistic,
     default_test_functions,
+    feed,
     fractional_sobolev_norm,
     high_integrability,
     reynolds_quotient,
@@ -33,7 +34,7 @@ from baroflow.diagnostics import (
     _trapezoid_refinement_gap,
 )
 from baroflow.fields import dft_forward, make_grid, weighted_fields
-from baroflow.snapshots import SnapshotWriter, scan_series
+from baroflow.snapshots import scan_series, write_pass
 from baroflow.solver import FluidParams, ForcingSpec, preset_ic, run
 
 TWO_PI = 2.0 * np.pi
@@ -331,10 +332,7 @@ class TestStoredSeries:
 
     def test_passes_match_the_in_memory_series(self, case, tmp_path):
         series, params = case
-        writer = SnapshotWriter(tmp_path, "s", params)
-        for st in series:
-            writer.add(st)
-        writer.finish()
+        feed(series, [write_pass(tmp_path, "s", params, len(series))])
         stored = scan_series(tmp_path, "s")
         T = float(series.times[-1])
         scalars = default_test_functions(series.grid, T)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from baroflow.config import ExperimentConfig
+from baroflow.diagnostics import feed
 from baroflow.fields import Field, make_grid
 from baroflow.snapshots import (
     _HEADER,
     SnapshotFormatError,
-    SnapshotWriter,
     read_snapshot,
     scan_series,
+    write_pass,
     write_snapshot,
 )
 from baroflow.solver import FluidParams, State, preset_ic, run
@@ -163,18 +164,17 @@ def short_run():
 @pytest.fixture
 def demo_dir(tmp_path, short_run):
     """tmp_path, holding short_run's series as demo_NNNN.ckhs: the same
-    run, streamed there through a SnapshotWriter."""
+    run, streamed there through a write_pass."""
     result, params = short_run
-    run(result.series[0], params, T=0.2, snapshots=5, store=SnapshotWriter(tmp_path, "demo", params))
+    run(result.series[0], params, T=0.2, snapshots=5, store=write_pass(tmp_path, "demo", params, 6))
     return tmp_path
 
 
 class TestSeries:
     def test_series_round_trip(self, tmp_path, short_run):
         result, params = short_run
-        writer = SnapshotWriter(tmp_path, "demo", params)
-        run(result.series[0], params, T=0.2, snapshots=5, store=writer)
-        assert [p.name for p in writer.paths] == [f"demo_{i:04d}.ckhs" for i in range(6)]
+        streamed = run(result.series[0], params, T=0.2, snapshots=5, store=write_pass(tmp_path, "demo", params, 6))
+        assert [p.name for p in streamed.series.paths] == [f"demo_{i:04d}.ckhs" for i in range(6)]
         back = scan_series(tmp_path, "demo")
         assert len(back) == len(result.series)
         for got, want in zip(back, result.series):
@@ -194,10 +194,7 @@ class TestSeries:
 
     def test_prefix_isolation(self, demo_dir, short_run):
         result, params = short_run
-        writer = SnapshotWriter(demo_dir, "other", params)
-        for st in result.series[:2]:
-            writer.add(st)
-        writer.finish()
+        feed(result.series[:2], [write_pass(demo_dir, "other", params, 2)])
         assert len(scan_series(demo_dir, "other")) == 2 and len(scan_series(demo_dir, "demo")) == 6
 
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
@@ -206,7 +203,7 @@ class TestSeries:
         params = FluidParams(gamma=1.4, kappa=1.0, mu=5e-3)
         initial = preset_ic("random-band", grid, params, seed=30 + d, amplitude=0.3)
         held = run(initial, params, T=0.05, snapshots=3).series
-        run(initial, params, T=0.05, snapshots=3, store=SnapshotWriter(tmp_path, "demo", params))
+        run(initial, params, T=0.05, snapshots=3, store=write_pass(tmp_path, "demo", params, 4))
         stored = scan_series(tmp_path, "demo")
         assert len(stored) == len(held) == 4 and np.array_equal(stored.times, held.times)
         states = list(stored)
@@ -279,12 +276,13 @@ class TestSeries:
 
 
 class TestSnapshotWriter:
+    """snapshots.write_pass, the writing feed pass."""
+
     def test_streams_the_series_of_a_run(self, tmp_path, short_run):
         result, params = short_run
-        writer = SnapshotWriter(tmp_path / "new", "demo", params)
         initial = result.series[0]
-        streamed = run(initial, params, T=0.2, snapshots=5, store=writer)
-        assert writer.paths == [tmp_path / "new" / f"demo_{i:04d}.ckhs" for i in range(6)]
+        streamed = run(initial, params, T=0.2, snapshots=5, store=write_pass(tmp_path / "new", "demo", params, 6))
+        assert streamed.series.paths == [tmp_path / "new" / f"demo_{i:04d}.ckhs" for i in range(6)]
         assert list(streamed.series.times) == list(result.series.times)
         assert len(streamed.series) == 6 and streamed.series.grid == initial.grid
         for got, want in zip(streamed.series, result.series):
@@ -295,13 +293,14 @@ class TestSnapshotWriter:
 
     def test_files_are_partial_until_finish(self, tmp_path, short_run):
         result, params = short_run
-        writer = SnapshotWriter(tmp_path, "demo", params)
-        for st in result.series:
-            writer.add(st)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [f"demo_{i:04d}.ckhs.part" for i in range(6)]
+        writer = write_pass(tmp_path, "demo", params, 6)
+        next(writer)
+        for st in result.series[:5]:
+            assert writer.send(st) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"demo_{i:04d}.ckhs.part" for i in range(5)]
         with pytest.raises(FileNotFoundError):
             scan_series(tmp_path, "demo")
-        stored = writer.finish()
+        stored = writer.send(result.series[5])
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"demo_{i:04d}.ckhs" for i in range(6)]
         scanned = scan_series(tmp_path, "demo")
         assert (stored.meta, stored.grid) == (scanned.meta, scanned.grid)
@@ -312,31 +311,26 @@ class TestSnapshotWriter:
         kept = tmp_path / "kept"
         kept.mkdir()
         for directory in (kept, tmp_path / "made"):
-            writer = SnapshotWriter(directory, "demo", params)
-            for st in result.series:
-                writer.add(st)
-            writer.discard()
+            writer = write_pass(directory, "demo", params, 6)
+            next(writer)
+            for st in result.series[:5]:  # all but the last, which would answer
+                writer.send(st)
+            writer.close()
         assert kept.is_dir() and not any(kept.iterdir())
         assert not (tmp_path / "made").exists()
 
     def test_the_series_is_what_was_written(self, demo_dir, short_run):
         # files a longer, earlier series left behind do not join the new one
         result, params = short_run
-        writer = SnapshotWriter(demo_dir, "demo", params)
-        for st in result.series[:3]:
-            writer.add(st)
-        stored = writer.finish()
+        stored = feed(result.series[:3], [write_pass(demo_dir, "demo", params, 3)])[0]
         assert len(stored) == 3 and [st.t for st in stored] == list(result.series.times[:3])
 
     def test_finish_deletes_the_longer_series_of_its_prefix_only(self, tmp_path, short_run):
         result, params = short_run
         for prefix in ("demo", "other"):
-            run(result.series[0], params, T=0.2, snapshots=5, store=SnapshotWriter(tmp_path, prefix, params))
+            run(result.series[0], params, T=0.2, snapshots=5, store=write_pass(tmp_path, prefix, params, 6))
         (tmp_path / "demo_0005.ckhs.bak").write_bytes(b"kept")
-        writer = SnapshotWriter(tmp_path, "demo", params)
-        for st in result.series[:3]:
-            writer.add(st)
-        writer.finish()
+        feed(result.series[:3], [write_pass(tmp_path, "demo", params, 3)])
         assert sorted(p.name for p in tmp_path.glob("demo_*")) == (
             [f"demo_{i:04d}.ckhs" for i in range(3)] + ["demo_0005.ckhs.bak"])
         assert len(scan_series(tmp_path, "demo")) == 3 and len(scan_series(tmp_path, "other")) == 6

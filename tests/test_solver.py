@@ -14,7 +14,7 @@ from baroflow.solver import (
     FluidParams,
     ForcingSpec,
     MassDriftError,
-    MemoryStore,
+    SnapshotSeries,
     State,
     _Stepper,
     _fields,
@@ -460,33 +460,29 @@ class TestRun:
         with pytest.raises(ValueError, match="horizon"):
             run(st, FluidParams(), T=-1.0)
 
-    class Recorder(MemoryStore):
-        """A memory store that logs what run asks of it."""
-
-        def __init__(self):
-            super().__init__()
-            self.calls = []
-
-        def add(self, state):
-            self.calls.append(("add", state.t))
-            super().add(state)
-
-        def finish(self):
-            self.calls.append(("finish",))
-            return super().finish()
-
-        def discard(self):
-            self.calls.append(("discard",))
-            super().discard()
+    @staticmethod
+    def recorder(count, calls):
+        """A collecting pass that logs what run asks of it in calls."""
+        states = []
+        try:
+            for _ in range(count):
+                st = yield
+                calls.append(("send", st.t))
+                states.append(st)
+        except GeneratorExit:
+            calls.append(("close", len(states)))
+            raise
+        calls.append(("answer",))
+        yield SnapshotSeries(states=tuple(states))
 
     def test_each_snapshot_goes_to_the_store_in_order(self):
         g = make_grid(2, 16, TWO_PI)
         params = FluidParams(mu=1e-2, forcing=ForcingSpec(mode="trig", terms=(((0.05, 0.0), (1, 0), 0.0),)))
         st = preset_ic("random-band", g, params, seed=4, amplitude=0.3)
-        store = self.Recorder()
-        res = run(st, params, T=0.1, snapshots=4, store=store)
+        calls = []
+        res = run(st, params, T=0.1, snapshots=4, store=self.recorder(5, calls))
         plain = run(st, params, T=0.1, snapshots=4)
-        assert store.calls == [("add", t) for t in plain.series.times] + [("finish",)]
+        assert calls == [("send", t) for t in plain.series.times] + [("answer",)]
         assert res.series.states[0] is st
         for a, b in zip(res.series, plain.series):
             assert np.array_equal(a.rho.values, b.rho.values) and np.array_equal(a.m.values, b.m.values)
@@ -495,6 +491,8 @@ class TestRun:
 
     @pytest.mark.parametrize("failure", ["blow-up", "mass drift"])
     def test_a_run_that_raises_discards_its_snapshots(self, failure):
+        # the pass is closed before it answers: the mass check comes before
+        # the last snapshot is sent
         g = make_grid(1, 16, TWO_PI)
         params = FluidParams(mu=1e-2)
         value = np.nan if failure == "blow-up" else 1e-3
@@ -502,13 +500,13 @@ class TestRun:
         def source(t, rho, m):
             return np.full_like(rho, value if t > 0.027 else 0.0), np.zeros_like(m)
 
-        store = self.Recorder()
+        calls = []
         with pytest.raises(BlowUpError):
             run(preset_ic("acoustic-pulse", g, params), params, T=0.1, snapshots=2, dt_cap=0.01,
-                extra_source=source, store=store)
-        adds = 1 if failure == "blow-up" else 3  # the drift shows only at the end
-        assert [call[0] for call in store.calls] == ["add"] * adds + ["discard"]
-        assert store.states == []
+                extra_source=source, store=self.recorder(3, calls))
+        sends = 1 if failure == "blow-up" else 2  # the drift shows only at the end
+        assert [call[0] for call in calls] == ["send"] * sends + ["close"]
+        assert calls[-1] == ("close", sends)
 
 
 class TestManufacturedSolution:

@@ -17,7 +17,7 @@ from baroflow.diagnostics import (
     weak_residuals,
 )
 from baroflow.fields import Field, make_grid
-from baroflow.snapshots import SnapshotWriter
+from baroflow.snapshots import write_pass
 from baroflow.solver import FluidParams, SnapshotSeries, State, cfl_dt, preset_ic
 from baroflow.sweep import (
     StreamedTables,
@@ -161,7 +161,7 @@ class TestRunSweep:
 
         def store_for(i, params):
             made.append((i, params.mu))
-            return SnapshotWriter(tmp_path / f"entry_{i:02d}", "run", params)
+            return write_pass(tmp_path / f"entry_{i:02d}", "run", params, plan.snapshots + 1)
 
         stored = run_sweep(plan, store_for)
         # the least viscous entry first, as the reference, then from the most viscous down
@@ -183,7 +183,7 @@ class TestRunSweep:
             ic="random-band", ic_seed=7, ic_amplitude=5.0,
             T=0.4, snapshots=4,
         )
-        sweep = run_sweep(plan, lambda i, params: SnapshotWriter(tmp_path / f"entry_{i:02d}", "run", params))
+        sweep = run_sweep(plan, lambda i, params: write_pass(tmp_path / f"entry_{i:02d}", "run", params, plan.snapshots + 1))
         assert [e.completed for e in sweep.entries] == [True, False]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["entry_00"]
         assert len(list((tmp_path / "entry_00").iterdir())) == 5
