@@ -253,7 +253,9 @@ def _cmd_diagnose(args) -> int:
             "ns_max_rel": weak.ns_max_rel,
             "csv": "residuals.csv",
         }
-        report["admissibility"] = {**_admissibility(adm), "work_assumed_zero": True}
+        # v1 snapshots record no forcing work W, so a forced run's verdict is unknown
+        verdict = {"admissible": None} if params.forcing.active else {}
+        report["admissibility"] = {**_admissibility(adm), **verdict, "work_assumed_zero": True}
         rq = dg.reynolds_quotient(last, dcfg.theta)
         np.save(out / "reynolds_trace.npy", rq.V)
         report["reynolds"] = {
@@ -328,6 +330,7 @@ def _cmd_sweep(args) -> int:
             "ns_max_rel": limit.weak.ns_max_rel,
             "euler_deficit_rel": limit.weak.euler_max_rel,
             "admissible": limit.admissibility.admissible,
+            "ledger_rel": limit.ledger_rel,
             "vacuum_fraction": limit.vacuum_fraction,
             "m_t": limit.m_t,
             "rel_tol": limit.rel_tol,

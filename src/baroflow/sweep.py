@@ -430,6 +430,8 @@ class StreamedTables:
 # largest weak residual, relative to its family's gross scale, of a
 # plausible limit
 REL_TOL = 1e-4
+# largest |R(T)|/E(0) of a plausible limit's energy ledger
+LEDGER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -445,7 +447,9 @@ class LimitCandidateReport:
     test set (a symmetric flow on the default low-mode set does exactly
     that), and would veto a run whose residuals sit at machine
     round-off.  The verdict requires mass and full-equation ratios
-    within rel_tol plus admissible energy; euler_max_rel is reported as
+    within rel_tol, admissible energy and a ledger that closes, its final
+    residual |R(T)|/E(0) (ledger_rel) within LEDGER_TOL, the acceptance
+    gate's ledger tolerance; euler_max_rel is reported as
     the vanishing-viscosity deficit (it equals the measured viscous
     term, shrinking with mu) rather than gated, since it only vanishes
     in the limit.
@@ -454,6 +458,7 @@ class LimitCandidateReport:
     mu: float
     weak: WeakResiduals
     admissibility: AdmissibilityResult
+    ledger_rel: float
     vacuum_fraction: float
     m_t: float
     rel_tol: float
@@ -464,9 +469,9 @@ def limit_candidate_check(sweep: SweepResult, theta: float = 1e-6) -> LimitCandi
     """Judge whether the smallest-mu run looks like a weak limit point.
 
     Checks weak mass and momentum residuals against a deterministic
-    low-mode test set, energy admissibility from the run ledger, the
-    vacuum fraction of the final state, and the decay-bound constant
-    of the time-integrated spectrum.
+    low-mode test set, energy admissibility and the closure of the run
+    ledger, the vacuum fraction of the final state, and the decay-bound
+    constant of the time-integrated spectrum.
     """
     done = sweep.completed
     if not done:
@@ -478,6 +483,7 @@ def limit_candidate_check(sweep: SweepResult, theta: float = 1e-6) -> LimitCandi
     weak, spec, last = feed(series, [weak_pass(series, entry.params, *tests), spectral_pass(series, entry.params)])
     ledger = entry.result.report
     adm = energy_admissibility(ledger.t, ledger.E, ledger.W)
+    ledger_rel = abs(float(ledger.R[-1])) / ledger.E0
     quo = reynolds_quotient(last, theta)
     m_t = decay_constant(spec.integrated_energy, 1, grid.n // 3)
 
@@ -485,12 +491,14 @@ def limit_candidate_check(sweep: SweepResult, theta: float = 1e-6) -> LimitCandi
         weak.mass_max_rel <= REL_TOL
         and weak.ns_max_rel <= REL_TOL
         and adm.admissible
+        and ledger_rel <= LEDGER_TOL
         and math.isfinite(m_t)
     )
     return LimitCandidateReport(
         mu=entry.mu,
         weak=weak,
         admissibility=adm,
+        ledger_rel=ledger_rel,
         vacuum_fraction=quo.vacuum_fraction,
         m_t=m_t,
         rel_tol=REL_TOL,

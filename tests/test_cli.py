@@ -260,7 +260,9 @@ def expected_reports(series, params, dcfg):
         "moduli": {"space": {"density_slope": sm.density_slope, "momentum_slope": sm.momentum_slope},
                    "time": {"density_slope": tm.density_slope, "momentum_slope": tm.momentum_slope}},
         "residuals": {"mass_max_rel": weak.mass_max_rel, "ns_max_rel": weak.ns_max_rel},
-        "admissibility": {"max_residual": adm.max_residual, "tol": adm.tol, "admissible": adm.admissible},
+        # stored snapshots record no forcing work, so a forced series has no verdict
+        "admissibility": {"max_residual": adm.max_residual, "tol": adm.tol,
+                          "admissible": None if params.forcing.active else adm.admissible},
         "reynolds": {"trace_min": float(np.min(rq.V)), "trace_mean": float(np.mean(rq.V)),
                      "trace_max": float(np.max(rq.V)), "vacuum_fraction": rq.vacuum_fraction},
     }
@@ -549,6 +551,20 @@ class TestDiagnose:
                 assert data[section][key] == value, (section, key)
         assert np.array_equal(np.load(out / "reynolds_trace.npy"), trace)
 
+    @pytest.mark.parametrize("config,forced", [(FORCED_2D_CONFIG, True), (FREE_3D_CONFIG, False)],
+                             ids=["2d-forced", "3d-free"])
+    def test_a_forced_series_gets_no_admissibility_verdict(self, tmp_path, config, forced):
+        # the snapshots record no forcing work W; judging a forced run with
+        # W = 0 gives a verdict on the wrong ledger
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(config)
+        series_dir, out = tmp_path / "series", tmp_path / "report"
+        cli_ok(["simulate", "--config", str(cfg), "--out", str(series_dir)])
+        cli_ok(["diagnose", "--dir", str(series_dir), "--config", str(cfg), "--out", str(out), "--residuals"])
+        adm = json.loads((out / "diagnostics.json").read_text())["admissibility"]
+        assert (adm["admissible"] is None) is forced
+        assert math.isfinite(adm["max_residual"]) and adm["tol"] > 0 and adm["work_assumed_zero"] is True
+
     def test_memory_does_not_grow_with_the_series(self, tmp_path, traced_peak):
         # the traced peak of a diagnose call at 64 snapshots may exceed the
         # one at 16 by the rows kept per snapshot (spectrum and weak-form
@@ -626,7 +642,7 @@ class TestSweep:
         for row in data["smallness"]["rows"]:
             assert set(row) == {"mu", "grad_u_l2", "mu_grad", "sqrt_mu_grad", "dissipation"}
         assert set(data["limit_candidate"]) == {
-            "mu", "mass_max_rel", "ns_max_rel", "euler_deficit_rel", "admissible",
+            "mu", "mass_max_rel", "ns_max_rel", "euler_deficit_rel", "admissible", "ledger_rel",
             "vacuum_fraction", "m_t", "rel_tol", "plausible_limit",
         }
 

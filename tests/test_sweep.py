@@ -352,6 +352,21 @@ class TestLimitCandidate:
         assert math.isfinite(report.m_t) and report.m_t > 0
         assert report.plausible_limit
 
+    def test_a_reference_whose_ledger_does_not_close_is_no_plausible_limit(self, acoustic_sweep):
+        plan, sweep = acoustic_sweep
+        report = limit_candidate_check(sweep)
+        ledger = sweep.entries[-1].result.report
+        assert report.ledger_rel == abs(ledger.R[-1]) / ledger.E0 < 1e-6 and report.plausible_limit
+        for rel, plausible in ((0.5e-6, True), (2e-6, False)):
+            R = ledger.R.copy()
+            R[-1] = -rel * ledger.E0
+            last = sweep.entries[-1]
+            broken = dataclasses.replace(last, result=dataclasses.replace(
+                last.result, report=dataclasses.replace(ledger, R=R)))
+            got = limit_candidate_check(dataclasses.replace(sweep, entries=sweep.entries[:-1] + (broken,)))
+            assert math.isclose(got.ledger_rel, rel, rel_tol=1e-12) and got.plausible_limit is plausible
+            assert (got.weak, got.admissibility.admissible, got.m_t) == (report.weak, True, report.m_t)
+
     def test_euler_deficit_equals_viscous_term(self, acoustic_sweep):
         plan, sweep = acoustic_sweep
         report = limit_candidate_check(sweep)
