@@ -181,7 +181,7 @@ def feed(series, passes) -> list:
     return results + [st]
 
 
-def fan_out(passes: dict, count: int, answer=dict):
+def fan_out(passes: dict, count: int, answer):
     """One feed pass of count States that sends each to every pass of the
     dict passes, each set up for count States too, and answers with
     answer(their answers by name).  Closed before then, it closes them."""

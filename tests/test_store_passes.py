@@ -102,7 +102,7 @@ def test_a_run_that_raises_closes_the_pass(tmp_path, name, failure):
 
 def test_a_closed_fan_out_closes_its_passes():
     passes = {"states": collect_pass(COUNT), "times": times_pass(COUNT)}
-    fan = fan_out(passes, COUNT)
+    fan = fan_out(passes, COUNT, dict)
     next(fan)
     fan.send(INITIAL)
     fan.close()
