@@ -571,6 +571,7 @@ def run(
     store = collect_pass(snapshots + 1) if store is None else store
     try:
         next(store)
+        store.send(initial)
         E0 = total_energy(initial, params)
         mass0 = float(np.mean(fields[0]))
         stepper = _Stepper(grid, params, extra_source, ledger=True)
@@ -578,9 +579,7 @@ def run(
         rows = [(t0, E0, 0.0, 0.0)]  # the ledger's (t, E, D, W)
         D_acc = W_acc = 0.0
         steps_done = 0
-        st = initial
-        for _snap in range(snapshots):
-            store.send(st)
+        for snap in range(1, snapshots + 1):
             for _ in range(per):
                 t_now = t0 + steps_done * dt
                 fields_h, fields, dD, dW = stepper.advance(fields_h, fields, t_now, dt)
@@ -589,13 +588,13 @@ def run(
                 steps_done += 1
             t_now = t0 + steps_done * dt
             st = _state(t_now, grid, fields)
+            if snap == snapshots:
+                mass1 = float(np.mean(fields[0]))
+                scale = max(abs(mass0), 1e-300)
+                if abs(mass1 - mass0) > 1e-10 * scale:
+                    raise MassDriftError(f"mass drifted by {abs(mass1 - mass0) / scale:.3e} relative", t=t_now)
+            series = store.send(st)
             rows.append((t_now, total_energy(st, params), D_acc, W_acc))
-
-        mass1 = float(np.mean(fields[0]))
-        scale = max(abs(mass0), 1e-300)
-        if abs(mass1 - mass0) > 1e-10 * scale:
-            raise MassDriftError(f"mass drifted by {abs(mass1 - mass0) / scale:.3e} relative", t=t_now)
-        series = store.send(st)
     except BaseException:
         store.close()
         raise

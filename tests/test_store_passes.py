@@ -76,7 +76,9 @@ PASSES = {"collect": collect, "times": times, "write": write, "rung": rung, "wri
 def test_feed_and_run_give_the_same_answer(tmp_path, name):
     make = PASSES[name]
     store, view, _ = make(tmp_path / "live")
-    live = view(run_rung(1, store).series)
+    answer = run_rung(1, store).series
+    assert len(answer) == COUNT  # bench/tracing.py counts steps by len(run(...).series)
+    live = view(answer)
     series = run_rung(1).series
     store, view, _ = make(tmp_path / "fed")
     assert view(feed(series, [store])[0]) == live
