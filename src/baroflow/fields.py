@@ -81,6 +81,9 @@ class PeriodicGrid:
         Integer shell index round(|mode|) on the half lattice.
     dealias_half : ndarray of bool
         Two-thirds-rule mask, True where |mode| <= n//3 on every axis.
+    dealias_modes : ndarray of intp
+        Flat C-order indices of dealias_half's modes in half_shape, the
+        order of the two-thirds block.
     parseval_weight : ndarray
         Hermitian multiplicity of each half-lattice mode along the last
         axis, broadcastable: 1 at last-axis modes 0 and n/2, 2 elsewhere.
@@ -141,6 +144,7 @@ class PeriodicGrid:
         for m in half_modes:
             keep &= np.abs(m) <= n // 3
         object.__setattr__(self, "dealias_half", keep)
+        object.__setattr__(self, "dealias_modes", np.flatnonzero(keep))
         weight = np.full(h, 2.0)
         weight[0] = weight[-1] = 1.0
         object.__setattr__(self, "parseval_weight", weight)
@@ -207,7 +211,7 @@ class PeriodicGrid:
         -+mode with weights amps * (-1)^sum(mode) * e^{+-i phase} / 2.  Sources
         past the last axis's n/2 are conjugates of their Hermitian mirrors.
         """
-        modes = np.flatnonzero(self.dealias_half)
+        modes = self.dealias_modes
         lattice = np.unravel_index(modes, self.half_shape)
         index, mirrored, weight = [], [], []
         for amps, mode_vec, phase in terms:

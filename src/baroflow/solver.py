@@ -49,7 +49,9 @@ __all__ = [
     "State",
     "EnergyReport",
     "SnapshotSeries",
+    "BlockSeries",
     "collect_pass",
+    "block_pass",
     "times_pass",
     "RunResult",
     "BlowUpError",
@@ -172,11 +174,16 @@ class FluidParams:
 
 @dataclass(frozen=True)
 class State:
-    """Flow snapshot: time, scalar density and d-component momentum."""
+    """Flow snapshot: time, scalar density and d-component momentum.
+
+    coef is None except while run sends the State to its store: then it is
+    the stacked half-lattice coefficients (rho^, m^) whose grid.irfft gave
+    the samples, for block_pass.  Equality and repr ignore it."""
 
     t: float
     rho: Field
     m: Field
+    coef: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.rho.is_scalar:
@@ -252,6 +259,59 @@ def collect_pass(count: int):
     yield SnapshotSeries(states=tuple(states))
 
 
+@dataclass(frozen=True)
+class BlockSeries:
+    """The series block_pass keeps, read lazily like snapshots.StoredSeries:
+    held has one entry per time, a State or the two-thirds block, shape
+    (d + 1, len(grid.dealias_modes)), of a State's coefficients, whose
+    other modes are outer, shared.  Iterating rebuilds each blocked State
+    by the run's own grid.irfft of those coefficients, so every sample is
+    the run's to the bit; no rebuilt State is kept."""
+
+    grid: PeriodicGrid
+    times: np.ndarray
+    held: tuple
+    outer: np.ndarray  # None when no State is blocked
+
+    def __len__(self):
+        return len(self.times)
+
+    def __iter__(self):
+        grid = self.grid
+        outside = np.flatnonzero(~grid.dealias_half)
+        for t, item in zip(self.times.tolist(), self.held):
+            if isinstance(item, State):
+                yield item
+                continue
+            coef = np.empty((grid.d + 1,) + grid.half_shape, dtype=np.complex128)
+            for row, block, outer in zip(coef.reshape(grid.d + 1, -1), item, self.outer):
+                row[grid.dealias_modes] = block
+                row[outside] = outer
+            yield _state(t, grid, grid.irfft(coef, scratch=coef))  # coef is spent on the complex passes
+
+
+def block_pass(count: int):
+    """A feed pass like collect_pass that holds a run's States in about a
+    third of their samples' bytes in 3D: each State that carries its
+    coefficients (State.coef) is kept as their two-thirds block when its
+    other modes equal those of the first such State bit for bit (compared
+    as int64), and every other State as it is: the initial state, and a run
+    with an extra source, which moves those modes.  It answers with their
+    BlockSeries."""
+    times, held, outer = [], [], None
+    for _ in range(count):
+        st = yield
+        grid = st.grid
+        times.append(st.t)
+        if st.coef is not None:  # C-ordered copies of its modes, no view of it
+            other = np.take(st.coef.reshape(grid.d + 1, -1), np.flatnonzero(~grid.dealias_half), axis=1)
+            outer = other if outer is None else outer
+            if np.array_equal(other.view(np.int64), outer.view(np.int64)):
+                st = np.take(st.coef.reshape(grid.d + 1, -1), grid.dealias_modes, axis=1)
+        held.append(st)
+    yield BlockSeries(grid=grid, times=np.array(times), held=tuple(held), outer=outer)
+
+
 def times_pass(count: int):
     """A feed pass that keeps no State, for a run whose States are not read
     afterwards: it answers with the times of the count States, an array."""
@@ -284,8 +344,8 @@ def _fields(state: State) -> np.ndarray:
     return np.concatenate((state.rho.values[None], state.m.values))
 
 
-def _state(t: float, grid: PeriodicGrid, fields: np.ndarray) -> State:
-    return State(t=t, rho=Field(grid=grid, values=fields[0]), m=Field(grid=grid, values=fields[1:]))
+def _state(t: float, grid: PeriodicGrid, fields: np.ndarray, coef=None) -> State:
+    return State(t=t, rho=Field(grid=grid, values=fields[0]), m=Field(grid=grid, values=fields[1:]), coef=coef)
 
 
 class _Stepper:
@@ -546,9 +606,12 @@ def run(
     States, collect_pass's by default: run sends it each snapshot, the
     initial state first, as the run reaches it, and the result's series is
     its answer.  snapshots.write_pass streams them to disk, times_pass keeps
-    the times alone.  The mass check comes before the last snapshot is sent,
+    the times alone, block_pass keeps the coefficients' two-thirds blocks:
+    each later State carries its coefficients (State.coef) until the store
+    has taken it.  The mass check comes before the last snapshot is sent,
     so a run that raises, blow-up and mass drift included, closes the pass
-    before it answers.
+    before it answers.  So does a store that answers before the last State
+    or not on it, with a ValueError.
     """
     run_window(T, snapshots)
     if dt_cap is not None and not dt_cap > 0:
@@ -568,10 +631,24 @@ def run(
     fields = _fields(initial)
     fields_h = grid.rfft(fields)
     t0 = initial.t
-    store = collect_pass(snapshots + 1) if store is None else store
+    count = snapshots + 1
+    store = collect_pass(count) if store is None else store
+
+    def send(st, index):
+        """store's answer to st, the index-th State: None before the last,
+        something on it."""
+        of = f"at State {index + 1} of the run's snapshots + 1 = {count}"
+        try:
+            answer = store.send(st)
+        except StopIteration:
+            raise ValueError(f"store stopped {of}") from None
+        if (answer is None) != (index < count - 1):
+            raise ValueError(f"store {'did not answer' if answer is None else 'answered'} {of}")
+        return answer
+
     try:
         next(store)
-        store.send(initial)
+        send(initial, 0)
         E0 = total_energy(initial, params)
         mass0 = float(np.mean(fields[0]))
         stepper = _Stepper(grid, params, extra_source, ledger=True)
@@ -587,13 +664,14 @@ def run(
                 W_acc += dW
                 steps_done += 1
             t_now = t0 + steps_done * dt
-            st = _state(t_now, grid, fields)
+            st = _state(t_now, grid, fields, fields_h)
             if snap == snapshots:
                 mass1 = float(np.mean(fields[0]))
                 scale = max(abs(mass0), 1e-300)
                 if abs(mass1 - mass0) > 1e-10 * scale:
                     raise MassDriftError(f"mass drifted by {abs(mass1 - mass0) / scale:.3e} relative", t=t_now)
-            series = store.send(st)
+            series = send(st, snap)
+            object.__setattr__(st, "coef", None)  # no State a pass keeps pins the coefficients
             rows.append((t_now, total_energy(st, params), D_acc, W_acc))
     except BaseException:
         store.close()

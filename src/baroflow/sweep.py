@@ -18,7 +18,7 @@ feed them over a sweep's stored series; StreamedTables, which the CLI
 uses, gives each entry's run a fan-out of them as its store.  It holds
 the reference's series, the previous completed entry's until the next
 completed entry has run, and the running entry's when a later entry
-will pair with it.
+will pair with it; in memory, each as solver.block_pass keeps it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .solver import (
     ForcingSpec,
     RunResult,
     SnapshotSeries,
+    block_pass,
     cfl_dt,
-    collect_pass,
     preset_ic,
     run,
     run_window,
@@ -375,10 +375,11 @@ class StreamedTables:
     partner), and a pass that holds the entry's States for later entries:
     the reference's to the end, another's until the next completed entry
     has run, the last entry's not at all.  hold(index, params) makes the
-    holding pass, a snapshots.write_pass say; by default the States stay in
-    memory and the result of an entry other than the reference keeps only
-    its times.  A failed entry's store is closed before it answers, which
-    leaves the partner as it was."""
+    holding pass, a snapshots.write_pass say; by default a block_pass keeps
+    the States in memory as their coefficients' two-thirds blocks, and the
+    result of an entry other than the reference keeps only its times.  A
+    failed entry's store is closed before it answers, which leaves the
+    partner as it was."""
 
     def __init__(self, plan: SweepPlan, hold=None):
         self.plan, self.hold = plan, hold
@@ -398,7 +399,7 @@ class StreamedTables:
         if self.hold is not None:
             passes["series"] = self.hold(index, params)
         else:
-            passes["series"] = (times_pass if last else collect_pass)(count)
+            passes["series"] = (times_pass if last else block_pass)(count)
 
         def finished(answers):
             series = answers.pop("series")

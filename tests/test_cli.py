@@ -21,7 +21,7 @@ from baroflow.cli import cli_main
 from baroflow.config import ExperimentConfig
 from baroflow.fields import Field, make_grid
 from baroflow.snapshots import scan_series, write_pass
-from baroflow.solver import FluidParams, State, preset_ic, total_energy
+from baroflow.solver import BlockSeries, FluidParams, State, preset_ic, total_energy
 from baroflow.sweep import cauchy_distances, distances_to, run_sweep, viscous_smallness
 
 SIM_CONFIG = """
@@ -709,32 +709,40 @@ class TestSweep:
         assert cauchy.mu_pairs == ((0.01, 0.0025), (0.0025, 0.00125))
 
     def test_without_snapshots_two_rungs_of_states_are_held(self, tmp_path, monkeypatch):
-        # after each rung of a 4-rung ladder the States alive are the
-        # reference's and the previous completed rung's series (which share
-        # the initial State), or fewer; keeping every series would hold 4
-        refs = []
-        check = State.__post_init__
+        # after each rung of a 4-rung ladder the series alive are the
+        # reference's and the previous completed rung's, or fewer; keeping
+        # every series would hold 4.  They share the initial State, the one
+        # State alive, and hold each later State as a coefficient block
+        refs, held = [], []
+        check, init = State.__post_init__, BlockSeries.__init__
 
         def counted(state):
             check(state)
             refs.append(weakref.ref(state))
 
+        def counted_series(series, *args, **kwargs):
+            init(series, *args, **kwargs)
+            held.append(weakref.ref(series))
+
         monkeypatch.setattr(State, "__post_init__", counted)
+        monkeypatch.setattr(BlockSeries, "__init__", counted_series)
         alive, real_run = [], baroflow.sweep.run
 
         def run(*args, **kwargs):
             result = real_run(*args, **kwargs)
             del args, kwargs  # the store, as run_sweep drops it
             gc.collect()
-            alive.append(sum(ref() is not None for ref in refs))
+            series = [s for ref in held if (s := ref()) is not None]
+            blocks = sum(not isinstance(h, State) for s in series for h in s.held)
+            alive.append((sum(ref() is not None for ref in refs), blocks))
             return result
 
         monkeypatch.setattr(baroflow.sweep, "run", run)
         cfg = tmp_path / "exp.ini"
         cfg.write_text(SWEEP_CONFIG.replace("count = 3", "count = 4").replace("snapshots = 60", "snapshots = 8"))
         cli_ok(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        per_rung = 9
-        assert alive == [per_rung, 2 * per_rung - 1, 2 * per_rung - 1, per_rung]
+        per_rung = 8
+        assert alive == [(1, per_rung), (1, 2 * per_rung), (1, 2 * per_rung), (1, per_rung)]
 
     @pytest.mark.parametrize("config", ["1d", "3d-forced"])
     def test_snapshots_leave_the_reports_unchanged(self, tmp_path, config):

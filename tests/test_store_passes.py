@@ -1,18 +1,34 @@
 """The one snapshot-consumer protocol: every pass the CLI hands solver.run
-as its store (collect, times, write, a sweep rung's fan-out, with and
-without a writing hold) answers the same whether diagnostics.feed drives
-it over a stored series or run drives it live, and a run that raises
-mid-series closes it before it answers, leaving nothing behind."""
+as its store (collect, block, times, write, a sweep rung's fan-out, with
+and without a writing hold) answers the same whether diagnostics.feed
+drives it over a stored series or run drives it live, and a run that
+raises mid-series, or whose store answers on another State than its
+last, closes it before it answers, leaving nothing behind.  block_pass
+rebuilds the States it holds as coefficient blocks bit for bit."""
 
+import dataclasses
+import gc
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from baroflow.diagnostics import fan_out, feed
-from baroflow.fields import make_grid
+from baroflow.fields import Field, make_grid
 from baroflow.snapshots import write_pass
-from baroflow.solver import BlowUpError, MassDriftError, collect_pass, preset_ic, run, times_pass
+from baroflow.solver import (
+    BlowUpError,
+    FluidParams,
+    ForcingSpec,
+    MassDriftError,
+    State,
+    block_pass,
+    collect_pass,
+    preset_ic,
+    run,
+    times_pass,
+)
 from baroflow.sweep import StreamedTables, SweepPlan
 
 PLAN = SweepPlan(mu_values=(0.02, 0.01, 0.005), d=1, n=16, ic="acoustic-pulse", T=0.1, snapshots=4)
@@ -36,6 +52,10 @@ def stored(answer):
 
 def collect(where):
     return collect_pass(COUNT), states, lambda: []
+
+
+def block(where):
+    return block_pass(COUNT), states, lambda: []
 
 
 def times(where):
@@ -69,7 +89,8 @@ def writing_rung(where):
     return rung(where, lambda i, params: write_pass(where / f"entry_{i:02d}", "run", params, COUNT))
 
 
-PASSES = {"collect": collect, "times": times, "write": write, "rung": rung, "writing-rung": writing_rung}
+PASSES = {"collect": collect, "block": block, "times": times, "write": write, "rung": rung,
+          "writing-rung": writing_rung}
 
 
 @pytest.mark.parametrize("name", PASSES)
@@ -109,3 +130,98 @@ def test_a_closed_fan_out_closes_its_passes():
     fan.send(INITIAL)
     fan.close()
     assert [inspect.getgeneratorstate(p) for p in passes.values()] == [inspect.GEN_CLOSED] * 2
+
+
+@pytest.mark.parametrize("count, said", [(4, "did not answer at State 3"), (2, "answered at State 2")])
+def test_a_store_set_up_for_another_count_is_closed_with_an_error(count, said):
+    store = times_pass(count)
+    with pytest.raises(ValueError, match=rf"store {said} of the run's snapshots \+ 1 = 3$"):
+        run(INITIAL, PLAN.params_for(0.02), PLAN.T, snapshots=2, dt_cap=DT_CAP, store=store)
+    assert inspect.getgeneratorstate(store) == inspect.GEN_CLOSED
+
+
+def test_a_write_pass_set_up_for_more_states_leaves_no_file(tmp_path):
+    store = write_pass(tmp_path / "run", "demo", PLAN.params_for(0.02), 4)
+    with pytest.raises(ValueError, match="did not answer at State 3"):
+        run(INITIAL, PLAN.params_for(0.02), PLAN.T, snapshots=2, dt_cap=DT_CAP, store=store)
+    assert list(tmp_path.iterdir()) == []
+
+
+def random_band(d, n, forced):
+    terms = (((0.05,) + (0.0,) * (d - 1), (1,) + (0,) * (d - 1), 0.0),)
+    params = FluidParams(mu=0.02, forcing=ForcingSpec(mode="trig", terms=terms) if forced else ForcingSpec())
+    return preset_ic("random-band", make_grid(d, n, 2.0 * np.pi), params, seed=3, amplitude=0.5), params
+
+
+def kept(series):
+    """Which of a BlockSeries' entries are States, kept as they are."""
+    return [isinstance(item, State) for item in series.held]
+
+
+class TestBlockPass:
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 16), (3, 8)])
+    def test_rebuilt_states_equal_the_sent_ones_bit_for_bit(self, d, n, forced):
+        initial, params = random_band(d, n, forced)
+        held = run(initial, params, 0.2, snapshots=4, store=block_pass(5)).series
+        assert kept(held) == [True, False, False, False, False]
+        assert held.times.tolist() == run(initial, params, 0.2, snapshots=4).series.times.tolist()
+        assert states(held) == states(run(initial, params, 0.2, snapshots=4).series)
+
+    def test_an_extra_source_moves_the_outer_modes_and_keeps_the_states(self):
+        initial, params = random_band(2, 16, False)
+
+        def source(t, rho, m):  # a momentum source with modes past the two-thirds block
+            return np.zeros_like(rho), 1e-3 * np.sign(m)
+
+        held = run(initial, params, 0.2, snapshots=4, extra_source=source, store=block_pass(5)).series
+        assert kept(held) == [True, False, True, True, True]  # the first attached State's outer modes are the held ones
+        assert states(held) == states(run(initial, params, 0.2, snapshots=4, extra_source=source).series)
+
+    @pytest.mark.parametrize("zero, blocked", [(0.0, True), (-0.0, False)])
+    def test_an_outer_mode_is_compared_bit_for_bit(self, zero, blocked):
+        grid = INITIAL.grid
+        outer = np.flatnonzero(~grid.dealias_half)
+        coef = grid.rfft(np.concatenate((INITIAL.rho.values[None], INITIAL.m.values)))
+        coef[:, outer] = 0.0
+        second = coef.copy()
+        second[0, outer[0]] = zero
+        sent = [INITIAL] + [
+            State(t=t, rho=Field(grid=grid, values=fields[0]), m=Field(grid=grid, values=fields[1:]), coef=c)
+            for t, c in ((0.1, coef), (0.2, second)) for fields in (grid.irfft(c),)
+        ]
+        held = feed(sent, [block_pass(3)])[0]
+        assert kept(held) == [True, False, not blocked]
+        rebuilt = list(held)
+        assert (rebuilt[2] is sent[2]) != blocked
+        assert states(rebuilt) == states(sent)
+
+    def test_a_pass_that_keeps_its_last_state_keeps_no_coefficients(self):
+        def last(count):
+            for _ in range(count):
+                st = yield
+            yield st
+
+        st = run(INITIAL, PLAN.params_for(0.02), PLAN.T, snapshots=2, dt_cap=DT_CAP, store=last(3)).series
+        assert st.t == PLAN.T and st.coef is None
+
+    def test_state_equality_and_repr_ignore_the_coefficients(self):
+        attached = dataclasses.replace(INITIAL, coef=np.zeros(3))
+        assert attached == INITIAL and repr(attached) == repr(INITIAL)
+
+    def test_a_3d_series_holds_under_a_third_of_its_samples(self):
+        # 21 * 21 * 11 complex modes against 32^3 reals, per field: 0.296
+        initial, params = random_band(3, 32, True)
+        rerun = lambda: run(initial, params, 0.02, snapshots=2, dt_cap=0.01, store=block_pass(3)).series
+        rerun()  # lazy imports and caches before the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = rerun()
+            gc.collect()
+            kept_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        samples = (1 + 3) * 8 * 32**3
+        assert kept(held) == [True, False, False]
+        assert kept_bytes <= 0.31 * 2 * samples + held.outer.nbytes
