@@ -298,20 +298,32 @@ class Field:
 
     Scalar fields store shape grid.shape, multi-component fields
     (components,) + grid.shape.  Values are copied, C-ordered whatever
-    their source, and frozen; fields are immutable once built.
+    their source, and frozen; fields are immutable once built.  The solver
+    alone builds fields on its own fresh arrays without a copy (_adopt).
     """
 
     grid: PeriodicGrid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True, order="C")
+        self._freeze(np.array(self.values, dtype=np.float64, copy=True, order="C"))
+
+    def _freeze(self, vals):
         c = _check_component_shape(self.grid, vals)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "components", c)
+
+    @classmethod
+    def _adopt(cls, grid: PeriodicGrid, values: np.ndarray) -> "Field":
+        """A Field whose samples are values itself, frozen in place: a fresh
+        float64 C-ordered array that its maker only reads from then on."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        field._freeze(values)
+        return field
 
     @property
     def is_scalar(self) -> bool:

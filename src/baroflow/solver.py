@@ -345,7 +345,10 @@ def _fields(state: State) -> np.ndarray:
 
 
 def _state(t: float, grid: PeriodicGrid, fields: np.ndarray, coef=None) -> State:
-    return State(t=t, rho=Field(grid=grid, values=fields[0]), m=Field(grid=grid, values=fields[1:]), coef=coef)
+    """The State on fields, a fresh (d + 1)-field array of the solver's that
+    it only reads from then on: frozen and taken without a copy."""
+    fields.setflags(write=False)
+    return State(t=t, rho=Field._adopt(grid, fields[0]), m=Field._adopt(grid, fields[1:]), coef=coef)
 
 
 class _Stepper:

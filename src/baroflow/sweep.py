@@ -7,23 +7,31 @@ their entry as failed and leave the rest of the sweep usable.
 
 run_sweep runs the least viscous entry first, then the next more
 viscous one, and so on until one completes: that one is the reference,
-the last completed entry.  The entries left run from the most viscous
-down.  Every entry runs once on the same state, parameters and step, so
-the order leaves every State as it is, and the entries are reported in
-index order.
+the last completed entry.  The entries left run in adjacent pairs from
+the most viscous down, (0, 1), (2, 3), ...: the more viscous entry of a
+pair on one helper thread, the other on the calling thread, and a lone
+last entry on the calling thread (numpy's transforms and ufuncs release
+the GIL, so the two runs of a pair overlap).  Every entry runs once on
+the same state, parameters and step, so the order leaves every State as
+it is, and the entries are reported in index order.
 
 The distances and the smallness samples are feed passes
 (diagnostics.feed).  cauchy_distances, distances_to and viscous_smallness
 feed them over a sweep's stored series; StreamedTables, which the CLI
 uses, gives each entry's run a fan-out of them as its store.  It holds
 the reference's series, the previous completed entry's until the next
-completed entry has run, and the running entry's when a later entry
-will pair with it; in memory, each as solver.block_pass keeps it.
+pair has run, and a running pair's when a later entry will pair with
+it; in memory, each as solver.block_pass keeps it.  The less viscous
+entry of a pair reads the other's States live, one at a time, for its
+Cauchy distance, so a 3-entry ladder holds the reference alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,15 +171,25 @@ class SweepResult:
         return any(not e.completed for e in self.entries)
 
 
+def _rounds(reference: int) -> list:
+    """The entries below the reference in the order run_sweep runs them:
+    adjacent pairs, most viscous first, then a lone last entry if one is
+    left."""
+    return [tuple(range(i, min(i + 2, reference))) for i in range(0, reference, 2)]
+
+
 def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
     """Run every entry of the plan on one shared grid, state and dt, in the
     order of the module docstring.
 
     store_for(index, params), if given, makes each entry's store, a feed
-    pass (see solver.run), just before the entry runs; a
-    snapshots.write_pass per entry leaves every completed entry's series on
-    disk, read back lazily, and a failed entry's nowhere.  Without it each
-    series is kept in memory."""
+    pass (see solver.run), before the entry runs, for both entries of a
+    pair in index order; a snapshots.write_pass per entry leaves every
+    completed entry's series on disk, read back lazily, and a failed
+    entry's nowhere.  Without it each series is kept in memory.  Each store
+    is closed once its entry has returned.  An exception other than a
+    BlowUpError leaves run_sweep once both entries of its pair have
+    returned and the helper thread has stopped."""
     grid = make_grid(plan.d, plan.n, plan.P)
     params0 = plan.params_for(plan.mu_values[0])
     initial = preset_ic(plan.ic, grid, params0, seed=plan.ic_seed, amplitude=plan.ic_amplitude)
@@ -180,45 +198,111 @@ def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
     )
     _, shared_dt = snapshot_step(plan.T / plan.snapshots, shared_stable)
 
-    def entry(i):
+    def store_of(i):
+        return None if store_for is None else store_for(i, plan.params_for(plan.mu_values[i]))
+
+    def entry(i, store):
         mu = plan.mu_values[i]
         params = plan.params_for(mu)
         try:
             result = run(
                 initial, params, plan.T, snapshots=plan.snapshots, cfl=plan.cfl, dt_cap=shared_stable,
-                store=None if store_for is None else store_for(i, params),
+                store=store,
             )
             return SweepEntry(mu=mu, params=params, result=result)
         except BlowUpError as exc:
             return SweepEntry(mu=mu, params=params, failure=str(exc))
+        finally:
+            if store is not None:
+                store.close()
 
     entries = [None] * len(plan.mu_values)
     for reference in reversed(range(len(entries))):
-        entries[reference] = entry(reference)
+        entries[reference] = entry(reference, store_of(reference))
         if entries[reference].completed:
             break
-    for i in range(reference):  # none are left when no entry completed
-        entries[i] = entry(i)
+    with ThreadPoolExecutor(max_workers=1) as helper:  # starts its thread on the first pair
+        for pair in _rounds(reference):  # none are left when no entry completed
+            stores = [store_of(i) for i in pair]
+            if len(pair) == 1:
+                entries[pair[0]] = entry(pair[0], stores[0])
+                continue
+            ahead = helper.submit(entry, pair[0], stores[0])
+            try:
+                entries[pair[1]] = entry(pair[1], stores[1])
+            finally:
+                entries[pair[0]] = ahead.result()
     return SweepResult(plan=plan, entries=tuple(entries), shared_dt=shared_dt)
 
 
 def distance_pass(partner, p1: float, p2: float):
     """series_distance(partner, series) as a feed pass over series: each
-    State sent is paired with partner's State at the same index, read when
-    it is reached.  The trapezoid weights are partner's; each State's time
-    must match partner's."""
+    State sent is paired with partner's State at the same index, read once
+    the State is sent.  The trapezoid weights are partner's; each State's
+    time must match partner's.  It answers None when partner runs out of
+    States first, as a relay does whose sender failed."""
     times, grid = partner.times, partner.grid
     tol = 1e-12 * max(times[-1], 1.0)
     acc_r = acc_m = 0.0
-    for w, t, theirs in zip(trapezoid_weights(times), times, partner):
+    partner_states, short = iter(partner), False
+    for w, t in zip(trapezoid_weights(times), times):
         st = yield
         if abs(st.t - t) > tol:
             raise ValueError("series must share their snapshot times")
-        r, m = spacetime_lp(grid, ((w, theirs.rho.values - st.rho.values, theirs.m.values - st.m.values),),
-                            (p1, p2))
-        acc_r += r
-        acc_m += m
-    yield acc_r ** (1.0 / p1), acc_m ** (1.0 / p2)
+        theirs = None if short else next(partner_states, None)
+        short = theirs is None
+        if not short:
+            r, m = spacetime_lp(grid, ((w, theirs.rho.values - st.rho.values, theirs.m.values - st.m.values),),
+                                (p1, p2))
+            acc_r += r
+            acc_m += m
+        del theirs  # not kept while the run makes its next State
+    yield None if short else (acc_r ** (1.0 / p1), acc_m ** (1.0 / p2))
+
+
+class _Relay:
+    """A one-slot hand-off of a pair's more viscous entry's States, as its
+    run makes them, to the other entry's live Cauchy pass, which reads it
+    like a series of the given times and grid (distance_pass) until the
+    sender stops (send(None)).  send waits while the slot is full, and
+    returns at once once the taker has stopped, which frees the slot."""
+
+    def __init__(self, times, grid):
+        self.times, self.grid = times, grid
+        self.slot, self.taking = queue.Queue(maxsize=1), True
+
+    def send(self, st):
+        # one sender: once the taker has stopped, at most one put is past
+        # this check, and stop_taking's drain leaves it room
+        if self.taking:
+            self.slot.put(st)
+
+    def __iter__(self):
+        return iter(self.slot.get, None)
+
+    def stop_taking(self):
+        self.taking = False
+        with contextlib.suppress(queue.Empty):
+            self.slot.get_nowait()
+
+
+def _tied(store, end, hand_on=None):
+    """store as a feed pass that hands each State to hand_on, if given,
+    before store takes it, and calls end() when closed.  Primed as it is
+    made, so closing it calls end() whether or not run started it."""
+    try:
+        yield
+        next(store)
+        answer = None
+        while answer is None:
+            st = yield
+            if hand_on is not None:
+                hand_on(st)
+            answer = store.send(st)
+        yield answer
+    finally:
+        end()
+        store.close()
 
 
 def series_distance(a: SnapshotSeries, b: SnapshotSeries, p1: float, p2: float):
@@ -372,50 +456,84 @@ class StreamedTables:
     Each entry's store is a fan-out (diagnostics.fan_out) of the smallness
     pass, once the reference has run the distance passes against the
     reference and against the previous completed entry (its Cauchy
-    partner), and a pass that holds the entry's States for later entries:
-    the reference's to the end, another's until the next completed entry
-    has run, the last entry's not at all.  hold(index, params) makes the
-    holding pass, a snapshots.write_pass say; by default a block_pass keeps
-    the States in memory as their coefficients' two-thirds blocks, and the
-    result of an entry other than the reference keeps only its times.  A
-    failed entry's store is closed before it answers, which leaves the
-    partner as it was."""
+    partner), and a pass that holds the entry's States while a later entry
+    may pair with them: the reference's to the end, a pair's until the next
+    pair has run.  The less viscous entry of a pair also reads the other's
+    States live, through a _Relay; its distance to the partner stands in
+    should the other fail.  hold(index, params) makes the holding pass, a
+    snapshots.write_pass say; by default a block_pass keeps the States in
+    memory as their coefficients' two-thirds blocks, and the result of an
+    entry other than the reference keeps only its times.  A failed entry's
+    store is closed before it answers.  The answers are taken in on the
+    calling thread when the next round's store is made, or the tables:
+    the partner becomes the less viscous entry of the pair if it completed,
+    else the other if it did."""
 
     def __init__(self, plan: SweepPlan, hold=None):
         self.plan, self.hold = plan, hold
         self.reference = self.partner = None  # held series
         self.reference_index = None
         self.reduced = {}  # index -> the answers of its passes
+        self._ran = []  # (index, [(answers, series)] once it completes) not yet taken in
+        self._relay = None  # a pair's, between its two stores being made
 
     def store_for(self, index: int, params: FluidParams):
+        if self._relay is None:  # a round starts: the entries run before have returned
+            self._settle()
         count, p1 = self.plan.snapshots + 1, self.plan.gamma
         passes = {"grad": smallness_pass(count, params)}
-        last = False
-        if self.reference is not None:
+        first, later, tie = self.reference is None, True, None
+        if not first:
+            pair = next(p for p in _rounds(self.reference_index) if index in p)
+            later = pair[-1] + 1 < self.reference_index
             passes["reference"] = distance_pass(self.reference, p1, 2.0)
             if self.partner is not None:
                 passes["cauchy"] = distance_pass(self.partner, p1, 2.0)
-            last = index == self.reference_index - 1
+            if pair == (index, index + 1):  # it hands its States on
+                relay = self._relay = _Relay(self.reference.times, self.reference.grid)
+                tie = (lambda: relay.send(None), relay.send)
+            elif len(pair) == 2:  # it takes its pair-mate's
+                relay, self._relay = self._relay, None
+                passes["mate"], tie = distance_pass(relay, p1, 2.0), (relay.stop_taking,)
         if self.hold is not None:
             passes["series"] = self.hold(index, params)
         else:
-            passes["series"] = (times_pass if last else block_pass)(count)
+            passes["series"] = (block_pass if later else times_pass)(count)
+        done = []
+        self._ran.append((index, done))
 
-        def finished(answers):
+        def finished(answers):  # on the thread that runs the entry
             series = answers.pop("series")
-            self.reduced[index] = answers
-            if self.reference is None:
-                self.reference, self.reference_index = series, index
-                return series
-            self.partner = None if last else series
-            return series if self.hold or last else series.times
+            done.append((answers, series))
+            return series.times if later and not first and self.hold is None else series
 
-        return fan_out(passes, count, finished)
+        store = fan_out(passes, count, finished)
+        if tie is None:
+            return store
+        store = _tied(store, *tie)
+        next(store)
+        return store
+
+    def _settle(self):
+        ran, self._ran = self._ran, []
+        done = {i: box[0] for i, box in ran if box}
+        for i, (answers, series) in done.items():  # in index order
+            mate = answers.pop("mate", None)
+            if i - 1 in done:  # the pair-mate completed: its live distance
+                answers["cauchy"] = mate
+            self.reduced[i] = answers
+            if self.reference is None:
+                self.reference, self.reference_index = series, i
+            else:
+                self.partner = series
+        if ran and ran[-1][0] + 1 == self.reference_index:  # no later entry pairs with them
+            self.partner = None
 
     def tables(self, sweep: SweepResult):
         """(cauchy_distances, distances_to, viscous_smallness) of the sweep
         that run_sweep ran with store_for.  The last Cauchy pair is the last
         entry's pair with the reference, computed once."""
+        self._settle()
         self.partner = None
         done = _completed(sweep)
         reduced = [self.reduced[i] for i, e in enumerate(sweep.entries) if e.completed]

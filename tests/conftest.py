@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import itertools
 import tracemalloc
 from types import SimpleNamespace
 
@@ -56,3 +57,39 @@ def full_lattice():
         )
 
     return lattice
+
+
+@pytest.fixture
+def failing_rung(monkeypatch):
+    """fail(mu, at, error=BlowUpError): from then on, the sweep rung at
+    viscosity mu raises error as its store is sent the at-th State (the
+    initial State is the 0th) instead, its store closed; or at once, before
+    its run starts, when at is None."""
+    import baroflow.sweep
+    from baroflow.solver import BlowUpError, collect_pass
+
+    real_run = baroflow.sweep.run
+
+    def raising_at(store, at, error):
+        next(store)
+        answer = None
+        try:
+            for index in itertools.count():
+                st = yield answer
+                if index == at:
+                    raise error(f"injected at State {at}")
+                answer = store.send(st)
+        finally:
+            store.close()
+
+    def fail(mu, at, error=BlowUpError):
+        def run(initial, params, T, snapshots, store=None, **kwargs):
+            if params.mu == mu:
+                if at is None:
+                    raise error("injected before the run")
+                store = raising_at(collect_pass(snapshots + 1) if store is None else store, at, error)
+            return real_run(initial, params, T, snapshots=snapshots, store=store, **kwargs)
+
+        monkeypatch.setattr(baroflow.sweep, "run", run)
+
+    return fail

@@ -7,6 +7,7 @@ import json
 import math
 import shutil
 import subprocess
+import threading
 import warnings
 import weakref
 
@@ -22,7 +23,7 @@ from baroflow.config import ExperimentConfig
 from baroflow.fields import Field, make_grid
 from baroflow.snapshots import scan_series, write_pass
 from baroflow.solver import BlockSeries, FluidParams, State, preset_ic, total_energy
-from baroflow.sweep import cauchy_distances, distances_to, run_sweep, viscous_smallness
+from baroflow.sweep import StreamedTables, cauchy_distances, distances_to, run_sweep, viscous_smallness
 
 SIM_CONFIG = """
 [grid]
@@ -709,10 +710,12 @@ class TestSweep:
         assert cauchy.mu_pairs == ((0.01, 0.0025), (0.0025, 0.00125))
 
     def test_without_snapshots_two_rungs_of_states_are_held(self, tmp_path, monkeypatch):
-        # after each rung of a 4-rung ladder the series alive are the
-        # reference's and the previous completed rung's, or fewer; keeping
-        # every series would hold 4.  They share the initial State, the one
-        # State alive, and hold each later State as a coefficient block
+        # a 4-rung ladder runs the reference 3, the pair (0, 1), then 2; once
+        # each round has returned and its answers are taken in (when the next
+        # store is made, or the tables), the series alive are the reference's
+        # and the partner's, or fewer; keeping every series would hold 4.
+        # They share the initial State, the one State alive, and hold each
+        # later State as a coefficient block
         refs, held = [], []
         check, init = State.__post_init__, BlockSeries.__init__
 
@@ -726,23 +729,48 @@ class TestSweep:
 
         monkeypatch.setattr(State, "__post_init__", counted)
         monkeypatch.setattr(BlockSeries, "__init__", counted_series)
-        alive, real_run = [], baroflow.sweep.run
+        alive = []
 
-        def run(*args, **kwargs):
-            result = real_run(*args, **kwargs)
-            del args, kwargs  # the store, as run_sweep drops it
+        def count():
             gc.collect()
             series = [s for ref in held if (s := ref()) is not None]
             blocks = sum(not isinstance(h, State) for s in series for h in s.held)
             alive.append((sum(ref() is not None for ref in refs), blocks))
-            return result
 
-        monkeypatch.setattr(baroflow.sweep, "run", run)
+        for name in ("store_for", "tables"):
+            def counting(*args, real=getattr(StreamedTables, name), **kwargs):
+                result = real(*args, **kwargs)
+                count()
+                return result
+
+            monkeypatch.setattr(StreamedTables, name, counting)
         cfg = tmp_path / "exp.ini"
         cfg.write_text(SWEEP_CONFIG.replace("count = 3", "count = 4").replace("snapshots = 60", "snapshots = 8"))
         cli_ok(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
         per_rung = 8
-        assert alive == [(1, per_rung), (1, 2 * per_rung), (1, 2 * per_rung), (1, per_rung)]
+        # made: the reference's store; the pair's two, after the reference ran;
+        # rung 2's, after the pair ran; then the tables, after rung 2 ran
+        assert alive == [(1, 0), (1, per_rung), (1, per_rung), (1, 2 * per_rung), (1, per_rung)]
+
+    @pytest.mark.parametrize("at", [0, 4, 8])
+    @pytest.mark.parametrize("count, index", [(count, index) for count in (4, 5) for index in range(count)])
+    def test_a_rung_that_blows_up_at_any_snapshot_leaves_the_reports_of_the_library(
+            self, tmp_path, failing_rung, count, index, at):
+        # the 5-rung ladder runs the pairs (0, 1) and (2, 3), the 4-rung one the
+        # pair (0, 1) and rung 2 alone; rung index blows up at its first, middle
+        # or last State, and its pair-mate, the partner and the reference go on
+        text = SWEEP_CONFIG.replace("count = 3", f"count = {count}").replace("snapshots = 60", "snapshots = 8")
+        plan = ExperimentConfig.parse(text).sweep_plan()
+        failing_rung(plan.mu_values[index], at)
+        sweep = run_sweep(plan)
+        assert [e.completed for e in sweep.entries] == [i != index for i in range(count)]
+        threads = threading.active_count()
+        for snapshots in ("false", "true"):
+            cfg = tmp_path / f"exp_{snapshots}.ini"
+            cfg.write_text(text.replace("write_snapshots = false", f"write_snapshots = {snapshots}"))
+            cli_ok(["sweep", "--config", str(cfg), "--out", str(tmp_path / snapshots)])
+            assert threading.active_count() == threads
+            assert_sweep_reports_equal_the_library(tmp_path / snapshots, sweep)
 
     @pytest.mark.parametrize("config", ["1d", "3d-forced"])
     def test_snapshots_leave_the_reports_unchanged(self, tmp_path, config):

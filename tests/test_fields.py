@@ -49,6 +49,20 @@ def shift_modulus(grid, m, shift):
     return space_modulus(series, FluidParams(), [shift]).momentum[0]
 
 
+class TestFieldCopies:
+    def test_a_field_copies_a_writable_array_and_a_read_only_view(self):
+        grid = make_grid(1, 16, 2.0 * np.pi)
+        source = np.ones(grid.shape)
+        view = source.view()
+        view.setflags(write=False)
+        fields = [Field(grid=grid, values=given) for given in (source, view)]
+        source[:] = 2.0
+        for f in fields:
+            assert not np.shares_memory(f.values, source)
+            assert not f.values.flags.writeable
+            assert np.all(f.values == 1.0)
+
+
 class TestMakeGrid:
     def test_basic_attributes(self):
         """(1, 8, 2*pi) gives dx = pi/4, integer modes -3..4 on the full

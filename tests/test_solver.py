@@ -17,6 +17,7 @@ from baroflow.solver import (
     SnapshotSeries,
     State,
     _Stepper,
+    block_pass,
     _fields,
     cfl_dt,
     preset_ic,
@@ -507,6 +508,25 @@ class TestRun:
         sends = 1 if failure == "blow-up" else 2  # the drift shows only at the end
         assert [call[0] for call in calls] == ["send"] * sends + ["close"]
         assert calls[-1] == ("close", sends)
+
+
+class TestCopyFreeStates:
+    @pytest.mark.parametrize("store", ["collect", "block"])
+    def test_the_states_are_read_only_and_equal_a_copying_build(self, store):
+        # run's States and a BlockSeries' rebuilt ones take the solver's fresh
+        # arrays without a copy; the public constructor's copies equal them
+        grid = make_grid(2, 16, TWO_PI)
+        params = FluidParams(mu=0.02)
+        initial = preset_ic("random-band", grid, params, seed=3, amplitude=0.5)
+        series = run(initial, params, 0.2, snapshots=4, store=block_pass(5) if store == "block" else None).series
+        for st in list(series)[1:]:
+            assert st.rho.values.base is not None and st.rho.values.base is st.m.values.base  # one array, not copies
+            copied = State(t=st.t, rho=Field(grid=grid, values=st.rho.values), m=Field(grid=grid, values=st.m.values))
+            for mine, theirs in ((st.rho, copied.rho), (st.m, copied.m)):
+                assert not np.shares_memory(mine.values, theirs.values)
+                assert mine.values.tobytes() == theirs.values.tobytes() and mine.values.flags.c_contiguous
+                with pytest.raises(ValueError, match="read-only"):
+                    mine.values[...] = 0.0
 
 
 class TestManufacturedSolution:

@@ -9,6 +9,7 @@ rebuilds the States it holds as coefficient blocks bit for bit."""
 import dataclasses
 import gc
 import inspect
+import threading
 import tracemalloc
 
 import numpy as np
@@ -66,23 +67,55 @@ def write(where):
     return write_pass(where / "run", "demo", PLAN.params_for(0.02), COUNT), stored, lambda: list(where.iterdir())
 
 
+def paired(store, tables, mate):
+    """store, the pass of rung 1, set up with its pair-mate rung 0 running
+    from set-up on a helper thread, whose States it takes through the relay;
+    once it answers or is closed, the helper has returned and tables has
+    taken in both rungs' answers."""
+
+    def helper_run():
+        try:
+            run_rung(0, mate)
+        finally:
+            mate.close()
+
+    helper = threading.Thread(target=helper_run)
+    helper.start()
+    try:
+        next(store)
+        answer = None
+        while answer is None:
+            answer = store.send((yield))
+    except BaseException:
+        store.close()
+        raise
+    finally:
+        helper.join(timeout=60)
+        assert not helper.is_alive()
+        tables._settle()
+    yield answer
+
+
 def rung(where, hold=None):
-    """The fan-out of the middle rung, which runs last: the reference and the
-    most viscous rung, its Cauchy partner, have run."""
+    """The fan-out of rung 1, the less viscous of the pair (0, 1) that runs
+    after the reference: it takes rung 0's States live for its Cauchy
+    distance.  The pair is the last to run."""
     tables = StreamedTables(PLAN, hold)
-    for index in (2, 0):
-        run_rung(index, tables.store_for(index, PLAN.params_for(PLAN.mu_values[index])))
+    run_rung(2, tables.store_for(2, PLAN.params_for(PLAN.mu_values[2])))
+    mate, store = (tables.store_for(i, PLAN.params_for(PLAN.mu_values[i])) for i in (0, 1))
     partner = tables.partner
 
     def view(answer):
-        assert tables.partner is None  # the last rung to run pairs with no later one
+        assert tables.partner is None  # the last pair to run pairs with no later one
+        assert sorted(tables.reduced) == [0, 1, 2]
         return (stored(answer) if hold else answer.tolist()), tables.reduced[1]
 
-    def leftovers():
-        files = sorted(p.relative_to(where).as_posix() for p in where.rglob("*"))
+    def leftovers():  # rung 0's run completes, and its files stay
+        files = sorted(p.relative_to(where).as_posix() for p in where.rglob("*")
+                       if not p.is_relative_to(where / "entry_00"))
         return [1 in tables.reduced, tables.partner is not partner, files]
 
-    return tables.store_for(1, PLAN.params_for(0.01)), view, leftovers
+    return paired(store, tables, mate), view, leftovers
 
 
 def writing_rung(where):

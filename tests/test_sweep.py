@@ -3,6 +3,8 @@ flagging, run-to-run distances, rates and the limit-candidate check."""
 
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ import baroflow.sweep
 from baroflow.diagnostics import (
     default_test_functions,
     energy_admissibility,
+    feed,
     reynolds_quotient,
     time_integrated_spectrum,
     weak_residuals,
@@ -24,8 +27,10 @@ from baroflow.sweep import (
     SweepEntry,
     SweepPlan,
     SweepResult,
+    _Relay,
     cauchy_distances,
     convergence_rate,
+    distance_pass,
     distances_to,
     limit_candidate_check,
     plan_sweep,
@@ -250,6 +255,20 @@ class TestDistances:
         with pytest.raises(ValueError, match="share one grid"):
             series_distance(a, c, 2.0, 2.0)
 
+    def test_a_partner_that_runs_out_of_states_answers_none(self, acoustic_sweep):
+        # a pair-mate's relay ends early when its run fails; the live pass
+        # then takes the rest of the States and answers None
+        plan, sweep = acoustic_sweep
+        series = sweep.entries[0].result.series
+
+        class Short:
+            times, grid = series.times, series.grid
+
+            def __iter__(self):
+                return iter(series.states[:3])
+
+        assert feed(sweep.entries[1].result.series, [distance_pass(Short(), plan.gamma, 2.0)])[0] is None
+
     def test_cauchy_table_matches_pairwise_distances(self, acoustic_sweep):
         plan, sweep = acoustic_sweep
         table = cauchy_distances(sweep)
@@ -300,6 +319,78 @@ class TestStreamedTables:
         assert [st.t for st in reference.result.series] == list(sweep.entries[-1].result.series.times)
         a, b = limit_candidate_check(again), limit_candidate_check(sweep)
         assert (a.weak, a.m_t, a.vacuum_fraction) == (b.weak, b.m_t, b.vacuum_fraction)
+
+
+    @pytest.mark.parametrize("at", [None, 2], ids=["before-its-run", "at-a-middle-state"])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_an_error_in_a_pair_leaves_after_both_rungs_return(self, tmp_path, failing_rung, index, at):
+        # rung 0 runs on the helper thread and hands its States to rung 1;
+        # either one's ValueError leaves run_sweep once both stores are closed
+        # and the helper has stopped, and the failed rung writes nothing
+        plan = SweepPlan(mu_values=(1e-2, 5e-3, 2.5e-3), d=1, n=16, ic="acoustic-pulse", T=0.1, snapshots=4)
+        failing_rung(plan.mu_values[index], at, ValueError)
+        tables = StreamedTables(plan, lambda i, params: write_pass(
+            tmp_path / f"entry_{i:02d}", "run", params, plan.snapshots + 1))
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="injected"):
+            run_sweep(plan, tables.store_for)
+        assert threading.active_count() == threads
+        assert list(tmp_path.rglob("*.part")) == []
+        assert not (tmp_path / f"entry_{index:02d}").exists()
+        assert len(list((tmp_path / f"entry_{1 - index:02d}").glob("run_*.ckhs"))) == plan.snapshots + 1
+
+    def test_a_long_ladder_pairs_its_rungs_and_stops_its_helper(self, acoustic_sweep):
+        # 6 rungs: the reference, the pairs (0, 1) and (2, 3), then rung 4
+        # alone; each pair's Cauchy distance is its live one
+        plan = dataclasses.replace(acoustic_sweep[0], mu_values=tuple(1e-2 * 0.5**i for i in range(6)),
+                                   snapshots=10)
+        sweep = run_sweep(plan)
+        threads = threading.active_count()
+        streamed = StreamedTables(plan)
+        cauchy, ref, small = streamed.tables(run_sweep(plan, streamed.store_for))
+        assert threading.active_count() == threads
+        for got, want in ((cauchy, cauchy_distances(sweep)), (ref, distances_to(sweep))):
+            assert got.mu_pairs == want.mu_pairs
+            assert np.array_equal(got.rho_distances, want.rho_distances)
+            assert np.array_equal(got.m_distances, want.m_distances)
+        assert small == viscous_smallness(sweep)
+
+
+class TestRelay:
+    def test_every_state_is_handed_on_once_in_order_while_threads_switch_often(self):
+        # four sender/taker pairs, more threads than cores, switching every
+        # microsecond: a taker gets the sender's items in order until the
+        # sender stops (after 2000 or 700) or it stops taking itself (after
+        # 501 or 1), and no sender waits on a taker that has stopped
+        cases = [(2000, None), (2000, 500), (2000, 0), (700, None)]
+        relays = [_Relay(None, None) for _ in cases]
+        got = [[] for _ in cases]
+
+        def sending(relay, count):
+            for k in range(count):
+                relay.send(k)
+            relay.send(None)
+
+        def taking(relay, out, stop):
+            for k in relay:
+                out.append(k)
+                if k == stop:
+                    relay.stop_taking()
+                    return
+
+        threads = [threading.Thread(target=sending, args=(r, count)) for r, (count, _) in zip(relays, cases)]
+        threads += [threading.Thread(target=taking, args=(r, out, stop)) for r, out, (_, stop) in zip(relays, got, cases)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [list(range(2000)), list(range(501)), [0], list(range(700))]
 
 
 class TestConvergenceRate:
