@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from .fields import make_grid
-from .solver import FluidParams, ForcingSpec, preset_ic
+from .solver import BLOWUP_THRESHOLD, FluidParams, ForcingSpec, preset_ic
 from .sweep import SweepPlan, plan_sweep
 
 __all__ = [
@@ -236,12 +236,15 @@ class ExperimentConfig:
         """The grid (forcing modes too), fluid, forcing, run-window, sweep and
         [diagnostics] rules are those of PeriodicGrid, FluidParams, ForcingSpec,
         plan_sweep/SweepPlan (solver.run_window) and the diagnostics that take
-        each value; the initial amplitude must be finite."""
+        each value; |initial amplitude| is finite and at most BLOWUP_THRESHOLD."""
         grid = self.make_grid()
         params = self.fluid_params()
         grid.dealiased_terms(params.forcing.terms)
         if not math.isfinite(self.initial.amplitude):
             raise ValueError(f"[initial] amplitude must be finite, got {self.initial.amplitude}")
+        if abs(self.initial.amplitude) > BLOWUP_THRESHOLD:  # the presets' |m| is at most |amplitude|
+            raise ValueError(f"[initial] amplitude must be at most the solver's blow-up threshold "
+                             f"{BLOWUP_THRESHOLD:.0e} in magnitude, got {self.initial.amplitude}")
         self.sweep_plan()
         dc = self.diagnostics
         dg.fit_window(grid.n, dc.window_lo, dc.window_hi)

@@ -173,11 +173,16 @@ def feed(series, passes) -> list:
     arguments) on the first next(), takes each State by send(), and answers
     the last one with its result; close() before then discards what it
     made.  All are set up before the first State is taken.  solver.run
-    drives one pass, its store, the same way while it runs."""
+    drives one pass, its store, the same way while it runs.  Each State but
+    the last is let go, here and by the passes, before the next is read."""
     for p in passes:
         next(p)
-    for st in series:
+    states = iter(series)
+    for left in reversed(range(len(series))):
+        st = next(states)
         results = [p.send(st) for p in passes]
+        if left:
+            del st
     return results + [st]
 
 
@@ -213,6 +218,7 @@ def spectral_pass(series, params: FluidParams, exponents=None):
         power += tw * _bundle_power(grid, w)
         if exponents is not None:
             sums += spacetime_lp(grid, ((tw, st.rho.values, st.m.values, w),), exponents)
+        del st, w  # not kept while the series makes the next State
     mode_power = power[0] + power[1]
     yield SpectrumSeries(
         counts=_shell_sum(grid, np.ones(grid.half_shape)).astype(np.int64),
@@ -433,6 +439,7 @@ def space_modulus_pass(series, params: FluidParams, shifts):
         for k, off in enumerate(offsets):
             sums[k] += spacetime_lp(grid, ((w, np.roll(st.rho.values, -off, axis) - st.rho.values,
                                             np.roll(st.m.values, -off, axis) - st.m.values),), (p_rho, 2.0))
+        del st  # not kept while the series makes the next State
     yield _modulus_table("space", [grid.dx * abs(off) for off in offsets], sums[:, 0], sums[:, 1], p_rho)
 
 
@@ -718,10 +725,13 @@ def _bumps(fns, times) -> tuple:
 
 def _sym_grad(grid: PeriodicGrid, u: np.ndarray, pairs) -> tuple:
     """d_b u_a + d_a u_b for the pairs a <= b, flattened per pair (one
-    rfftn, one batched inverse), and the box integral of |grad u|^2."""
-    u_h = grid.rfft(u.reshape((grid.d,) + grid.shape))
-    sym_h = np.array([grid.ik_half[b] * u_h[a] + grid.ik_half[a] * u_h[b] for a, b in pairs])
-    return grid.irfft(sym_h).reshape(len(pairs), -1), grid.grad_sq(u_h)
+    rfftn, one batched inverse in place), and the box integral of |grad u|^2."""
+    ik, u_h = grid.ik_half, grid.rfft(u.reshape((grid.d,) + grid.shape))
+    grad_sq, sym_h = grid.grad_sq(u_h), np.empty((len(pairs),) + grid.half_shape, dtype=np.complex128)
+    for row, (a, b) in zip(sym_h, pairs):
+        np.add(np.multiply(ik[b], u_h[a], out=row), ik[a] * u_h[b], out=row)
+    del u_h  # dead before the inverse makes its output
+    return grid.irfft(sym_h, scratch=sym_h).reshape(len(pairs), -1), grad_sq
 
 
 def _weak_totals(times, terms, gross, data_values, dxd):
@@ -789,6 +799,7 @@ def weak_pass(series, params: FluidParams, scalars, vectors, m0: Field = None):
             np.einsum("kn,fkn->fn", m, s_grad, out=scalar_products)
             _record(mass_rows, mass_gross, i, 1, s_b[:, i], scalar_products)
         if not vectors:
+            del st, rho, m
             continue
         u = params.velocity(rho, m)
         sym_u, grad_u_sq[i] = _sym_grad(grid, u, pairs)
@@ -797,7 +808,10 @@ def weak_pass(series, params: FluidParams, scalars, vectors, m0: Field = None):
         b, comp, contracted = v_b[:, i], products[:nv], products[:nv, 0]
         np.multiply(m, v_space, out=comp)
         _record(mom_rows, mom_gross, i, 0, v_bdt[:, i], comp)
-        np.einsum("kn,kfn->fn", np.array([m[a] * u[b] for a, b in pairs]), v_sym, out=contracted)
+        flux = np.empty((len(pairs), size))  # m (x) m / rho, the pairs a <= b
+        for row, (a, c) in zip(flux, pairs):  # b is taken by the bumps
+            np.multiply(m[a], u[c], out=row)
+        np.einsum("kn,kfn->fn", flux, v_sym, out=contracted)
         _record(mom_rows, mom_gross, i, 1, b, contracted)
         np.multiply(params.pressure(rho), v_div, out=contracted)
         _record(mom_rows, mom_gross, i, 2, b, contracted)
@@ -809,6 +823,7 @@ def weak_pass(series, params: FluidParams, scalars, vectors, m0: Field = None):
         contracted *= params.mu
         contracted += params.lam * div_u * v_div
         _record(mom_rows, mom_gross, i, 4, b, contracted)
+        del st, rho, m, u, sym_u, div_u, flux, row  # not kept while the series makes the next State
 
     dxd = grid.dx**d
     b_sq = v_b**2 * dxd

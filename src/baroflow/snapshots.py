@@ -178,8 +178,9 @@ class StoredSeries:
 
 def write_pass(directory, prefix: str, params, count: int):
     """A feed pass (diagnostics.feed), solver.run's store for a series
-    streamed to disk: it writes each of the count States it is sent as
-    prefix_NNNN.ckhs in directory and keeps none.
+    streamed to disk: it answers its set-up next() with count, which run
+    checks, writes each of the count States it is sent as prefix_NNNN.ckhs
+    in directory and keeps none.
 
     Until the last State, each file carries a ".part" suffix, which
     scan_series never matches.  Then the files take their names, the
@@ -194,7 +195,7 @@ def write_pass(directory, prefix: str, params, count: int):
     paths, times = [_series_path(directory, prefix, i) for i in range(count)], []
     try:
         for path in paths:
-            st = yield
+            st = yield None if times else count  # count answers the set-up next()
             meta = write_snapshot(_partial(path), st, params)
             if not times:
                 first, grid = meta, st.grid

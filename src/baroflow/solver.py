@@ -14,8 +14,8 @@ extra RK4 variables so the energy ledger closes at the scheme's order.
 
 The RK4 state is kept as the coefficients (rho^, m^) on the grid's half
 lattice.  Each RHS makes one batched inverse of the d + 1 stage fields and
-forward transforms of u (d fields) and of the symmetric flux
-Pi = m x u + p*I (d(d+1)/2): 8 real-field transforms in 2D, 13 in 3D.
+forward transforms of u (d fields) and of the symmetric flux Pi = m x u +
+p*I, one pair a <= b at a time: 8 real-field transforms in 2D, 13 in 3D.
 The forcing product rho*f is rho^ shifted by the forcing modes
 (PeriodicGrid.trig_shift), exact for the grid product.  Each step's
 inverse is checked for blow-up and feeds the next first stage.
@@ -24,13 +24,13 @@ rhs, step and run each build one stepper (_Stepper) and drop it when
 they return.  It owns the call's grid, fluid, forcing and extra source,
 whether the ledger rates ride along (run's only), and the buffers the
 stages write into: the stage coefficients and their samples, the
-velocity, pressure and flux with their forward transforms, the assembled
-increment and the product scratch; the forcing shift's gathered and
-moved modes take the flux coefficients' memory once those are summed.
-The four increments collapse into a running sum, in the classical
-formula's order, held by the step's own result array; an increment,
-once summed, takes the complex passes of the next inverse.  No buffer
-outlives the call that built it.
+velocity, pressure and one flux pair, the velocity's transform, the
+assembled increment, the product scratch and one spare, which takes each
+flux pair's coefficients, then the forcing shift's gathered and moved
+modes, then the ledger's squared parts.  The four increments collapse
+into a running sum, in the classical formula's order, held by the step's
+own result array; an increment, once summed, takes the complex passes of
+the next inverse.  No buffer outlives the call that built it.
 """
 
 from __future__ import annotations
@@ -277,17 +277,18 @@ class BlockSeries:
         return len(self.times)
 
     def __iter__(self):
-        grid = self.grid
-        outside = np.flatnonzero(~grid.dealias_half)
+        outside = np.flatnonzero(~self.grid.dealias_half)
         for t, item in zip(self.times.tolist(), self.held):
-            if isinstance(item, State):
-                yield item
-                continue
-            coef = np.empty((grid.d + 1,) + grid.half_shape, dtype=np.complex128)
-            for row, block, outer in zip(coef.reshape(grid.d + 1, -1), item, self.outer):
-                row[grid.dealias_modes] = block
-                row[outside] = outer
-            yield _state(t, grid, grid.irfft(coef, scratch=coef))  # coef is spent on the complex passes
+            yield item if isinstance(item, State) else _state(t, self.grid, self._samples(item, outside))
+
+    def _samples(self, block, outside):
+        """The samples of a blocked State; its rebuilt coefficients die on return."""
+        grid = self.grid
+        coef = np.empty((grid.d + 1,) + grid.half_shape, dtype=np.complex128)
+        for row, inner, outer in zip(coef.reshape(grid.d + 1, -1), block, self.outer):
+            row[grid.dealias_modes] = inner
+            row[outside] = outer
+        return grid.irfft(coef, scratch=coef)
 
 
 def block_pass(count: int):
@@ -353,10 +354,10 @@ def _state(t: float, grid: PeriodicGrid, fields: np.ndarray, coef=None) -> State
 
 class _Stepper:
     """One call's RK4 stepper of the half-lattice state (rho^, m^): its grid,
-    fluid, extra source, forcing mode shift, ledger flag and stage buffers
-    (module docstring).  Only a ledger stepper builds the forcing's spatial
-    factor, for the work rate.  Forcing modes must pass grid.dealiased_terms:
-    the shift maps onto dealiased modes only."""
+    fluid, extra source, forcing mode shift, ledger flag and stage buffers,
+    flux_h the spare (module docstring).  Only a ledger stepper builds the
+    forcing's spatial factor, for the work rate.  Forcing modes must pass
+    grid.dealiased_terms: the shift maps onto dealiased modes only."""
 
     def __init__(self, grid: PeriodicGrid, params: FluidParams, extra_source=None, ledger=False):
         d = grid.d
@@ -364,22 +365,18 @@ class _Stepper:
         forcing = params.forcing
         self.force_xy = forcing.spatial(grid) if forcing.active and ledger else None
         self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
-        self.slot = {pair: i for i, pair in enumerate(self.pairs)}
         real = lambda *lead: np.empty(lead + grid.shape)
         half = lambda *lead: np.empty(lead + grid.half_shape, dtype=np.complex128)
         self.stage_h, self.k, self.stage = half(d + 1), half(d + 1), real(d + 1)
-        self.u, self.p, self.flux = real(d), real(), real(len(self.pairs))
-        self.u_h, self.flux_h = half(d), half(len(self.pairs))
-        self.div_u_h, self.tmp = half(), half()
-        # the shift's buffers, in flux_h's memory when they fit: the flux
-        # coefficients are dead once the increments are assembled
-        self.force = (grid.trig_shift(grid.dealiased_terms(forcing.terms), d, scratch=self.flux_h)
-                      if forcing.active else None)
+        self.u, self.p, self.flux = real(d), real(), real()
+        self.u_h, self.div_u_h, self.tmp = half(d), half(), half()
+        # the spare holds a flux pair's coefficients, the shift's gathered and
+        # moved modes, or the rates' squared parts, each dead before the next
+        terms = grid.dealiased_terms(forcing.terms) if forcing.active else ()
+        shifted = (2 * len(terms) + d) * len(grid.dealias_modes) if terms else 0
+        self.flux_h = np.empty(max((d if ledger else 1) * math.prod(grid.half_shape), shifted), np.complex128)
+        self.force = grid.trig_shift(terms, d, scratch=self.flux_h) if terms else None
         self.mu_k2 = params.mu * grid.k2_half
-        # the rates' squared real and imaginary parts, in flux_h's memory too
-        size = d * math.prod(grid.half_shape)
-        flat = self.flux_h.reshape(-1).view(np.float64)
-        self.re2, self.im2 = (flat[i * size:(i + 1) * size].reshape((d,) + grid.half_shape) for i in (0, 1))
 
     def rhs(self, state_h, state, t, out):
         """Spectral time derivative of the half-lattice state (rho^, m^),
@@ -397,16 +394,7 @@ class _Stepper:
         u = params.velocity(rho, m, out=self.u, floor=self.p)
         p = params.pressure(rho, out=self.p)
 
-        # Symmetric flux Pi_ab = m_a u_b + p delta_ab, upper triangle only.
-        flux = self.flux
-        for i, (a, b) in enumerate(self.pairs):
-            np.multiply(m[a], u[b], out=flux[i])
-            if a == b:
-                flux[i] += p
-
         u_h = grid.rfft(u, out=self.u_h)
-        flux_h = grid.rfft(flux, out=self.flux_h)
-
         div_u_h = np.multiply(ik[0], u_h[0], out=self.div_u_h)
         for a in range(1, d):
             div_u_h += np.multiply(ik[a], u_h[a], out=tmp)
@@ -415,11 +403,19 @@ class _Stepper:
         for a in range(1, d):
             out[0] -= np.multiply(ik[a], state_h[1 + a], out=tmp)
         for a in range(d):
-            acc = out[1 + a]
-            np.multiply((params.mu + params.lam) * ik[a], div_u_h, out=acc)
-            acc -= np.multiply(self.mu_k2, u_h[a], out=tmp)
-            for b in range(d):
-                acc -= np.multiply(ik[b], flux_h[self.slot[(min(a, b), max(a, b))]], out=tmp)
+            np.multiply((params.mu + params.lam) * ik[a], div_u_h, out=out[1 + a])
+            out[1 + a] -= np.multiply(self.mu_k2, u_h[a], out=tmp)
+        # Symmetric flux Pi_ab = m_a u_b + p delta_ab, a pair a <= b at a time,
+        # off each of its components at once: each one's sum over b ascends.
+        flux, flux_h = self.flux, self.flux_h[:tmp.size].reshape(tmp.shape)
+        for a, b in self.pairs:
+            np.multiply(m[a], u[b], out=flux)
+            if a == b:
+                flux += p
+            grid.rfft(flux, out=flux_h)
+            out[1 + a] -= np.multiply(ik[b], flux_h, out=tmp)
+            if a != b:
+                out[1 + b] -= np.multiply(ik[a], flux_h, out=tmp)
         out *= grid.dealias_half
 
         work_rate = 0.0
@@ -430,7 +426,7 @@ class _Stepper:
             moved *= envelope
             np.add.at(out[1:].reshape(-1), targets, moved)  # unbuffered; the targets are distinct
             if self.ledger:
-                product = np.multiply(self.force_xy, envelope, out=flux[:d])  # the flux is transformed
+                product = np.multiply(self.force_xy, envelope, out=u)  # u is transformed
                 product *= m
                 work_rate = float(np.sum(product)) * grid.dx**d
 
@@ -446,7 +442,7 @@ class _Stepper:
         # keeps the Nyquist mode that grid.grad_sq zeroes: it is -int u . lap u,
         # with the diffusion term's Laplacian symbol -k2, which is unambiguous
         # at the Nyquist mode (only odd derivatives zero it there).
-        re2, im2 = self.re2, self.im2
+        re2, im2 = self.flux_h.view(np.float64)[: 2 * u_h.size].reshape((2,) + u_h.shape)  # in the spare
         power = np.add(np.square(u_h.real, out=re2), np.square(u_h.imag, out=im2), out=re2)
         grad_sq = grid.parseval(np.multiply(grid.k2_half, power, out=power))
         power = np.add(np.square(div_u_h.real, out=re2[0]), np.square(div_u_h.imag, out=im2[0]), out=re2[0])
@@ -614,7 +610,8 @@ def run(
     has taken it.  The mass check comes before the last snapshot is sent,
     so a run that raises, blow-up and mass drift included, closes the pass
     before it answers.  So does a store that answers before the last State
-    or not on it, with a ValueError.
+    or not on it, with a ValueError; so does, before the first State, one
+    whose set-up next() answers with another count, as write_pass's can.
     """
     run_window(T, snapshots)
     if dt_cap is not None and not dt_cap > 0:
@@ -650,7 +647,8 @@ def run(
         return answer
 
     try:
-        next(store)
+        if (declared := next(store)) not in (None, count):
+            raise ValueError(f"store is set up for {declared} States, not the run's snapshots + 1 = {count}")
         send(initial, 0)
         E0 = total_energy(initial, params)
         mass0 = float(np.mean(fields[0]))

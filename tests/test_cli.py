@@ -958,6 +958,22 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("amplitude", ["1e300", "-1e300", "1.5e12"])
+    def test_an_amplitude_past_the_blow_up_threshold_exits_two_naming_the_key(self, tmp_path, capsys, command,
+                                                                                amplitude):
+        # a random-band momentum of 5e299 overflowed the CFL speed's square
+        # and left a step of 0.0; the presets' |m| is at most |amplitude|
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(FORCED_2D_CONFIG.replace("amplitude = 0.3", f"amplitude = {amplitude}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: [initial] amplitude must be at most the solver's blow-up threshold "
+                                     f"1e+12 in magnitude, got {float(amplitude)}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("old, new, message", [
         ("seed = 4\n", "", "random-band needs a seed"),
         ("preset = random-band", "preset = acoustic-pulse", "acoustic-pulse takes no seed"),

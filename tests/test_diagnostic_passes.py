@@ -9,10 +9,12 @@ kept here as test-only references.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import baroflow.solver
 from baroflow.diagnostics import (
     MomentumResidual,
     ckhw_from_spectrum,
@@ -25,17 +27,21 @@ from baroflow.diagnostics import (
     shell_spectrum,
     sobolev_norm_from_spectrum,
     space_modulus,
+    space_modulus_pass,
+    spectral_pass,
     time_integrated_spectrum,
     time_modulus,
     weak_residual_momentum,
+    weak_pass,
     weak_residuals,
     _nominal_shell_measure,
     _shell_sum,
+    _sym_grad,
     _trapezoid_refinement_gap,
 )
 from baroflow.fields import dft_forward, make_grid, weighted_fields
 from baroflow.snapshots import scan_series, write_pass
-from baroflow.solver import FluidParams, ForcingSpec, preset_ic, run
+from baroflow.solver import FluidParams, ForcingSpec, block_pass, preset_ic, run
 
 TWO_PI = 2.0 * np.pi
 REL = 1e-12
@@ -351,3 +357,41 @@ class TestStoredSeries:
             assert np.array_equal(getattr(spec, name), getattr(spec_want, name)), name
         rows = np.array([shell_spectrum(st, params).energy for st in stored])
         assert _close(spec.integrated_energy, np.trapezoid(rows, x=stored.times, axis=0), ORDER_REL)
+
+
+class TestWorkingSet:
+    """A walk over a series holds one State at a time, and the weak form's
+    per-snapshot arrays are made once, in place."""
+
+    def test_feed_lets_each_rebuilt_state_go_before_the_next(self, monkeypatch):
+        # the limit check's walk: the weak-form and spectral passes over a
+        # block_pass series, whose later States are rebuilt one by one
+        grid = make_grid(2, 16, TWO_PI)
+        params = FluidParams(mu=0.02, forcing=ForcingSpec(mode="trig", terms=(((0.05, 0.0), (1, 0), 0.0),)))
+        initial = preset_ic("random-band", grid, params, seed=3, amplitude=0.5)
+        series = run(initial, params, T=0.08, snapshots=4, store=block_pass(5)).series
+        made, alive = [], []
+        rebuild = baroflow.solver._state
+
+        def counted(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in made))
+            st = rebuild(*args, **kwargs)
+            made.append(weakref.ref(st))
+            return st
+
+        monkeypatch.setattr(baroflow.solver, "_state", counted)
+        T = float(series.times[-1])
+        tests = default_test_functions(grid, T), default_test_functions(grid, T, vector=True)
+        passes = [weak_pass(series, params, *tests), spectral_pass(series, params),
+                  space_modulus_pass(series, params, (1, 2))]
+        *_, last = feed(series, passes)
+        assert alive == [0, 0, 0, 0]
+        assert made[-1]() is last and last.t == series.times[-1]
+
+    def test_sym_grad_holds_its_outputs_and_one_stack_of_the_pairs(self, traced_peak):
+        grid = make_grid(3, 32, TWO_PI)
+        u = np.random.default_rng(1).standard_normal((3, grid.n**3))
+        pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+        sym, _ = _sym_grad(grid, u, pairs)  # first use: FFT plan caches
+        outputs, stack = sym.nbytes, len(pairs) * math.prod(grid.half_shape) * 16
+        assert traced_peak(lambda: _sym_grad(grid, u, pairs)) <= outputs + stack + 4096  # array headers

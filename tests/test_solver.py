@@ -127,6 +127,58 @@ def physical_rhs_core(rho, m, t, grid, params, force_xy, extra_source=None, want
     return drho, dm, diss_rate, work_rate
 
 
+def batched_flux_rhs(grid, params, state_h, state, t, extra_source=None, ledger=False):
+    """_Stepper.rhs as it was when it formed all d(d+1)/2 flux fields first
+    and transformed them in one batch, each operation as it was, into
+    fresh arrays: (out, dissipation rate, work rate)."""
+    ik, d = grid.ik_half, grid.d
+    rho, m = state[0], state[1:]
+    u = params.velocity(rho, m)
+    p = params.pressure(rho)
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    slot = {pair: i for i, pair in enumerate(pairs)}
+    flux = np.empty((len(pairs),) + grid.shape)
+    for i, (a, b) in enumerate(pairs):
+        np.multiply(m[a], u[b], out=flux[i])
+        if a == b:
+            flux[i] += p
+    u_h, flux_h = grid.rfft(u), grid.rfft(flux)
+    div_u_h = ik[0] * u_h[0]
+    for a in range(1, d):
+        div_u_h += ik[a] * u_h[a]
+    out = np.empty_like(state_h)
+    out[0] = -ik[0] * state_h[1]
+    for a in range(1, d):
+        out[0] -= ik[a] * state_h[1 + a]
+    for a in range(d):
+        acc = out[1 + a]
+        acc[...] = (params.mu + params.lam) * ik[a] * div_u_h
+        acc -= (params.mu * grid.k2_half) * u_h[a]
+        for b in range(d):
+            acc -= ik[b] * flux_h[slot[(min(a, b), max(a, b))]]
+    out *= grid.dealias_half
+    work_rate = 0.0
+    forcing = params.forcing
+    if forcing.active:
+        targets, shift = grid.trig_shift(grid.dealiased_terms(forcing.terms), d)
+        moved = shift(state_h[0])
+        moved *= forcing.envelope_at(t)
+        np.add.at(out[1:].reshape(-1), targets, moved)
+        if ledger:
+            product = forcing.spatial(grid) * forcing.envelope_at(t)
+            product *= m
+            work_rate = float(np.sum(product)) * grid.dx**d
+    if extra_source is not None:
+        source = np.empty_like(state)
+        source[0], source[1:] = extra_source(t, rho, m)
+        out += grid.rfft(source)
+    if not ledger:
+        return out, 0.0, 0.0
+    grad_sq = grid.parseval(grid.k2_half * (np.square(u_h.real) + np.square(u_h.imag)))
+    div_sq = grid.parseval(np.square(div_u_h.real) + np.square(div_u_h.imag))
+    return out, params.mu * grad_sq + (params.mu + params.lam) * div_sq, work_rate
+
+
 def physical_advance(rho, m, t, dt, grid, params, force_xy, extra_source=None, with_ledger=False):
     """The physical-state RK4 step: (rho', m', dD, dW)."""
     extra = (force_xy, extra_source, with_ledger)
@@ -870,6 +922,56 @@ class TestWorkspace:
             assert np.array_equal(a.rho.values, b.rho.values) and np.array_equal(a.m.values, b.m.values)
         for name in ("t", "E", "D", "W", "R"):
             assert np.array_equal(getattr(one.report, name), getattr(two.report, name))
+
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 16), (3, 8), (3, 32)])
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("ledger", [False, True])
+    def test_buffer_bytes_match_their_count(self, d, n, forced, ledger):
+        """3d + 4 complex and 2d + 3 real grid fields (d more real ones for a
+        forced ledger's spatial factor), the viscous symbol, and one spare
+        complex buffer: a flux pair's coefficients, the ledger's squared
+        parts, or the forcing shift's gathered and moved modes, the largest.
+        The shift owns no buffer of its own."""
+        params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
+        stepper = _Stepper(make_grid(d, n, TWO_PI), params, ledger=ledger)
+        half, cells = n ** (d - 1) * (n // 2 + 1), n**d
+        dealiased = (2 * (n // 3) + 1) ** (d - 1) * (n // 3 + 1)
+        terms = len(params.forcing.terms)
+        spare = max(half, d * half if ledger else 0, (2 * terms + d) * dealiased if forced else 0)
+        real = 2 * d + 3 + (d if forced and ledger else 0)
+        want = 16 * ((3 * d + 4) * half + spare) + 8 * (real * cells + half)
+        owned = [a for a in vars(stepper).values() if isinstance(a, np.ndarray) and a.base is None]
+        if forced:
+            shift = stepper.force[1]
+            cells_of = dict(zip(shift.__code__.co_freevars, (c.cell_contents for c in shift.__closure__)))
+            lent = [cells_of[name] for name in ("values", "moved")]
+            assert all(np.shares_memory(buf, stepper.flux_h) for buf in lent)
+        assert sum(a.nbytes for a in owned) == want
+        if (d, n, forced, ledger) == (3, 32, True, True):  # 16 complex and 12 real grid fields
+            assert want - 8 * half == 16 * 16 * half + 12 * 8 * cells == 7.25 * 2**20
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["unforced", "forced", "extra source"])
+    @pytest.mark.parametrize("ledger", [False, True])
+    def test_rhs_equals_the_batched_flux_assembly(self, d, case, ledger):
+        # one flux pair at a time, each subtracted at once, in pair order:
+        # every component's increments come in the batched order
+        g = make_grid(d, 8 if d == 3 else 16, TWO_PI)
+        params = FluidParams(mu=0.05, forcing=ForcingSpec() if case == "unforced" else two_term_forcing(d))
+
+        def extra(t, rho, m):
+            return 0.01 * rho * rho, 0.02 * m * np.cos(t)
+
+        source = extra if case == "extra source" else None
+        st = preset_ic("random-band", g, params, seed=9, amplitude=0.5)
+        fields = _fields(st)
+        fields_h, stepper = g.rfft(fields), _Stepper(g, params, source, ledger=ledger)
+        for t in (0.0, 0.7):
+            got, diss, work = stepper.rhs(fields_h, fields, t, np.empty_like(fields_h))
+            want, want_diss, want_work = batched_flux_rhs(g, params, fields_h, fields, t, source, ledger)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert (diss, work) == (want_diss, want_work)
+            assert (diss > 0) == ledger and (work != 0.0) == (ledger and case != "unforced")
 
     def test_memory_stays_below_the_fresh_array_stepper(self):
         # the tracemalloc pattern of the diagnose memory test: a collection

@@ -175,9 +175,22 @@ def test_a_store_set_up_for_another_count_is_closed_with_an_error(count, said):
 
 def test_a_write_pass_set_up_for_more_states_leaves_no_file(tmp_path):
     store = write_pass(tmp_path / "run", "demo", PLAN.params_for(0.02), 4)
-    with pytest.raises(ValueError, match="did not answer at State 3"):
+    with pytest.raises(ValueError, match="store is set up for 4 States, not the run's snapshots \\+ 1 = 3$"):
         run(INITIAL, PLAN.params_for(0.02), PLAN.T, snapshots=2, dt_cap=DT_CAP, store=store)
     assert list(tmp_path.iterdir()) == []
+
+
+
+def test_a_write_pass_set_up_for_fewer_states_leaves_nothing(tmp_path):
+    # it would answer at the run's second State and name its files then,
+    # before run could refuse the early answer
+    params = PLAN.params_for(0.02)
+    store = write_pass(tmp_path / "wp" / "run", "demo", params, 2)
+    with pytest.raises(ValueError, match="store is set up for 2 States, not the run's snapshots \\+ 1 = 3$"):
+        run(INITIAL, params, T=0.05, snapshots=2, store=store)
+    assert inspect.getgeneratorstate(store) == inspect.GEN_CLOSED
+    assert list(tmp_path.rglob("*.ckhs")) == list(tmp_path.rglob("*.part")) == []
+    assert not (tmp_path / "wp" / "run").exists()
 
 
 def random_band(d, n, forced):
