@@ -3,7 +3,8 @@
 Subcommands: simulate (one run), diagnose (stored series), sweep
 (viscosity ladder), report (pretty-print a summary), selftest (built-in
 oracle checks).  Exit codes: 0 success, 1 runtime failure such as a
-blow-up or a missing or corrupt file, 2 usage or configuration error.
+blow-up or a missing or corrupt file, 2 usage or configuration error,
+130 an interrupt (Ctrl-C).
 
 Reports are deterministic: JSON is sorted and timestamp-free, CSV
 floats use %.17g, so rerunning a seeded experiment reproduces the
@@ -566,6 +567,9 @@ def cli_main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # a run has closed its store by now
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -543,13 +543,14 @@ _SMOOTH_D = np.polyder(_SMOOTH)
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Space-time test function: trig polynomial times a one-sided bump.
+    """Space-time test function: one trig mode times a one-sided bump.
 
-    phi(t, x) = b(t) * sum_terms amps * cos(k.x + phase), with b a
-    degree-9 smoothstep in (1 - t/T0): b(0) = 1, b and four derivatives
-    vanish at t = T0, identically zero beyond.  Terms carry one
-    amplitude per component, so components > 1 gives a vector function;
-    grid.trig_sum(terms, components) samples the spatial part and its gradient.
+    phi(t, x) = b(t) * amps * cos(k.x + phase) for the one term (amps, mode,
+    phase) of terms, with b a degree-9 smoothstep in (1 - t/T0): b(0) = 1,
+    b and four derivatives vanish at t = T0, identically zero beyond.  amps
+    has one amplitude per component, so components > 1 gives a vector
+    function; grid.trig_sum(terms, components) samples the spatial part and
+    its gradient.
     """
 
     # not a test case, despite the name pytest sees on import
@@ -566,6 +567,8 @@ class TestFunction:
         if self.components < 1:
             raise ValueError("components must be at least 1")
         object.__setattr__(self, "terms", trig_terms(self.terms, self.components, self.grid.d))
+        if len(self.terms) != 1:
+            raise ValueError(f"a test function takes exactly one (amps, mode, phase) term, got {len(self.terms)}")
 
     def bump(self, t):
         """b(t) at a time or an array of times."""
@@ -707,15 +710,6 @@ class WeakResiduals:
         return _max_rel([r.euler_residual for r in self.momentum], [r.roundoff_scale for r in self.momentum])
 
 
-def _record(rows, gross, i, k, factor, products):
-    """Term k of every stacked function at snapshot i: factor times the sum
-    of each function's products, and |factor| times the sum of their
-    magnitudes added to its gross mass.  products are made absolute."""
-    flat = products.reshape(len(products), -1)
-    rows[:, k, i] = factor * np.sum(flat, axis=-1)
-    gross[:, i] += np.abs(factor) * np.sum(np.abs(flat, out=flat), axis=-1)
-
-
 def _bumps(fns, times) -> tuple:
     """b and b' of every function at every time, (functions, times) each."""
     shape = (len(fns), len(times))
@@ -734,17 +728,27 @@ def _sym_grad(grid: PeriodicGrid, u: np.ndarray, pairs) -> tuple:
     return grid.irfft(sym_h, scratch=sym_h).reshape(len(pairs), -1), grad_sq
 
 
-def _weak_totals(times, terms, gross, data_values, dxd):
+def _weak_totals(times, terms, gross, data, dxd):
     """(residual, scale, gross) of one weak form from its per-snapshot term
-    and gross rows and its t = 0 data term (see WeakResiduals)."""
-    data = float(np.sum(data_values)) * dxd
+    and gross rows and its t = 0 data term with that term's gross mass, the
+    last two still to be multiplied by dxd (see WeakResiduals)."""
+    data, data_gross = (float(v) * dxd for v in data)
     residual = float(np.trapezoid(sum(terms), x=times)) + data
     scale = abs(data) + sum(float(np.trapezoid(np.abs(g), x=times)) for g in terms)
-    return residual, scale, float(np.sum(np.abs(data_values))) * dxd + float(np.trapezoid(gross, x=times))
+    return residual, scale, data_gross + float(np.trapezoid(gross, x=times))
 
 
 def weak_pass(series, params: FluidParams, scalars, vectors, m0: Field = None):
-    """weak_residuals as a feed pass, keeping the first state for the data terms."""
+    """weak_residuals as a feed pass.
+
+    A test function is one mode, phi = b amps cos(k.x + phase), so each term
+    of the weak forms sums a field times cos or sin(k.x + phase) over the
+    grid, times scalars of the function.  The pass samples those two fields
+    once per distinct (mode, phase) and takes |c x| = |c| |x| for the gross
+    sums; after set-up it holds them, d + 1 scratch fields and, for the
+    momentum of a forced flow, the forcing's d.  A term whose bump factor is
+    zero is not formed (b' at t = 0, b and b' from T0 on).  The data terms
+    are summed as the first State arrives, and no State is kept."""
     times = _require_time_series(series)
     grid = series.grid
     d = grid.d
@@ -754,50 +758,55 @@ def weak_pass(series, params: FluidParams, scalars, vectors, m0: Field = None):
         raise ValueError("mass residual takes a scalar test function")
     if any(phi.components != d for phi in vectors):
         raise ValueError(f"momentum residual takes a {d}-component test function")
-    size, nt, ns, nv = grid.n**d, len(times), len(scalars), len(vectors)
-    # m (x) m / rho and Sigma are symmetric, so both contract with grad phi
-    # through the pairs a <= b: with sym_aa = d_a phi_a and
-    # sym_ab = d_b phi_a + d_a phi_b, Q : grad phi = sum_pairs Q_ab sym_ab
-    # and Sigma : grad phi = mu sum_pairs (d_b u_a + d_a u_b) sym_ab
-    # + lam div u div phi.
+    size, nt = grid.n**d, len(times)
+    keys = list(dict.fromkeys(phi.terms[0][1:] for phi in (*scalars, *vectors)))
+    forced = d if vectors and params.forcing.active else 0
+    # One block holds the pass's fields: each key's cos and sin, the forcing's
+    # d if used, then d + 1 scratch fields.  Freed as one, it lifts glibc's mmap
+    # threshold (the largest block freed) above every pass's per-snapshot arrays.
+    block = np.empty((2 * len(keys) + forced + d + 1,) + grid.shape)
+    flat, waves = block.reshape(len(block), size), {}  # (mode, phase) -> k, cos, sin, the sum of sin^2
+    for j, key in enumerate(keys):
+        k, block[2 * j], block[2 * j + 1] = grid.trig_mode(*key)
+        waves[key] = np.array(k), flat[2 * j], flat[2 * j + 1], float(np.vdot(flat[2 * j + 1], flat[2 * j + 1]))
+    force = flat[2 * len(keys) : len(flat) - d - 1]  # empty unless forced
+    force[...] = params.forcing.spatial(grid).reshape(d, size) if forced else 0.0
+    comp, prod = np.split(flat[len(flat) - d - 1 :], [d])
+    s_parts, v_parts = ([(np.array(phi.terms[0][0]),) + waves[phi.terms[0][1:]] for phi in fns]
+                        for fns in (scalars, vectors))
+    # For the pairs a <= b, sym_ab = d_b phi_a + d_a phi_b (sym_aa = d_a phi_a)
+    # is -b c_ab sin, c_ab = amps_a k_b + amps_b k_a (amps_a k_a for a = b), so
+    # (m (x) m / rho) : grad phi = -b sin (amps . m)(k . u) and Sigma : grad phi
+    # = -b sin sum_pairs (mu c_ab + [a = b] lam (amps . k) / 2)(d_b u_a + d_a u_b).
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
-    # Each function is sampled straight into its family's C-ordered stacks,
-    # one function's samples alive at a time.
-    s_space, s_grad = np.empty((ns, size)), np.empty((ns, d, size))
-    for f, phi in enumerate(scalars):
-        space, grad = grid.trig_sum(phi.terms, 1)
-        s_space[f], s_grad[f] = space.reshape(size), grad.reshape(d, size)
-    v_space, v_div, v_sym = np.empty((nv, d, size)), np.empty((nv, size)), np.empty((len(pairs), nv, size))
-    v_grad_sq = np.empty(nv)
-    for f, phi in enumerate(vectors):
-        space, grad = grid.trig_sum(phi.terms, d)
-        grad = grad.reshape(d, d, size)
-        v_space[f], v_div[f], v_grad_sq[f] = space.reshape(d, size), np.einsum("aan->n", grad), np.sum(grad**2)
-        for k, (a, b) in enumerate(pairs):
-            v_sym[k, f] = grad[a, b] + grad[b, a] if a != b else grad[a, a]
+    visc = [np.array([params.mu * (amps[a] * k[b] + amps[b] * k[a] if a != b else amps[a] * k[a])
+                      + (0.5 * params.lam * (amps @ k) if a == b else 0.0) for a, b in pairs])
+            for amps, k, *_ in v_parts]
     s_b, s_bdt = _bumps(scalars, times)
     v_b, v_bdt = _bumps(vectors, times)
-    force = params.forcing.spatial(grid).reshape(d, size) if vectors and params.forcing.active else None
-    # per function and snapshot: mass (dt, flux), momentum (dt, flux, press,
-    # force, visc), each with its gross mass
-    mass_rows, mass_gross = np.zeros((ns, 2, nt)), np.zeros((ns, nt))
-    mom_rows, mom_gross = np.zeros((nv, 5, nt)), np.zeros((nv, nt))
+    # per function, term (mass: dt, flux; momentum: dt, flux, press, force,
+    # visc) and snapshot: the term and its gross mass
+    mass, mom = np.zeros((len(scalars), 2, 2, nt)), np.zeros((len(vectors), 5, 2, nt))
     grad_u_sq, div_u_sq = np.zeros(nt), np.zeros(nt)
-    # One term's products with every function at a time, in one buffer for
-    # all snapshots: a fresh stacked product per term costs more than the
-    # term (at 3D 32^3 it is megabytes).
-    products = np.empty((max(ns, nv), d, size))
+
+    def sums(coef, products):
+        """coef . the sums of the rows of products, and |coef| . those of
+        their magnitudes; products are made absolute."""
+        return coef @ products.sum(-1), np.abs(coef) @ np.abs(products, out=products).sum(-1)
+
     for i in range(nt):
         st = yield
-        if i == 0:
-            first = st
-        rho, m = st.rho.values.reshape(size), st.m.values.reshape(d, size)
-        if scalars:
-            scalar_products = products[:ns, 0]
-            np.multiply(rho, s_space, out=scalar_products)
-            _record(mass_rows, mass_gross, i, 0, s_bdt[:, i], scalar_products)
-            np.einsum("kn,fkn->fn", m, s_grad, out=scalar_products)
-            _record(mass_rows, mass_gross, i, 1, s_b[:, i], scalar_products)
+        rho, m = st.rho.values.reshape(1, size), st.m.values.reshape(d, size)
+        if i == 0:  # the data terms, b(0) = 1
+            mass_data = [sums(amps, np.multiply(rho, cos, out=prod)) for amps, _, cos, *_ in s_parts]
+            mom_data = [sums(amps, np.multiply(m if m0 is None else m0.values.reshape(d, size), cos, out=comp))
+                        for amps, _, cos, *_ in v_parts]
+        for f, (amps, k, cos, sin, _) in enumerate(s_parts):
+            if s_bdt[f, i]:  # rho d_t phi
+                mass[f, 0, :, i] = sums(s_bdt[f, i] * amps, np.multiply(rho, cos, out=prod))
+            if s_b[f, i]:  # m . grad phi = -b amps sin (k . m)
+                np.einsum("a,an->n", k, m, out=prod[0])
+                mass[f, 1, :, i] = sums(-s_b[f, i] * amps, np.multiply(prod, sin, out=prod))
         if not vectors:
             del st, rho, m
             continue
@@ -805,56 +814,50 @@ def weak_pass(series, params: FluidParams, scalars, vectors, m0: Field = None):
         sym_u, grad_u_sq[i] = _sym_grad(grid, u, pairs)
         div_u = 0.5 * sum(sym_u[k] for k, (a, b) in enumerate(pairs) if a == b)
         div_u_sq[i] = np.dot(div_u, div_u)
-        b, comp, contracted = v_b[:, i], products[:nv], products[:nv, 0]
-        np.multiply(m, v_space, out=comp)
-        _record(mom_rows, mom_gross, i, 0, v_bdt[:, i], comp)
-        flux = np.empty((len(pairs), size))  # m (x) m / rho, the pairs a <= b
-        for row, (a, c) in zip(flux, pairs):  # b is taken by the bumps
-            np.multiply(m[a], u[c], out=row)
-        np.einsum("kn,kfn->fn", flux, v_sym, out=contracted)
-        _record(mom_rows, mom_gross, i, 1, b, contracted)
-        np.multiply(params.pressure(rho), v_div, out=contracted)
-        _record(mom_rows, mom_gross, i, 2, b, contracted)
-        if force is not None:
-            np.multiply(v_space, force, out=comp)
-            comp *= rho * params.forcing.envelope_at(st.t)
-            _record(mom_rows, mom_gross, i, 3, b, comp)
-        np.einsum("kn,kfn->fn", sym_u, v_sym, out=contracted)
-        contracted *= params.mu
-        contracted += params.lam * div_u * v_div
-        _record(mom_rows, mom_gross, i, 4, b, contracted)
-        del st, rho, m, u, sym_u, div_u, flux, row  # not kept while the series makes the next State
+        p = params.pressure(rho) if v_b[:, i].any() else None
+        for f, ((amps, k, cos, sin, _), coef) in enumerate(zip(v_parts, visc)):
+            b, bdt = v_b[f, i], v_bdt[f, i]
+            if bdt:  # m . d_t phi
+                mom[f, 0, :, i] = sums(bdt * amps, np.multiply(m, cos, out=comp))
+            if not b:
+                continue
+            np.multiply(np.einsum("a,an->n", amps, m, out=prod[0]), np.einsum("a,an->n", k, u, out=comp[0]),
+                        out=prod[0])
+            mom[f, 1, :, i] = sums(np.array([-b]), np.multiply(prod, sin, out=prod))
+            mom[f, 2, :, i] = sums(np.array([-b * (amps @ k)]), np.multiply(p, sin, out=prod))  # div phi
+            if forced:
+                np.multiply(force, cos, out=comp)
+                mom[f, 3, :, i] = sums(b * params.forcing.envelope_at(st.t) * amps, np.multiply(comp, rho, out=comp))
+            np.einsum("k,kn->n", coef, sym_u, out=prod[0])
+            mom[f, 4, :, i] = sums(np.array([-b]), np.multiply(prod, sin, out=prod))
+        del st, rho, m, u, sym_u, div_u, p  # not kept while the series makes the next State
 
     dxd = grid.dx**d
     b_sq = v_b**2 * dxd
-    for arr in (mass_rows, mass_gross, mom_rows, mom_gross, div_u_sq):  # grad_u_sq is a box integral
-        arr *= dxd
-    rho0 = first.rho.values.reshape(size)
-    mass = [
-        _weak_totals(times, rows, gross, rho0 * (phi.bump(0.0) * space), dxd)
-        for phi, space, rows, gross in zip(scalars, s_space, mass_rows, mass_gross)
-    ]
+    div_u_sq *= dxd  # grad_u_sq is a box integral
 
     def l2(g):
         return math.sqrt(max(float(np.trapezoid(g, x=times)), 0.0))
 
-    m0 = (first.m if m0 is None else m0).values.reshape(d, size)
     momentum = []
-    for phi, space, div_g, grad_sq, rows, gross, bf_sq in zip(vectors, v_space, v_div, v_grad_sq,
-                                                             mom_rows, mom_gross, b_sq):
-        euler, scale, roundoff = _weak_totals(times, rows[:4], gross, m0 * (phi.bump(0.0) * space), dxd)
-        visc = float(np.trapezoid(rows[4], x=times))
-        bound = (2.0 * params.mu * l2(grad_u_sq) * l2(float(grad_sq) * bf_sq)
-                 + abs(params.lam) * l2(div_u_sq) * l2(float(np.sum(div_g**2)) * bf_sq))
+    for (amps, k, _, _, sin_sq), terms, data, bf_sq in zip(v_parts, mom, mom_data, b_sq):
+        rows = terms[:, 0] * dxd
+        euler, scale, roundoff = _weak_totals(times, rows[:4], terms[:, 1].sum(0) * dxd, data, dxd)
+        visc_term = float(np.trapezoid(rows[4], x=times))
+        # |grad phi|^2 = b^2 |amps|^2 |k|^2 sin^2 and (div phi)^2 = b^2 (amps . k)^2 sin^2
+        bound = (2.0 * params.mu * l2(grad_u_sq) * l2(sin_sq * (amps @ amps) * (k @ k) * bf_sq)
+                 + abs(params.lam) * l2(div_u_sq) * l2(sin_sq * (amps @ k) ** 2 * bf_sq))
         momentum.append(MomentumResidual(
             euler_residual=euler,
-            viscous_term=visc,
-            ns_residual=euler - visc,
+            viscous_term=visc_term,
+            ns_residual=euler - visc_term,
             viscous_bound=bound,
             quadrature_scale=scale,
             quadrature_uncertainty=_trapezoid_refinement_gap(times, (sum(rows[:4]), rows[4]), scale),
             roundoff_scale=roundoff,
         ))
+    mass = [_weak_totals(times, terms[:, 0] * dxd, terms[:, 1].sum(0) * dxd, data, dxd)
+            for terms, data in zip(mass, mass_data)]
     yield WeakResiduals(mass=tuple(mass), momentum=tuple(momentum))
 
 
@@ -864,12 +867,12 @@ def weak_residuals(series: SnapshotSeries, params: FluidParams, scalars=(), vect
     momentum residuals of the vector ones, in one sweep of the series.
 
     Per snapshot, u = m / max(rho, rho_min), the symmetric part of grad u
-    (one rfftn, one batched inverse), m (x) m / rho, p and rho f are built
-    once.  Each term's products with every test function's spatial part
-    form one stacked array, summed per function and scaled by its bump
-    b(t) or b'(t).  The mass data term uses the first snapshot's rho, the
-    momentum one m0 (default the first snapshot's m); params may be None
-    when there are no vector test functions.
+    (one rfftn, one batched inverse) and p are built once.  Each term is
+    then summed per test function from products with the cos or sin field
+    of the function's mode (see weak_pass) and scaled by its bump b(t) or
+    b'(t).  The mass data term uses the first snapshot's rho, the momentum
+    one m0 (default the first snapshot's m); params may be None when there
+    are no vector test functions.
     """
     return feed(series, [weak_pass(series, params, scalars, vectors, m0)])[0]
 

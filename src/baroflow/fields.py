@@ -174,22 +174,22 @@ class PeriodicGrid:
         over (amps, mode, phase) terms with one amplitude per component,
         shape (components,) + shape, and their spatial derivatives, shape
         (components, d) + shape."""
-        coords = self.axes_coordinates()
         space = np.zeros((components,) + self.shape)
         grad = np.zeros((components, self.d) + self.shape)
         for amps, mode_vec, phase in trig_terms(terms, components, self.d):
-            kvec = [2.0 * np.pi / self.P * v for v in mode_vec]
-            arg = np.full(self.shape, phase)
-            for axis in range(self.d):
-                arg = arg + kvec[axis] * coords[axis]
-            c = np.cos(arg)
+            kvec, c, s = self.trig_mode(mode_vec, phase)
             for comp in range(components):
                 space[comp] += amps[comp] * c
-            s = np.sin(arg)
-            for comp in range(components):
                 for axis in range(self.d):
                     grad[comp, axis] += -amps[comp] * kvec[axis] * s
         return space, grad
+
+    def trig_mode(self, mode_vec, phase: float) -> tuple:
+        """k = (2 pi / P) * mode as a list, and the samples of cos(k.x + phase)
+        and sin(k.x + phase), each of shape grid.shape."""
+        kvec = [2.0 * np.pi / self.P * v for v in mode_vec]
+        arg = sum((k * x for k, x in zip(kvec, self.axes_coordinates())), np.full(self.shape, float(phase)))
+        return kvec, np.cos(arg), np.sin(arg)
 
     def dealiased_terms(self, terms) -> tuple:
         """terms, if every mode lies within the two-thirds cutoff, |mode_a| <=

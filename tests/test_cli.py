@@ -16,6 +16,7 @@ import pytest
 
 import baroflow.cli
 import baroflow.diagnostics
+import baroflow.snapshots
 import baroflow.sweep
 from baroflow import diagnostics as dg
 from baroflow.cli import cli_main
@@ -898,6 +899,24 @@ class TestExitCodes:
         assert code == 1
         assert "error: mass drifted" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # every snapshot was written, then discarded
+
+    def test_an_interrupt_exits_130_with_one_line_and_no_partial_file(self, tmp_path, monkeypatch, capsys):
+        written = []
+        real_write = baroflow.snapshots.write_snapshot
+
+        def interrupted_at_state_3(path, st, params):
+            if len(written) == 3:
+                raise KeyboardInterrupt
+            written.append(path)
+            return real_write(path, st, params)
+
+        monkeypatch.setattr(baroflow.snapshots, "write_snapshot", interrupted_at_state_3)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SIM_CONFIG)
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"  # no traceback
+        assert [p.name for p in written] == [f"demo_000{i}.ckhs.part" for i in range(3)]
+        assert not any(tmp_path.rglob("*.part")) and not (tmp_path / "out").exists()
 
     def test_bad_config_exits_two(self, tmp_path):
         cfg = tmp_path / "exp.ini"

@@ -8,7 +8,9 @@ function with the forcing sampled at every snapshot.  Those forms are
 kept here as test-only references.
 """
 
+import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 import baroflow.solver
 from baroflow.diagnostics import (
     MomentumResidual,
+    TestFunction,
     ckhw_from_spectrum,
     ckhw_statistic,
     default_test_functions,
@@ -39,7 +42,7 @@ from baroflow.diagnostics import (
     _sym_grad,
     _trapezoid_refinement_gap,
 )
-from baroflow.fields import dft_forward, make_grid, weighted_fields
+from baroflow.fields import Field, dft_forward, make_grid, weighted_fields
 from baroflow.snapshots import scan_series, write_pass
 from baroflow.solver import FluidParams, ForcingSpec, block_pass, preset_ic, run
 
@@ -359,9 +362,92 @@ class TestStoredSeries:
         assert _close(spec.integrated_energy, np.trapezoid(rows, x=stored.times, axis=0), ORDER_REL)
 
 
+def numpy_blocks(call):
+    """The sizes of the numpy data blocks that call() allocates and that are
+    still alive when it returns, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = call()
+        snap = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return [t.size for t in snap.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]).traces]
+
+
 class TestWorkingSet:
-    """A walk over a series holds one State at a time, and the weak form's
-    per-snapshot arrays are made once, in place."""
+    """A walk over a series holds one State at a time; the weak-form pass
+    holds the fields it states and no State, and makes its per-snapshot
+    arrays once, in place."""
+
+    @pytest.mark.parametrize("forced", (False, True), ids=("free", "forced"))
+    @pytest.mark.parametrize("d, n", ((2, 16), (3, 32)))
+    def test_the_weak_pass_holds_two_fields_per_mode_and_d_plus_one_scratch(self, d, n, forced):
+        # the default set has 3 distinct (mode, phase): their cos and sin
+        # fields, d + 1 scratch fields, and for momentum of a forced flow the
+        # forcing's d fields
+        grid = make_grid(d, n, TWO_PI)
+        params = FluidParams(mu=0.02, forcing=_forcing(d) if forced else ForcingSpec())
+        initial = preset_ic("random-band", grid, params, seed=3, amplitude=0.5)
+        series = baroflow.solver.SnapshotSeries(
+            states=tuple(baroflow.solver.State(t=0.1 * i, rho=initial.rho, m=initial.m) for i in range(5)))
+        tests = default_test_functions(grid, 0.4), default_test_functions(grid, 0.4, vector=True)
+
+        def set_up():
+            p = weak_pass(series, params, *tests)
+            next(p)
+            return p
+
+        field = 8 * n**d
+        held = sum(b for b in numpy_blocks(set_up) if b >= field)  # not the per-function rows and bumps
+        assert held == (2 * 3 + d + 1 + d * forced) * field
+
+    def test_the_weak_pass_keeps_no_state_it_was_sent(self):
+        grid = make_grid(2, 16, TWO_PI)
+        params = FluidParams(mu=0.02, forcing=_forcing(2))
+        initial = preset_ic("random-band", grid, params, seed=3, amplitude=0.5)
+        series = run(initial, params, T=0.08, snapshots=4).series
+        tests = default_test_functions(grid, 0.08), default_test_functions(grid, 0.08, vector=True)
+        p = weak_pass(series, params, *tests)
+        next(p)
+        alive = []
+        for st in series:
+            sent = baroflow.solver.State(t=st.t, rho=Field(grid=grid, values=st.rho.values),
+                                         m=Field(grid=grid, values=st.m.values))
+            ref = weakref.ref(sent)
+            answer = p.send(sent)
+            del sent
+            alive.append(ref() is not None)
+        assert alive == [False] * len(series)  # the first, whose data terms are summed on arrival, too
+        assert answer == weak_residuals(series, params, *tests)
+
+    def test_past_t0_no_term_is_formed_and_the_bound_still_matches(self, monkeypatch):
+        # b and b' vanish from T0 on, so the terms are not formed there, but
+        # |grad u|^2 and (div u)^2 of every snapshot enter the viscous bound
+        grid = make_grid(2, 16, TWO_PI)
+        params = FluidParams(gamma=1.4, kappa=1.0, mu=0.02, forcing=_forcing(2))
+        initial = preset_ic("random-band", grid, params, seed=42, amplitude=0.6)
+        series = run(initial, params, T=0.4, snapshots=12).series
+        phi = TestFunction(grid=grid, T0=0.2, terms=(((1.0, 0.3), (1, 1), 0.4),), components=2)
+        pressures = []
+        pressure = FluidParams.pressure
+
+        def counted(self, rho, out=None):
+            pressures.append(float(np.sum(rho)))
+            return pressure(self, rho, out)
+
+        monkeypatch.setattr(FluidParams, "pressure", counted)
+        got = weak_residual_momentum(series, params, phi, series[0].m)
+        monkeypatch.undo()
+        assert len(pressures) == np.count_nonzero(phi.bump(series.times)) == 6
+        want = reference_momentum(series, params, phi, series[0].m)
+        assert math.isclose(got.viscous_bound, want.viscous_bound, rel_tol=REL)
+        assert want.viscous_bound > 0.0
+        for name in ("euler_residual", "viscous_term", "ns_residual"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= REL * want.roundoff_scale, name
+        for name in ("quadrature_scale", "roundoff_scale"):
+            assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=REL), name
 
     def test_feed_lets_each_rebuilt_state_go_before_the_next(self, monkeypatch):
         # the limit check's walk: the weak-form and spectral passes over a

@@ -521,14 +521,11 @@ class TestTestFunction:
         assert rate > 5.0
 
     def test_gradient_matches_spectral_derivative(self, full_lattice):
+        # a two-term sum through the sampler a test function's one term uses
         grid = make_grid(2, 16, 2.0 * np.pi)
-        fn = TestFunction(
-            grid=grid, T0=1.0,
-            terms=(((0.7, -0.2), (2, 1), 0.3), ((0.1, 0.5), (0, 3), -1.1)),
-            components=2,
-        )
+        fn = TestFunction(grid=grid, T0=1.0, terms=(((0.7, -0.2), (2, 1), 0.3),), components=2)
         t = 0.3
-        space, grad = grid.trig_sum(fn.terms, fn.components)
+        space, grad = grid.trig_sum(fn.terms + (((0.1, 0.5), (0, 3), -1.1),), fn.components)
         val = fn.bump(t) * space
         grad = fn.bump(t) * grad
         for comp in range(2):
@@ -555,6 +552,9 @@ class TestTestFunction:
             TestFunction(grid=grid, T0=1.0, terms=(((1.0, 2.0), (1, 0), 0.0),), components=1)
         with pytest.raises(ValueError, match="T0 must be positive"):
             TestFunction(grid=grid, T0=0.0, terms=(((1.0,), (1, 0), 0.0),), components=1)
+        for count in (0, 2):
+            with pytest.raises(ValueError, match=f"exactly one \\(amps, mode, phase\\) term, got {count}"):
+                TestFunction(grid=grid, T0=1.0, terms=(((1.0,), (1, 0), 0.0),) * count, components=1)
 
 
 def acoustic_run(snapshots=160):

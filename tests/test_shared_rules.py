@@ -226,10 +226,12 @@ def test_forcing_spatial_is_bit_identical(d, P):
 @pytest.mark.parametrize("d", (1, 2, 3))
 @pytest.mark.parametrize("components", (1, 2, 3))
 def test_test_function_parts_are_bit_identical(d, components):
+    # a test function takes one term; the sampler sums any number of them
     grid = make_grid(d, 8, 1.7)
-    phi = TestFunction(grid=grid, T0=1.0, terms=_terms(d, components), components=components)
-    space, grad = reference_test_function_parts(grid, phi.terms, components)
-    got_space, got_grad = grid.trig_sum(phi.terms, phi.components)
+    terms = sum((TestFunction(grid=grid, T0=1.0, terms=(term,), components=components).terms
+                 for term in _terms(d, components)), ())
+    space, grad = reference_test_function_parts(grid, terms, components)
+    got_space, got_grad = grid.trig_sum(terms, components)
     assert np.array_equal(got_space, space)
     assert np.array_equal(got_grad, grad)
 
