@@ -106,7 +106,8 @@ class ForcingConfig:
 class InitialConfig:
     preset: str = "taylor-green"
     seed: int = None
-    amplitude: float = 1.0
+    amplitude: float = None  # blank: the presets' 1.0; equilibrium takes none
+    preset_amplitude = property(lambda self: 1.0 if self.amplitude is None else self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -236,15 +237,18 @@ class ExperimentConfig:
         """The grid (forcing modes too), fluid, forcing, run-window, sweep and
         [diagnostics] rules are those of PeriodicGrid, FluidParams, ForcingSpec,
         plan_sweep/SweepPlan (solver.run_window) and the diagnostics that take
-        each value; |initial amplitude| is finite and at most BLOWUP_THRESHOLD."""
+        each value; |initial amplitude| is finite, at most BLOWUP_THRESHOLD and blank under equilibrium."""
         grid = self.make_grid()
         params = self.fluid_params()
         grid.dealiased_terms(params.forcing.terms)
-        if not math.isfinite(self.initial.amplitude):
-            raise ValueError(f"[initial] amplitude must be finite, got {self.initial.amplitude}")
-        if abs(self.initial.amplitude) > BLOWUP_THRESHOLD:  # the presets' |m| is at most |amplitude|
+        amplitude = self.initial.preset_amplitude
+        if self.initial.amplitude is not None and self.initial.preset == "equilibrium":
+            raise ValueError(f"[initial] amplitude must be blank under preset equilibrium, got {amplitude}")
+        if not math.isfinite(amplitude):
+            raise ValueError(f"[initial] amplitude must be finite, got {amplitude}")
+        if abs(amplitude) > BLOWUP_THRESHOLD:  # the presets' |m| is at most |amplitude|
             raise ValueError(f"[initial] amplitude must be at most the solver's blow-up threshold "
-                             f"{BLOWUP_THRESHOLD:.0e} in magnitude, got {self.initial.amplitude}")
+                             f"{BLOWUP_THRESHOLD:.0e} in magnitude, got {amplitude}")
         self.sweep_plan()
         dc = self.diagnostics
         dg.fit_window(grid.n, dc.window_lo, dc.window_hi)
@@ -299,7 +303,7 @@ class ExperimentConfig:
         params = self.fluid_params() if params is None else params
         return preset_ic(
             self.initial.preset, grid, params,
-            seed=self.initial.seed, amplitude=self.initial.amplitude,
+            seed=self.initial.seed, amplitude=self.initial.preset_amplitude,
         )
 
     def sweep_plan(self) -> SweepPlan:
@@ -309,7 +313,7 @@ class ExperimentConfig:
             gamma=self.fluid.gamma, kappa=self.fluid.kappa,
             lam_ratio=self.sweep.lam_ratio, rho_min=self.fluid.rho_min,
             ic=self.initial.preset, ic_seed=self.initial.seed,
-            ic_amplitude=self.initial.amplitude,
+            ic_amplitude=self.initial.preset_amplitude,
             T=self.run.horizon, snapshots=self.run.snapshots, cfl=self.run.cfl,
             forcing=self.forcing_spec(),
         )

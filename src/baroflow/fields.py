@@ -14,7 +14,8 @@ half-lattice sum with each mode counted by its Hermitian multiplicity:
 once on the last-axis 0 and n/2 planes (which are their own mirror
 images), twice everywhere else.  PeriodicGrid builds the half-lattice
 derivative, diffusion and dealias operators, the shell index and that
-weight once.
+weight once, each contiguous (a broadcast operator multiplies up to twice
+as slowly); rfft_block's pruned passes reach Orszag's two-thirds block alone.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ class PeriodicGrid:
         Number of integer shells round(|mode|), max over the lattice + 1.
     half_shape : tuple of int
         Half-lattice shape (n,) * (d - 1) + (n//2 + 1,) of rfft output.
-    ik_half : list of ndarray
-        i*k per axis on the half lattice, broadcastable, with the Nyquist
-        mode zeroed, for odd-order spectral derivatives of real fields.
+    ik_half : ndarray
+        i*k per axis on the half lattice, shape (d,) + half_shape, with the
+        Nyquist mode zeroed, for odd-order spectral derivatives of real fields.
     k2_half : ndarray
         |k|^2 on the half lattice (Nyquist included), for diffusion.
     ik2_half : ndarray
@@ -132,9 +133,9 @@ class PeriodicGrid:
         k = (2.0 * np.pi / P) * modes_1d.astype(np.float64)
         k_deriv = k.copy()
         k_deriv[n // 2] = 0.0  # Nyquist is ambiguous under differentiation
-        object.__setattr__(self, "ik_half", lattice(1j * k_deriv, h))
+        object.__setattr__(self, "ik_half", np.stack(np.broadcast_arrays(*lattice(1j * k_deriv, h))))
         object.__setattr__(self, "k2_half", squared_norm(lattice(k, h), self.half_shape))
-        object.__setattr__(self, "ik2_half", sum(np.abs(ik) ** 2 for ik in self.ik_half))
+        object.__setattr__(self, "ik2_half", sum(np.abs(v) ** 2 for v in self.ik_half))
         object.__setattr__(self, "mode_norm", np.sqrt(squared_norm(modes, self.shape)))
         object.__setattr__(self, "mode_norm_half", np.sqrt(squared_norm(half_modes, self.half_shape)))
         shell = np.rint(self.mode_norm_half).astype(np.int64)
@@ -199,19 +200,19 @@ class PeriodicGrid:
                 raise ValueError(f"forcing mode {tuple(mode_vec)} is past the two-thirds cutoff n//3 = {self.n // 3}")
         return terms
 
-    def trig_shift(self, terms, components: int, scratch: np.ndarray = None):
+    def trig_shift(self, terms, components: int, scratch: np.ndarray = None, modes: np.ndarray = None):
         """rfft(w) -> rfft(w * trig_sum(terms, components)[0]) on the dealiased
-        modes, exact for the grid product, aliasing included.  Returns
-        (targets, shift): the modes' flat indices in a (components,) +
-        half_shape array, and the map.  The map's buffers are made once, so
-        its result lasts until its next call; they live in scratch, a
-        contiguous complex array left alone while the result is used, if it
-        is large enough.  On x_j = -P/2 + j*dx a term is
+        modes, or on modes (flat indices in half_shape) if given, exact for the
+        grid product, aliasing included.  Returns (targets, shift): the modes'
+        flat indices in a (components,) + half_shape array, and the map.  The
+        map's buffers are made once, so its result lasts until its next call;
+        they live in scratch, a contiguous complex array left alone while the
+        result is used, if it is large enough.  On x_j = -P/2 + j*dx a term is
         amps * cos(2 pi mode.j/n + phase - pi*sum(mode)): it moves rfft(w) by
         -+mode with weights amps * (-1)^sum(mode) * e^{+-i phase} / 2.  Sources
         past the last axis's n/2 are conjugates of their Hermitian mirrors.
         """
-        modes = self.dealias_modes
+        modes = self.dealias_modes if modes is None else modes
         lattice = np.unravel_index(modes, self.half_shape)
         index, mirrored, weight = [], [], []
         for amps, mode_vec, phase in terms:
@@ -240,6 +241,23 @@ class PeriodicGrid:
         """Unnormalized real-to-complex transform over the spatial axes;
         leading axes are batched.  out, if given, takes the result."""
         return np.fft.rfftn(values, axes=self.spatial_axes(), out=out)
+
+    def rfft_block(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """rfft(values) into out, bit for bit on the two-thirds block: rfftn's
+        passes, its complex ones only on the lines that reach the block.  out's
+        other modes hold partial sums, for dealias to zero."""
+        rows = (slice(self.n // 3 + 1), slice(self.n - self.n // 3, None))  # |mode| <= n//3
+        lines = [np.fft.rfft(values, axis=-1, out=out)[..., rows[0]]]
+        for axis in range(-2, -self.d - 1, -1):
+            lines = [np.fft.fft(v, axis=axis, out=v) for v in lines]
+            lines = [v[(..., r) + (slice(None),) * (-1 - axis)] for v in lines for r in rows]
+        return out
+
+    def dealias(self, coef: np.ndarray):
+        """coef *= dealias_half, by zeroing (to +0) the slabs outside the block."""
+        coef[..., self.n // 3 + 1 :] = 0
+        for axis in range(-2, -self.d - 1, -1):
+            coef[(..., slice(self.n // 3 + 1, self.n - self.n // 3)) + (slice(None),) * (-1 - axis)] = 0
 
     def irfft(self, coef: np.ndarray, out: np.ndarray = None, scratch: np.ndarray = None) -> np.ndarray:
         """Inverse of rfft, back to real samples of grid.shape, into out if

@@ -16,9 +16,12 @@ The RK4 state is kept as the coefficients (rho^, m^) on the grid's half
 lattice.  Each RHS makes one batched inverse of the d + 1 stage fields and
 forward transforms of u (d fields) and of the symmetric flux Pi = m x u +
 p*I, one pair a <= b at a time: 8 real-field transforms in 2D, 13 in 3D.
-The forcing product rho*f is rho^ shifted by the forcing modes
-(PeriodicGrid.trig_shift), exact for the grid product.  Each step's
-inverse is checked for blow-up and feeds the next first stage.
+A flux pair's transform runs only the passes that reach the two-thirds
+block, outside which the increments are zeroed (PeriodicGrid.rfft_block,
+dealias).  The forcing product rho*f, and the work rate int f . m dx at the
+mean mode, are rho^ and m^ shifted by the forcing modes, exact for the grid
+(PeriodicGrid.trig_shift).  Each step's inverse is checked for blow-up and
+feeds the next first stage.
 
 rhs, step and run each build one stepper (_Stepper) and drop it when
 they return.  It owns the call's grid, fluid, forcing and extra source,
@@ -26,11 +29,12 @@ whether the ledger rates ride along (run's only), and the buffers the
 stages write into: the stage coefficients and their samples, the
 velocity, pressure and one flux pair, the velocity's transform, the
 assembled increment, the product scratch and one spare, which takes each
-flux pair's coefficients, then the forcing shift's gathered and moved
-modes, then the ledger's squared parts.  The four increments collapse
-into a running sum, in the classical formula's order, held by the step's
-own result array; an increment, once summed, takes the complex passes of
-the next inverse.  No buffer outlives the call that built it.
+flux pair's coefficients, then the forcing shifts' gathered and moved
+modes, then the ledger's squared parts, summed against k2 * weight.  The
+four increments collapse into a running sum, in the classical formula's
+order, held by the step's own result array; an increment, once summed,
+takes the complex passes of the next inverse.  No buffer outlives the
+call that built it.
 """
 
 from __future__ import annotations
@@ -122,8 +126,14 @@ class ForcingSpec:
 
     def spatial(self, grid: PeriodicGrid) -> np.ndarray:
         """The time-independent factor of f: the term sum without the
-        envelope, shape (d,) + grid.shape (zeros when inactive)."""
-        return grid.trig_sum(self.terms, grid.d)[0]
+        envelope, shape (d,) + grid.shape (zeros when inactive): grid.trig_sum's
+        sum, one cos field at a time, without the gradient."""
+        space = np.zeros((grid.d,) + grid.shape)
+        for amps, mode_vec, phase in trig_terms(self.terms, grid.d, grid.d):
+            cos = grid.trig_mode(mode_vec, phase)[1]
+            for comp in range(grid.d):  # one product field at a time
+                space[comp] += amps[comp] * cos
+        return space
 
 
 @dataclass(frozen=True)
@@ -355,15 +365,14 @@ def _state(t: float, grid: PeriodicGrid, fields: np.ndarray, coef=None) -> State
 class _Stepper:
     """One call's RK4 stepper of the half-lattice state (rho^, m^): its grid,
     fluid, extra source, forcing mode shift, ledger flag and stage buffers,
-    flux_h the spare (module docstring).  Only a ledger stepper builds the
-    forcing's spatial factor, for the work rate.  Forcing modes must pass
+    flux_h the spare (module docstring).  Only a ledger stepper reads the
+    forcing modes of m^, for the work rate.  Forcing modes must pass
     grid.dealiased_terms: the shift maps onto dealiased modes only."""
 
     def __init__(self, grid: PeriodicGrid, params: FluidParams, extra_source=None, ledger=False):
         d = grid.d
         self.grid, self.params, self.extra_source, self.ledger = grid, params, extra_source, ledger
         forcing = params.forcing
-        self.force_xy = forcing.spatial(grid) if forcing.active and ledger else None
         self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
         real = lambda *lead: np.empty(lead + grid.shape)
         half = lambda *lead: np.empty(lead + grid.half_shape, dtype=np.complex128)
@@ -376,7 +385,8 @@ class _Stepper:
         shifted = (2 * len(terms) + d) * len(grid.dealias_modes) if terms else 0
         self.flux_h = np.empty(max((d if ledger else 1) * math.prod(grid.half_shape), shifted), np.complex128)
         self.force = grid.trig_shift(terms, d, scratch=self.flux_h) if terms else None
-        self.mu_k2 = params.mu * grid.k2_half
+        self.work = grid.trig_shift(terms, d, self.flux_h, np.zeros(1, np.intp))[1] if terms and ledger else None
+        self.mu_k2, self.k2_weight = params.mu * grid.k2_half, grid.k2_half * grid.parseval_weight if ledger else None
 
     def rhs(self, state_h, state, t, out):
         """Spectral time derivative of the half-lattice state (rho^, m^),
@@ -399,11 +409,12 @@ class _Stepper:
         for a in range(1, d):
             div_u_h += np.multiply(ik[a], u_h[a], out=tmp)
 
-        np.multiply(-ik[0], state_h[1], out=out[0])
+        np.negative(ik[0].view(np.float64), out=tmp.view(np.float64))  # -ik[0], a vectorized pass
+        np.multiply(tmp, state_h[1], out=out[0])
         for a in range(1, d):
             out[0] -= np.multiply(ik[a], state_h[1 + a], out=tmp)
         for a in range(d):
-            np.multiply((params.mu + params.lam) * ik[a], div_u_h, out=out[1 + a])
+            np.multiply(np.multiply(params.mu + params.lam, ik[a], out=tmp), div_u_h, out=out[1 + a])
             out[1 + a] -= np.multiply(self.mu_k2, u_h[a], out=tmp)
         # Symmetric flux Pi_ab = m_a u_b + p delta_ab, a pair a <= b at a time,
         # off each of its components at once: each one's sum over b ascends.
@@ -412,11 +423,11 @@ class _Stepper:
             np.multiply(m[a], u[b], out=flux)
             if a == b:
                 flux += p
-            grid.rfft(flux, out=flux_h)
+            grid.rfft_block(flux, out=flux_h)
             out[1 + a] -= np.multiply(ik[b], flux_h, out=tmp)
             if a != b:
                 out[1 + b] -= np.multiply(ik[a], flux_h, out=tmp)
-        out *= grid.dealias_half
+        grid.dealias(out)
 
         work_rate = 0.0
         if self.force is not None:
@@ -425,10 +436,8 @@ class _Stepper:
             moved = shift(state_h[0])
             moved *= envelope
             np.add.at(out[1:].reshape(-1), targets, moved)  # unbuffered; the targets are distinct
-            if self.ledger:
-                product = np.multiply(self.force_xy, envelope, out=u)  # u is transformed
-                product *= m
-                work_rate = float(np.sum(product)) * grid.dx**d
+            if self.ledger:  # int f . m dx, read from m^ at the forcing modes
+                work_rate = envelope * sum(float(self.work(state_h[1 + a])[a].real) for a in range(d)) * grid.dx**d
 
         if self.extra_source is not None:
             source = np.empty_like(state)
@@ -438,15 +447,16 @@ class _Stepper:
         if not self.ledger:
             return out, 0.0, 0.0
 
-        # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx.  The first
-        # keeps the Nyquist mode that grid.grad_sq zeroes: it is -int u . lap u,
-        # with the diffusion term's Laplacian symbol -k2, which is unambiguous
-        # at the Nyquist mode (only odd derivatives zero it there).
+        # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx, summed by
+        # einsum (no BLAS thread count reorders it).  The first keeps the Nyquist
+        # mode that grid.grad_sq zeroes: it is -int u . lap u, with the diffusion
+        # term's Laplacian symbol -k2, unambiguous there (only odd derivatives zero it).
         re2, im2 = self.flux_h.view(np.float64)[: 2 * u_h.size].reshape((2,) + u_h.shape)  # in the spare
         power = np.add(np.square(u_h.real, out=re2), np.square(u_h.imag, out=im2), out=re2)
-        grad_sq = grid.parseval(np.multiply(grid.k2_half, power, out=power))
+        scale = grid.dx**d / float(grid.n**d)
+        grad_sq = float(np.einsum("ij,j->", power.reshape(d, -1), self.k2_weight.reshape(-1))) * scale
         power = np.add(np.square(div_u_h.real, out=re2[0]), np.square(div_u_h.imag, out=im2[0]), out=re2[0])
-        div_sq = grid.parseval(power)
+        div_sq = float(np.einsum("ij,j->", power.reshape(-1, power.shape[-1]), grid.parseval_weight)) * scale
         diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
         return out, diss_rate, work_rate
 
@@ -548,13 +558,11 @@ def cfl_dt(state: State, params: FluidParams, cfl: float = 0.4) -> float:
 
 
 def _check_alive(rho, m, t):
-    # max |q| as max(max q, -min q), which builds no |q| array
-    worst = max(max(float(np.max(q)), -float(np.min(q))) for q in (rho, m))
-    if not (math.isfinite(worst) and worst <= BLOWUP_THRESHOLD):
-        raise BlowUpError(f"solution magnitude {worst:.3e} at t = {t:.6g} exceeds {BLOWUP_THRESHOLD:.1e}", t=t)
-    if not np.all(np.isfinite(rho)) or not np.all(np.isfinite(m)):
-        raise BlowUpError(f"non-finite values at t = {t:.6g}", t=t)
+    # one NaN-propagating min and max per field, max |q| as max(max q, -min q)
     low = float(np.min(rho))
+    worst = float(np.max((-low, np.max(rho), -np.min(m), np.max(m))))
+    if not worst <= BLOWUP_THRESHOLD:  # NaN included
+        raise BlowUpError(f"solution magnitude {worst:.3e} at t = {t:.6g} exceeds {BLOWUP_THRESHOLD:.1e}", t=t)
     if low < -RHO_TOLERANCE:
         raise BlowUpError(f"density lost positivity (min rho = {low:.3e}) at t = {t:.6g}", t=t)
 

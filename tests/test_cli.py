@@ -993,6 +993,19 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_an_amplitude_under_equilibrium_exits_two_naming_the_key(self, tmp_path, capsys, command):
+        # the equilibrium preset reads no amplitude: an explicit one would be
+        # recorded with the run and ignored
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(FORCED_2D_CONFIG.replace("preset = random-band\nseed = 4\n", "preset = equilibrium\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: [initial] amplitude must be blank under preset equilibrium, got 0.3\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("old, new, message", [
         ("seed = 4\n", "", "random-band needs a seed"),
         ("preset = random-band", "preset = acoustic-pulse", "acoustic-pulse takes no seed"),

@@ -235,6 +235,36 @@ class TestTransforms:
             Field(grid=g, values=bad)
 
 
+class TestBlockTransform:
+    """The stepper's flux transform, pruned to the lines that reach the
+    two-thirds block, and the slab zeroing that dealiases its result."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_block_transform_is_rfft_on_the_block_bit_for_bit(self, d, n, lead):
+        g = make_grid(d, n, 1.3)
+        values = np.random.default_rng(n + d).standard_normal(lead + g.shape)
+        want = g.rfft(values)
+        out = np.full(lead + g.half_shape, np.nan, dtype=np.complex128)
+        assert g.rfft_block(values, out) is out
+        block = np.broadcast_to(g.dealias_half, out.shape)
+        assert np.array_equal(out[block].view(np.int64), want[block].view(np.int64))
+        assert np.all(np.isfinite(out))  # partial sums everywhere else
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 6, 16])
+    def test_slab_zeroing_equals_the_mask_multiply(self, d, n):
+        g = make_grid(d, n, 1.3)
+        rng = np.random.default_rng(n * d)
+        coef = rng.standard_normal((2,) + g.half_shape) + 1j * rng.standard_normal((2,) + g.half_shape)
+        want = coef * g.dealias_half
+        g.dealias(coef)
+        assert np.array_equal(coef, want)  # the multiply's zeros may be -0, the slabs' are +0
+        assert not np.any(np.signbit(coef.view(np.float64)[np.broadcast_to(~g.dealias_half, coef.shape)
+                                                           .repeat(2, axis=-1)]))
+
+
 class TestShift:
     """Lattice shifts are exact index rolls inside space_modulus."""
 

@@ -401,7 +401,7 @@ DEFAULT_EMISSION = (
     "[initial]\n"
     "preset = taylor-green\n"
     "seed = \n"
-    "amplitude = 1.0\n"
+    "amplitude = \n"
     "\n"
     "[run]\n"
     "horizon = 1.0\n"

@@ -223,6 +223,17 @@ def test_forcing_spatial_is_bit_identical(d, P):
     assert np.array_equal(ForcingSpec().spatial(grid), np.zeros((d,) + grid.shape))
 
 
+def test_forcing_spatial_builds_no_gradient(traced_peak):
+    # the cos fields are summed as they are sampled: a traced peak of the d
+    # result fields, one mode's phase, cos and sin, and one product, where
+    # building trig_sum's d x d gradient too read 4.32 MiB at 32^3
+    grid = make_grid(3, 32, 2.0 * np.pi)
+    spec = ForcingSpec(mode="trig", terms=_terms(3, 3))
+    field = 8 * 32**3
+    traced_peak(lambda: spec.spatial(grid))
+    assert traced_peak(lambda: spec.spatial(grid)) <= (3 + 5) * field
+
+
 @pytest.mark.parametrize("d", (1, 2, 3))
 @pytest.mark.parametrize("components", (1, 2, 3))
 def test_test_function_parts_are_bit_identical(d, components):

@@ -18,6 +18,7 @@ from baroflow.solver import (
     State,
     _Stepper,
     block_pass,
+    _check_alive,
     _fields,
     cfl_dt,
     preset_ic,
@@ -156,7 +157,7 @@ def batched_flux_rhs(grid, params, state_h, state, t, extra_source=None, ledger=
         acc -= (params.mu * grid.k2_half) * u_h[a]
         for b in range(d):
             acc -= ik[b] * flux_h[slot[(min(a, b), max(a, b))]]
-    out *= grid.dealias_half
+    grid.dealias(out)  # the mask multiply's zeros keep its products' signs
     work_rate = 0.0
     forcing = params.forcing
     if forcing.active:
@@ -165,17 +166,22 @@ def batched_flux_rhs(grid, params, state_h, state, t, extra_source=None, ledger=
         moved *= forcing.envelope_at(t)
         np.add.at(out[1:].reshape(-1), targets, moved)
         if ledger:
-            product = forcing.spatial(grid) * forcing.envelope_at(t)
-            product *= m
-            work_rate = float(np.sum(product)) * grid.dx**d
+            # the sum of m_a f over the grid is the mean mode of rfft(m_a f)
+            mean = grid.trig_shift(forcing.terms, d, modes=np.zeros(1, np.intp))[1]
+            work = sum(float(mean(state_h[1 + a])[a].real) for a in range(d))
+            work_rate = forcing.envelope_at(t) * work * grid.dx**d
     if extra_source is not None:
         source = np.empty_like(state)
         source[0], source[1:] = extra_source(t, rho, m)
         out += grid.rfft(source)
     if not ledger:
         return out, 0.0, 0.0
-    grad_sq = grid.parseval(grid.k2_half * (np.square(u_h.real) + np.square(u_h.imag)))
-    div_sq = grid.parseval(np.square(div_u_h.real) + np.square(div_u_h.imag))
+    scale = grid.dx**d / float(grid.n**d)
+    k2_weight = (grid.k2_half * grid.parseval_weight).ravel()
+    power = (np.square(u_h.real) + np.square(u_h.imag)).reshape(d, -1)
+    grad_sq = float(np.einsum("ij,j->", power, k2_weight)) * scale
+    power = (np.square(div_u_h.real) + np.square(div_u_h.imag)).reshape(-1, grid.half_shape[-1])
+    div_sq = float(np.einsum("ij,j->", power, grid.parseval_weight)) * scale
     return out, params.mu * grad_sq + (params.mu + params.lam) * div_sq, work_rate
 
 
@@ -738,6 +744,26 @@ class TestForcingShift:
             assert np.shares_memory(moved, scratch) == lent
 
 
+    @pytest.mark.parametrize("d, n, terms", [
+        # mirrored modes (last entry negative), modes on the last axis's 0 plane, nonzero phases
+        (1, 16, [((0.3,), (-3,), 0.4), ((0.2,), (5,), 1.1), ((0.1,), (0,), -0.3)]),
+        (2, 12, [((0.3, 0.1), (1, -2), 0.4), ((0.2, 0.5), (-4, 3), 1.1), ((0.1, 0.7), (3, 0), -0.3)]),
+        (3, 8, [((0.3, 0.1, 0.2), (1, 0, -1), 0.4), ((0.2, 0.5, 0.1), (2, -1, 2), 1.1),
+                ((0.1, 0.7, 0.3), (-2, 2, 0), -2.9)]),
+    ])
+    def test_work_rate_matches_the_sampled_product(self, d, n, terms):
+        # the ledger's int f . m dx, read from m^ at the forcing modes, against
+        # the sum of the sampled product it replaced
+        g = make_grid(d, n, 2.5)
+        forcing = ForcingSpec(mode="trig", terms=tuple(terms), envelope="exp", rate=0.7)
+        stepper = _Stepper(g, FluidParams(mu=0.05, forcing=forcing), ledger=True)
+        rng = np.random.default_rng(d)
+        fields = np.concatenate((1.0 + 0.1 * rng.standard_normal((1,) + g.shape), rng.standard_normal((d,) + g.shape)))
+        for t in (0.0, 0.4):
+            _, _, work = stepper.rhs(g.rfft(fields), fields, t, np.empty((d + 1,) + g.half_shape, np.complex128))
+            want = float(np.sum(forcing.spatial(g) * forcing.envelope_at(t) * fields[1:])) * g.dx**d
+            assert abs(work - want) <= 1e-13 * abs(want)
+
     def test_a_forced_stage_allocates_no_more_than_an_unforced_one(self, traced_peak):
         # the shift gathers, maps and scales into buffers made with the stepper
         g = make_grid(2, 64, TWO_PI)
@@ -812,9 +838,10 @@ class TestCoefficientState:
     @pytest.mark.parametrize("d, forced, per_rhs", [(2, True, 8), (3, True, 13), (3, False, 13)])
     def test_real_fields_transformed_per_rhs(self, monkeypatch, d, forced, per_rhs):
         """Each RK4 stage inverts the d + 1 state fields and transforms u
-        (d fields) and the symmetric flux (d(d+1)/2) forward.  An inverse
-        is d - 1 complex passes over the leading axes and one real pass
-        over the last; the real passes count the fields."""
+        (d fields) and the symmetric flux (d(d+1)/2) forward, the flux
+        pruned to the two-thirds block (grid.rfft_block).  An inverse is
+        d - 1 complex passes over the leading axes and one real pass over
+        the last; the real passes count the fields."""
         g = make_grid(d, 8, TWO_PI)
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
         st = preset_ic("random-band", g, params, seed=1, amplitude=0.5)
@@ -829,6 +856,7 @@ class TestCoefficientState:
             return wrapper
 
         monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, g.shape, counted))
+        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, g.shape, counted))
         monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, g.half_shape, counted))
         monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft, g.half_shape, passes))
         stepper.advance(fields_h, fields, 0.0, 1e-3)
@@ -849,6 +877,16 @@ class TestCoefficientState:
             run(st, params, T=0.1, snapshots=2, dt_cap=0.01, extra_source=poison)
         assert type(info.value) is BlowUpError
         assert info.value.t == pytest.approx(0.03, rel=1e-12)
+
+    @pytest.mark.parametrize("field, value", [("m", np.nan), ("rho", np.inf), ("m", -np.inf)])
+    def test_a_non_finite_sample_is_a_blow_up_at_its_step(self, field, value):
+        # one min and max per field, NaN-propagating, whichever field holds it
+        g = make_grid(2, 8, TWO_PI)
+        rho, m = np.ones(g.shape), np.zeros((2,) + g.shape)
+        (rho if field == "rho" else m[1])[3, 5] = value
+        with pytest.raises(BlowUpError, match="t = 0.03 ") as info:
+            _check_alive(rho, m, 0.03)
+        assert info.value.t == 0.03
 
 
 class TestWorkspace:
@@ -927,28 +965,29 @@ class TestWorkspace:
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("ledger", [False, True])
     def test_buffer_bytes_match_their_count(self, d, n, forced, ledger):
-        """3d + 4 complex and 2d + 3 real grid fields (d more real ones for a
-        forced ledger's spatial factor), the viscous symbol, and one spare
-        complex buffer: a flux pair's coefficients, the ledger's squared
-        parts, or the forcing shift's gathered and moved modes, the largest.
-        The shift owns no buffer of its own."""
+        """3d + 4 complex and 2d + 3 real grid fields, the viscous symbol,
+        the ledger's Parseval weights k2 * weight, and one spare complex
+        buffer: a flux pair's coefficients, the ledger's squared parts, or
+        the forcing shift's gathered and moved modes, the largest.  Neither
+        the shift nor the work rate's map owns a buffer of its own."""
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
         stepper = _Stepper(make_grid(d, n, TWO_PI), params, ledger=ledger)
         half, cells = n ** (d - 1) * (n // 2 + 1), n**d
         dealiased = (2 * (n // 3) + 1) ** (d - 1) * (n // 3 + 1)
         terms = len(params.forcing.terms)
         spare = max(half, d * half if ledger else 0, (2 * terms + d) * dealiased if forced else 0)
-        real = 2 * d + 3 + (d if forced and ledger else 0)
-        want = 16 * ((3 * d + 4) * half + spare) + 8 * (real * cells + half)
+        real = 2 * d + 3
+        symbols = 2 if ledger else 1  # mu * k2, and the ledger's k2 * weight
+        want = 16 * ((3 * d + 4) * half + spare) + 8 * (real * cells + symbols * half)
         owned = [a for a in vars(stepper).values() if isinstance(a, np.ndarray) and a.base is None]
-        if forced:
-            shift = stepper.force[1]
+        maps = ([stepper.force[1]] if forced else []) + ([stepper.work] if forced and ledger else [])
+        for shift in maps:
             cells_of = dict(zip(shift.__code__.co_freevars, (c.cell_contents for c in shift.__closure__)))
             lent = [cells_of[name] for name in ("values", "moved")]
             assert all(np.shares_memory(buf, stepper.flux_h) for buf in lent)
         assert sum(a.nbytes for a in owned) == want
-        if (d, n, forced, ledger) == (3, 32, True, True):  # 16 complex and 12 real grid fields
-            assert want - 8 * half == 16 * 16 * half + 12 * 8 * cells == 7.25 * 2**20
+        if (d, n, forced, ledger) == (3, 32, True, True):  # 16 complex and 9 real grid fields
+            assert want - 16 * half == 16 * 16 * half + 9 * 8 * cells == 6.5 * 2**20
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("case", ["unforced", "forced", "extra source"])
