@@ -321,8 +321,8 @@ class CkhwDetail:
 
 def ckhw_k_star(n: int, beta: float, k_star) -> int:
     """First shell in [1, n//3] (default max(1, n//16)) of the decay statistic; beta > 0."""
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     k_star = max(1, n // 16) if k_star is None else int(k_star)
     if not (1 <= k_star <= n // 3):
         raise ValueError(f"k_star {k_star} outside the resolved dealiased range [1, {n // 3}]")
@@ -348,8 +348,8 @@ def ckhw_statistic(series: SnapshotSeries, params: FluidParams, beta: float, k_s
 
 
 def sobolev_order(alpha: float) -> float:
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     return alpha
 
 
@@ -518,14 +518,14 @@ class IntegrabilityReport:
 
 
 def integrability_exponents(gamma: float, q1, q2, q) -> tuple:
-    """(q1, q2, q), default (1.2*gamma, 2.5, q2), strictly above (gamma, 2, 2)."""
+    """(q1, q2, q), default (1.2*gamma, 2.5, q2), finite and strictly above (gamma, 2, 2)."""
     q1 = 1.2 * gamma if q1 is None else float(q1)
     q2 = 2.5 if q2 is None else float(q2)
     q = q2 if q is None else float(q)
-    if not q1 > gamma:
-        raise ValueError(f"q1 must exceed gamma = {gamma}, got {q1}")
-    if not (q2 > 2 and q > 2):
-        raise ValueError(f"q2 and q must exceed 2, got q2 = {q2}, q = {q}")
+    if not gamma < q1 < math.inf:
+        raise ValueError(f"q1 must exceed gamma = {gamma} and be finite, got {q1}")
+    if not (2 < q2 < math.inf and 2 < q < math.inf):
+        raise ValueError(f"q2 and q must exceed 2 and be finite, got q2 = {q2}, q = {q}")
     return q1, q2, q
 
 
@@ -923,8 +923,8 @@ class ReynoldsQuotient:
 
 
 def vacuum_threshold(theta: float) -> float:
-    if not theta > 0:
-        raise ValueError(f"vacuum threshold theta must be positive, got {theta}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"vacuum threshold theta must be positive and finite, got {theta}")
     return float(theta)
 
 

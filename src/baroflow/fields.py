@@ -283,12 +283,16 @@ class PeriodicGrid:
 
 def trig_terms(terms, components: int = None, d: int = None) -> tuple:
     """(amps, mode, phase) terms as (float tuple, int tuple, float), the
-    form PeriodicGrid.trig_sum samples; given components and d, each
-    term must carry that many amplitudes and mode entries."""
+    form PeriodicGrid.trig_sum samples, with finite amplitudes and phase;
+    given components and d, each term must carry that many amplitudes and
+    mode entries."""
     terms = tuple(
         (tuple(float(a) for a in amps), tuple(int(v) for v in mode_vec), float(phase))
         for amps, mode_vec, phase in terms
     )
+    for amps, _, phase in terms:
+        if not all(map(math.isfinite, (*amps, phase))):
+            raise ValueError(f"term amplitudes and phase must be finite, got {amps} and {phase}")
     if components is not None and any(len(a) != components or len(k) != d for a, k, _ in terms):
         raise ValueError(f"term shape does not match {components} components on a {d}-D grid")
     return terms
@@ -396,13 +400,13 @@ def dft_inverse(s: SpectralField) -> Field:
 
 
 def check_closure(gamma: float, kappa: float) -> None:
-    """Reject barotropic closure constants other than gamma > 1 and
+    """Reject barotropic closure constants other than finite gamma > 1 and
     kappa > 0 (NaN included): the one rule of FluidParams and
     weighted_fields."""
-    if not (gamma > 1):
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
-    if not (kappa > 0):
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not (1 < gamma < math.inf):
+        raise ValueError(f"gamma must exceed 1 and be finite, got {gamma}")
+    if not (0 < kappa < math.inf):
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
 
 
 def weighted_fields(

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import Field, PeriodicGrid, make_grid
-from .solver import State
+from .solver import FluidParams, State
 
 __all__ = [
     "SnapshotFormatError",
@@ -115,9 +115,10 @@ def _parse_header(path, data: bytes):
 
 
 def _header_grid(path, meta: SnapshotMeta) -> PeriodicGrid:
-    """The grid of a header's d, n and P; a box PeriodicGrid rejects is a
-    format error of the file."""
+    """The grid of a header's d, n and P; a box PeriodicGrid rejects, or
+    fluid constants FluidParams rejects, is a format error of the file."""
     try:
+        FluidParams(gamma=meta.gamma, kappa=meta.kappa, mu=meta.mu, lam=meta.lam)
         return make_grid(meta.d, meta.n, meta.P)
     except ValueError as exc:
         raise SnapshotFormatError(f"{Path(path).name}: {exc}") from None
@@ -226,9 +227,9 @@ def _numbered(directory: Path, prefix: str) -> list:
 
 def scan_series(directory, prefix: str) -> StoredSeries:
     """Find the prefix_NNNN.ckhs files and read their headers only: the
-    indices must be contiguous from 0, and every header must agree with
-    the first on the grid and the fluid constants and hold a later time
-    than the one before."""
+    indices must be contiguous from 0, the first header must hold a valid
+    grid and fluid constants (_header_grid), and every other one must agree
+    with it on them and hold a later time than the one before."""
     directory = Path(directory)
     found = _numbered(directory, prefix)
     if not found:
@@ -240,6 +241,8 @@ def scan_series(directory, prefix: str) -> StoredSeries:
     for _, path in found:
         with open(path, "rb") as fh:
             meta, _ = _parse_header(path, fh.read(_HEADER.size))
+        if not metas:
+            grid = _header_grid(path, meta)
         for name in ("d", "n", "P", "gamma", "kappa", "mu", "lam") if metas else ():
             got, want = getattr(meta, name), getattr(metas[0], name)
             if got != want:
@@ -249,5 +252,4 @@ def scan_series(directory, prefix: str) -> StoredSeries:
         if metas and not meta.t > metas[-1].t:
             raise SnapshotFormatError(f"{path.name}: time {meta.t} does not exceed the previous snapshot's")
         metas.append(meta)
-    return StoredSeries(directory, prefix, metas[0], np.array([meta.t for meta in metas]),
-                        _header_grid(found[0][1], metas[0]))
+    return StoredSeries(directory, prefix, metas[0], np.array([meta.t for meta in metas]), grid)

@@ -105,6 +105,8 @@ class ForcingSpec:
             raise ValueError(f"forcing mode must be 'none' or 'trig', got {self.mode!r}")
         if self.envelope not in ("const", "cos", "exp"):
             raise ValueError(f"unknown envelope {self.envelope!r}")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"forcing rate must be finite, got {self.rate}")
         if self.mode == "trig" and not self.terms:
             raise ValueError("trig forcing requires at least one term")
         if self.mode != "trig" and (self.terms or self.envelope != "const" or self.rate != 0.0):
@@ -155,15 +157,15 @@ class FluidParams:
 
     def __post_init__(self):
         check_closure(self.gamma, self.kappa)
-        if not (self.mu >= 0):
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if not (self.rho_min > 0):
-            raise ValueError(f"rho_min must be positive, got {self.rho_min}")
+        if not (0 <= self.mu < math.inf):
+            raise ValueError(f"mu must be nonnegative and finite, got {self.mu}")
+        if not (0 < self.rho_min < math.inf):
+            raise ValueError(f"rho_min must be positive and finite, got {self.rho_min}")
         lam = -(2.0 / 3.0) * self.mu if self.lam is None else float(self.lam)
         object.__setattr__(self, "lam", lam)
         if self.mu > 0:
-            if not (lam + 2.0 * self.mu > 0):
-                raise ValueError(f"lam + 2*mu must be positive, got {lam + 2.0 * self.mu}")
+            if not (0 < lam + 2.0 * self.mu < math.inf):
+                raise ValueError(f"lam + 2*mu must be positive and finite, got {lam + 2.0 * self.mu}")
         elif lam != 0.0:
             raise ValueError("mu = 0 requires lam = 0 (inviscid reference mode)")
 

@@ -22,13 +22,15 @@ uses, gives each entry's run a fan-out of them as its store.  It holds
 the reference's series, the previous completed entry's until the next
 pair has run, and a running pair's when a later entry will pair with
 it; in memory, each as solver.block_pass keeps it.  The less viscous
-entry of a pair reads the other's States live, one at a time, for its
-Cauchy distance, so a 3-entry ladder holds the reference alone.
+entry of a pair reads the other's States live, one at a time, through
+the relay run_sweep gives the pair, for its Cauchy distance, so a
+3-entry ladder holds the reference alone.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -118,12 +120,13 @@ class SweepPlan:
         mus = tuple(float(v) for v in self.mu_values)
         if len(mus) < 2:
             raise ValueError("a sweep needs at least two viscosities")
-        if any(not (v > 0) for v in mus):
-            raise ValueError("sweep viscosities must be positive (a ladder's mu_max must be positive)")
+        if any(not (0 < v < math.inf) for v in mus):
+            raise ValueError("sweep viscosities must be positive and finite "
+                             "(a ladder's mu_max must be positive and finite)")
         if any(b >= a for a, b in zip(mus, mus[1:])):
             raise ValueError("sweep viscosities must decrease strictly")
-        if self.lam_ratio <= -2.0:
-            raise ValueError(f"lam_ratio must exceed -2, got {self.lam_ratio}")
+        if not (-2.0 < self.lam_ratio < math.inf):
+            raise ValueError(f"lam_ratio must exceed -2 and be finite, got {self.lam_ratio}")
         run_window(self.T, self.snapshots)
         object.__setattr__(self, "mu_values", mus)
 
@@ -182,14 +185,17 @@ def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
     """Run every entry of the plan on one shared grid, state and dt, in the
     order of the module docstring.
 
-    store_for(index, params), if given, makes each entry's store, a feed
-    pass (see solver.run), before the entry runs, for both entries of a
-    pair in index order; a snapshots.write_pass per entry leaves every
+    store_for(index, params, mate), if given, makes each entry's store, a
+    feed pass (see solver.run), before the entry runs, for both entries of
+    a pair in index order; a snapshots.write_pass per entry leaves every
     completed entry's series on disk, read back lazily, and a failed
-    entry's nowhere.  Without it each series is kept in memory.  Each store
-    is closed once its entry has returned.  An exception other than a
-    BlowUpError leaves run_sweep once both entries of its pair have
-    returned and the helper thread has stopped."""
+    entry's nowhere.  Without it each series is kept in memory.  mate is
+    None for an entry that runs alone, else the pair's _Relay on the grid
+    and the reference's ledger times, sent to by the more viscous entry.
+    However an entry leaves, its store is closed, then its end of the
+    relay: the sender's send(None), the other's stop_taking().  An
+    exception other than a BlowUpError leaves run_sweep once both entries
+    of its pair have returned and the helper thread has stopped."""
     grid = make_grid(plan.d, plan.n, plan.P)
     params0 = plan.params_for(plan.mu_values[0])
     initial = preset_ic(plan.ic, grid, params0, seed=plan.ic_seed, amplitude=plan.ic_amplitude)
@@ -198,10 +204,10 @@ def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
     )
     _, shared_dt = snapshot_step(plan.T / plan.snapshots, shared_stable)
 
-    def store_of(i):
-        return None if store_for is None else store_for(i, plan.params_for(plan.mu_values[i]))
+    def store_of(i, mate=None):
+        return None if store_for is None else store_for(i, plan.params_for(plan.mu_values[i]), mate)
 
-    def entry(i, store):
+    def entry(i, store, end=None):
         mu = plan.mu_values[i]
         params = plan.params_for(mu)
         try:
@@ -213,8 +219,12 @@ def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
         except BlowUpError as exc:
             return SweepEntry(mu=mu, params=params, failure=str(exc))
         finally:
-            if store is not None:
-                store.close()
+            try:
+                if store is not None:
+                    store.close()
+            finally:
+                if end is not None:
+                    end()
 
     entries = [None] * len(plan.mu_values)
     for reference in reversed(range(len(entries))):
@@ -223,13 +233,14 @@ def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
             break
     with ThreadPoolExecutor(max_workers=1) as helper:  # starts its thread on the first pair
         for pair in _rounds(reference):  # none are left when no entry completed
-            stores = [store_of(i) for i in pair]
             if len(pair) == 1:
-                entries[pair[0]] = entry(pair[0], stores[0])
+                entries[pair[0]] = entry(pair[0], store_of(pair[0]))
                 continue
-            ahead = helper.submit(entry, pair[0], stores[0])
+            mate = _Relay(pair[0], entries[reference].result.report.t, grid)
+            stores = [store_of(i, mate) for i in pair]
+            ahead = helper.submit(entry, pair[0], stores[0], functools.partial(mate.send, None))
             try:
-                entries[pair[1]] = entry(pair[1], stores[1])
+                entries[pair[1]] = entry(pair[1], stores[1], mate.stop_taking)
             finally:
                 entries[pair[0]] = ahead.result()
     return SweepResult(plan=plan, entries=tuple(entries), shared_dt=shared_dt)
@@ -264,11 +275,12 @@ class _Relay:
     """A one-slot hand-off of a pair's more viscous entry's States, as its
     run makes them, to the other entry's live Cauchy pass, which reads it
     like a series of the given times and grid (distance_pass) until the
-    sender stops (send(None)).  send waits while the slot is full, and
-    returns at once once the taker has stopped, which frees the slot."""
+    sender, the entry at index sender, stops (send(None)).  send waits while
+    the slot is full, and returns at once once the taker has stopped, which
+    frees the slot."""
 
-    def __init__(self, times, grid):
-        self.times, self.grid = times, grid
+    def __init__(self, sender, times, grid):
+        self.sender, self.times, self.grid = sender, times, grid
         self.slot, self.taking = queue.Queue(maxsize=1), True
 
     def send(self, st):
@@ -286,23 +298,10 @@ class _Relay:
             self.slot.get_nowait()
 
 
-def _tied(store, end, hand_on=None):
-    """store as a feed pass that hands each State to hand_on, if given,
-    before store takes it, and calls end() when closed.  Primed as it is
-    made, so closing it calls end() whether or not run started it."""
-    try:
-        yield
-        next(store)
-        answer = None
-        while answer is None:
-            st = yield
-            if hand_on is not None:
-                hand_on(st)
-            answer = store.send(st)
-        yield answer
-    finally:
-        end()
-        store.close()
+def _handing_on(relay):
+    """A feed pass that hands each State it takes on to relay."""
+    while True:
+        relay.send((yield))
 
 
 def series_distance(a: SnapshotSeries, b: SnapshotSeries, p1: float, p2: float):
@@ -458,16 +457,18 @@ class StreamedTables:
     reference and against the previous completed entry (its Cauchy
     partner), and a pass that holds the entry's States while a later entry
     may pair with them: the reference's to the end, a pair's until the next
-    pair has run.  The less viscous entry of a pair also reads the other's
-    States live, through a _Relay; its distance to the partner stands in
-    should the other fail.  hold(index, params) makes the holding pass, a
-    snapshots.write_pass say; by default a block_pass keeps the States in
-    memory as their coefficients' two-thirds blocks, and the result of an
-    entry other than the reference keeps only its times.  A failed entry's
-    store is closed before it answers.  The answers are taken in on the
-    calling thread when the next round's store is made, or the tables:
-    the partner becomes the less viscous entry of the pair if it completed,
-    else the other if it did."""
+    pair has run.  store_for learns the entry's part from its mate
+    (run_sweep): the sender of a pair hands its States on to the relay
+    first, and the other entry reads them live for its Cauchy distance,
+    its distance to the partner standing in should the sender fail.
+    hold(index, params) makes the holding pass, a snapshots.write_pass say;
+    by default a block_pass keeps the States in memory as their
+    coefficients' two-thirds blocks, and the result of an entry other than
+    the reference keeps only its times.  A failed entry's store is closed
+    before it answers.  The answers are taken in on the calling thread when
+    the next round's first store is made, or the tables: the partner
+    becomes the less viscous entry of the pair if it completed, else the
+    other if it did."""
 
     def __init__(self, plan: SweepPlan, hold=None):
         self.plan, self.hold = plan, hold
@@ -475,26 +476,23 @@ class StreamedTables:
         self.reference_index = None
         self.reduced = {}  # index -> the answers of its passes
         self._ran = []  # (index, [(answers, series)] once it completes) not yet taken in
-        self._relay = None  # a pair's, between its two stores being made
 
-    def store_for(self, index: int, params: FluidParams):
-        if self._relay is None:  # a round starts: the entries run before have returned
+    def store_for(self, index: int, params: FluidParams, mate):
+        sends = mate is not None and mate.sender == index
+        if mate is None or sends:  # a round starts: the entries run before have returned
             self._settle()
         count, p1 = self.plan.snapshots + 1, self.plan.gamma
-        passes = {"grad": smallness_pass(count, params)}
-        first, later, tie = self.reference is None, True, None
+        passes = {"hand_on": _handing_on(mate)} if sends else {}
+        passes["grad"] = smallness_pass(count, params)
+        first = self.reference is None
+        last = index + 1 if sends else index  # the round's last entry
+        later = first or last + 1 < self.reference_index  # a later round pairs with this one
         if not first:
-            pair = next(p for p in _rounds(self.reference_index) if index in p)
-            later = pair[-1] + 1 < self.reference_index
             passes["reference"] = distance_pass(self.reference, p1, 2.0)
             if self.partner is not None:
                 passes["cauchy"] = distance_pass(self.partner, p1, 2.0)
-            if pair == (index, index + 1):  # it hands its States on
-                relay = self._relay = _Relay(self.reference.times, self.reference.grid)
-                tie = (lambda: relay.send(None), relay.send)
-            elif len(pair) == 2:  # it takes its pair-mate's
-                relay, self._relay = self._relay, None
-                passes["mate"], tie = distance_pass(relay, p1, 2.0), (relay.stop_taking,)
+            if mate is not None and not sends:
+                passes["mate"] = distance_pass(mate, p1, 2.0)
         if self.hold is not None:
             passes["series"] = self.hold(index, params)
         else:
@@ -507,12 +505,7 @@ class StreamedTables:
             done.append((answers, series))
             return series.times if later and not first and self.hold is None else series
 
-        store = fan_out(passes, count, finished)
-        if tie is None:
-            return store
-        store = _tied(store, *tie)
-        next(store)
-        return store
+        return fan_out(passes, count, finished)
 
     def _settle(self):
         ran, self._ran = self._ran, []

@@ -473,6 +473,29 @@ class TestDiagnose:
         assert err.startswith("error: demo_0000.ckhs: box length must be positive") and err.count("\n") == 1
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("offset, value, message", [
+        (24, 0.5, "gamma must exceed 1 and be finite, got 0.5"),
+        (24, math.nan, "gamma must exceed 1 and be finite, got nan"),
+        (32, -1.0, "kappa must be positive and finite, got -1.0"),
+        (40, -1.0, "mu must be nonnegative and finite, got -1.0"),
+        (40, math.nan, "mu must be nonnegative and finite, got nan"),
+        (48, -5.0, "lam + 2*mu must be positive and finite, got -4.99"),
+    ], ids=["gamma-0.5", "gamma-nan", "kappa-negative", "mu-negative", "mu-nan", "lam-minus-5"])
+    def test_bad_fluid_constants_in_the_headers_exit_one_naming_the_file(self, sim_dir, tmp_path, capsys,
+                                                                          offset, value, message):
+        # the same in every header, so only FluidParams' rules can catch them
+        series = tmp_path / "series"
+        shutil.copytree(sim_dir, series)
+        for path in series.glob("demo_*.ckhs"):
+            blob = bytearray(path.read_bytes())
+            blob[offset:offset + 8] = np.float64(value).tobytes()
+            path.write_bytes(bytes(blob))
+        code = cli_main(["diagnose", "--dir", str(series), "--prefix", "demo", "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: demo_0000.ckhs: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "report").exists()
+
     def test_mismatched_config_rejected(self, sim_dir, tmp_path):
         cfg = tmp_path / "wrong.ini"
         cfg.write_text("[fluid]\nmu = 0.25\n")
@@ -1003,6 +1026,49 @@ class TestExitCodes:
             assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: [initial] amplitude must be blank under preset equilibrium, got 0.3\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, old, new, message", [
+        ("simulate", "[diagnostics]", "[diagnostics]\nq1 = inf", "q1 must exceed gamma = 1.4 and be finite, got inf"),
+        ("simulate", "[diagnostics]", "[diagnostics]\nq2 = inf",
+         "q2 and q must exceed 2 and be finite, got q2 = inf, q = inf"),
+        ("simulate", "[diagnostics]", "[diagnostics]\nq = inf",
+         "q2 and q must exceed 2 and be finite, got q2 = 2.5, q = inf"),
+        ("simulate", "[diagnostics]", "[diagnostics]\nsobolev_alpha = inf",
+         "alpha must be nonnegative and finite, got inf"),
+        ("simulate", "[diagnostics]", "[diagnostics]\nckhw_beta = inf", "beta must be positive and finite, got inf"),
+        ("simulate", "[diagnostics]", "[diagnostics]\ntheta = inf",
+         "vacuum threshold theta must be positive and finite, got inf"),
+        ("simulate", "[fluid]", "[fluid]\nrho_min = inf", "rho_min must be positive and finite, got inf"),
+        ("sweep", "[fluid]", "[fluid]\nrho_min = inf", "rho_min must be positive and finite, got inf"),
+        ("simulate", "[fluid]", "[fluid]\nkappa = inf", "kappa must be positive and finite, got inf"),
+        ("simulate", "[fluid]", "[fluid]\nlam = inf", "lam + 2*mu must be positive and finite, got inf"),
+        ("simulate", "mu = 0.002", "mu = inf", "mu must be nonnegative and finite, got inf"),
+        ("simulate", "[fluid]", "[fluid]\ngamma = inf", "gamma must exceed 1 and be finite, got inf"),
+        ("sweep", "[sweep]", "[sweep]\nlam_ratio = inf", "lam_ratio must exceed -2 and be finite, got inf"),
+        ("sweep", "[sweep]", "[sweep]\nmu_max = inf",
+         "sweep viscosities must be positive and finite (a ladder's mu_max must be positive and finite)"),
+        ("simulate", "mode = trig", "mode = trig\nenvelope = cos\nrate = inf", "forcing rate must be finite, got inf"),
+        ("simulate", "mode = trig", "mode = trig\nenvelope = exp\nrate = -inf",
+         "forcing rate must be finite, got -inf"),
+        ("simulate", "mode = trig", "mode = trig\nenvelope = cos\nrate = nan", "forcing rate must be finite, got nan"),
+        ("simulate", "0.05,0.0@1,0@0.0", "inf,0.0@1,0@0.0",
+         "term amplitudes and phase must be finite, got (inf, 0.0) and 0.0"),
+        ("simulate", "0.05,0.0@1,0@0.0", "0.05,0.0@1,0@nan",
+         "term amplitudes and phase must be finite, got (0.05, 0.0) and nan"),
+    ], ids=["q1", "q2", "q", "sobolev_alpha", "ckhw_beta", "theta", "rho_min", "sweep-rho_min", "kappa", "lam",
+            "mu", "gamma", "lam_ratio", "mu_max", "rate-inf", "rate-minus-inf", "rate-nan", "term-amplitude",
+            "term-phase"])
+    def test_a_non_finite_value_exits_two_naming_its_parameter(self, tmp_path, capsys, command, old, new, message):
+        # each one ran on, or failed later under another name or with numpy
+        # warnings: the rule's owner rejects it as the config is read
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text((FORCED_2D_CONFIG + "\n[diagnostics]\n\n[sweep]\ncount = 2\n").replace(old, new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

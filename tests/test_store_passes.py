@@ -30,7 +30,7 @@ from baroflow.solver import (
     run,
     times_pass,
 )
-from baroflow.sweep import StreamedTables, SweepPlan
+from baroflow.sweep import StreamedTables, SweepPlan, _Relay
 
 PLAN = SweepPlan(mu_values=(0.02, 0.01, 0.005), d=1, n=16, ic="acoustic-pulse", T=0.1, snapshots=4)
 COUNT = PLAN.snapshots + 1
@@ -67,17 +67,19 @@ def write(where):
     return write_pass(where / "run", "demo", PLAN.params_for(0.02), COUNT), stored, lambda: list(where.iterdir())
 
 
-def paired(store, tables, mate):
+def paired(store, tables, mate, relay):
     """store, the pass of rung 1, set up with its pair-mate rung 0 running
     from set-up on a helper thread, whose States it takes through the relay;
-    once it answers or is closed, the helper has returned and tables has
-    taken in both rungs' answers."""
+    each rung's end of the relay is called once its store is closed, as
+    run_sweep does.  Once store answers or is closed, the helper has
+    returned and tables has taken in both rungs' answers."""
 
     def helper_run():
         try:
             run_rung(0, mate)
         finally:
             mate.close()
+            relay.send(None)
 
     helper = threading.Thread(target=helper_run)
     helper.start()
@@ -90,6 +92,7 @@ def paired(store, tables, mate):
         store.close()
         raise
     finally:
+        relay.stop_taking()
         helper.join(timeout=60)
         assert not helper.is_alive()
         tables._settle()
@@ -101,8 +104,9 @@ def rung(where, hold=None):
     after the reference: it takes rung 0's States live for its Cauchy
     distance.  The pair is the last to run."""
     tables = StreamedTables(PLAN, hold)
-    run_rung(2, tables.store_for(2, PLAN.params_for(PLAN.mu_values[2])))
-    mate, store = (tables.store_for(i, PLAN.params_for(PLAN.mu_values[i])) for i in (0, 1))
+    reference = run_rung(2, tables.store_for(2, PLAN.params_for(PLAN.mu_values[2]), None))
+    relay = _Relay(0, reference.report.t, INITIAL.grid)
+    mate, store = (tables.store_for(i, PLAN.params_for(PLAN.mu_values[i]), relay) for i in (0, 1))
     partner = tables.partner
 
     def view(answer):
@@ -115,7 +119,7 @@ def rung(where, hold=None):
                        if not p.is_relative_to(where / "entry_00"))
         return [1 in tables.reduced, tables.partner is not partner, files]
 
-    return paired(store, tables, mate), view, leftovers
+    return paired(store, tables, mate, relay), view, leftovers
 
 
 def writing_rung(where):

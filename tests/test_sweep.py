@@ -2,6 +2,7 @@
 flagging, run-to-run distances, rates and the limit-candidate check."""
 
 import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -21,7 +22,7 @@ from baroflow.diagnostics import (
 )
 from baroflow.fields import Field, make_grid
 from baroflow.snapshots import write_pass
-from baroflow.solver import FluidParams, SnapshotSeries, State, cfl_dt, preset_ic
+from baroflow.solver import BlowUpError, FluidParams, SnapshotSeries, State, cfl_dt, preset_ic
 from baroflow.sweep import (
     StreamedTables,
     SweepEntry,
@@ -164,13 +165,14 @@ class TestRunSweep:
         plan, sweep = acoustic_sweep
         made = []
 
-        def store_for(i, params):
-            made.append((i, params.mu))
+        def store_for(i, params, mate):
+            made.append((i, params.mu, None if mate is None else mate.sender))
             return write_pass(tmp_path / f"entry_{i:02d}", "run", params, plan.snapshots + 1)
 
         stored = run_sweep(plan, store_for)
-        # the least viscous entry first, as the reference, then from the most viscous down
-        assert made == [(2, 2.5e-3), (0, 1e-2), (1, 5e-3)]
+        # the least viscous entry first, as the reference and alone, then
+        # from the most viscous down, the pair (0, 1) sharing one relay
+        assert made == [(2, 2.5e-3, None), (0, 1e-2, 0), (1, 5e-3, 0)]
         for e in stored.entries:
             assert len(e.result.series) == plan.snapshots + 1
         for table in (cauchy_distances, distances_to):
@@ -188,7 +190,8 @@ class TestRunSweep:
             ic="random-band", ic_seed=7, ic_amplitude=5.0,
             T=0.4, snapshots=4,
         )
-        sweep = run_sweep(plan, lambda i, params: write_pass(tmp_path / f"entry_{i:02d}", "run", params, plan.snapshots + 1))
+        sweep = run_sweep(plan, lambda i, params, mate: write_pass(
+            tmp_path / f"entry_{i:02d}", "run", params, plan.snapshots + 1))
         assert [e.completed for e in sweep.entries] == [True, False]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["entry_00"]
         assert len(list((tmp_path / "entry_00").iterdir())) == 5
@@ -339,6 +342,47 @@ class TestStreamedTables:
         assert not (tmp_path / f"entry_{index:02d}").exists()
         assert len(list((tmp_path / f"entry_{1 - index:02d}").glob("run_*.ckhs"))) == plan.snapshots + 1
 
+    @pytest.mark.parametrize("way", [None, (0, 2, BlowUpError), (1, 2, BlowUpError), (0, None, ValueError),
+                                     (1, None, ValueError), (0, 2, ValueError), (1, 2, ValueError)],
+                             ids=["completed", "0-blows-up", "1-blows-up", "0-before-its-run",
+                                  "1-before-its-run", "0-at-a-middle-state", "1-at-a-middle-state"])
+    def test_each_end_of_a_pairs_relay_is_called_once_after_its_rungs_store_closes(
+            self, monkeypatch, failing_rung, way):
+        # however rung 0 (the sender) or rung 1 (the taker) leaves, run_sweep
+        # closes its store, then calls its end of the relay, once each
+        plan = SweepPlan(mu_values=(1e-2, 5e-3, 2.5e-3), d=1, n=16, ic="acoustic-pulse", T=0.1, snapshots=4)
+        if way is not None:
+            failing_rung(plan.mu_values[way[0]], way[1], way[2])
+        stores, ends = {}, []
+
+        class Recorded(_Relay):
+            def send(self, st):
+                if st is None:
+                    ends.append(("send(None)", inspect.getgeneratorstate(stores[self.sender])))
+                super().send(st)
+
+            def stop_taking(self):
+                ends.append(("stop_taking()", inspect.getgeneratorstate(stores[self.sender + 1])))
+                super().stop_taking()
+
+        monkeypatch.setattr(baroflow.sweep, "_Relay", Recorded)
+        tables = StreamedTables(plan)
+
+        def store_for(i, params, mate):
+            stores[i] = tables.store_for(i, params, mate)
+            return stores[i]
+
+        threads = threading.active_count()
+        if way is None or way[2] is BlowUpError:
+            sweep = run_sweep(plan, store_for)
+            assert [e.completed for e in sweep.entries] == [way is None or i != way[0] for i in range(3)]
+        else:
+            with pytest.raises(ValueError, match="injected"):
+                run_sweep(plan, store_for)
+        assert threading.active_count() == threads
+        closed = inspect.GEN_CLOSED
+        assert sorted(ends) == [("send(None)", closed), ("stop_taking()", closed)]
+
     def test_a_long_ladder_pairs_its_rungs_and_stops_its_helper(self, acoustic_sweep):
         # 6 rungs: the reference, the pairs (0, 1) and (2, 3), then rung 4
         # alone; each pair's Cauchy distance is its live one
@@ -363,7 +407,7 @@ class TestRelay:
         # sender stops (after 2000 or 700) or it stops taking itself (after
         # 501 or 1), and no sender waits on a taker that has stopped
         cases = [(2000, None), (2000, 500), (2000, 0), (700, None)]
-        relays = [_Relay(None, None) for _ in cases]
+        relays = [_Relay(0, None, None) for _ in cases]
         got = [[] for _ in cases]
 
         def sending(relay, count):
