@@ -34,8 +34,6 @@ __all__ = ["cli_main", "build_parser"]
 
 
 def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -352,6 +350,7 @@ def _cmd_sweep(args) -> int:
         )
     else:
         summary["error"] = "fewer than two runs completed; no limit diagnostics"
+        print(f"error: {summary['error']}", file=sys.stderr)
         code = 1
 
     _write_json(out / "summary.json", summary)

@@ -199,8 +199,9 @@ class ExperimentConfig:
         cp.optionxform = str
         try:
             cp.read_string(text)
-        except configparser.Error as exc:
-            raise ValueError(f"config syntax error: {exc}") from None
+        except configparser.Error as exc:  # its message runs over several lines
+            message = " ".join(line.strip() for line in str(exc).splitlines())
+            raise ValueError(f"config syntax error: {message}") from None
         sections = {}
         for name in cp.sections():
             if name not in _SECTIONS:

@@ -71,6 +71,9 @@ __all__ = [
 ]
 
 BLOWUP_THRESHOLD = 1e12
+# most RK4 steps a run may take, far above any run's few hundred: a finite
+# but vanishing stable step is a configuration error, not a run for ever
+MAX_STEPS = 10**6
 
 
 class BlowUpError(RuntimeError):
@@ -124,7 +127,10 @@ class ForcingSpec:
             return 1.0
         if self.envelope == "cos":
             return math.cos(self.rate * t)
-        return math.exp(-self.rate * t)
+        try:
+            return math.exp(-self.rate * t)
+        except OverflowError:
+            raise BlowUpError(f"forcing envelope exp(-rate * t) overflows at t = {t:.6g}", t=t) from None
 
     def spatial(self, grid: PeriodicGrid) -> np.ndarray:
         """The time-independent factor of f: the term sum without the
@@ -578,10 +584,15 @@ def step(state: State, params: FluidParams, dt: float, extra_source=None) -> Sta
     return _state(state.t + dt, grid, new)
 
 
-def snapshot_step(spacing: float, dt_stable: float):
+def snapshot_step(spacing: float, dt_stable: float, snapshots: int):
     """(steps per snapshot, dt): the largest dt <= dt_stable that divides
-    the snapshot spacing into a whole number of steps."""
-    per = max(1, math.ceil(spacing / dt_stable - 1e-12))
+    the snapshot spacing into a whole number of steps.  A run of snapshots
+    such intervals taking more than MAX_STEPS steps is a ValueError."""
+    # capped below, so that an infinite ratio (a subnormal dt_stable) rounds up
+    per = max(1, math.ceil(min(spacing / dt_stable, 2.0 * MAX_STEPS) - 1e-12))
+    if per * snapshots > MAX_STEPS:
+        raise ValueError(f"the run needs {snapshots * spacing / dt_stable:.3e} steps of the stable step "
+                         f"{dt_stable:.3e}, more than the {MAX_STEPS} a run may take")
     return per, spacing / per
 
 
@@ -636,7 +647,7 @@ def run(
     dt_stable = cfl_dt(initial, params, cfl)
     if dt_cap is not None:
         dt_stable = min(dt_stable, dt_cap)
-    per, dt = snapshot_step(T / snapshots, dt_stable)
+    per, dt = snapshot_step(T / snapshots, dt_stable, snapshots)
 
     fields = _fields(initial)
     fields_h = grid.rfft(fields)

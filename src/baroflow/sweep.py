@@ -20,11 +20,11 @@ The distances and the smallness samples are feed passes
 feed them over a sweep's stored series; StreamedTables, which the CLI
 uses, gives each entry's run a fan-out of them as its store.  It holds
 the reference's series, the previous completed entry's until the next
-pair has run, and a running pair's when a later entry will pair with
-it; in memory, each as solver.block_pass keeps it.  The less viscous
-entry of a pair reads the other's States live, one at a time, through
-the relay run_sweep gives the pair, for its Cauchy distance, so a
-3-entry ladder holds the reference alone.
+pair has run, and a running pair's when run_sweep says a later round
+reads it; in memory, each as solver.block_pass keeps it.  The less
+viscous entry of a pair reads the other's States live, one at a time,
+through the relay run_sweep gives the pair, for its Cauchy distance, so
+a 3-entry ladder holds the reference alone.
 """
 
 from __future__ import annotations
@@ -185,39 +185,37 @@ def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
     """Run every entry of the plan on one shared grid, state and dt, in the
     order of the module docstring.
 
-    store_for(index, params, mate), if given, makes each entry's store, a
-    feed pass (see solver.run), before the entry runs, for both entries of
-    a pair in index order; a snapshots.write_pass per entry leaves every
-    completed entry's series on disk, read back lazily, and a failed
-    entry's nowhere.  Without it each series is kept in memory.  mate is
-    None for an entry that runs alone, else the pair's _Relay on the grid
-    and the reference's ledger times, sent to by the more viscous entry.
-    However an entry leaves, its store is closed, then its end of the
-    relay: the sender's send(None), the other's stop_taking().  An
-    exception other than a BlowUpError leaves run_sweep once both entries
-    of its pair have returned and the helper thread has stopped."""
+    store_for(index, params, mate, later), if given, makes each entry's
+    store, a feed pass (see solver.run), before the entry runs, for both
+    entries of a pair in index order; a snapshots.write_pass per entry
+    leaves every completed entry's series on disk, read back lazily, and a
+    failed entry's nowhere.  Without it each series is kept in memory.
+    mate is None for an entry that runs alone, else the pair's _Relay on
+    the grid and the reference's ledger times, sent to by the more viscous
+    entry; later is false for the last round's entries alone, whose States
+    no later round reads.  However an entry leaves, its store is closed,
+    then its end of the relay: the sender's send(None), the other's
+    stop_taking().  An exception other than a BlowUpError leaves run_sweep
+    once both entries of its pair have returned and the helper has stopped."""
     grid = make_grid(plan.d, plan.n, plan.P)
-    params0 = plan.params_for(plan.mu_values[0])
-    initial = preset_ic(plan.ic, grid, params0, seed=plan.ic_seed, amplitude=plan.ic_amplitude)
-    shared_stable = min(
-        cfl_dt(initial, plan.params_for(mu), plan.cfl) for mu in plan.mu_values
-    )
-    _, shared_dt = snapshot_step(plan.T / plan.snapshots, shared_stable)
+    params = [plan.params_for(mu) for mu in plan.mu_values]
+    initial = preset_ic(plan.ic, grid, params[0], seed=plan.ic_seed, amplitude=plan.ic_amplitude)
+    shared_stable = min(cfl_dt(initial, p, plan.cfl) for p in params)
+    _, shared_dt = snapshot_step(plan.T / plan.snapshots, shared_stable, plan.snapshots)
 
-    def store_of(i, mate=None):
-        return None if store_for is None else store_for(i, plan.params_for(plan.mu_values[i]), mate)
+    def store_of(i, mate=None, later=True):
+        return None if store_for is None else store_for(i, params[i], mate, later)
 
     def entry(i, store, end=None):
         mu = plan.mu_values[i]
-        params = plan.params_for(mu)
         try:
             result = run(
-                initial, params, plan.T, snapshots=plan.snapshots, cfl=plan.cfl, dt_cap=shared_stable,
+                initial, params[i], plan.T, snapshots=plan.snapshots, cfl=plan.cfl, dt_cap=shared_stable,
                 store=store,
             )
-            return SweepEntry(mu=mu, params=params, result=result)
+            return SweepEntry(mu=mu, params=params[i], result=result)
         except BlowUpError as exc:
-            return SweepEntry(mu=mu, params=params, failure=str(exc))
+            return SweepEntry(mu=mu, params=params[i], failure=str(exc))
         finally:
             try:
                 if store is not None:
@@ -231,13 +229,15 @@ def run_sweep(plan: SweepPlan, store_for=None) -> SweepResult:
         entries[reference] = entry(reference, store_of(reference))
         if entries[reference].completed:
             break
+    rounds = _rounds(reference)  # none are left when no entry completed
     with ThreadPoolExecutor(max_workers=1) as helper:  # starts its thread on the first pair
-        for pair in _rounds(reference):  # none are left when no entry completed
+        for pair in rounds:
+            later = pair is not rounds[-1]
             if len(pair) == 1:
-                entries[pair[0]] = entry(pair[0], store_of(pair[0]))
+                entries[pair[0]] = entry(pair[0], store_of(pair[0], None, later))
                 continue
             mate = _Relay(pair[0], entries[reference].result.report.t, grid)
-            stores = [store_of(i, mate) for i in pair]
+            stores = [store_of(i, mate, later) for i in pair]
             ahead = helper.submit(entry, pair[0], stores[0], functools.partial(mate.send, None))
             try:
                 entries[pair[1]] = entry(pair[1], stores[1], mate.stop_taking)
@@ -455,29 +455,28 @@ class StreamedTables:
     Each entry's store is a fan-out (diagnostics.fan_out) of the smallness
     pass, once the reference has run the distance passes against the
     reference and against the previous completed entry (its Cauchy
-    partner), and a pass that holds the entry's States while a later entry
-    may pair with them: the reference's to the end, a pair's until the next
-    pair has run.  store_for learns the entry's part from its mate
-    (run_sweep): the sender of a pair hands its States on to the relay
-    first, and the other entry reads them live for its Cauchy distance,
-    its distance to the partner standing in should the sender fail.
-    hold(index, params) makes the holding pass, a snapshots.write_pass say;
-    by default a block_pass keeps the States in memory as their
-    coefficients' two-thirds blocks, and the result of an entry other than
-    the reference keeps only its times.  A failed entry's store is closed
-    before it answers.  The answers are taken in on the calling thread when
-    the next round's first store is made, or the tables: the partner
-    becomes the less viscous entry of the pair if it completed, else the
-    other if it did."""
+    partner), and a pass that holds the entry's States.  store_for learns
+    the entry's part from its mate and later (run_sweep): the sender of a
+    pair hands its States on to the relay first, and the other entry reads
+    them live for its Cauchy distance, its distance to the partner standing
+    in should the sender leave before its last State.  hold(index, params)
+    makes the holding pass, a snapshots.write_pass say; by default a
+    block_pass keeps the States of an entry a later round reads in memory
+    as their coefficients' two-thirds blocks, the reference's to the end, a
+    pair's until the next pair has run, and a times_pass only the times of
+    the others; an entry's result keeps only its times, the reference's
+    excepted.  A failed entry's store is closed before it answers.  The
+    answers are taken in on the calling thread when the next round's first
+    store is made, or the tables: the partner becomes the less viscous
+    entry of a pair a later round reads if it completed, else the other."""
 
     def __init__(self, plan: SweepPlan, hold=None):
         self.plan, self.hold = plan, hold
         self.reference = self.partner = None  # held series
-        self.reference_index = None
         self.reduced = {}  # index -> the answers of its passes
-        self._ran = []  # (index, [(answers, series)] once it completes) not yet taken in
+        self._ran = []  # (index, later, [(answers, series)] once it completes) not yet taken in
 
-    def store_for(self, index: int, params: FluidParams, mate):
+    def store_for(self, index: int, params: FluidParams, mate, later: bool):
         sends = mate is not None and mate.sender == index
         if mate is None or sends:  # a round starts: the entries run before have returned
             self._settle()
@@ -485,8 +484,6 @@ class StreamedTables:
         passes = {"hand_on": _handing_on(mate)} if sends else {}
         passes["grad"] = smallness_pass(count, params)
         first = self.reference is None
-        last = index + 1 if sends else index  # the round's last entry
-        later = first or last + 1 < self.reference_index  # a later round pairs with this one
         if not first:
             passes["reference"] = distance_pass(self.reference, p1, 2.0)
             if self.partner is not None:
@@ -498,7 +495,7 @@ class StreamedTables:
         else:
             passes["series"] = (block_pass if later else times_pass)(count)
         done = []
-        self._ran.append((index, done))
+        self._ran.append((index, later, done))
 
         def finished(answers):  # on the thread that runs the entry
             series = answers.pop("series")
@@ -509,18 +506,16 @@ class StreamedTables:
 
     def _settle(self):
         ran, self._ran = self._ran, []
-        done = {i: box[0] for i, box in ran if box}
-        for i, (answers, series) in done.items():  # in index order
+        done = [(i, later, *box[0]) for i, later, box in ran if box]
+        for i, later, answers, series in done:  # in index order
             mate = answers.pop("mate", None)
-            if i - 1 in done:  # the pair-mate completed: its live distance
+            if mate is not None:  # the sender sent its last State: the live distance
                 answers["cauchy"] = mate
             self.reduced[i] = answers
             if self.reference is None:
-                self.reference, self.reference_index = series, i
-            else:
+                self.reference = series
+            elif later:
                 self.partner = series
-        if ran and ran[-1][0] + 1 == self.reference_index:  # no later entry pairs with them
-            self.partner = None
 
     def tables(self, sweep: SweepResult):
         """(cauchy_distances, distances_to, viscous_smallness) of the sweep

@@ -3,11 +3,28 @@
 import functools
 import gc
 import itertools
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves a thread it started alive: each such thread
+    is joined for up to 5 s in all first."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 5.0
+    started = [t for t in threading.enumerate() if t not in before]
+    for t in started:
+        t.join(max(0.0, deadline - time.monotonic()))
+    alive = [t.name for t in started if t.is_alive()]
+    if alive:
+        pytest.fail(f"threads outlive the test: {alive}")
 
 
 @pytest.fixture

@@ -5,11 +5,14 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import threading
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import pytest
 import baroflow.cli
 import baroflow.diagnostics
 import baroflow.snapshots
+import baroflow.solver
 import baroflow.sweep
 from baroflow import diagnostics as dg
 from baroflow.cli import cli_main
@@ -167,6 +171,33 @@ mu_max = 0.3
 ratio = 0.25
 count = 3
 """
+
+# a 1D run of 4 snapshot intervals over a short horizon; sweep runs 2 rungs
+SHORT_CONFIG = """
+[grid]
+d = 1
+n = 16
+
+[fluid]
+mu = 0.01
+
+[initial]
+preset = acoustic-pulse
+amplitude = 0.1
+
+[run]
+horizon = 0.05
+snapshots = 4
+
+[sweep]
+count = 2
+
+[output]
+write_snapshots = false
+"""
+
+# a forcing whose exp envelope overflows at the first stage past t = 0
+OVERFLOWING_FORCING = "[forcing]\nmode = trig\nenvelope = exp\nrate = -1e7\nterm1 = 0.1@1@0.0\n\n[fluid]"
 
 
 def cli_ok(argv):
@@ -839,6 +870,24 @@ class TestSweep:
         assert "[sweep] lam_ratio" in capsys.readouterr().err
         assert rungs == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, completed", [
+        (BLOWUP_CONFIG + "\n[sweep]\nmu_max = 0.02\ncount = 3\n", [False, False, False]),
+        (BLOWUP_CONFIG.replace("amplitude = 8.0", "amplitude = 6.0")
+         + "\n[sweep]\nmu_max = 0.5\nratio = 0.3\ncount = 3\n", [True, False, False]),
+    ], ids=["no-rung-completes", "one-rung-completes"])
+    def test_fewer_than_two_completed_rungs_exit_one_with_one_error_line(self, tmp_path, capsys, text, completed):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        error = "error: fewer than two runs completed; no limit diagnostics\n"
+        assert capsys.readouterr().err == error
+        summary = json.loads((out / "summary.json").read_text())
+        assert [e["completed"] for e in summary["entries"]] == completed
+        assert summary.keys().isdisjoint({"cauchy", "reference", "smallness", "limit_candidate"})
+        assert cli_main(["report", "--dir", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(error)
+
 
 class TestReport:
     def test_simulate_report(self, sim_dir, capsys):
@@ -1081,6 +1130,61 @@ class TestExitCodes:
         cfg.write_text(FORCED_2D_CONFIG.replace(old, new))
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("simulate", "mu = 0.01", "mu = 1e300"),
+        ("sweep", "count = 2", "count = 2\nmu_max = 1e300"),
+        ("sweep", "count = 2", "count = 2\nlam_ratio = 1e300"),
+    ], ids=["mu", "mu_max", "lam_ratio"])
+    def test_a_run_past_the_step_bound_exits_two_before_output(self, tmp_path, command, old, new):
+        # each run would take some 1e300 steps; a subprocess bounds the wait
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SHORT_CONFIG.replace(old, new))
+        src = str(Path(baroflow.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "baroflow.cli", command, "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: the run needs ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.endswith(f"more than the {baroflow.solver.MAX_STEPS} a run may take\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, snapshots", [("simulate", "true"), ("sweep", "false"), ("sweep", "true")])
+    def test_an_exp_envelope_that_overflows_is_a_blow_up(self, tmp_path, capsys, command, snapshots):
+        # simulate fails; a sweep marks every rung failed and writes its summary alone
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SHORT_CONFIG.replace("[fluid]", OVERFLOWING_FORCING).replace(
+            "write_snapshots = false", f"write_snapshots = {snapshots}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        overflow = "forcing envelope exp(-rate * t) overflows at t = "
+        if command == "simulate":
+            assert err.startswith(f"error: {overflow}")
+            assert not (tmp_path / "o").exists()
+        else:
+            summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+            assert all(e["failure"].startswith(overflow) for e in summary["entries"])
+            assert [p.name for p in (tmp_path / "o").iterdir()] == ["summary.json"]
+
+    @pytest.mark.parametrize("text, message", [
+        (SIM_CONFIG.replace("n = 32", "n = sixteen"), "[grid] n: not an integer: 'sixteen'"),
+        (SIM_CONFIG + "write_snapshots = maybe\n", "[output] write_snapshots: not a boolean: 'maybe'"),
+        ("[grid\nd = 1\n",
+         "config syntax error: File contains no section headers. file: '<string>', line: 1 '[grid\\n'"),
+        (SIM_CONFIG.replace("[fluid]", "[forcing]\nmode = trig\nterm_a = 0.05@1@0.0\n\n[fluid]"),
+         "forcing term keys look like term1, term2, ...; got 'term_a'"),
+    ], ids=["integer", "boolean", "syntax", "term-key"])
+    def test_an_unreadable_config_exits_two_with_one_error_line(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_two(self, tmp_path):

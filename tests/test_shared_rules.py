@@ -326,9 +326,18 @@ def test_one_closure_rule(gamma, kappa, message):
 
 def test_snapshot_step_is_the_largest_dividing_step():
     for spacing, stable in ((0.1, 0.03), (0.1, 0.025), (1.0, 2.0), (0.3, 0.3 / 7)):
-        per, dt = solver.snapshot_step(spacing, stable)
+        per, dt = solver.snapshot_step(spacing, stable, 1)
         assert dt == spacing / per and dt <= stable * (1 + 1e-12)
         assert per == 1 or spacing / (per - 1) > stable
+
+
+def test_snapshot_step_rejects_a_run_past_the_step_bound():
+    # 2 * MAX_STEPS steps, 2 * MAX_STEPS intervals of 2 steps, 4e302 steps, an infinite ratio
+    for stable, snapshots in ((2.0 / solver.MAX_STEPS, 4), (0.5, 2 * solver.MAX_STEPS), (1e-302, 4), (5e-324, 1)):
+        with pytest.raises(ValueError, match=rf"^the run needs .* steps of the stable step {stable:.3e}, more "
+                                             rf"than the {solver.MAX_STEPS} a run may take$"):
+            solver.snapshot_step(1.0, stable, snapshots)
+    assert solver.snapshot_step(1.0, 2.0 / solver.MAX_STEPS, 1)[0] == solver.MAX_STEPS // 2  # half the bound runs
 
 
 def test_sweep_shares_the_runs_step(sweep):

@@ -252,6 +252,13 @@ class TestParams:
         with pytest.raises(ValueError, match="term"):
             ForcingSpec(mode="trig")
 
+    def test_an_exp_envelope_that_overflows_is_a_blow_up(self):
+        forcing = ForcingSpec(mode="trig", terms=(((0.1,), (1,), 0.0),), envelope="exp", rate=-1e7)
+        assert forcing.envelope_at(0.0) == 1.0
+        with pytest.raises(BlowUpError, match=r"forcing envelope exp\(-rate \* t\) overflows at t = 0.001$") as info:
+            forcing.envelope_at(1e-3)
+        assert info.value.t == 1e-3
+
 
 class TestRhs:
     def test_equilibrium_is_stationary(self):

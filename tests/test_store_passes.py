@@ -104,9 +104,9 @@ def rung(where, hold=None):
     after the reference: it takes rung 0's States live for its Cauchy
     distance.  The pair is the last to run."""
     tables = StreamedTables(PLAN, hold)
-    reference = run_rung(2, tables.store_for(2, PLAN.params_for(PLAN.mu_values[2]), None))
+    reference = run_rung(2, tables.store_for(2, PLAN.params_for(PLAN.mu_values[2]), None, True))
     relay = _Relay(0, reference.report.t, INITIAL.grid)
-    mate, store = (tables.store_for(i, PLAN.params_for(PLAN.mu_values[i]), relay) for i in (0, 1))
+    mate, store = (tables.store_for(i, PLAN.params_for(PLAN.mu_values[i]), relay, False) for i in (0, 1))
     partner = tables.partner
 
     def view(answer):
@@ -173,6 +173,17 @@ def test_a_closed_fan_out_closes_its_passes():
 def test_a_store_set_up_for_another_count_is_closed_with_an_error(count, said):
     store = times_pass(count)
     with pytest.raises(ValueError, match=rf"store {said} of the run's snapshots \+ 1 = 3$"):
+        run(INITIAL, PLAN.params_for(0.02), PLAN.T, snapshots=2, dt_cap=DT_CAP, store=store)
+    assert inspect.getgeneratorstate(store) == inspect.GEN_CLOSED
+
+
+def test_a_store_that_stops_without_answering_is_an_error():
+    def stops_after_the_initial_state():
+        yield
+        yield
+
+    store = stops_after_the_initial_state()
+    with pytest.raises(ValueError, match=r"^store stopped at State 2 of the run's snapshots \+ 1 = 3$"):
         run(INITIAL, PLAN.params_for(0.02), PLAN.T, snapshots=2, dt_cap=DT_CAP, store=store)
     assert inspect.getgeneratorstate(store) == inspect.GEN_CLOSED
 

@@ -165,14 +165,15 @@ class TestRunSweep:
         plan, sweep = acoustic_sweep
         made = []
 
-        def store_for(i, params, mate):
-            made.append((i, params.mu, None if mate is None else mate.sender))
+        def store_for(i, params, mate, later):
+            made.append((i, params.mu, None if mate is None else mate.sender, later))
             return write_pass(tmp_path / f"entry_{i:02d}", "run", params, plan.snapshots + 1)
 
         stored = run_sweep(plan, store_for)
         # the least viscous entry first, as the reference and alone, then
-        # from the most viscous down, the pair (0, 1) sharing one relay
-        assert made == [(2, 2.5e-3, None), (0, 1e-2, 0), (1, 5e-3, 0)]
+        # from the most viscous down, the pair (0, 1) sharing one relay; no
+        # later round reads the pair
+        assert made == [(2, 2.5e-3, None, True), (0, 1e-2, 0, False), (1, 5e-3, 0, False)]
         for e in stored.entries:
             assert len(e.result.series) == plan.snapshots + 1
         for table in (cauchy_distances, distances_to):
@@ -182,6 +183,26 @@ class TestRunSweep:
         a, b = limit_candidate_check(stored), limit_candidate_check(sweep)
         assert (a.weak.mass_max_rel, a.weak.ns_max_rel, a.m_t) == (b.weak.mass_max_rel, b.weak.ns_max_rel, b.m_t)
 
+    def test_store_for_learns_which_rungs_a_later_round_reads(self, failing_rung, monkeypatch):
+        # 7 rungs, rung 6 blows up: the reference candidates 6 and 5, the pairs
+        # (0, 1) and (2, 3), then rung 4 alone, which no later round reads;
+        # each rung's parameters are built once
+        plan = SweepPlan(mu_values=tuple(1e-2 * 0.5**i for i in range(7)), d=1, n=16, ic="acoustic-pulse",
+                         T=0.1, snapshots=4)
+        failing_rung(plan.mu_values[6], 2)
+        built, made = [], []
+        real_params_for = SweepPlan.params_for
+        monkeypatch.setattr(SweepPlan, "params_for", lambda self, mu: built.append(mu) or real_params_for(self, mu))
+
+        def store_for(i, params, mate, later):
+            made.append((i, None if mate is None else mate.sender, later))
+
+        sweep = run_sweep(plan, store_for)
+        assert [e.completed for e in sweep.entries] == [True] * 6 + [False]
+        assert made == [(6, None, True), (5, None, True), (0, 0, True), (1, 0, True), (2, 2, True), (3, 2, True),
+                        (4, None, False)]
+        assert built == list(plan.mu_values)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_failed_entry_leaves_no_snapshots(self, tmp_path):
         plan = SweepPlan(
@@ -190,7 +211,7 @@ class TestRunSweep:
             ic="random-band", ic_seed=7, ic_amplitude=5.0,
             T=0.4, snapshots=4,
         )
-        sweep = run_sweep(plan, lambda i, params, mate: write_pass(
+        sweep = run_sweep(plan, lambda i, params, mate, later: write_pass(
             tmp_path / f"entry_{i:02d}", "run", params, plan.snapshots + 1))
         assert [e.completed for e in sweep.entries] == [True, False]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["entry_00"]
@@ -368,8 +389,8 @@ class TestStreamedTables:
         monkeypatch.setattr(baroflow.sweep, "_Relay", Recorded)
         tables = StreamedTables(plan)
 
-        def store_for(i, params, mate):
-            stores[i] = tables.store_for(i, params, mate)
+        def store_for(i, params, mate, later):
+            stores[i] = tables.store_for(i, params, mate, later)
             return stores[i]
 
         threads = threading.active_count()
@@ -464,6 +485,16 @@ class TestViscousSmallness:
         assert all(r.grad_u_l2 > 0 for r in table.rows)
         # mu * ||grad u||^2 <= D(T) holds with lam = -2 mu / 3
         assert table.energy_bounded
+
+    def test_a_dissipation_below_mu_grad_u_squared_is_not_bounded(self, acoustic_sweep):
+        # a ledger whose D(T) is a tenth of the one run leaves mu ||grad u||^2 above c D(T)
+        plan, sweep = acoustic_sweep
+        last = sweep.entries[-1]
+        report = dataclasses.replace(last.result.report, D=0.1 * last.result.report.D)
+        shrunk = dataclasses.replace(last, result=dataclasses.replace(last.result, report=report))
+        table = viscous_smallness(dataclasses.replace(sweep, entries=sweep.entries[:-1] + (shrunk,)))
+        assert not table.energy_bounded
+        assert table.rows[:-1] == viscous_smallness(sweep).rows[:-1]
 
     def test_mu_grad_column_decreases(self, acoustic_sweep):
         plan, sweep = acoustic_sweep
