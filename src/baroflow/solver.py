@@ -17,11 +17,11 @@ lattice.  Each RHS makes one batched inverse of the d + 1 stage fields and
 forward transforms of u (d fields) and of the symmetric flux Pi = m x u +
 p*I, one pair a <= b at a time: 8 real-field transforms in 2D, 13 in 3D.
 A flux pair's transform runs only the passes that reach the two-thirds
-block, outside which the increments are zeroed (PeriodicGrid.rfft_block,
-dealias).  The forcing product rho*f, and the work rate int f . m dx at the
-mean mode, are rho^ and m^ shifted by the forcing modes, exact for the grid
-(PeriodicGrid.trig_shift).  Each step's inverse is checked for blow-up and
-feeds the next first stage.
+block, outside which run's initial state and the increments are zeroed
+(PeriodicGrid.rfft_block, dealias).  The forcing product rho*f, and the work
+rate int f . m dx at the mean mode, are rho^ and m^ shifted by the forcing
+modes, exact for the grid (PeriodicGrid.trig_shift).  Each step's inverse is
+checked for blow-up and feeds the next first stage.
 
 rhs, step and run each build one stepper (_Stepper) and drop it when
 they return.  It owns the call's grid, fluid, forcing and extra source,
@@ -195,8 +195,8 @@ class State:
     """Flow snapshot: time, scalar density and d-component momentum.
 
     coef is None except while run sends the State to its store: then it is
-    the stacked half-lattice coefficients (rho^, m^) whose grid.irfft gave
-    the samples, for block_pass.  Equality and repr ignore it."""
+    the stacked coefficients (rho^, m^), zero off the two-thirds block, whose
+    grid.irfft gave the samples, for block_pass.  Equality and repr ignore it."""
 
     t: float
     rho: Field
@@ -281,54 +281,45 @@ def collect_pass(count: int):
 class BlockSeries:
     """The series block_pass keeps, read lazily like snapshots.StoredSeries:
     held has one entry per time, a State or the two-thirds block, shape
-    (d + 1, len(grid.dealias_modes)), of a State's coefficients, whose
-    other modes are outer, shared.  Iterating rebuilds each blocked State
-    by the run's own grid.irfft of those coefficients, so every sample is
-    the run's to the bit; no rebuilt State is kept."""
+    (d + 1, len(grid.dealias_modes)), of a State's coefficients, which are
+    zero outside it.  Iterating rebuilds each blocked State by the run's own
+    grid.irfft of those coefficients, so every sample is the run's to the
+    bit; no rebuilt State is kept."""
 
     grid: PeriodicGrid
     times: np.ndarray
     held: tuple
-    outer: np.ndarray  # None when no State is blocked
 
     def __len__(self):
         return len(self.times)
 
     def __iter__(self):
-        outside = np.flatnonzero(~self.grid.dealias_half)
         for t, item in zip(self.times.tolist(), self.held):
-            yield item if isinstance(item, State) else _state(t, self.grid, self._samples(item, outside))
+            yield item if isinstance(item, State) else _state(t, self.grid, self._samples(item))
 
-    def _samples(self, block, outside):
+    def _samples(self, block):
         """The samples of a blocked State; its rebuilt coefficients die on return."""
         grid = self.grid
-        coef = np.empty((grid.d + 1,) + grid.half_shape, dtype=np.complex128)
-        for row, inner, outer in zip(coef.reshape(grid.d + 1, -1), block, self.outer):
-            row[grid.dealias_modes] = inner
-            row[outside] = outer
+        coef = np.zeros((grid.d + 1,) + grid.half_shape, dtype=np.complex128)
+        coef.reshape(grid.d + 1, -1)[:, grid.dealias_modes] = block
         return grid.irfft(coef, scratch=coef)
 
 
 def block_pass(count: int):
     """A feed pass like collect_pass that holds a run's States in about a
     third of their samples' bytes in 3D: each State that carries its
-    coefficients (State.coef) is kept as their two-thirds block when its
-    other modes equal those of the first such State bit for bit (compared
-    as int64), and every other State as it is: the initial state, and a run
-    with an extra source, which moves those modes.  It answers with their
-    BlockSeries."""
-    times, held, outer = [], [], None
+    coefficients (State.coef), which run attaches only while they vanish
+    outside the two-thirds block, is kept as that block, and every other
+    State as it is.  It answers with their BlockSeries."""
+    times, held = [], []
     for _ in range(count):
         st = yield
         grid = st.grid
         times.append(st.t)
-        if st.coef is not None:  # C-ordered copies of its modes, no view of it
-            other = np.take(st.coef.reshape(grid.d + 1, -1), np.flatnonzero(~grid.dealias_half), axis=1)
-            outer = other if outer is None else outer
-            if np.array_equal(other.view(np.int64), outer.view(np.int64)):
-                st = np.take(st.coef.reshape(grid.d + 1, -1), grid.dealias_modes, axis=1)
+        if st.coef is not None:  # a C-ordered copy of its block, no view of it
+            st = np.take(st.coef.reshape(grid.d + 1, -1), grid.dealias_modes, axis=1)
         held.append(st)
-    yield BlockSeries(grid=grid, times=np.array(times), held=tuple(held), outer=outer)
+    yield BlockSeries(grid=grid, times=np.array(times), held=tuple(held))
 
 
 def times_pass(count: int):
@@ -468,6 +459,7 @@ class _Stepper:
         diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
         return out, diss_rate, work_rate
 
+    @np.errstate(over="ignore", invalid="ignore")  # _check_alive reports a non-finite step
     def advance(self, state_h, state, t, dt):
         """One classical RK4 step of the half-lattice state (rho^, m^) whose
         samples are state; returns the new coefficients, their samples, dD
@@ -548,8 +540,12 @@ def cfl_dt(state: State, params: FluidParams, cfl: float = 0.4) -> float:
     grid = state.grid
     rho = state.rho.values
     u = params.velocity(rho, state.m.values)
-    speed = np.sqrt(np.sum(u**2, axis=0)) + math.sqrt(params.gamma) * sonic_speed(rho, params)
+    with np.errstate(over="ignore"):  # an infinite speed is rejected below, by name
+        speed = np.sqrt(np.sum(u**2, axis=0)) + math.sqrt(params.gamma) * sonic_speed(rho, params)
     fastest = float(np.max(speed))
+    if not math.isfinite(fastest):
+        raise ValueError(f"the fastest wave speed |u| + sqrt(gamma) c is {fastest}: "
+                         f"gamma = {params.gamma}, kappa = {params.kappa} give no stable step")
     if fastest <= 0:
         raise ValueError("no propagation speed: state is identically at rest with zero density")
     dt_adv = grid.dx / fastest
@@ -620,19 +616,22 @@ def run(
 
     dt divides the snapshot spacing exactly, so snapshot timestamps are
     reproducible across runs sharing (dt, spacing).  dt_cap tightens the
-    stability bound, letting several runs agree on one step size.
+    stability bound, letting several runs agree on one step size.  The run
+    steps from initial projected onto the two-thirds block (grid.dealias),
+    and sends initial itself first, which gives E0 and the mass.
 
-    store is a feed pass (diagnostics.feed) set up for snapshots + 1
-    States, collect_pass's by default: run sends it each snapshot, the
-    initial state first, as the run reaches it, and the result's series is
-    its answer.  snapshots.write_pass streams them to disk, times_pass keeps
-    the times alone, block_pass keeps the coefficients' two-thirds blocks:
-    each later State carries its coefficients (State.coef) until the store
-    has taken it.  The mass check comes before the last snapshot is sent,
-    so a run that raises, blow-up and mass drift included, closes the pass
-    before it answers.  So does a store that answers before the last State
-    or not on it, with a ValueError; so does, before the first State, one
-    whose set-up next() answers with another count, as write_pass's can.
+    store is a feed pass (diagnostics.feed) set up for snapshots + 1 States,
+    collect_pass's by default: run sends it each snapshot, the initial state
+    first, as the run reaches it, and the result's series is its answer.
+    snapshots.write_pass streams them to disk, times_pass keeps the times
+    alone, block_pass keeps the coefficients' two-thirds blocks: each later
+    State of a run without an extra source, which is added unprojected,
+    carries its coefficients (State.coef) until the store has taken it.  The
+    mass check comes before the last snapshot is sent, so a run that raises,
+    blow-up and mass drift included, closes the pass before it answers.  So
+    does a store that answers before the last State or not on it, with a
+    ValueError; so does, before the first State, one whose set-up next()
+    answers with another count, as write_pass's can.
     """
     run_window(T, snapshots)
     if dt_cap is not None and not dt_cap > 0:
@@ -649,8 +648,9 @@ def run(
         dt_stable = min(dt_stable, dt_cap)
     per, dt = snapshot_step(T / snapshots, dt_stable, snapshots)
 
-    fields = _fields(initial)
-    fields_h = grid.rfft(fields)
+    fields_h = grid.rfft(_fields(initial))
+    grid.dealias(fields_h)  # the scheme's state lives on the two-thirds block
+    fields = grid.irfft(fields_h)
     t0 = initial.t
     count = snapshots + 1
     store = collect_pass(count) if store is None else store
@@ -672,7 +672,7 @@ def run(
             raise ValueError(f"store is set up for {declared} States, not the run's snapshots + 1 = {count}")
         send(initial, 0)
         E0 = total_energy(initial, params)
-        mass0 = float(np.mean(fields[0]))
+        mass0 = float(np.mean(initial.rho.values))
         stepper = _Stepper(grid, params, extra_source, ledger=True)
 
         rows = [(t0, E0, 0.0, 0.0)]  # the ledger's (t, E, D, W)
@@ -686,7 +686,7 @@ def run(
                 W_acc += dW
                 steps_done += 1
             t_now = t0 + steps_done * dt
-            st = _state(t_now, grid, fields, fields_h)
+            st = _state(t_now, grid, fields, fields_h if extra_source is None else None)
             if snap == snapshots:
                 mass1 = float(np.mean(fields[0]))
                 scale = max(abs(mass0), 1e-300)

@@ -1152,6 +1152,23 @@ class TestExitCodes:
         assert proc.stderr.endswith(f"more than the {baroflow.solver.MAX_STEPS} a run may take\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("old, new, code, message", [
+        ("[fluid]", "[forcing]\nmode = trig\nterm1 = 1e300@1@0.0\n\n[fluid]", 1,
+         "solution magnitude nan at t = 0.0125 exceeds 1.0e+12"),
+        ("mu = 0.01", "mu = 0.01\ngamma = 1e300", 2,
+         "the fastest wave speed |u| + sqrt(gamma) c is inf: gamma = 1e+300, kappa = 1.0 give no stable step"),
+    ], ids=["amplitude", "gamma"])
+    def test_a_finite_extreme_exits_with_one_error_line_and_no_warning(self, tmp_path, capsys, old, new, code,
+                                                                        message):
+        # the overflow is the run's to report, once, not numpy's on the way
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(SHORT_CONFIG.replace(old, new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, snapshots", [("simulate", "true"), ("sweep", "false"), ("sweep", "true")])
     def test_an_exp_envelope_that_overflows_is_a_blow_up(self, tmp_path, capsys, command, snapshots):
         # simulate fails; a sweep marks every rung failed and writes its summary alone

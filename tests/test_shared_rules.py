@@ -52,8 +52,9 @@ def reference_series_distance(a, b, p1, p2):
         dr = sa.rho.values - sb.rho.values
         dm = sa.m.values - sb.m.values
         acc_r += wi * float(np.sum(np.abs(dr) ** p1)) * dxd
-        mmag = np.sqrt(np.sum(dm**2, axis=0))
-        acc_m += wi * float(np.sum(mmag**p2)) * dxd
+        # spacetime_lp's p = 2 sums the squares directly, with no magnitude's root to square again
+        mm = np.sum(dm * dm) if p2 == 2.0 else np.sum(np.sqrt(np.sum(dm**2, axis=0)) ** p2)
+        acc_m += wi * float(mm) * dxd
     return acc_r ** (1.0 / p1), acc_m ** (1.0 / p2)
 
 
