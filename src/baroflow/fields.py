@@ -15,11 +15,13 @@ once on the last-axis 0 and n/2 planes (which are their own mirror
 images), twice everywhere else.  PeriodicGrid builds the half-lattice
 derivative, diffusion and dealias operators, the shell index and that
 weight once, each contiguous (a broadcast operator multiplies up to twice
-as slowly); rfft_block's pruned passes reach Orszag's two-thirds block alone.
+as slowly).  Orszag's two-thirds block is held compactly (block_slabs), and
+rfft_block's and irfft_block's pruned passes run only on the lines that reach it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,6 +87,9 @@ class PeriodicGrid:
     dealias_modes : ndarray of intp
         Flat C-order indices of dealias_half's modes in half_shape, the
         order of the two-thirds block.
+    block_rows, block_shape, block_slabs : tuple
+        The block's rows on a leading axis, its shape (2m+1,) * (d - 1) + (m+1,),
+        m = n//3, compact in dealias_modes' order, and its (half lattice, block) slab pairs.
     parseval_weight : ndarray
         Hermitian multiplicity of each half-lattice mode along the last
         axis, broadcastable: 1 at last-axis modes 0 and n/2, 2 elsewhere.
@@ -146,6 +151,11 @@ class PeriodicGrid:
             keep &= np.abs(m) <= n // 3
         object.__setattr__(self, "dealias_half", keep)
         object.__setattr__(self, "dealias_modes", np.flatnonzero(keep))
+        m = n // 3  # a leading axis's block rows: modes 0 .. m, then -m .. -1
+        object.__setattr__(self, "block_rows", (slice(m + 1), slice(n - m, None)))
+        object.__setattr__(self, "block_shape", (2 * m + 1,) * (d - 1) + (m + 1,))
+        rows = itertools.product(zip(self.block_rows, (slice(m + 1), slice(m + 1, None))), repeat=d - 1)
+        object.__setattr__(self, "block_slabs", tuple(tuple(zip(*r, (slice(m + 1), slice(None)))) for r in rows))
         weight = np.full(h, 2.0)
         weight[0] = weight[-1] = 1.0
         object.__setattr__(self, "parseval_weight", weight)
@@ -200,14 +210,14 @@ class PeriodicGrid:
                 raise ValueError(f"forcing mode {tuple(mode_vec)} is past the two-thirds cutoff n//3 = {self.n // 3}")
         return terms
 
-    def trig_shift(self, terms, components: int, scratch: np.ndarray = None, modes: np.ndarray = None):
-        """rfft(w) -> rfft(w * trig_sum(terms, components)[0]) on the dealiased
-        modes, or on modes (flat indices in half_shape) if given, exact for the
-        grid product, aliasing included.  Returns (targets, shift): the modes'
-        flat indices in a (components,) + half_shape array, and the map.  The
-        map's buffers are made once, so its result lasts until its next call;
-        they live in scratch, a contiguous complex array left alone while the
-        result is used, if it is large enough.  On x_j = -P/2 + j*dx a term is
+    def trig_shift(self, terms, components: int, scratch: np.ndarray = None, modes: np.ndarray = None, block=False):
+        """The map rfft(w) -> rfft(w * trig_sum(terms, components)[0]) on the
+        dealiased modes, or on modes (flat indices in half_shape) if given, in
+        their order, exact for the grid product, aliasing included; with block
+        it reads rfft(w) as its compact two-thirds block, rfft(w) vanishing off
+        it.  The map's buffers are made once, so its result lasts until its next
+        call; they live in scratch, a contiguous complex array left alone while
+        the result is used, if it is large enough.  On x_j = -P/2 + j*dx a term is
         amps * cos(2 pi mode.j/n + phase - pi*sum(mode)): it moves rfft(w) by
         -+mode with weights amps * (-1)^sum(mode) * e^{+-i phase} / 2.  Sources
         past the last axis's n/2 are conjugates of their Hermitian mirrors.
@@ -224,6 +234,8 @@ class PeriodicGrid:
                 mirrored.append(mirror)
                 weight.append(np.multiply(amps, 0.5 * parity * np.exp(sign * 1j * phase)))
         index = np.array(index, dtype=np.intp).reshape(-1, modes.size)
+        off = np.flatnonzero(block & ~self.dealias_half.ravel()[index])  # sources off the block read zero
+        index = np.cumsum(self.dealias_half.ravel())[index] - 1 if block else index  # or their places in it
         mirrored = np.array(mirrored, dtype=bool).reshape(index.shape)
         weight = np.array(weight, dtype=np.complex128).reshape(-1, components).T
         need = index.size + components * modes.size
@@ -232,10 +244,11 @@ class PeriodicGrid:
 
         def shift(coef):
             np.take(coef.ravel(), index, out=values, mode="clip")  # "clip" writes out unbuffered
+            values.reshape(-1)[off] = 0  # before the conjugation, which gives them the sign of a zero mode
             np.conjugate(values, out=values, where=mirrored)
             return np.matmul(weight, values, out=moved).ravel()
 
-        return (self.dealias_half.size * np.arange(components)[:, None] + modes).ravel(), shift
+        return shift
 
     def rfft(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Unnormalized real-to-complex transform over the spatial axes;
@@ -245,19 +258,19 @@ class PeriodicGrid:
     def rfft_block(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """rfft(values) into out, bit for bit on the two-thirds block: rfftn's
         passes, its complex ones only on the lines that reach the block.  out's
-        other modes hold partial sums, for dealias to zero."""
-        rows = (slice(self.n // 3 + 1), slice(self.n - self.n // 3, None))  # |mode| <= n//3
-        lines = [np.fft.rfft(values, axis=-1, out=out)[..., rows[0]]]
+        other modes hold partial sums, for dealias to zero or the block's slabs to leave."""
+        lines = [np.fft.rfft(values, axis=-1, out=out)[..., self.block_rows[0]]]
         for axis in range(-2, -self.d - 1, -1):
             lines = [np.fft.fft(v, axis=axis, out=v) for v in lines]
-            lines = [v[(..., r) + (slice(None),) * (-1 - axis)] for v in lines for r in rows]
+            lines = [v[(..., r) + (slice(None),) * (-1 - axis)] for v in lines for r in self.block_rows]
         return out
 
-    def dealias(self, coef: np.ndarray):
-        """coef *= dealias_half, by zeroing (to +0) the slabs outside the block."""
+    def dealias(self, coef: np.ndarray) -> np.ndarray:
+        """coef *= dealias_half, by zeroing (to +0) the slabs outside the block; returns coef."""
         coef[..., self.n // 3 + 1 :] = 0
         for axis in range(-2, -self.d - 1, -1):
             coef[(..., slice(self.n // 3 + 1, self.n - self.n // 3)) + (slice(None),) * (-1 - axis)] = 0
+        return coef
 
     def irfft(self, coef: np.ndarray, out: np.ndarray = None, scratch: np.ndarray = None) -> np.ndarray:
         """Inverse of rfft, back to real samples of grid.shape, into out if
@@ -268,6 +281,22 @@ class PeriodicGrid:
         for axis in axes[:-1]:
             coef = np.fft.ifft(coef, axis=axis, out=scratch)
         return np.fft.irfft(coef, self.n, axis=axes[-1], out=out)
+
+    def irfft_block(self, coef: np.ndarray, out: np.ndarray = None, scratch: np.ndarray = None) -> np.ndarray:
+        """irfft, bit for bit, of coefficients that vanish off the two-thirds
+        block, from coef, that block compactly.  It is padded into scratch if
+        given, of shape coef's leading axes + shape[:-1] + (n//3 + 1,), whose
+        rows off the block are zeroed; the complex passes run only on the lines
+        with nonzero input."""
+        padded = coef.shape[: -self.d] + self.shape[:-1] + coef.shape[-1:]
+        pad = self.dealias(np.empty(padded, complex) if scratch is None else scratch)
+        for at, of in self.block_slabs:
+            pad[(...,) + at] = coef[(...,) + of]
+        for axis in range(-self.d, -1):  # lines along axis, at block rows of the leading axes after it
+            for later in itertools.product(self.block_rows, repeat=-2 - axis):
+                lines = pad[(..., slice(None)) + later + (slice(None),)]
+                np.fft.ifft(lines, axis=axis, out=lines)
+        return np.fft.irfft(pad, self.n, axis=-1, out=out)
 
     def parseval(self, power: np.ndarray) -> float:
         """Box integral of sum |w|^2 from the half-lattice power |rfft(w)|^2

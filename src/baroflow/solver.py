@@ -12,33 +12,33 @@ classical RK4 with a fixed dt chosen from the initial CFL state.
 The cumulative dissipation D(t) and forcing work W(t) ride along as
 extra RK4 variables so the energy ledger closes at the scheme's order.
 
-The RK4 state is kept as the coefficients (rho^, m^) on the grid's half
-lattice.  Each RHS makes one batched inverse of the d + 1 stage fields and
-forward transforms of u (d fields) and of the symmetric flux Pi = m x u +
-p*I, one pair a <= b at a time: 8 real-field transforms in 2D, 13 in 3D.
-A flux pair's transform runs only the passes that reach the two-thirds
-block, outside which run's initial state and the increments are zeroed
-(PeriodicGrid.rfft_block, dealias).  The forcing product rho*f, and the work
-rate int f . m dx at the mean mode, are rho^ and m^ shifted by the forcing
-modes, exact for the grid (PeriodicGrid.trig_shift).  Each step's inverse is
-checked for blow-up and feeds the next first stage.
+The RK4 state is the coefficients (rho^, m^): compactly on the two-thirds
+block in run without an extra source (run projects its initial state, and
+every increment is dealiased), and on the whole half lattice in rhs, step
+and run with an extra source, added unprojected.  Each RHS makes one
+batched inverse of the d + 1 stage fields (PeriodicGrid.irfft_block on the
+block) and forward transforms of u (d fields) and of the symmetric flux
+Pi = m x u + p*I, one pair a <= b at a time, on the lines that reach the
+block (rfft_block): 8 real-field transforms in 2D, 13 in 3D.  The forcing
+product rho*f, and the work rate int f . m dx at the mean mode, are rho^
+and m^ shifted by the forcing modes, exact for the grid (trig_shift).  Each
+step's inverse is checked for blow-up and feeds the next first stage.
 
-rhs, step and run each build one stepper (_Stepper) and drop it when
-they return.  It owns the call's grid, fluid, forcing and extra source,
-whether the ledger rates ride along (run's only), and the buffers the
-stages write into: the stage coefficients and their samples, the
-velocity, pressure and one flux pair, the velocity's transform, the
-assembled increment, the product scratch and one spare, which takes each
-flux pair's coefficients, then the forcing shifts' gathered and moved
-modes, then the ledger's squared parts, summed against k2 * weight.  The
+rhs, step and run each build one stepper (_Stepper) and drop it when they
+return.  It owns the call's grid, fluid, forcing and extra source, whether
+the ledger rates ride along (run's only), ik and mu*k2 on its mode set, and
+the buffers the stages write into: there, the stage coefficients, the
+increment, u's and div u's modes and the product scratch; the stage samples,
+velocity, pressure and one flux pair; and one half-lattice spare, which takes
+u's transform (the ledger's Parseval sums read all of it), a flux pair's
+passes, the forcing shifts' modes and an inverse's padded lines in turn.  The
 four increments collapse into a running sum, in the classical formula's
-order, held by the step's own result array; an increment, once summed,
-takes the complex passes of the next inverse.  No buffer outlives the
-call that built it.
+order, held by the step's own result array.  No buffer outlives its call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -195,8 +195,8 @@ class State:
     """Flow snapshot: time, scalar density and d-component momentum.
 
     coef is None except while run sends the State to its store: then it is
-    the stacked coefficients (rho^, m^), zero off the two-thirds block, whose
-    grid.irfft gave the samples, for block_pass.  Equality and repr ignore it."""
+    the compact two-thirds block of the stacked coefficients (rho^, m^), whose
+    grid.irfft_block gave the samples, for block_pass.  Equality and repr ignore it."""
 
     t: float
     rho: Field
@@ -280,11 +280,11 @@ def collect_pass(count: int):
 @dataclass(frozen=True)
 class BlockSeries:
     """The series block_pass keeps, read lazily like snapshots.StoredSeries:
-    held has one entry per time, a State or the two-thirds block, shape
-    (d + 1, len(grid.dealias_modes)), of a State's coefficients, which are
-    zero outside it.  Iterating rebuilds each blocked State by the run's own
-    grid.irfft of those coefficients, so every sample is the run's to the
-    bit; no rebuilt State is kept."""
+    held has one entry per time, a State or a State's coefficients as their
+    compact two-thirds block (State.coef), outside which they vanish.
+    Iterating rebuilds each blocked State by the run's own grid.irfft_block,
+    through one scratch, so every sample is the run's to the bit; no rebuilt
+    State is kept."""
 
     grid: PeriodicGrid
     times: np.ndarray
@@ -294,31 +294,23 @@ class BlockSeries:
         return len(self.times)
 
     def __iter__(self):
+        pad = np.empty((self.grid.d + 1,) + self.grid.shape[:-1] + self.grid.block_shape[-1:], complex)
         for t, item in zip(self.times.tolist(), self.held):
-            yield item if isinstance(item, State) else _state(t, self.grid, self._samples(item))
-
-    def _samples(self, block):
-        """The samples of a blocked State; its rebuilt coefficients die on return."""
-        grid = self.grid
-        coef = np.zeros((grid.d + 1,) + grid.half_shape, dtype=np.complex128)
-        coef.reshape(grid.d + 1, -1)[:, grid.dealias_modes] = block
-        return grid.irfft(coef, scratch=coef)
+            yield item if isinstance(item, State) else _state(t, self.grid, self.grid.irfft_block(item, scratch=pad))
 
 
 def block_pass(count: int):
     """A feed pass like collect_pass that holds a run's States in about a
     third of their samples' bytes in 3D: each State that carries its
-    coefficients (State.coef), which run attaches only while they vanish
-    outside the two-thirds block, is kept as that block, and every other
-    State as it is.  It answers with their BlockSeries."""
+    coefficients (State.coef), a compact block no later step writes, is kept
+    as that array, and every other State as it is.  It answers with their
+    BlockSeries."""
     times, held = [], []
     for _ in range(count):
         st = yield
         grid = st.grid
         times.append(st.t)
-        if st.coef is not None:  # a C-ordered copy of its block, no view of it
-            st = np.take(st.coef.reshape(grid.d + 1, -1), grid.dealias_modes, axis=1)
-        held.append(st)
+        held.append(st if st.coef is None else st.coef)
     yield BlockSeries(grid=grid, times=np.array(times), held=tuple(held))
 
 
@@ -362,48 +354,63 @@ def _state(t: float, grid: PeriodicGrid, fields: np.ndarray, coef=None) -> State
 
 
 class _Stepper:
-    """One call's RK4 stepper of the half-lattice state (rho^, m^): its grid,
-    fluid, extra source, forcing mode shift, ledger flag and stage buffers,
-    flux_h the spare (module docstring).  Only a ledger stepper reads the
-    forcing modes of m^, for the work rate.  Forcing modes must pass
-    grid.dealiased_terms: the shift maps onto dealiased modes only."""
+    """One call's RK4 stepper of (rho^, m^) on its mode set: the compact block
+    for a block-supported state (block), else the half lattice (module
+    docstring).  Only a ledger stepper reads the forcing modes of m^, for the
+    work rate.  Forcing modes must pass grid.dealiased_terms: the shift maps
+    onto dealiased modes only."""
 
-    def __init__(self, grid: PeriodicGrid, params: FluidParams, extra_source=None, ledger=False):
-        d = grid.d
-        self.grid, self.params, self.extra_source, self.ledger = grid, params, extra_source, ledger
-        forcing = params.forcing
+    def __init__(self, grid: PeriodicGrid, params: FluidParams, extra_source=None, ledger=False, block=True):
+        d, h, half = grid.d, grid.half_shape, math.prod(grid.half_shape)
+        self.grid, self.params, self.extra_source, self.ledger, self.block = grid, params, extra_source, ledger, block
         self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
+        slabs = grid.block_slabs, (((), ()),)  # slab pairs (half lattice, block), and the whole array's
+        self.modes, (self.outer, self.inner) = (grid.block_shape, slabs) if block else (grid.half_shape, slabs[::-1])
         real = lambda *lead: np.empty(lead + grid.shape)
-        half = lambda *lead: np.empty(lead + grid.half_shape, dtype=np.complex128)
-        self.stage_h, self.k, self.stage = half(d + 1), half(d + 1), real(d + 1)
+        spectral = lambda *lead: np.empty(lead + self.modes, dtype=np.complex128)
+        self.stage_h, self.k, self.stage = spectral(d + 1), spectral(d + 1), real(d + 1)
         self.u, self.p, self.flux = real(d), real(), real()
-        self.u_h, self.div_u_h, self.tmp = half(d), half(), half()
-        # the spare holds a flux pair's coefficients, the shift's gathered and
-        # moved modes, or the rates' squared parts, each dead before the next
-        terms = grid.dealiased_terms(forcing.terms) if forcing.active else ()
-        shifted = (2 * len(terms) + d) * len(grid.dealias_modes) if terms else 0
-        self.flux_h = np.empty(max((d if ledger else 1) * math.prod(grid.half_shape), shifted), np.complex128)
-        self.force = grid.trig_shift(terms, d, scratch=self.flux_h) if terms else None
-        self.work = grid.trig_shift(terms, d, self.flux_h, np.zeros(1, np.intp))[1] if terms and ledger else None
-        self.mu_k2, self.k2_weight = params.mu * grid.k2_half, grid.k2_half * grid.parseval_weight if ledger else None
+        self.u_h, self.div_u_h, self.tmp = spectral(d), spectral(), spectral()
+        self.ik, self.mu_k2 = self.take(grid.ik_half), params.mu * self.take(grid.k2_half)
+        # the spare: u's half lattice past the ledger's d + 1 real parts, a flux pair's passes
+        # and modes, the shift's gathered and moved modes or an inverse's padded lines, in turn
+        terms = grid.dealiased_terms(params.forcing.terms) if params.forcing.active else ()
+        lead, pad = ((d + 1) * half + 1) // 2 if ledger else 0, (d + 1,) + grid.shape[:-1] + self.modes[-1:]
+        self.spare = np.empty(max(lead + d * half, half + math.prod(self.modes), math.prod(pad),
+                                  (2 * len(terms) + d) * len(grid.dealias_modes)), np.complex128)
+        lay = lambda buf, *shape: buf[: math.prod(shape)].reshape(shape)  # views of the spare
+        self.whole, self.passes = lay(self.spare[lead:], d, *h), lay(self.spare, *h)
+        self.parts, self.flux_h = lay(self.spare.view(float), d + 1, *h), lay(self.spare[half:], *self.modes)
+        self.force = grid.trig_shift(terms, d, self.spare, block=block) if terms else None
+        self.work = grid.trig_shift(terms, d, self.spare, np.zeros(1, np.intp), block) if ledger and terms else None
+        self.k2_weight = grid.k2_half * grid.parseval_weight if ledger else None
+        self.inverse = functools.partial(grid.irfft_block if block else grid.irfft, scratch=lay(self.spare, *pad))
+
+    def take(self, coef, out=None):
+        """coef, on the half lattice, on the stepper's mode set, into out if given."""
+        out = np.empty(coef.shape[: coef.ndim - self.grid.d] + self.modes, coef.dtype) if out is None else out
+        for at, of in self.outer:
+            out[(...,) + of] = coef[(...,) + at]
+        return out
 
     def rhs(self, state_h, state, t, out):
-        """Spectral time derivative of the half-lattice state (rho^, m^),
-        shape (d + 1,) + grid.half_shape, whose samples are state, written
-        into out, and the dissipation and forcing-work rates (zeros without
-        the ledger).  Returns (out, dissipation rate, work rate).
+        """Spectral time derivative of the state (rho^, m^) on the stepper's
+        mode set, whose samples are state, written into out, and the
+        dissipation and forcing-work rates (zeros without the ledger).
+        Returns (out, dissipation rate, work rate).
 
         out, shaped like state_h, may be self.k but no other buffer of the
         stepper, nor state_h.  The increments are dealiased except for the
-        extra source, whose physical source is transformed as it is.
+        extra source, transformed as it is and then taken on the mode set.
         """
         grid, params, tmp = self.grid, self.params, self.tmp
-        ik, d = grid.ik_half, grid.d
+        ik, d = self.ik, grid.d
         rho, m = state[0], state[1:]
         u = params.velocity(rho, m, out=self.u, floor=self.p)
         p = params.pressure(rho, out=self.p)
 
-        u_h = grid.rfft(u, out=self.u_h)
+        whole = grid.rfft(u, out=self.whole)
+        u_h = self.take(whole, self.u_h)
         div_u_h = np.multiply(ik[0], u_h[0], out=self.div_u_h)
         for a in range(1, d):
             div_u_h += np.multiply(ik[a], u_h[a], out=tmp)
@@ -415,71 +422,73 @@ class _Stepper:
         for a in range(d):
             np.multiply(np.multiply(params.mu + params.lam, ik[a], out=tmp), div_u_h, out=out[1 + a])
             out[1 + a] -= np.multiply(self.mu_k2, u_h[a], out=tmp)
+        diss_rate = 0.0
+        if self.ledger:
+            # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx, summed by
+            # einsum (no BLAS thread count reorders it).  The first keeps the Nyquist
+            # mode that grid.grad_sq zeroes: it is -int u . lap u, with the diffusion
+            # term's Laplacian symbol -k2, unambiguous there (only odd derivatives zero it).
+            power, square = self.parts[:d], self.parts[d]
+            for a in range(d):
+                np.add(np.square(whole[a].real, out=power[a]), np.square(whole[a].imag, out=square), out=power[a])
+            scale = grid.dx**d / float(grid.n**d)
+            grad_sq = float(np.einsum("ij,j->", power.reshape(d, -1), self.k2_weight.reshape(-1))) * scale
+            div = np.multiply(grid.ik_half[0], whole[0], out=whole[0])  # u's coefficients are spent
+            for a in range(1, d):
+                div += np.multiply(grid.ik_half[a], whole[a], out=whole[a])
+            np.add(np.square(div.real, out=power[0]), np.square(div.imag, out=square), out=power[0])
+            div_sq = float(np.einsum("ij,j->", power[0].reshape(-1, power.shape[-1]), grid.parseval_weight)) * scale
+            diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
         # Symmetric flux Pi_ab = m_a u_b + p delta_ab, a pair a <= b at a time,
         # off each of its components at once: each one's sum over b ascends.
-        flux, flux_h = self.flux, self.flux_h[:tmp.size].reshape(tmp.shape)
+        flux, passes, flux_h = self.flux, self.passes, self.flux_h
         for a, b in self.pairs:
             np.multiply(m[a], u[b], out=flux)
             if a == b:
                 flux += p
-            grid.rfft_block(flux, out=flux_h)
+            self.take(grid.rfft_block(flux, out=passes), flux_h)
             out[1 + a] -= np.multiply(ik[b], flux_h, out=tmp)
             if a != b:
                 out[1 + b] -= np.multiply(ik[a], flux_h, out=tmp)
-        grid.dealias(out)
 
         work_rate = 0.0
         if self.force is not None:
-            targets, shift = self.force
             envelope = params.forcing.envelope_at(t)
-            moved = shift(state_h[0])
+            moved = self.force(state_h[0]).reshape((d,) + grid.block_shape)
             moved *= envelope
-            np.add.at(out[1:].reshape(-1), targets, moved)  # unbuffered; the targets are distinct
+            for at, of in self.inner:
+                out[(slice(1, None),) + at] += moved[(...,) + of]
             if self.ledger:  # int f . m dx, read from m^ at the forcing modes
                 work_rate = envelope * sum(float(self.work(state_h[1 + a])[a].real) for a in range(d)) * grid.dx**d
 
+        if not self.block:
+            grid.dealias(out)
         if self.extra_source is not None:
             source = np.empty_like(state)
             source[0], source[1:] = self.extra_source(t, rho, m)
-            out += grid.rfft(source)
-
-        if not self.ledger:
-            return out, 0.0, 0.0
-
-        # Parseval forms of int |grad u|^2 dx and int (div u)^2 dx, summed by
-        # einsum (no BLAS thread count reorders it).  The first keeps the Nyquist
-        # mode that grid.grad_sq zeroes: it is -int u . lap u, with the diffusion
-        # term's Laplacian symbol -k2, unambiguous there (only odd derivatives zero it).
-        re2, im2 = self.flux_h.view(np.float64)[: 2 * u_h.size].reshape((2,) + u_h.shape)  # in the spare
-        power = np.add(np.square(u_h.real, out=re2), np.square(u_h.imag, out=im2), out=re2)
-        scale = grid.dx**d / float(grid.n**d)
-        grad_sq = float(np.einsum("ij,j->", power.reshape(d, -1), self.k2_weight.reshape(-1))) * scale
-        power = np.add(np.square(div_u_h.real, out=re2[0]), np.square(div_u_h.imag, out=im2[0]), out=re2[0])
-        div_sq = float(np.einsum("ij,j->", power.reshape(-1, power.shape[-1]), grid.parseval_weight)) * scale
-        diss_rate = params.mu * grad_sq + (params.mu + params.lam) * div_sq
+            out += self.take(grid.rfft(source))
         return out, diss_rate, work_rate
 
     @np.errstate(over="ignore", invalid="ignore")  # _check_alive reports a non-finite step
     def advance(self, state_h, state, t, dt):
-        """One classical RK4 step of the half-lattice state (rho^, m^) whose
-        samples are state; returns the new coefficients, their samples, dD
-        and dW.  The samples feed the next step's first stage.
+        """One classical RK4 step of the state (rho^, m^) on the stepper's
+        mode set, whose samples are state; returns the new coefficients,
+        their samples, dD and dW.  The samples feed the next step's first stage.
 
         The new coefficients are a fresh array that takes k1, then the
         running sum k1 + 2 k2 + 2 k3 + k4 in the order of the classical
         formula; the returned arrays are never stepper buffers, so a later
         step leaves them alone."""
-        grid, k, stage_h, stage = self.grid, self.k, self.stage_h, self.stage
+        k, stage_h, stage = self.k, self.stage_h, self.stage
         acc = np.empty_like(state_h)
 
         def to_stage(c, inc, acc=None):
             """stage_h = state_h + c*inc, then acc += 2.0*inc if acc is given,
-            then stage_h's samples in stage; k is dead by then and takes the
-            inverse's complex passes."""
+            then stage_h's samples in stage."""
             np.add(state_h, np.multiply(inc, c, out=stage_h), out=stage_h)
             if acc is not None:
                 acc += np.multiply(inc, 2.0, out=inc)
-            grid.irfft(stage_h, out=stage, scratch=k)
+            self.inverse(stage_h, out=stage)
 
         _, d1, w1 = self.rhs(state_h, state, t, acc)
         to_stage(0.5 * dt, acc)
@@ -491,7 +500,7 @@ class _Stepper:
         acc += k
         sixth = dt / 6.0
         new_h = np.add(state_h, np.multiply(acc, sixth, out=acc), out=acc)
-        new = grid.irfft(new_h, scratch=k)
+        new = self.inverse(new_h)
         dD = sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         dW = sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
         _check_alive(new[0], new[1:], t + dt)
@@ -501,7 +510,7 @@ class _Stepper:
 def rhs(state: State, params: FluidParams, extra_source=None):
     """Time derivative of (rho, m) as Fields (dealiased spectral form)."""
     grid, fields = state.grid, _fields(state)
-    stepper = _Stepper(grid, params, extra_source)
+    stepper = _Stepper(grid, params, extra_source, block=False)
     out_h, _, _ = stepper.rhs(grid.rfft(fields), fields, state.t, stepper.k)
     out = grid.irfft(out_h)
     return Field(grid=grid, values=out[0]), Field(grid=grid, values=out[1:])
@@ -533,12 +542,14 @@ def cfl_dt(state: State, params: FluidParams, cfl: float = 0.4) -> float:
                     dx^2 * rho_low / (2 d (2 mu + |lam|)) ),
 
     where c is the sonic weight and rho_low the floored minimum density
-    (the diffusion of u scales with (2 mu + |lam|)/rho).
+    (the diffusion of u scales with (2 mu + |lam|)/rho), for rho_min below max rho.
     """
     if not (0 < cfl <= 1):
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     grid = state.grid
     rho = state.rho.values
+    if not params.rho_min < (top := float(np.max(rho))):
+        raise ValueError(f"rho_min = {params.rho_min} must lie below the largest initial density {top}")
     u = params.velocity(rho, state.m.values)
     with np.errstate(over="ignore"):  # an infinite speed is rejected below, by name
         speed = np.sqrt(np.sum(u**2, axis=0)) + math.sqrt(params.gamma) * sonic_speed(rho, params)
@@ -576,7 +587,7 @@ def step(state: State, params: FluidParams, dt: float, extra_source=None) -> Sta
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid, fields = state.grid, _fields(state)
-    _, new, _, _ = _Stepper(grid, params, extra_source).advance(grid.rfft(fields), fields, state.t, dt)
+    _, new, _, _ = _Stepper(grid, params, extra_source, block=False).advance(grid.rfft(fields), fields, state.t, dt)
     return _state(state.t + dt, grid, new)
 
 
@@ -647,10 +658,6 @@ def run(
     if dt_cap is not None:
         dt_stable = min(dt_stable, dt_cap)
     per, dt = snapshot_step(T / snapshots, dt_stable, snapshots)
-
-    fields_h = grid.rfft(_fields(initial))
-    grid.dealias(fields_h)  # the scheme's state lives on the two-thirds block
-    fields = grid.irfft(fields_h)
     t0 = initial.t
     count = snapshots + 1
     store = collect_pass(count) if store is None else store
@@ -673,7 +680,9 @@ def run(
         send(initial, 0)
         E0 = total_energy(initial, params)
         mass0 = float(np.mean(initial.rho.values))
-        stepper = _Stepper(grid, params, extra_source, ledger=True)
+        stepper = _Stepper(grid, params, extra_source, ledger=True, block=extra_source is None)
+        fields_h = stepper.take(grid.dealias(grid.rfft(_fields(initial))))  # the scheme's Galerkin space
+        fields = stepper.inverse(fields_h)
 
         rows = [(t0, E0, 0.0, 0.0)]  # the ledger's (t, E, D, W)
         D_acc = W_acc = 0.0

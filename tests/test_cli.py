@@ -1157,7 +1157,9 @@ class TestExitCodes:
          "solution magnitude nan at t = 0.0125 exceeds 1.0e+12"),
         ("mu = 0.01", "mu = 0.01\ngamma = 1e300", 2,
          "the fastest wave speed |u| + sqrt(gamma) c is inf: gamma = 1e+300, kappa = 1.0 give no stable step"),
-    ], ids=["amplitude", "gamma"])
+        ("mu = 0.01", "mu = 0.01\nrho_min = 1e300", 2,
+         "rho_min = 1e+300 must lie below the largest initial density 1.01"),
+    ], ids=["amplitude", "gamma", "rho_min"])
     def test_a_finite_extreme_exits_with_one_error_line_and_no_warning(self, tmp_path, capsys, old, new, code,
                                                                         message):
         # the overflow is the run's to report, once, not numpy's on the way

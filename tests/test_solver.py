@@ -161,13 +161,14 @@ def batched_flux_rhs(grid, params, state_h, state, t, extra_source=None, ledger=
     work_rate = 0.0
     forcing = params.forcing
     if forcing.active:
-        targets, shift = grid.trig_shift(grid.dealiased_terms(forcing.terms), d)
+        targets = (grid.dealias_half.size * np.arange(d)[:, None] + grid.dealias_modes).ravel()
+        shift = grid.trig_shift(grid.dealiased_terms(forcing.terms), d)
         moved = shift(state_h[0])
         moved *= forcing.envelope_at(t)
         np.add.at(out[1:].reshape(-1), targets, moved)
         if ledger:
             # the sum of m_a f over the grid is the mean mode of rfft(m_a f)
-            mean = grid.trig_shift(forcing.terms, d, modes=np.zeros(1, np.intp))[1]
+            mean = grid.trig_shift(forcing.terms, d, modes=np.zeros(1, np.intp))
             work = sum(float(mean(state_h[1 + a])[a].real) for a in range(d))
             work_rate = forcing.envelope_at(t) * work * grid.dx**d
     if extra_source is not None:
@@ -328,8 +329,8 @@ class TestRhs:
         st = preset_ic("random-band", g, params, seed=3 + d, amplitude=1.0)
         fields, t = _fields(st), 0.7
         stepper = _Stepper(g, params, ledger=True)
-        out_h, diss, work = stepper.rhs(g.rfft(fields), fields, t, stepper.k)
-        out = g.irfft(out_h)
+        out_h, diss, work = stepper.rhs(stepper.take(g.rfft(fields)), fields, t, stepper.k)
+        out = stepper.inverse(out_h)
         got = (out[0], out[1:], diss, work)
         want = reference_rhs(st.rho.values, st.m.values, t, g, params, full_lattice(g))
         for a, b in zip(got[:2], want[:2]):
@@ -736,8 +737,8 @@ class TestForcingShift:
         forcing = ForcingSpec(mode="trig", terms=tuple(terms), envelope="exp", rate=0.7)
         rho = 1.0 + 0.3 * np.random.default_rng(d).standard_normal(g.shape)
         t = 0.4
-        targets, shift = g.trig_shift(forcing.terms, d)
-        assert len(targets) == d * int(np.sum(g.dealias_half))
+        shift = g.trig_shift(forcing.terms, d)
+        targets = (g.dealias_half.size * np.arange(d)[:, None] + g.dealias_modes).ravel()  # in order
         want = (g.rfft(rho * forcing.spatial(g)) * forcing.envelope_at(t)).ravel()[targets]
         got = forcing.envelope_at(t) * shift(g.rfft(rho))
         assert rel_err(got, want) <= 1e-14
@@ -746,7 +747,7 @@ class TestForcingShift:
         need = len(targets) // d * (2 * len(terms) + d)
         for size, lent in ((need, True), (need - 1, False)):
             scratch = np.empty(size, dtype=np.complex128)
-            moved = g.trig_shift(forcing.terms, d, scratch=scratch)[1](g.rfft(rho))
+            moved = g.trig_shift(forcing.terms, d, scratch=scratch)(g.rfft(rho))
             assert np.array_equal(forcing.envelope_at(t) * moved, got)
             assert np.shares_memory(moved, scratch) == lent
 
@@ -767,7 +768,7 @@ class TestForcingShift:
         rng = np.random.default_rng(d)
         fields = np.concatenate((1.0 + 0.1 * rng.standard_normal((1,) + g.shape), rng.standard_normal((d,) + g.shape)))
         for t in (0.0, 0.4):
-            _, _, work = stepper.rhs(g.rfft(fields), fields, t, np.empty((d + 1,) + g.half_shape, np.complex128))
+            _, _, work = stepper.rhs(stepper.take(g.rfft(fields)), fields, t, np.empty_like(stepper.k))
             want = float(np.sum(forcing.spatial(g) * forcing.envelope_at(t) * fields[1:])) * g.dx**d
             assert abs(work - want) <= 1e-13 * abs(want)
 
@@ -780,13 +781,14 @@ class TestForcingShift:
             params = FluidParams(mu=1e-3, forcing=forcing)
             st = preset_ic("random-band", g, params, seed=3, amplitude=0.5)
             fields = np.concatenate((st.rho.values[None], st.m.values))
-            fields_h, stepper = g.rfft(fields), _Stepper(g, params)
+            stepper = _Stepper(g, params)
+            fields_h = stepper.take(g.rfft(fields))
             out = np.empty_like(fields_h)
             stepper.rhs(fields_h, fields, 0.1, out)
             peaks.append(traced_peak(lambda: stepper.rhs(fields_h, fields, 0.1, out)))
         assert peaks[1] <= peaks[0] + 1024
         # nor does it keep buffers of its own: the flux coefficients' memory is free by then
-        assert np.shares_memory(stepper.force[1](fields_h[0]), stepper.flux_h)
+        assert np.shares_memory(stepper.force(fields_h[0]), stepper.spare)
 
     @pytest.mark.parametrize("mode", [(6, 0), (8, 0), (0, -6), (7, 2)])
     def test_forcing_past_the_cutoff_is_rejected(self, mode):
@@ -846,29 +848,35 @@ class TestCoefficientState:
     def test_real_fields_transformed_per_rhs(self, monkeypatch, d, forced, per_rhs):
         """Each RK4 stage inverts the d + 1 state fields and transforms u
         (d fields) and the symmetric flux (d(d+1)/2) forward, the flux
-        pruned to the two-thirds block (grid.rfft_block).  An inverse is
-        d - 1 complex passes over the leading axes and one real pass over
-        the last; the real passes count the fields."""
-        g = make_grid(d, 8, TWO_PI)
+        pruned to the two-thirds block (grid.rfft_block).  An inverse
+        (grid.irfft_block) runs complex passes over the leading axes, on the
+        lines with nonzero input alone, and one real pass over the last; the
+        real passes count the fields."""
+        g, m = make_grid(d, 8, TWO_PI), 8 // 3
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
         st = preset_ic("random-band", g, params, seed=1, amplitude=0.5)
         fields = _fields(st)
-        fields_h, stepper = g.rfft(fields), _Stepper(g, params, ledger=True)
-        counted, passes = [], []
+        stepper = _Stepper(g, params, ledger=True)
+        fields_h = stepper.take(g.rfft(fields))
+        counted, lines = [], []
 
-        def counting(fn, lattice, into):
+        def counting(fn, count, into):
             def wrapper(a, *args, **kwargs):
-                into.append(a.size // math.prod(lattice))
+                into.append(count(a, kwargs.get("axis", -1)))
                 return fn(a, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, g.shape, counted))
-        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, g.shape, counted))
-        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, g.half_shape, counted))
-        monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft, g.half_shape, passes))
+        fields_of = lambda a, axis: a.size // g.n**d
+        monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, fields_of, counted))
+        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, fields_of, counted))
+        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, lambda a, axis: a.size // a.shape[-1] // g.n ** (d - 1), counted))
+        monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft, lambda a, axis: a.size // a.shape[axis], lines))
         stepper.advance(fields_h, fields, 0.0, 1e-3)
         assert sum(counted) == 4 * per_rhs
-        assert passes == [d + 1] * (4 * (d - 1))
+        # per field, a pass over axis i runs on every line of the axes before
+        # it and on the block's rows of those after it, up to last-axis mode m
+        nonzero = sum(g.n**i * (2 * m + 1) ** (d - 2 - i) * (m + 1) for i in range(d - 1))
+        assert sum(lines) == 4 * (d + 1) * nonzero < 4 * (d + 1) * (d - 1) * g.n ** (d - 2) * (g.n // 2 + 1)
 
     def test_blow_up_is_reported_at_the_end_of_its_step(self):
         """A state made non-finite inside the third of five steps per
@@ -912,7 +920,8 @@ class TestWorkspace:
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d))
         st = preset_ic("random-band", g, params, seed=5, amplitude=0.5)
         fields = _fields(st)
-        fields_h, stepper = g.rfft(fields), _Stepper(g, params, ledger=True)
+        stepper = _Stepper(g, params, ledger=True)
+        fields_h = stepper.take(g.rfft(fields))
         inputs = fields_h.copy(), fields.copy()
         first_h, first, _, _ = stepper.advance(fields_h, fields, 0.0, 1e-3)
         kept = first_h.copy(), first.copy()
@@ -932,8 +941,9 @@ class TestWorkspace:
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d))
         st = preset_ic("random-band", g, params, seed=4, amplitude=0.5)
         fields = _fields(st)
-        fields_h = g.rfft(fields)
-        want_h, want, dD, dW = _Stepper(g, params, ledger=True).advance(fields_h, fields, 0.2, 1e-3)
+        stepper = _Stepper(g, params, ledger=True)
+        fields_h = stepper.take(g.rfft(fields))
+        want_h, want, dD, dW = stepper.advance(fields_h, fields, 0.2, 1e-3)
         assert dD > 0 and dW != 0.0
 
         def spatial(self, grid):
@@ -972,36 +982,42 @@ class TestWorkspace:
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("ledger", [False, True])
     def test_buffer_bytes_match_their_count(self, d, n, forced, ledger):
-        """3d + 4 complex and 2d + 3 real grid fields, the viscous symbol,
-        the ledger's Parseval weights k2 * weight, and one spare complex
-        buffer: a flux pair's coefficients, the ledger's squared parts, or
-        the forcing shift's gathered and moved modes, the largest.  Neither
-        the shift nor the work rate's map owns a buffer of its own."""
+        """4d + 4 complex fields on the compact two-thirds block (the stage
+        coefficients and increments, u's and div u's modes, the product
+        scratch and ik), the viscous symbol on it, 2d + 3 real grid fields,
+        the ledger's Parseval weights k2 * weight on the half lattice, and
+        one spare complex buffer: u's half lattice past the ledger's d + 1
+        real squared parts, a flux pair's half-lattice passes and its block,
+        the forcing shift's gathered and moved modes, or an inverse's padded
+        lines, the largest.  Neither the shift nor the work rate's map owns a
+        buffer of its own."""
         params = FluidParams(mu=0.05, forcing=two_term_forcing(d) if forced else ForcingSpec())
         stepper = _Stepper(make_grid(d, n, TWO_PI), params, ledger=ledger)
-        half, cells = n ** (d - 1) * (n // 2 + 1), n**d
-        dealiased = (2 * (n // 3) + 1) ** (d - 1) * (n // 3 + 1)
+        m, half, cells = n // 3, n ** (d - 1) * (n // 2 + 1), n**d
+        block = (2 * m + 1) ** (d - 1) * (m + 1)
         terms = len(params.forcing.terms)
-        spare = max(half, d * half if ledger else 0, (2 * terms + d) * dealiased if forced else 0)
+        u_whole = ((d + 1) * half + 1) // 2 + d * half if ledger else d * half
+        spare = max(u_whole, half + block, (d + 1) * n ** (d - 1) * (m + 1), (2 * terms + d) * block if forced else 0)
         real = 2 * d + 3
-        symbols = 2 if ledger else 1  # mu * k2, and the ledger's k2 * weight
-        want = 16 * ((3 * d + 4) * half + spare) + 8 * (real * cells + symbols * half)
+        want = 16 * ((4 * d + 4) * block + spare) + 8 * (real * cells + block + (half if ledger else 0))
         owned = [a for a in vars(stepper).values() if isinstance(a, np.ndarray) and a.base is None]
-        maps = ([stepper.force[1]] if forced else []) + ([stepper.work] if forced and ledger else [])
+        maps = ([stepper.force] if forced else []) + ([stepper.work] if forced and ledger else [])
         for shift in maps:
             cells_of = dict(zip(shift.__code__.co_freevars, (c.cell_contents for c in shift.__closure__)))
             lent = [cells_of[name] for name in ("values", "moved")]
-            assert all(np.shares_memory(buf, stepper.flux_h) for buf in lent)
+            assert all(np.shares_memory(buf, stepper.spare) for buf in lent)
         assert sum(a.nbytes for a in owned) == want
-        if (d, n, forced, ledger) == (3, 32, True, True):  # 16 complex and 9 real grid fields
-            assert want - 16 * half == 16 * 16 * half + 9 * 8 * cells == 6.5 * 2**20
+        if (d, n, forced, ledger) == (3, 32, True, True):  # 16 block and 9 real grid fields, and 5 half lattices
+            assert want - 8 * (block + half) == 16 * (16 * block + 5 * half) + 9 * 8 * cells
+            assert want <= 5.2 * 2**20  # 6.77 MiB on the half lattice
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("case", ["unforced", "forced", "extra source"])
     @pytest.mark.parametrize("ledger", [False, True])
     def test_rhs_equals_the_batched_flux_assembly(self, d, case, ledger):
         # one flux pair at a time, each subtracted at once, in pair order:
-        # every component's increments come in the batched order
+        # every component's increments come in the batched order, on the
+        # stepper's mode set, from a state on the two-thirds block as run's
         g = make_grid(d, 8 if d == 3 else 16, TWO_PI)
         params = FluidParams(mu=0.05, forcing=ForcingSpec() if case == "unforced" else two_term_forcing(d))
 
@@ -1010,14 +1026,75 @@ class TestWorkspace:
 
         source = extra if case == "extra source" else None
         st = preset_ic("random-band", g, params, seed=9, amplitude=0.5)
-        fields = _fields(st)
-        fields_h, stepper = g.rfft(fields), _Stepper(g, params, source, ledger=ledger)
+        fields_h = g.rfft(_fields(st))
+        g.dealias(fields_h)
+        fields, stepper = g.irfft(fields_h), _Stepper(g, params, source, ledger=ledger, block=source is None)  # as run's
         for t in (0.0, 0.7):
-            got, diss, work = stepper.rhs(fields_h, fields, t, np.empty_like(fields_h))
+            got, diss, work = stepper.rhs(stepper.take(fields_h), fields, t, np.empty_like(stepper.k))
             want, want_diss, want_work = batched_flux_rhs(g, params, fields_h, fields, t, source, ledger)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(got.view(np.int64), stepper.take(want).view(np.int64))
             assert (diss, work) == (want_diss, want_work)
             assert (diss > 0) == ledger and (work != 0.0) == (ledger and case != "unforced")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rhs_and_step_take_the_given_state_on_the_half_lattice(self, d):
+        # a density mode just past n//3, which the forcing's mode 1 moves into
+        # the block: rhs reads it in rho * f, and step carries it unchanged
+        g = make_grid(d, 8 if d == 3 else 16, TWO_PI)
+        params = FluidParams(mu=0.02, forcing=two_term_forcing(d))
+        st = preset_ic("random-band", g, params, seed=2, amplitude=0.5)
+        outer, inner = (g.n // 3 + 1,) + (0,) * (d - 1), (g.n // 3,) + (0,) * (d - 1)
+        st = state_from(g, st.rho.values + 0.1 * g.trig_mode(outer, 0.3)[1], st.m.values)
+        plain = FluidParams(mu=0.02)
+        forced = g.rfft(rhs(st, params)[1].values - rhs(st, plain)[1].values)[(0,) + inner]
+        want = g.rfft(st.rho.values * params.forcing.spatial(g)[0])[inner] * params.forcing.envelope_at(0.0)
+        assert abs(forced - want) <= 1e-12 * abs(want)
+        shares = [g.rfft(st.rho.values)[outer], g.rfft(step(st, params, 1e-3).rho.values)[outer]]
+        assert abs(shares[1] - shares[0]) <= 1e-12 * abs(shares[0]) and abs(shares[0]) > 0.01 * g.n**d
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_the_half_lattice_layout_steps_as_the_block_does(self, d, forced):
+        # a zero extra source puts run's stepper on the whole half lattice,
+        # whose outer modes then stay zero: the same samples and ledger, bit for bit
+        g = make_grid(d, 8 if d == 3 else 16, TWO_PI)
+        params = FluidParams(mu=0.02, forcing=two_term_forcing(d) if forced else ForcingSpec())
+        st = preset_ic("random-band", g, params, seed=2, amplitude=0.5)
+
+        def zero(t, rho, m):
+            return np.zeros_like(rho), np.zeros_like(m)
+
+        block, half = (run(st, params, T=0.06, snapshots=3, dt_cap=0.005, extra_source=source) for source in (None, zero))
+        assert block.steps_per_snapshot > 1 and (block.dt, block.steps_per_snapshot) == (half.dt, half.steps_per_snapshot)
+        for a, b in zip(block.series, half.series):
+            assert a.t == b.t
+            assert np.array_equal(a.rho.values.view(np.int64), b.rho.values.view(np.int64))
+            assert np.array_equal(a.m.values.view(np.int64), b.m.values.view(np.int64))
+        for name in ("t", "E", "D", "W", "R"):
+            assert np.array_equal(getattr(block.report, name), getattr(half.report, name))
+        assert (block.report.W[-1] != 0.0) == forced
+
+    def test_a_3d_run_into_block_pass_traces_under_its_half_lattice_peak(self):
+        # forced 3D 32^3, 16 snapshots: the traced peak of a run whose stepper
+        # held the half lattice was 15.64 MiB (numpy 2.4); this one reads 11.97
+        g = make_grid(3, 32, TWO_PI)
+        params = FluidParams(mu=0.02, forcing=two_term_forcing(3, "const", 0.0))
+        st = preset_ic("random-band", g, params, seed=7, amplitude=0.5)
+
+        def peak():
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = run(st, params, T=0.5, snapshots=16, store=block_pass(17))
+                return tracemalloc.get_traced_memory()[1] - base, result
+            finally:
+                tracemalloc.stop()
+
+        peak()  # first use: lazy imports and FFT plan caches
+        traced, result = peak()
+        assert len(result.series) == 17 and result.report.W[-1] != 0.0
+        assert traced <= 13.5 * 2**20
 
     def test_memory_stays_below_the_fresh_array_stepper(self):
         # the tracemalloc pattern of the diagnose memory test: a collection

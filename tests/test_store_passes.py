@@ -214,14 +214,19 @@ def random_band(d, n, forced):
     return preset_ic("random-band", make_grid(d, n, 2.0 * np.pi), params, seed=3, amplitude=0.5), params
 
 
-def recording(store, outside):
-    """store, with the modes outside the two-thirds block of each State's
-    coefficients (None when it carries none) appended to outside as the
-    State is sent."""
+def recording(store, coefs):
+    """store, with the shape of each State's coefficients (None when it
+    carries none), and whether their inverse gives its samples bit for bit,
+    appended to coefs as the State is sent."""
     answer = next(store)
     while True:
         st = yield answer
-        outside.append(None if st.coef is None else st.coef[:, ~st.grid.dealias_half])
+        if st.coef is None:
+            coefs.append(None)
+        else:
+            samples = st.grid.irfft_block(st.coef)
+            coefs.append((st.coef.shape, np.array_equal(samples[0], st.rho.values)
+                          and np.array_equal(samples[1:], st.m.values)))
         answer = store.send(st)
 
 
@@ -235,9 +240,10 @@ class TestBlockPass:
     @pytest.mark.parametrize("d, n", [(1, 16), (2, 16), (3, 8)])
     def test_rebuilt_states_equal_the_sent_ones_bit_for_bit(self, d, n, forced):
         initial, params = random_band(d, n, forced)
-        outside = []
-        held = run(initial, params, 0.2, snapshots=4, store=recording(block_pass(5), outside)).series
-        assert outside[0] is None and all(not modes.any() for modes in outside[1:])  # run projects
+        coefs = []
+        held = run(initial, params, 0.2, snapshots=4, store=recording(block_pass(5), coefs)).series
+        # run projects: the coefficients are the compact two-thirds block
+        assert coefs == [None] + [((d + 1,) + initial.grid.block_shape, True)] * 4
         assert kept(held) == [True, False, False, False, False]
         assert held.times.tolist() == run(initial, params, 0.2, snapshots=4).series.times.tolist()
         assert states(held) == states(run(initial, params, 0.2, snapshots=4).series)
