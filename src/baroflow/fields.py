@@ -14,13 +14,14 @@ half-lattice sum with each mode counted by its Hermitian multiplicity:
 once on the last-axis 0 and n/2 planes (which are their own mirror
 images), twice everywhere else.  PeriodicGrid builds the half-lattice
 derivative, diffusion and dealias operators, the shell index and that
-weight once, each contiguous (a broadcast operator multiplies up to twice
-as slowly).  Orszag's two-thirds block is held compactly (block_slabs), and
+weight once, on first read, each contiguous (a broadcast one multiplies
+up to twice as slowly).  Orszag's two-thirds block is held compactly (block_slabs), and
 rfft_block's and irfft_block's pruned passes run only on the lines that reach it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,13 +65,21 @@ class PeriodicGrid:
         Box volume P**d.
     shape : tuple of int
         Spatial array shape, (n,) * d.
+    half_shape : tuple of int
+        Half-lattice shape (n,) * (d - 1) + (n//2 + 1,) of rfft output.
+    block_rows, block_shape, block_slabs : tuple
+        The block's rows on a leading axis, its shape (2m+1,) * (d - 1) + (m+1,),
+        m = n//3, compact in dealias_modes' order, and its (half lattice, block) slab pairs.
+
+    Operators, built on first read and kept
+    ---------------------------------------
+    A grid that only validates a configuration builds none.  Threads sharing
+    a grid may both build one, to the same bits.
     mode_norm, origin_phase : ndarray
         |mode| (Nyquist labelled +n/2) and the centered-phase DFT's factor
         (-1)^(sum of modes), on the full lattice.
     n_shells : int
         Number of integer shells round(|mode|), max over the lattice + 1.
-    half_shape : tuple of int
-        Half-lattice shape (n,) * (d - 1) + (n//2 + 1,) of rfft output.
     ik_half : ndarray
         i*k per axis on the half lattice, shape (d,) + half_shape, with the
         Nyquist mode zeroed, for odd-order spectral derivatives of real fields.
@@ -87,9 +96,6 @@ class PeriodicGrid:
     dealias_modes : ndarray of intp
         Flat C-order indices of dealias_half's modes in half_shape, the
         order of the two-thirds block.
-    block_rows, block_shape, block_slabs : tuple
-        The block's rows on a leading axis, its shape (2m+1,) * (d - 1) + (m+1,),
-        m = n//3, compact in dealias_modes' order, and its (half lattice, block) slab pairs.
     parseval_weight : ndarray
         Hermitian multiplicity of each half-lattice mode along the last
         axis, broadcastable: 1 at last-axis modes 0 and n/2, 2 elsewhere.
@@ -120,52 +126,49 @@ class PeriodicGrid:
         object.__setattr__(self, "shape", (n,) * d)
         # rfft keeps last-axis modes 0 .. n/2, the first n//2 + 1 entries
         # of FFT storage order.
-        h = n // 2 + 1
-        object.__setattr__(self, "half_shape", self.shape[:-1] + (h,))
-
-        def lattice(values, last):
-            """values along each axis in turn, broadcastable; the last axis
-            keeps its first `last` entries."""
-            return [values[: last if axis == d - 1 else n].reshape((1,) * axis + (-1,) + (1,) * (d - 1 - axis))
-                    for axis in range(d)]
-
-        def squared_norm(vectors, shape):
-            return sum((v.astype(np.float64) ** 2 for v in vectors), np.zeros(shape))
-
-        modes_1d = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-        modes_1d[n // 2] = n // 2  # label the Nyquist mode +n/2
-        modes, half_modes = lattice(modes_1d, n), lattice(modes_1d, h)
-        k = (2.0 * np.pi / P) * modes_1d.astype(np.float64)
-        k_deriv = k.copy()
-        k_deriv[n // 2] = 0.0  # Nyquist is ambiguous under differentiation
-        object.__setattr__(self, "ik_half", np.stack(np.broadcast_arrays(*lattice(1j * k_deriv, h))))
-        object.__setattr__(self, "k2_half", squared_norm(lattice(k, h), self.half_shape))
-        object.__setattr__(self, "ik2_half", sum(np.abs(v) ** 2 for v in self.ik_half))
-        object.__setattr__(self, "mode_norm", np.sqrt(squared_norm(modes, self.shape)))
-        object.__setattr__(self, "mode_norm_half", np.sqrt(squared_norm(half_modes, self.half_shape)))
-        shell = np.rint(self.mode_norm_half).astype(np.int64)
-        object.__setattr__(self, "shell_half", shell)
-        object.__setattr__(self, "n_shells", int(shell.max()) + 1)  # |(n/2, ..., n/2)| is kept
-        keep = np.ones(self.half_shape, dtype=bool)
-        for m in half_modes:
-            keep &= np.abs(m) <= n // 3
-        object.__setattr__(self, "dealias_half", keep)
-        object.__setattr__(self, "dealias_modes", np.flatnonzero(keep))
+        object.__setattr__(self, "half_shape", self.shape[:-1] + (n // 2 + 1,))
         m = n // 3  # a leading axis's block rows: modes 0 .. m, then -m .. -1
         object.__setattr__(self, "block_rows", (slice(m + 1), slice(n - m, None)))
         object.__setattr__(self, "block_shape", (2 * m + 1,) * (d - 1) + (m + 1,))
         rows = itertools.product(zip(self.block_rows, (slice(m + 1), slice(m + 1, None))), repeat=d - 1)
         object.__setattr__(self, "block_slabs", tuple(tuple(zip(*r, (slice(m + 1), slice(None)))) for r in rows))
-        weight = np.full(h, 2.0)
-        weight[0] = weight[-1] = 1.0
-        object.__setattr__(self, "parseval_weight", weight)
 
-        # Samples start at -P/2, so mode phases pick up e^{-ik*x0} = (-1)^mode
-        # per axis relative to the raw FFT.  The factor is its own inverse.
-        phase = np.ones(self.shape)
-        for m in modes:
-            phase = phase * np.where(m % 2 == 0, 1.0, -1.0)
-        object.__setattr__(self, "origin_phase", phase)
+    def _lattice(self, values, half=True):
+        """values, per mode in FFT order, along each axis in turn, broadcastable;
+        on the half lattice the last axis keeps its first n//2 + 1."""
+        d, last = self.d, self.half_shape[-1] if half else self.n
+        return [values[: last if a == d - 1 else self.n].reshape((1,) * a + (-1,) + (1,) * (d - 1 - a)) for a in range(d)]
+
+    def _modes(self, k=False):
+        """The integer modes in FFT order, Nyquist labelled +n/2, or with k their wavenumbers."""
+        modes = np.fft.fftfreq(self.n, 1.0 / self.n).astype(np.int64)
+        modes[self.n // 2] = self.n // 2
+        return (2.0 * np.pi / self.P) * modes.astype(np.float64) if k else modes
+
+    def _squared_norm(self, values, half=True):
+        return sum((v.astype(np.float64) ** 2 for v in self._lattice(values, half)),
+                   np.zeros(self.half_shape if half else self.shape))
+
+    @functools.cached_property
+    def ik_half(self):
+        k = self._modes(k=True)
+        k[self.n // 2] = 0.0  # Nyquist is ambiguous under differentiation
+        return np.stack(np.broadcast_arrays(*self._lattice(1j * k)))
+
+    k2_half = functools.cached_property(lambda self: self._squared_norm(self._modes(k=True)))
+    ik2_half = functools.cached_property(lambda self: sum(np.abs(v) ** 2 for v in self.ik_half))
+    mode_norm = functools.cached_property(lambda self: np.sqrt(self._squared_norm(self._modes(), half=False)))
+    mode_norm_half = functools.cached_property(lambda self: np.sqrt(self._squared_norm(self._modes())))
+    shell_half = functools.cached_property(lambda self: np.rint(self.mode_norm_half).astype(np.int64))
+    n_shells = functools.cached_property(lambda self: int(self.shell_half.max()) + 1)  # |(n/2, ..., n/2)| is kept
+    dealias_half = functools.cached_property(lambda self: self.dealias(np.ones(self.half_shape, bool)))
+    dealias_modes = functools.cached_property(lambda self: np.flatnonzero(self.dealias_half))
+    parseval_weight = functools.cached_property(
+        lambda self: np.where(np.arange(self.n // 2 + 1) % (self.n // 2), 2.0, 1.0))
+    # Samples start at -P/2, so mode phases pick up e^{-ik*x0} = (-1)^mode
+    # per axis relative to the raw FFT.  The factor is its own inverse.
+    origin_phase = functools.cached_property(lambda self: functools.reduce(
+        np.multiply, [np.where(m % 2 == 0, 1.0, -1.0) for m in self._lattice(self._modes(), False)], np.ones(self.shape)))
 
     def axes_coordinates(self):
         """Per-axis sample coordinates in [-P/2, P/2), broadcastable."""
@@ -349,8 +352,8 @@ class Field:
 
     Scalar fields store shape grid.shape, multi-component fields
     (components,) + grid.shape.  Values are copied, C-ordered whatever
-    their source, and frozen; fields are immutable once built.  The solver
-    alone builds fields on its own fresh arrays without a copy (_adopt).
+    their source, and frozen; fields are immutable once built.  Only the
+    solver and weighted_fields adopt their own fresh arrays, uncopied (_adopt).
     """
 
     grid: PeriodicGrid
@@ -369,8 +372,8 @@ class Field:
 
     @classmethod
     def _adopt(cls, grid: PeriodicGrid, values: np.ndarray) -> "Field":
-        """A Field whose samples are values itself, frozen in place: a fresh
-        float64 C-ordered array that its maker only reads from then on."""
+        """A Field on values itself, frozen in place: a fresh float64 C-ordered
+        array that its maker (solver, weighted_fields) only reads from then on."""
         field = object.__new__(cls)
         object.__setattr__(field, "grid", grid)
         field._freeze(values)
@@ -466,9 +469,9 @@ def weighted_fields(
     r = rho.values
     if float(np.min(r)) < -RHO_TOLERANCE:
         raise ValueError(f"density has negative values beyond tolerance: min {np.min(r):.3e}")
-    r = np.maximum(r, 0.0)
-    denom = np.maximum(r, rho_min)
-    w = np.empty((rho.grid.d + 1,) + rho.grid.shape)
-    w[: rho.grid.d] = np.sqrt(r) * m.values / denom
-    w[rho.grid.d] = math.sqrt(kappa) * r ** (0.5 * gamma)
-    return Field(grid=rho.grid, values=w)
+    r, d = np.maximum(r, 0.0), rho.grid.d
+    w = np.empty((d + 1,) + rho.grid.shape)
+    denom = np.maximum(r, rho_min, out=w[d])  # w_c's row holds it until w_u is made
+    np.divide(np.multiply(np.sqrt(r), m.values, out=w[:d]), denom, out=w[:d])
+    np.multiply(r ** (0.5 * gamma), math.sqrt(kappa), out=w[d])
+    return Field._adopt(rho.grid, w)

@@ -201,6 +201,7 @@ def write_pass(directory, prefix: str, params, count: int):
             if not times:
                 first, grid = meta, st.grid
             times.append(meta.t)
+            del st  # written: its samples are not held while run makes the next
         for path in paths:
             _partial(path).replace(path)
         for index, path in _numbered(directory, prefix):

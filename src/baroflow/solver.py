@@ -28,12 +28,12 @@ rhs, step and run each build one stepper (_Stepper) and drop it when they
 return.  It owns the call's grid, fluid, forcing and extra source, whether
 the ledger rates ride along (run's only), ik and mu*k2 on its mode set, and
 the buffers the stages write into: there, the stage coefficients, the
-increment, u's and div u's modes and the product scratch; the stage samples,
-velocity, pressure and one flux pair; and one half-lattice spare, which takes
-u's transform (the ledger's Parseval sums read all of it), a flux pair's
-passes, the forcing shifts' modes and an inverse's padded lines in turn.  The
-four increments collapse into a running sum, in the classical formula's
-order, held by the step's own result array.  No buffer outlives its call.
+increment, u's and div u's modes and the product scratch; the velocity,
+pressure and one flux pair; and one half-lattice spare, which takes u's
+transform (the ledger's Parseval sums read all of it), a flux pair's passes,
+the forcing shifts' modes and an inverse's padded lines in turn.  The step's
+own result arrays hold the increments' running sum, in the classical
+formula's order, and the stage samples.  No buffer outlives its call.
 """
 
 from __future__ import annotations
@@ -311,6 +311,7 @@ def block_pass(count: int):
         grid = st.grid
         times.append(st.t)
         held.append(st if st.coef is None else st.coef)
+        del st  # a blocked State's samples are not held while run makes the next
     yield BlockSeries(grid=grid, times=np.array(times), held=tuple(held))
 
 
@@ -358,7 +359,8 @@ class _Stepper:
     for a block-supported state (block), else the half lattice (module
     docstring).  Only a ledger stepper reads the forcing modes of m^, for the
     work rate.  Forcing modes must pass grid.dealiased_terms: the shift maps
-    onto dealiased modes only."""
+    onto dealiased modes only.  It holds no samples: advance inverts each stage
+    into the samples it returns."""
 
     def __init__(self, grid: PeriodicGrid, params: FluidParams, extra_source=None, ledger=False, block=True):
         d, h, half = grid.d, grid.half_shape, math.prod(grid.half_shape)
@@ -368,7 +370,7 @@ class _Stepper:
         self.modes, (self.outer, self.inner) = (grid.block_shape, slabs) if block else (grid.half_shape, slabs[::-1])
         real = lambda *lead: np.empty(lead + grid.shape)
         spectral = lambda *lead: np.empty(lead + self.modes, dtype=np.complex128)
-        self.stage_h, self.k, self.stage = spectral(d + 1), spectral(d + 1), real(d + 1)
+        self.stage_h, self.k = spectral(d + 1), spectral(d + 1)
         self.u, self.p, self.flux = real(d), real(), real()
         self.u_h, self.div_u_h, self.tmp = spectral(d), spectral(), spectral()
         self.ik, self.mu_k2 = self.take(grid.ik_half), params.mu * self.take(grid.k2_half)
@@ -477,10 +479,10 @@ class _Stepper:
 
         The new coefficients are a fresh array that takes k1, then the
         running sum k1 + 2 k2 + 2 k3 + k4 in the order of the classical
-        formula; the returned arrays are never stepper buffers, so a later
-        step leaves them alone."""
-        k, stage_h, stage = self.k, self.stage_h, self.stage
-        acc = np.empty_like(state_h)
+        formula, and the new samples one that takes each stage's samples
+        first; neither is a stepper buffer, so a later step leaves them alone."""
+        k, stage_h = self.k, self.stage_h
+        acc, stage = np.empty_like(state_h), np.empty(state.shape)
 
         def to_stage(c, inc, acc=None):
             """stage_h = state_h + c*inc, then acc += 2.0*inc if acc is given,
@@ -500,7 +502,7 @@ class _Stepper:
         acc += k
         sixth = dt / 6.0
         new_h = np.add(state_h, np.multiply(acc, sixth, out=acc), out=acc)
-        new = self.inverse(new_h)
+        new = self.inverse(new_h, out=stage)  # the stage samples are spent
         dD = sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         dW = sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
         _check_alive(new[0], new[1:], t + dt)
@@ -704,6 +706,7 @@ def run(
             series = send(st, snap)
             object.__setattr__(st, "coef", None)  # no State a pass keeps pins the coefficients
             rows.append((t_now, total_energy(st, params), D_acc, W_acc))
+            del st  # nor does run, whose next steps would hold its samples beside two others
     except BaseException:
         store.close()
         raise

@@ -1,7 +1,9 @@
 """Grid construction, transforms, the lattice-shift and L^p rules of the
 moduli and distances, and the weighted bundle."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +104,13 @@ class TestMakeGrid:
 
 
 class TestHalfLattice:
+    def test_a_fresh_grid_holds_no_operator_until_one_is_read(self):
+        g = make_grid(3, 32, TWO_PI)
+        assert [name for name, v in vars(g).items() if isinstance(v, np.ndarray)] == []
+        ik2 = g.ik2_half  # built from ik_half, which it builds too
+        assert sorted(name for name, v in vars(g).items() if isinstance(v, np.ndarray)) == ["ik2_half", "ik_half"]
+        assert g.ik2_half is ik2 and g == make_grid(3, 32, TWO_PI)
+
     def test_weighted_parseval_matches_full_lattice(self):
         rng = np.random.default_rng(5)
         for d in (1, 2, 3):
@@ -373,6 +382,27 @@ class TestWeightedFields:
             dens = 0.5 * np.sum(w.values[:d] ** 2, axis=0) + w.values[d] ** 2 / (gamma - 1)
             expect = 0.5 * np.sum(mv**2, axis=0) / r + kappa * r**gamma / (gamma - 1)
             assert np.max(np.abs(dens - expect)) < 1e-10 * np.max(expect)
+
+    def test_one_call_traces_under_its_result_and_a_half_to_the_formulas_bits(self):
+        # 3D 32^3: the result is 1.0 MiB; the copying build traced 3.0 MiB
+        g = make_grid(3, 32, TWO_PI)
+        rng = np.random.default_rng(4)
+        r = 0.5 + rng.random(g.shape)
+        r[0, 0, :4] = (0.0, 1e-12, -1e-13, 1e-11)  # floored and clipped densities too
+        mv = rng.standard_normal((3,) + g.shape)
+        rho, m = Field(grid=g, values=r), Field(grid=g, values=mv)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            w = weighted_fields(rho, m, 1.4, 2.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        r = np.maximum(r, 0.0)
+        want = np.concatenate((np.sqrt(r) * mv / np.maximum(r, 1e-10), (math.sqrt(2.0) * r ** 0.7)[None]))
+        assert w.values.tobytes() == want.tobytes() and not w.values.flags.writeable
+        assert w.values.nbytes == 2**20 and peak <= 1.6 * 2**20
 
     def test_negative_density_rejected(self):
         g = make_grid(1, 8, 1.0)
