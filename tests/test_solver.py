@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from baroflow import solver
 from baroflow.fields import Field, dft_forward, make_grid
 from baroflow.solver import (
     BlowUpError,
@@ -30,7 +31,6 @@ from baroflow.solver import (
     times_pass,
     total_energy,
 )
-from baroflow import solver
 from baroflow.snapshots import write_pass
 
 TWO_PI = 2.0 * np.pi
@@ -1109,8 +1109,8 @@ class TestWorkspace:
 
     def test_a_3d_run_into_block_pass_traces_under_its_half_lattice_peak(self):
         # forced 3D 32^3, 16 snapshots: the traced peak of a run whose stepper
-        # held the half lattice was 15.64 MiB (numpy 2.4), 11.97 with the block
-        # and a held stage sample array; this one reads 10.95
+        # held the half lattice was 15.64 MiB (numpy 2.4), 11.97 on the block with
+        # stage samples of its own and the last snapshot pinned; this one reads 10.95
         g = make_grid(3, 32, TWO_PI)
         params = FluidParams(mu=0.02, forcing=two_term_forcing(3, "const", 0.0))
         st = preset_ic("random-band", g, params, seed=7, amplitude=0.5)
